@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import ConvergenceError, DomainError
 from .model import InitialState, WBPotential
@@ -101,6 +100,8 @@ def resonance_width(density: SpectralDensity) -> tuple[float, float]:
     geometry).  Returns (peak_energy, width); the width sets the decay
     rate of the intermediate-time exponential stage.
     """
+    from scipy.optimize import curve_fit  # deferred: costs ~0.6 s to import
+
     e_grid = np.geomspace(1.0e-4, 4.0, 8001)
     om = density.omega(e_grid)
     i_pk = int(np.argmax(om))

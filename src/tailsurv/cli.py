@@ -114,10 +114,13 @@ def _out_path(cfg: dict, fallback: str) -> Path:
     return path
 
 
+def _potential_from_cfg(cfg: dict) -> WBPotential:
+    return WBPotential(**{key: float(cfg[key])
+                          for key in ("v0", "vb", "r_a", "r_d", "beta")})
+
+
 def _build_density(cfg: dict) -> SpectralDensity:
-    pot = WBPotential(v0=float(cfg["v0"]), vb=float(cfg["vb"]),
-                      r_a=float(cfg["r_a"]), r_d=float(cfg["r_d"]),
-                      beta=float(cfg["beta"]))
+    pot = _potential_from_cfg(cfg)
     init = InitialState.from_potential(pot, n_a=int(cfg["n_a"]))
     return SpectralDensity(pot, init)
 
@@ -228,9 +231,7 @@ def cmd_survive(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    base = WBPotential(v0=float(cfg["v0"]), vb=float(cfg["vb"]),
-                       r_a=float(cfg["r_a"]), r_d=float(cfg["r_d"]),
-                       beta=float(cfg["beta"]))
+    base = _potential_from_cfg(cfg)
     start, stop, step = (float(cfg["beta_start"]), float(cfg["beta_stop"]),
                          float(cfg["beta_step"]))
     if step <= 0 or stop < start:
@@ -249,9 +250,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_arc_check(cfg: dict) -> int:
-    pot = WBPotential(v0=float(cfg["v0"]), vb=float(cfg["vb"]),
-                      r_a=float(cfg["r_a"]), r_d=float(cfg["r_d"]),
-                      beta=float(cfg["beta"]))
+    pot = _potential_from_cfg(cfg)
     init = InitialState.from_potential(pot, n_a=int(cfg["n_a"]))
     radii = _parse_floats(cfg["arc_radii"])
     angles = _parse_angles(cfg["arc_angles"])

@@ -36,8 +36,9 @@ class WBPotential:
 
     Construction rejects parameter sets that support a bound state,
     since the survival formalism assumes a purely continuous spectrum:
-    the zero-energy regular solution is integrated out to 10 r_d and
-    must have no nodes.
+    the zero-energy regular solution must have no node on (0, inf).
+    The nodes are counted exactly from the closed form of that solution
+    in each region (see `_count_zero_energy_nodes`).
     """
 
     v0: float
@@ -90,9 +91,34 @@ class WBPotential:
         return float(out[0]) if scalar else out
 
     def _count_zero_energy_nodes(self) -> int:
-        from .oracle import count_nodes_zero_energy  # deferred: oracle needs numpy only
+        """Nodes of the zero-energy regular solution on (0, inf).
 
-        return count_nodes_zero_energy(self)
+        By Sturm's oscillation theorem this is the number of bound
+        states.  Region by region:
+
+        * well, u = sin(k r)/k with k = sqrt(v0): ceil(k r_a/pi) - 1
+          nodes inside (0, r_a);
+        * barrier, u'' = vb u: a combination of exp(+-sqrt(vb) r) (or a
+          line if vb = 0) has at most one zero, so there is a node in
+          [r_a, r_d] exactly when u(r_a) u(r_d) <= 0;
+        * exterior, u = A r^(beta+1) + B r^(-beta): at most one zero, at
+          r0 = (-B/A)^(1/(2 beta+1)).  Since r^(2 beta+1) increases, r0
+          lies beyond r_d exactly when u(r_d) and A differ in sign, and
+          matching (u, u') at r_d gives
+          sign(A) = sign(r_d u'(r_d) + beta u(r_d)).
+        """
+        k = math.sqrt(self.v0)
+        if k > 0.0:
+            nodes = math.ceil(k * self.r_a / math.pi) - 1
+            u_a = math.sin(k * self.r_a) / k
+        else:
+            nodes, u_a = 0, self.r_a
+        bnd = zero_energy_boundary(self)
+        if u_a * bnd.u <= 0.0:
+            nodes += 1
+        if bnd.u * (self.r_d * bnd.du + self.beta * bnd.u) < 0.0:
+            nodes += 1
+        return nodes
 
 
 @dataclass(frozen=True)

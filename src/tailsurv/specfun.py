@@ -280,7 +280,7 @@ def _pair_integer_nu(n_order: int, beta: float, x: np.ndarray) -> tuple[np.ndarr
     """
     j, jp = _power_series(x, beta + 1.0, beta + 1.5,
                           SQRT_PI / (2.0 ** (beta + 1.0) * gamma(beta + 1.5)))
-    log_half = np.log(0.5 * x) if np.iscomplexobj(x) else np.log(0.5 * x)
+    log_half = np.log(0.5 * x)
 
     # Finite sum: k = 0 .. n-1 of (n-k-1)!/k! (x/2)^{2k-n+1/2}.
     fin = np.zeros_like(j)

@@ -18,7 +18,7 @@ interpolant.
 The long-time representation rotates the contour onto the negative
 imaginary energy axis,
 
-    A_v(t) = i int_0^inf dx exp(-x t) omega(-i x),
+    A_v(t) = -i int_0^inf dx exp(-x t) omega(-i x),
 
 which is non-oscillatory and evaluated by ordinary adaptive quadrature
 with the continued density (or its threshold refinement); expanding
@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ResourceLimitError, ToleranceError
 from .specfun import gamma
 from .spectral import SpectralDensity, ThresholdCoeffs
 
@@ -49,6 +48,12 @@ _PHASE_SWITCH = 10.0
 _PANEL_RTOL = 5.0e-10
 _MAX_DEPTH = 48
 _MIN_WIDTH = 1.0e-8
+
+# Cap on density evaluations per panel table.  The largest tables in
+# use take 14 160 (e_max = 4e4), and 20 816 at beta = 0.498; without a
+# cap, tails within ~2e-3 of beta = 1/2 bisect toward _MAX_DEPTH on
+# every panel, for minutes and gigabytes.
+_MAX_TABLE_EVALS = 200_000
 
 # Outer edge of the geometric threshold panels; below their last edge
 # the remaining mass is added as a power-law estimate.
@@ -100,7 +105,7 @@ class SurvivalSeries:
 class AsymptoticModel:
     """Sum of inverse powers approximating the long-time survival.
 
-    space "amplitude": A(t) ~ -sum_m coeff_m (i t)^{-expo_m}, and the
+    space "amplitude": A(t) ~ sum_m coeff_m (i t)^{-expo_m}, and the
     probability is the squared modulus.  space "probability":
     P(t) ~ sum_m coeff_m t^{-expo_m} directly.  origin records which
     construction produced the model ("one-term" or "multi-term").
@@ -132,7 +137,7 @@ class AsymptoticModel:
         amp = np.zeros(t.shape, dtype=complex)
         for c, s in zip(self.coefficients, self.exponents):
             # (i t)^{-s} with i = e^{i pi/2}: modulus t^{-s}, fixed phase
-            amp = amp - c * t ** (-s) * np.exp(-0.5j * math.pi * s)
+            amp = amp + c * t ** (-s) * np.exp(-0.5j * math.pi * s)
         return SurvivalSeries(times=t, probability=np.abs(amp) ** 2,
                               amplitudes=amp,
                               method=f"asymptote-{self.origin}",
@@ -224,6 +229,11 @@ def _build_table(omega: Callable, r_a: float, e_max: float,
             keep_mono.append(c[None, :])
             keep_resid.append(np.asarray([r]))
             continue
+        if n_evals + 2 * _GL_X.size > _MAX_TABLE_EVALS:
+            raise ResourceLimitError(
+                f"panel table: {n_evals} density evaluations used, next "
+                f"bisection would exceed the budget of {_MAX_TABLE_EVALS} "
+                f"(panel [{m - h:.6g}, {m + h:.6g}] at depth {depth})")
         sub_edges = np.asarray([m - h, m, m + h])
         sm, sh, sv = _eval_panels(omega, sub_edges)
         n_evals += sv.size
@@ -404,7 +414,7 @@ def survival_laplace_axis(density: SpectralDensity, times, *,
 
     With E = -i x and then x = u / t,
 
-        A_v(t) = (i / t) int_0^{u_max} e^{-u} omega(-i u / t) du,
+        A_v(t) = (-i / t) int_0^{u_max} e^{-u} omega(-i u / t) du,
 
     a smooth integrand handled by adaptive quadrature; accuracy is
     t-independent.  form "continued" uses the full continued density;
@@ -413,6 +423,8 @@ def survival_laplace_axis(density: SpectralDensity, times, *,
     contour part only: it omits the resonance-pole contribution, which
     is significant roughly below t ~ 200 for the reference parameters.
     """
+    from scipy.integrate import quad  # deferred: it also loads scipy.optimize
+
     if form not in ("continued", "threshold"):
         raise DomainError(f"unknown laplace-axis form {form!r}")
     if form == "threshold":
@@ -434,7 +446,7 @@ def survival_laplace_axis(density: SpectralDensity, times, *,
 
         re = quad(re_part, 0.0, u_max, limit=300, epsabs=1.0e-13, epsrel=1.0e-11)[0]
         im = quad(im_part, 0.0, u_max, limit=300, epsabs=1.0e-13, epsrel=1.0e-11)[0]
-        amps[i] = 1j * complex(re, im) / t
+        amps[i] = -1j * complex(re, im) / t
     prob = np.abs(amps) ** 2
     return SurvivalSeries(times=t_arr, probability=prob, amplitudes=amps,
                           method=f"laplace-{form}",
@@ -462,7 +474,7 @@ def asymptote_series(coeffs: ThresholdCoeffs, n_terms: int = 4
                      ) -> AsymptoticModel:
     """Multi-term amplitude-space asymptote from the threshold series.
 
-    A_v(t) ~ -sum_{m=1}^{M} c_m Gamma(1 + m nu) (i t)^{-(1 + m nu)}
+    A_v(t) ~ sum_{m=1}^{M} c_m Gamma(1 + m nu) (i t)^{-(1 + m nu)}
     with c_m the threshold density-series coefficients.  Needed for
     attractive tails, where consecutive exponents are closely spaced
     and a single term misrepresents finite-time behaviour.

@@ -1,14 +1,20 @@
 """Potential validation, initial state, and closed-form boundary data."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+import tailsurv.model
 from tailsurv.errors import ConfigError, DomainError
 from tailsurv.model import (InitialState, WBPotential, regular_boundary,
                             regular_boundary_sq, zero_energy_boundary)
+from tailsurv.oracle import count_nodes_zero_energy
 
 from conftest import REFERENCE, make_potential
 
@@ -38,6 +44,86 @@ def test_invalid_parameters_rejected(overrides):
 def test_bound_state_supporting_wells_rejected(v0):
     with pytest.raises(ConfigError, match="bound state"):
         make_potential(0.3, v0=v0)
+
+
+def _unvalidated(**params) -> WBPotential:
+    """A WBPotential that skips __post_init__, so wells that bind can be probed."""
+    pot = object.__new__(WBPotential)
+    for name, val in params.items():
+        object.__setattr__(pot, name, float(val))
+    return pot
+
+
+def _exterior_node(pot) -> float | None:
+    """Zero beyond r_d of A r^(beta+1) + B r^(-beta), matched at r_d by a linear solve."""
+    bnd = zero_energy_boundary(pot)
+    p, q, r = pot.beta + 1.0, -pot.beta, pot.r_d
+    a, b = np.linalg.solve([[r ** p, r ** q], [p * r ** (p - 1.0), q * r ** (q - 1.0)]],
+                           [bnd.u, bnd.du])
+    if a == 0.0 or -b / a <= 0.0:
+        return None
+    r0 = (-b / a) ** (1.0 / (2.0 * pot.beta + 1.0))
+    return r0 if r0 > r else None
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(v0=st.floats(0.0, 3.0), vb=st.floats(0.0, 3.0), r_a=st.floats(0.5, 4.0),
+       width=st.floats(0.1, 2.0), beta=st.floats(-0.49, 1.5))
+def test_node_count_matches_rk4_oracle(v0, vb, r_a, width, beta):
+    pot = _unvalidated(v0=v0, vb=vb, r_a=r_a, r_d=r_a + width, beta=beta)
+    r0 = _exterior_node(pot)
+    # the oracle integrates to 10 r_d; keep any exterior node well inside
+    assume(r0 is None or r0 < 9.0 * pot.r_d)
+    assert pot._count_zero_energy_nodes() == count_nodes_zero_energy(pot)
+
+
+def test_far_exterior_node_rejected():
+    # the zero-energy node sits at r ~ 48.6, beyond the oracle's 10 r_d
+    params = dict(v0=0.58, vb=1.8, r_a=3.0, r_d=3.4, beta=-0.1)
+    assert _exterior_node(_unvalidated(**params)) == pytest.approx(48.6, abs=0.05)
+    assert count_nodes_zero_energy(_unvalidated(**params)) == 0
+    with pytest.raises(ConfigError, match="1 bound state"):
+        WBPotential(**params)
+
+
+@pytest.mark.parametrize("r_d", (3.4, 8.0))
+def test_node_count_square_well_without_barrier_or_tail(r_d):
+    # vb = 0 and beta = 0: a bare square well, which binds
+    # floor(k r_a / pi + 1/2) s-wave states (exterior u = A r + B)
+    r_a = 3.0
+    for k_ra in (0.3, 1.5, 1.6, 4.6, 4.8, 8.0):
+        pot = _unvalidated(v0=(k_ra / r_a) ** 2, vb=0.0, r_a=r_a, r_d=r_d, beta=0.0)
+        assert pot._count_zero_energy_nodes() == math.floor(k_ra / math.pi + 0.5)
+
+
+@pytest.mark.parametrize("beta", (-0.45, -0.1, 0.0, 0.7))
+@pytest.mark.parametrize("vb", (0.0, 1.8))
+def test_no_well_never_binds(beta, vb):
+    # v0 = 0: u = r in the well; barrier >= 0 and a tail above -1/(4 r^2)
+    pot = make_potential(beta, v0=0.0, vb=vb)
+    assert pot._count_zero_energy_nodes() == 0
+
+
+@pytest.mark.parametrize("params", (
+    dict(v0=0.5, vb=1.8, beta=0.0),
+    dict(v0=1.3, vb=1.8, beta=0.0),
+    dict(v0=0.5, vb=0.0, beta=0.3),
+    dict(v0=1.0, vb=0.0, beta=-0.3),
+))
+def test_node_count_edge_cases_match_oracle(params):
+    pot = _unvalidated(r_a=3.0, r_d=3.4, **params)
+    assert pot._count_zero_energy_nodes() == count_nodes_zero_energy(pot)
+
+
+def test_model_does_not_import_oracle():
+    tree = ast.parse(inspect.getsource(tailsurv.model))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("oracle" in name for name in imported), imported
 
 
 def test_fields_coerced_to_float():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tailsurv.errors import DomainError, ToleranceError
+import tailsurv.survival
+from tailsurv.errors import DomainError, ResourceLimitError, ToleranceError
 from tailsurv.specfun import gamma
 from tailsurv.survival import (SurvivalSeries, asymptote_one_term,
                                asymptote_series, spectral_mass,
@@ -63,6 +64,24 @@ def test_survival_reports_accuracy_metadata(density_for):
         survival_exact(density_for(0.3), np.array([100.0]), e_max=2.0)
 
 
+def test_panel_table_budget_names_stage_and_count(density_for, monkeypatch):
+    monkeypatch.setattr(tailsurv.survival, "_MAX_TABLE_EVALS", 3000)
+    with pytest.raises(ResourceLimitError,
+                       match=r"panel table: \d+ density evaluations .* budget of 3000"):
+        survival_exact(density_for(0.3), np.array([0.1, 500.0]))
+
+
+@pytest.mark.xfail(strict=True, raises=ResourceLimitError,
+                   reason="within ~2e-3 of beta = 1/2 the order nu = beta + 1/2 is "
+                          "nearly an integer and the panel bisection stalls: "
+                          "beta = 0.499 passes 200 000 density evaluations, "
+                          "against ~2400 at beta = 0.3 and ~9000 at 0.498")
+def test_exact_near_half_integer_order():
+    s = survival_exact(make_density(0.499), np.linspace(*WINDOW, 50))
+    assert s.meta["max_error_estimate"] <= 1.0e-8
+    assert np.all((s.probability > 0.0) & (s.probability < 1.0))
+
+
 def test_spectral_mass_accounts_for_everything(density_for):
     assert spectral_mass(density_for(0.3)) == pytest.approx(1.0, abs=1.0e-6)
 
@@ -87,6 +106,26 @@ def test_laplace_matches_exact_in_the_tail_window(density_for,
     assert devs[0.3] < 1.0e-4
     assert devs[0.7] == pytest.approx(9.5e-3, rel=0.1)
     assert devs[0.7] > devs[0.3]
+
+
+def test_laplace_amplitude_matches_exact_with_phase(density_for):
+    # A(t) = int omega(E) e^{-iEt} dE rotated by E = -iu/t picks up
+    # dE = -(i/t) du; compare complex amplitudes, not just |A|^2
+    t = np.array([800.0, 2000.0])
+    for beta in (-0.4, -0.1, 0.3, 0.7):
+        exact = survival_exact(density_for(beta), t).amplitudes
+        lap = survival_laplace_axis(density_for(beta), t).amplitudes
+        assert np.max(np.abs(lap - exact)) < 1.0e-11
+        assert np.max(np.abs(lap / exact - 1.0)) < 1.0e-6
+
+
+def test_series_amplitude_matches_exact_with_phase(density_for):
+    t = np.array([2000.0])
+    for beta in (-0.1, 0.3):
+        exact = survival_exact(density_for(beta), t).amplitudes
+        model = asymptote_series(density_for(beta).threshold, n_terms=4)
+        ratio = model.evaluate(t).amplitudes / exact
+        assert np.abs(ratio - 1.0)[0] < 2.0e-2
 
 
 def test_pole_part_negligible_past_t300(density_for):
