@@ -28,13 +28,15 @@ from .specfun import BesselOrder, riccati_pair_with_derivatives
 _MAX_BRUTE_POINTS = 40_000_000
 
 
-def rk4_radial(v_func, k_sq, breakpoints, step: float):
-    """Integrate u'' = (v(r) - k^2) u from r = 0 with u = 0, u' = 1.
+def _rk4_steps(v_func, k_sq, breakpoints, step: float):
+    """Yield (u, u') after each step of u'' = (v(r) - k^2) u from r = 0.
 
+    Classical RK4 on the first-order system, started at u = 0, u' = 1.
     `breakpoints` lists radii of potential discontinuities plus the end
     radius, in increasing order; steps are aligned to each segment so
     the fourth-order accuracy survives the jumps.  Vectorized over
-    k_sq.  Returns (u, u') at the final breakpoint.
+    k_sq; v_func is called once per segment on the array of every
+    step's start, midpoint and end radius.
     """
     k_sq = np.asarray(k_sq, dtype=float)
     u = np.zeros_like(k_sq)
@@ -45,62 +47,47 @@ def rk4_radial(v_func, k_sq, breakpoints, step: float):
         h = (r_end - r) / n
         # keep sample points strictly inside the segment so boundary
         # steps see the correct side of each discontinuity
-        lo, hi = r + 1e-12, r_end - 1e-12
+        r0 = r + np.arange(n) * h
+        v0, vm, v1 = v_func(np.clip(np.stack((r0, r0 + 0.5 * h, r0 + h)),
+                                    r + 1e-12, r_end - 1e-12))
         for i in range(n):
-            r0 = r + i * h
-            g0 = v_func(min(max(r0, lo), hi)) - k_sq
-            gm = v_func(min(max(r0 + 0.5 * h, lo), hi)) - k_sq
-            g1 = v_func(min(max(r0 + h, lo), hi)) - k_sq
-            # classical RK4 on the first-order system (u, u')
+            g0, gm, g1 = v0[i] - k_sq, vm[i] - k_sq, v1[i] - k_sq
             k1u, k1d = du, g0 * u
             k2u, k2d = du + 0.5 * h * k1d, gm * (u + 0.5 * h * k1u)
             k3u, k3d = du + 0.5 * h * k2d, gm * (u + 0.5 * h * k2u)
             k4u, k4d = du + h * k3d, g1 * (u + h * k3u)
             u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
             du = du + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            yield u, du
         r = r_end
+
+
+def rk4_radial(v_func, k_sq, breakpoints, step: float):
+    """Integrate u'' = (v(r) - k^2) u from r = 0 with u = 0, u' = 1.
+
+    Returns (u, u') at the final breakpoint; see `_rk4_steps`.
+    """
+    for u, du in _rk4_steps(v_func, k_sq, breakpoints, step):
+        pass
     return u, du
-
-
-def rk4_radial_track_signs(v_func, k_sq: float, breakpoints, step: float) -> int:
-    """Count strict sign changes of u along the integration range."""
-    u, du = 0.0, 1.0
-    r = 0.0
-    changes = 0
-    last_sign = 0
-    for r_end in breakpoints:
-        n = max(1, int(math.ceil((r_end - r) / step)))
-        h = (r_end - r) / n
-        lo, hi = r + 1e-12, r_end - 1e-12
-        for i in range(n):
-            r0 = r + i * h
-            g0 = v_func(min(max(r0, lo), hi)) - k_sq
-            gm = v_func(min(max(r0 + 0.5 * h, lo), hi)) - k_sq
-            g1 = v_func(min(max(r0 + h, lo), hi)) - k_sq
-            k1u, k1d = du, g0 * u
-            k2u, k2d = du + 0.5 * h * k1d, gm * (u + 0.5 * h * k1u)
-            k3u, k3d = du + 0.5 * h * k2d, gm * (u + 0.5 * h * k2u)
-            k4u, k4d = du + h * k3d, g1 * (u + h * k3u)
-            u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            du = du + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-            sign = (u > 0.0) - (u < 0.0)
-            if sign != 0:
-                if last_sign != 0 and sign != last_sign:
-                    changes += 1
-                last_sign = sign
-        r = r_end
-    return changes
 
 
 def count_nodes_zero_energy(pot, r_max_factor: float = 10.0,
                             step_factor: float = 1.0e-3) -> int:
     """Nodes of the zero-energy regular solution on (0, r_max_factor * r_d].
 
-    A node signals a bound state in the spectrum.
+    Counts strict sign changes of u over the RK4 steps.  A node signals
+    a bound state in the spectrum.
     """
-    step = step_factor * pot.r_d
     breakpoints = (pot.r_a, pot.r_d, r_max_factor * pot.r_d)
-    return rk4_radial_track_signs(pot.v, 0.0, breakpoints, step)
+    changes, last = 0, 0
+    for u, _ in _rk4_steps(pot.v, 0.0, breakpoints, step_factor * pot.r_d):
+        sign = int(np.sign(u))
+        if sign:
+            if last == -sign:
+                changes += 1
+            last = sign
+    return changes
 
 
 def ode_oracle_boundary_many(pot, ks, step: float | None = None):
@@ -202,7 +189,7 @@ def _nested_trapezoid(density, t: float, lo: float, hi: float,
     if grid[0] == 0.0:
         vals[0] = 0.0  # limit value of the density at threshold
         start = 1
-    chunk = 2_000_000
+    chunk = 250_000
     for a in range(start, n_fine + 1, chunk):
         b = min(a + chunk, n_fine + 1)
         vals[a:b] = density.omega(grid[a:b])

@@ -5,9 +5,8 @@ printed in the terminal summary after the run (conftest hook), where
 output capture no longer swallows it.  Two criteria contain clauses
 that are genuinely unattainable with this formulation; those tests
 compute the quantities faithfully, record an honest FAIL verdict, and
-are marked as strict expected failures.  The measurements behind every
-frozen number live in notes/decisions.md at the repository root's
-sibling notes directory.
+are marked as strict expected failures.  Each marker's reason carries
+its measured numbers; measurements made since are logged in CHANGES.md.
 """
 
 import math
@@ -78,7 +77,7 @@ def test_each_reference_density_normalizes_quickly():
                           "crossover sits beyond [400, 800]; the fitted "
                           "exponent there is 3.92 against the predicted "
                           "5.0 however the window is sampled; see "
-                          "notes/decisions.md")
+                          "CHANGES.md")
 def test_fitted_exponent_matches_tail_prediction(repulsive_sweep_rows):
     rows = {row.beta: row for row in repulsive_sweep_rows}
     checked = [rows[b] for b in (0.0, 0.3, 0.7, 1.0)]
@@ -177,7 +176,7 @@ def test_exponent_sensitivity_to_barrier_geometry(power_fit_for):
                           "fitted exponent by 0.026 through leftover "
                           "pole-stage curvature, so the insensitivity "
                           "clause needs the later window used above; "
-                          "see notes/decisions.md")
+                          "see CHANGES.md")
 def test_narrow_tail_insensitive_already_in_default_window(power_fit_for):
     ref = power_fit_for(0.7).mu_f
     taller = ref - power_fit_for(0.7, vb=1.6).mu_f

@@ -85,7 +85,7 @@ def test_narrow_resonance_decay_rate_matches_width(density_for,
                           "yields a clean exponential stage: the fitted "
                           "rate on [20, 100] sits 22 percent above the "
                           "Lorentzian width, beyond the quoted 10 "
-                          "percent; see notes/decisions.md")
+                          "percent; see CHANGES.md")
 def test_broad_resonance_decay_rate_matches_width(density_for,
                                                   width_series_for):
     rate, _ = fit_exponential(width_series_for(0.3), 20.0, 100.0)
@@ -171,7 +171,7 @@ def test_repulsive_sweep_tracks_predicted_exponent(repulsive_sweep_rows):
                           "crossover moves into or past [400, 800]; at "
                           "beta = 1.0 the fitted exponent is 3.92 "
                           "against the predicted 5.0; see "
-                          "notes/decisions.md")
+                          "CHANGES.md")
 def test_sweep_exponent_law_through_beta_one(repulsive_sweep_rows):
     for row in repulsive_sweep_rows:
         if row.beta < 0.849:

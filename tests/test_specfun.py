@@ -192,7 +192,7 @@ def test_large_x_combos_zero_order_exact():
                    reason="truncation of the large-argument forms is "
                           "exactly z^-4 on the derivative combination at "
                           "integer order: 6.25e-6 at z = 20, above the "
-                          "1e-6 target; see notes/decisions.md")
+                          "1e-6 target; see CHANGES.md")
 def test_large_x_combos_match_series_at_20():
     order = BesselOrder(1.0)
     direct = riccati_combos(order, np.array([20.0]))
@@ -206,7 +206,7 @@ def test_large_x_combos_match_series_at_20():
                           "target at z = 50: the large-argument forms "
                           "truncate at O(z^-4) ~ 6e-8, and the direct "
                           "series route loses ~e^z eps ~ 1e9 absolute to "
-                          "cancellation; see notes/decisions.md")
+                          "cancellation; see CHANGES.md")
 def test_large_x_combos_match_series_at_50():
     order = BesselOrder(0.7)
     direct = riccati_combos(order, np.array([50.0]))

@@ -102,6 +102,39 @@ def test_lower_half_plane_continuation_is_continuous(density_for):
     assert abs(just_below - on_axis) < 1.0e-8
 
 
+# Continued density at beta = 0.3 (reference geometry), frozen from
+# 40-digit mpmath: J and Y Bessel products, closed-form well and barrier.
+_CONTINUED_REFERENCE = {
+    2.0 - 2.0j: 0.01887269855818114 - 0.008043421510406733j,    # |z| = 5.7
+    -3.0j: 0.0021225129799887733 + 0.00883097498203496j,        # |z| = 5.9
+    -19.5j: 0.00010420022635215565 - 9.283929229362441e-06j,    # |z| = 15.0
+    -40.0j: 5.549981673604064e-06 - 1.1776453847349071e-05j,    # |z| = 21.5
+}
+
+
+def _continued_rel_errors(den, energies):
+    e = np.asarray(energies, dtype=complex)
+    ref = np.asarray([_CONTINUED_REFERENCE[x] for x in energies])
+    return np.abs(den.omega(e) / ref - 1.0)
+
+
+def test_continuation_matches_mpmath_at_moderate_argument(density_for):
+    assert np.all(_continued_rel_errors(density_for(0.3), [2.0 - 2.0j, -3.0j])
+                  <= 1.0e-11)
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="below the |z| = 24 switch (z = k r_d) the ascending "
+                          "series still serves complex z and loses digits: on "
+                          "the -pi/4 momentum ray (E = -iu/t) omega is off by "
+                          "2.2e-6 at |z| = 15 and by 15 percent at |z| = 21.5 "
+                          "(t = 1, u = 40) against 40-digit mpmath; 5.1e-6 and "
+                          "9 percent at beta = -0.4")
+def test_continuation_matches_mpmath_on_the_rotated_axis(density_for):
+    assert np.all(_continued_rel_errors(density_for(0.3), [-19.5j, -40.0j])
+                  <= 1.0e-10)
+
+
 # ------------------------------------------------------------------ #
 # Jost modulus                                                       #
 # ------------------------------------------------------------------ #
@@ -140,7 +173,7 @@ def test_jost_scale_reached_within_two_percent_by_k_002(beta, dev, density_for):
                           "slow sub-integer power of k; at k = 0.05 the "
                           "residual deviation is 2.2-39.6 percent across "
                           "the reference tails, above the quoted 2 "
-                          "percent; see notes/decisions.md")
+                          "percent; see CHANGES.md")
 def test_jost_scale_reached_within_two_percent_by_k_005(beta, density_for):
     den = density_for(beta)
     scale = den.threshold.jost_scale

@@ -1,6 +1,9 @@
 """Exact survival integral, rotated-axis route, and asymptotic models."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from tailsurv.survival import (SurvivalSeries, asymptote_one_term,
                                asymptote_series, spectral_mass,
                                survival_exact, survival_laplace_axis)
 
-from conftest import WINDOW, make_density
+from conftest import REFERENCE_BETAS, WINDOW, make_density
 
 
 # ------------------------------------------------------------------ #
@@ -162,6 +165,53 @@ def test_laplace_threshold_form_close_in_window(density_for,
                                 form="threshold")
     dev = np.max(np.abs(lap.probability / exact.probability - 1.0))
     assert dev < 0.10
+
+
+def _quad_laplace_amplitude(fn, t: float) -> complex:
+    """A_v(t) by two adaptive quads, one per part, on the same [0, 40]."""
+    from scipy.integrate import quad
+
+    def part(take):
+        return quad(lambda u: take(fn(-1j * u / t)) * math.exp(-u), 0.0, 40.0,
+                    limit=300, epsabs=1.0e-13, epsrel=1.0e-13)[0]
+
+    return -1j * complex(part(np.real), part(np.imag)) / t
+
+
+@pytest.mark.parametrize("form", ["continued", "threshold"])
+def test_laplace_rule_matches_adaptive_quadrature(density_for, form):
+    t = np.array([200.0, 500.0, 1000.0, 2000.0])
+    for beta in REFERENCE_BETAS:
+        den = density_for(beta)
+        fn = den.omega if form == "continued" else den.threshold_pade_omega
+        lap = survival_laplace_axis(den, t, form=form)
+        ref = np.array([_quad_laplace_amplitude(fn, float(x)) for x in t])
+        assert np.max(np.abs(lap.amplitudes / ref - 1.0)) <= 1.0e-12
+        assert lap.meta["nodes"] == tailsurv.survival._LAPLACE_U.size
+        assert 0.0 < lap.meta["max_rel_error_estimate"] < 1.0e-12
+
+
+def test_laplace_blocks_match_one_call(density_for, monkeypatch):
+    den = density_for(0.3)
+    t = np.geomspace(200.0, 2000.0, 7)
+    whole = survival_laplace_axis(den, t).amplitudes
+    monkeypatch.setattr(tailsurv.survival, "_LAPLACE_BLOCK", 3000)  # 3 times a call
+    # equal to rounding: the series length follows the largest |k r_d| per call
+    assert np.max(np.abs(survival_laplace_axis(den, t).amplitudes / whole - 1.0)) < 1.0e-14
+
+
+def test_laplace_route_loads_no_scipy():
+    code = ("import sys, tailsurv.cli\n"
+            "from tailsurv import (InitialState, SpectralDensity, WBPotential,\n"
+            "                      survival_laplace_axis)\n"
+            "pot = WBPotential(v0=0.5, vb=1.8, r_a=3.0, r_d=3.4, beta=0.3)\n"
+            "den = SpectralDensity(pot, InitialState.from_potential(pot))\n"
+            "survival_laplace_axis(den, [500.0, 1000.0])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_laplace_validation(density_for):
