@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .specfun import BesselOrder, riccati_pair_with_derivatives
+from .survival import _envelope_tail
 
 # Hard cap on brute-force grid size (memory and runtime guard).
 _MAX_BRUTE_POINTS = 40_000_000
@@ -252,23 +253,8 @@ def oracle_survival_bruteforce(density, t: float, e_max: float = 400.0,
     sums_bulk = _nested_trapezoid(density, t, edge, e_out, 2 * n_bulk, 2)
     amp += (4.0 * sums_bulk[0] - sums_bulk[1]) / 3.0
     if t == 0.0:
-        amp += _envelope_tail_mass(density, e_out)
+        amp += _envelope_tail(density.init.k_a, density.pot.r_a, e_out)
     return float(abs(amp) ** 2)
-
-
-def _envelope_tail_mass(density, e_max: float) -> float:
-    """Mean-value estimate of the spectral mass beyond e_max.
-
-    High-energy envelope of the density (unit Jost modulus): the
-    averaged oscillation gives the secular term, one integration by
-    parts the oscillatory correction.
-    """
-    k_a = density.init.k_a
-    r_a = density.pot.r_a
-    k = math.sqrt(e_max)
-    pref = 2.0 * k_a ** 2 / (math.pi * r_a)
-    return pref * (e_max ** -1.5 / 3.0
-                   + math.sin(2.0 * r_a * k) / (2.0 * r_a * k ** 4))
 
 
 @dataclass(frozen=True)

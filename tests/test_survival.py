@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from tailsurv.specfun import gamma
 from tailsurv.survival import (SurvivalSeries, asymptote_one_term,
                                asymptote_series, spectral_mass,
                                survival_exact, survival_laplace_axis)
+from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _PHASE_SWITCH,
+                               _build_table, _envelope_tail, _table_amplitudes)
 
 from conftest import REFERENCE_BETAS, WINDOW, make_density
 
@@ -83,6 +86,124 @@ def test_exact_near_half_integer_order():
     s = survival_exact(make_density(0.499), np.linspace(*WINDOW, 50))
     assert s.meta["max_error_estimate"] <= 1.0e-8
     assert np.all((s.probability > 0.0) & (s.probability < 1.0))
+
+
+def _reference_amplitude(table, t: float):
+    """A(t) and its error estimate for one time, panel by panel.
+
+    The per-time evaluation the batched route replaced, kept as a plain
+    reference: complex Gauss sums below the phase switch and complex
+    moments from the integration-by-parts recursion above it.
+    """
+    if t == 0.0:
+        total = float(np.sum((table.vals @ _GL_W) * table.half)) + table.sub_mass
+        est = float(np.sum(table.resid * table.half)) + abs(table.sub_mass) * 0.5
+        return complex(total, 0.0), est
+    theta = t * table.half
+    phase = np.exp(-1j * t * table.mid)
+    small = theta <= _PHASE_SWITCH
+    acc = 0.0 + 0.0j
+    if np.any(small):
+        osc = np.exp(-1j * (theta[small, None] * _GL_X[None, :]))
+        sums = ((table.vals[small] * osc) @ _GL_W)
+        acc += np.sum(table.half[small] * phase[small] * sums)
+    if np.any(~small):
+        th = theta[~small]
+        mom = np.empty((16,) + th.shape, dtype=complex)
+        em = np.exp(-1j * th)
+        ep = np.conj(em)
+        inv = 1.0 / th
+        mom[0] = 2.0 * np.sin(th) * inv
+        sign = 1.0
+        for j in range(1, 16):
+            sign = -sign
+            mom[j] = (em - sign * ep) * (1j * inv) - 1j * j * inv * mom[j - 1]
+        sums = np.einsum("pj,jp->p", table.mono[~small], mom)
+        acc += np.sum(table.half[~small] * phase[~small] * sums)
+
+    it = 1j * t
+    tail = 0.0 + 0.0j
+    for n in range(_DERIV_TERMS):
+        tail += table.end_derivs[n] / it ** (n + 1)
+    tail *= np.exp(-1j * table.e_max * t)
+    acc += tail
+
+    damp = np.minimum(1.0, 4.0 / theta)
+    est = float(np.sum(table.resid * table.half * damp))
+    est += abs(table.end_derivs[-1]) / t ** _DERIV_TERMS
+    est += table.sub_mass
+    return complex(acc), est
+
+
+def _switch_straddling_times(table):
+    """Unsorted times with repeats and t = 0 that put every panel on both
+    sides of the phase switch, some exactly at it."""
+    lo = _PHASE_SWITCH / table.half.max()
+    hi = _PHASE_SWITCH / table.half.min()
+    t = np.geomspace(0.5 * lo, 2.0 * hi, 61)
+    t = np.concatenate((t, t[::7], _PHASE_SWITCH / table.half[::40],
+                        [0.0, 500.0, 0.0]))
+    return np.random.default_rng(7).permutation(t)
+
+
+@pytest.mark.parametrize("beta", REFERENCE_BETAS)
+def test_batched_amplitudes_match_per_time_reference(density_for, monkeypatch, beta):
+    den = density_for(beta)
+    table = _build_table(den.omega, den.pot.r_a, 2500.0,
+                         noise_rel=den.interp_noise_rel)
+    t = _switch_straddling_times(table)
+    ref = [_reference_amplitude(table, float(x)) for x in t]
+    ref_amp = np.array([a for a, _ in ref])
+    ref_est = np.array([e for _, e in ref])
+    ref_amp[t == 0.0] += _envelope_tail(den.init.k_a, den.pot.r_a, table.e_max)
+
+    s = survival_exact(den, t, e_max=2500.0, abs_tol=1.0)
+    assert s.meta["panels"] == table.mid.size
+    assert np.max(np.abs(s.amplitudes - ref_amp)) <= 1.0e-14
+    assert s.meta["max_error_estimate"] == pytest.approx(np.max(ref_est), rel=1.0e-12)
+    pos = t > 0.0
+    monkeypatch.setattr(tailsurv.survival, "_TIME_BLOCK", t.size)  # one block
+    amps, parts = _table_amplitudes(table, t[pos])
+    assert np.max(np.abs(amps - ref_amp[pos])) <= 1.0e-14
+    assert np.max(np.abs(parts.sum(axis=1) / ref_est[pos] - 1.0)) <= 1.0e-12
+
+
+def test_batched_moments_stay_finite_in_wide_blocks(density_for):
+    # at t = 1e-12 every panel is below the switch, theta down to ~3e-26,
+    # where the moment recursion run for the block's t = 1e16 overflows
+    # unless it is clamped
+    den = density_for(0.3)
+    table = _build_table(den.omega, den.pot.r_a, 2500.0,
+                         noise_rel=den.interp_noise_rel)
+    t = np.array([1.0e-12, 1.0e16])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amps, _ = _table_amplitudes(table, t)
+    ref = np.array([_reference_amplitude(table, x)[0] for x in t])
+    assert np.max(np.abs(amps / ref - 1.0)) <= 1.0e-12
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_exact_blocks_match_one_call(density_for, monkeypatch, block):
+    den = density_for(0.3)
+    t = np.concatenate(([0.0], np.geomspace(0.1, 2000.0, 45)))
+    whole = survival_exact(den, t)
+    monkeypatch.setattr(tailsurv.survival, "_TIME_BLOCK", block)
+    split = survival_exact(den, t)
+    assert np.max(np.abs(split.amplitudes - whole.amplitudes)) <= 2.0e-16
+    assert split.meta["max_error_estimate"] == pytest.approx(
+        whole.meta["max_error_estimate"], rel=1.0e-14)
+
+
+def test_exact_meta_splits_error_and_times_stages(density_for):
+    for t in ([0.0, 50.0, 100.0], np.geomspace(400.0, 800.0, 20)):
+        meta = survival_exact(density_for(0.3), t).meta
+        parts = meta["error_parts"]
+        assert set(parts) == {"interpolation", "truncation", "sub_threshold"}
+        assert all(v >= 0.0 for v in parts.values())
+        assert sum(parts.values()) == pytest.approx(meta["max_error_estimate"],
+                                                    rel=1.0e-15)
+        assert meta["table_s"] > 0.0 and meta["amplitude_s"] > 0.0
 
 
 def test_spectral_mass_accounts_for_everything(density_for):
