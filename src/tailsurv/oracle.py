@@ -127,12 +127,14 @@ def oracle_match_coefficients(pot, k: float, step: float | None = None):
     if k <= 0.0:
         raise DomainError(f"matching requires k > 0, got {k:g}")
     bnd = ode_oracle_boundary(pot, k, step)
-    order = BesselOrder(pot.beta)
-    x_d = k * pot.r_d
-    j, jp, n, np_ = riccati_pair_with_derivatives(order, x_d)
+    return _match_boundary(pot, k, bnd.u, bnd.du)
+
+
+def _match_boundary(pot, k: float, u: float, du: float):
+    """(a, b) with a j_hat + b n_hat matching (u, u') at r_d."""
+    j, jp, n, np_ = riccati_pair_with_derivatives(BesselOrder(pot.beta), k * pot.r_d)
     mat = np.array([[j, n], [k * jp, k * np_]], dtype=float)
-    rhs = np.array([bnd.u, bnd.du], dtype=float)
-    a, b = np.linalg.solve(mat, rhs)
+    a, b = np.linalg.solve(mat, np.array([u, du], dtype=float))
     return float(a), float(b)
 
 
@@ -299,7 +301,8 @@ def run_verification(density, times=(100.0, 500.0)) -> OracleReport:
     checks = []
 
     ks = np.linspace(0.05, 3.0, 30)
-    u_ode, du_ode = ode_oracle_boundary_many(pot, ks, step=1.0e-4 * pot.r_d)
+    match_ks = (0.5, 1.0, 2.5)  # integrated in the same RK4 pass as ks
+    u_ode, du_ode = ode_oracle_boundary_many(pot, np.r_[ks, match_ks], step=1.0e-4 * pot.r_d)
     rel = 0.0
     for i, k in enumerate(ks):
         closed = regular_boundary(pot, float(k))
@@ -309,8 +312,8 @@ def run_verification(density, times=(100.0, 500.0)) -> OracleReport:
     checks.append(OracleCheck("closed-form boundary vs integrated", rel, 1.0e-8))
 
     worst = 0.0
-    for k in (0.5, 1.0, 2.5):
-        a, b = oracle_match_coefficients(pot, k, step=1.0e-4 * pot.r_d)
+    for i, k in enumerate(match_ks, start=ks.size):
+        a, b = _match_boundary(pot, k, float(u_ode[i]), float(du_ode[i]))
         direct = density.jost_modulus_sq(k)
         solved = k * k * (a * a + b * b)
         worst = max(worst, abs(direct - solved) / abs(direct))

@@ -22,10 +22,9 @@ Near threshold the density follows omega ~ zeta k^{2 beta + 1}; the
 coefficients of that law and of its three-term refinement for
 attractive tails are provided by `threshold_coeffs`.
 
-The Riccati pair is summed by series up to |k r_d| = 24, beyond which
-the alternating series has lost too many digits in double precision
-and the large-argument combination forms take over; the switch radius
-is the module constant SERIES_COMBO_SWITCH.
+The quadratic combinations come from the ascending series of the
+Riccati pair below |k r_d| = SERIES_COMBO_SWITCH (12.5) and from the
+asymptotic Hankel-product series above it.
 """
 
 from __future__ import annotations
@@ -38,19 +37,9 @@ import numpy as np
 
 from .errors import DomainError
 from .model import InitialState, WBPotential, regular_boundary_sq, zero_energy_boundary
-from .specfun import (SQRT_PI, BesselOrder, gamma, riccati_combos,
-                      riccati_large_x_combos, riccati_pair_with_derivatives)
-
-# |k r_d| above which quadratic combinations switch from direct series
-# to the large-argument forms.  At the switch both routes carry a few
-# parts in 1e7; series cancellation grows ~ e^{|x|} beyond, while the
-# large-argument error falls as |z|^-4.
-SERIES_COMBO_SWITCH = 24.0
-
-# Multiplier covering the spread of measured cancellation noise in the
-# quadratic combinations over the e^z eps / sqrt(2 pi z) model (worst
-# measured factor ~17 at z = 20; 100 leaves margin).
-SERIES_NOISE_AMP = 100.0
+from .specfun import (SERIES_COMBO_SWITCH, SQRT_PI, BesselOrder, RiccatiCombos, gamma,
+                      riccati_combos, riccati_large_x_combos,
+                      riccati_pair_with_derivatives)
 
 # Interior momenta closer than this to the mode momentum use the
 # series form of the removable sin(k_I r_a)/(k_a^2 - k_I^2) factor.
@@ -107,15 +96,10 @@ def _mode_overlap_factor(k_i, k_a: float, n_a: int):
         sinc = 1.0 - arg * arg / 6.0 * (1.0 - arg * arg / 20.0)
         sign = -1.0 if n_a % 2 == 0 else 1.0
         series = sign * (-r_a) * sinc / (2.0 * k_a + delta)
-        direct = _safe_ratio(np.sin(np.where(near, 0.0, k_i) * r_a),
-                             (k_a - k_i) * (k_a + k_i), near)
+        direct = (np.sin(np.where(near, 0.0, k_i) * r_a)
+                  / np.where(near, 1.0, (k_a - k_i) * (k_a + k_i)))
         return np.where(near, series, direct)
     return np.sin(k_i * r_a) / ((k_a - k_i) * (k_a + k_i))
-
-
-def _safe_ratio(num, den, masked):
-    den = np.where(masked, 1.0, den)
-    return num / den
 
 
 class SpectralDensity:
@@ -141,24 +125,20 @@ class SpectralDensity:
     # -- Jost modulus ------------------------------------------------
 
     def _combos(self, z):
-        """Quadratic Riccati combinations with the documented switch."""
-        z = np.asarray(z)
-        absz = np.abs(z)
-        if np.all(absz < SERIES_COMBO_SWITCH):
+        """Quadratic Riccati combinations at z = k r_d, split at SERIES_COMBO_SWITCH."""
+        near = np.abs(z) < SERIES_COMBO_SWITCH
+        if near.all():
             return riccati_combos(self.order, z)
-        if np.all(absz >= SERIES_COMBO_SWITCH):
+        if not near.any():
             return riccati_large_x_combos(self.order, z)
-        near = absz < SERIES_COMBO_SWITCH
-        cs = riccati_combos(self.order, z[near])
-        cl = riccati_large_x_combos(self.order, z[~near])
+        lo = riccati_combos(self.order, z[near])
+        hi = riccati_large_x_combos(self.order, z[~near])
         fields = []
-        for name in ("sum_sq", "cross", "sum_sq_deriv"):
-            lo, hi = getattr(cs, name), getattr(cl, name)
-            full = np.empty(z.shape, dtype=np.result_type(lo, hi))
-            full[near] = lo
-            full[~near] = hi
+        for a, b in zip(lo, hi):
+            full = np.empty(z.shape, dtype=z.dtype)  # a (3, n) block raised peak RSS
+            full[near], full[~near] = a, b
             fields.append(full)
-        return type(cs)(*fields)
+        return RiccatiCombos(*fields)
 
     def _c_sq(self, k, w):
         """C^2(k) from boundary data and Riccati combinations; w = k^2."""
@@ -265,21 +245,6 @@ class SpectralDensity:
         out = th.density_scale * knu2 / (1.0 + ratio_mid * knu2 + ratio_up * knu2 * knu2)
         return (out[0] if scalar else out)
 
-    def interp_noise_rel(self, e):
-        """Relative evaluation-noise floor of the density at energy e.
-
-        Below the series/combination switch the alternating series
-        loses digits like e^z (z = k r_d); beyond it the combination
-        forms are smooth.  Quadrature drivers use this to stop
-        refining once interpolation residuals reach evaluation noise.
-        """
-        e = np.asarray(e, dtype=float)
-        z = np.sqrt(np.abs(e)) * self.pot.r_d
-        grow = SERIES_NOISE_AMP * 1.1e-16 * np.exp(np.minimum(z, SERIES_COMBO_SWITCH)) \
-            / np.sqrt(2.0 * math.pi * np.maximum(z, 1.0))
-        floor = np.where(z < SERIES_COMBO_SWITCH, np.minimum(grow, 3.0e-5), 1.0e-13)
-        return floor
-
     @cached_property
     def threshold(self) -> ThresholdCoeffs:
         return threshold_coeffs(self.pot, self.init, self.n_series)
@@ -363,7 +328,7 @@ def arc_density_magnitude(pot: WBPotential, init: InitialState,
     each trigonometric piece as exp(i z) * O(1) and cancels the common
     growth analytically; only the surviving exp(2 Im(q r_b)) decay and
     O(1) factors are formed numerically.  Requires radius * r_d >= 10
-    so the large-argument combination forms apply.
+    so the Hankel-product series applies.
     """
     radius = float(radius)
     angle = float(angle)
@@ -377,7 +342,7 @@ def arc_density_magnitude(pot: WBPotential, init: InitialState,
     if abs(z) < 10.0:
         raise DomainError(
             f"arc radius too small: |k r_d| = {abs(z):.3g} < 10 needed for the "
-            "large-argument forms")
+            "Hankel-product series")
     w = k * k
     k_i = np.sqrt(w + pot.v0)       # Im < 0 on the open arc
     q = np.sqrt(w - pot.vb)         # barrier momentum; kappa^2 = -q^2

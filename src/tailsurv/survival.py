@@ -53,9 +53,9 @@ _MAX_DEPTH = 48
 _MIN_WIDTH = 1.0e-8
 
 # Cap on density evaluations per panel table.  The largest tables in
-# use take 14 160 (e_max = 4e4), and 20 816 at beta = 0.498; without a
-# cap, tails within ~2e-3 of beta = 1/2 bisect toward _MAX_DEPTH on
-# every panel, for minutes and gigabytes.
+# use take 14 128-14 256 (e_max = 4e4); without a cap, tails within
+# ~5e-4 of beta = 1/2, whose density carries ~1e-9 of cancellation
+# noise, bisect toward _MAX_DEPTH for minutes and gigabytes.
 _MAX_TABLE_EVALS = 200_000
 
 # Outer edge of the geometric threshold panels; below their last edge
@@ -184,13 +184,12 @@ def _interp(vals: np.ndarray):
     return mono, resid
 
 
-def _build_table(omega: Callable, r_a: float, e_max: float,
-                 noise_rel: Callable | None = None) -> _PanelTable:
+def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     """Adaptive panel table for int omega(E) e^{-iEt} dE on [0, e_max].
 
-    noise_rel(E) gives the relative evaluation-noise floor of omega;
-    bisection stops once a panel's interpolation residual reaches it
-    (splitting further would chase noise, not structure).
+    Panels are bisected until their interpolation residual is within
+    _PANEL_RTOL of their largest value; the density's evaluation error
+    (a few parts in 1e11 away from beta ~ 1/2) stays below that.
     """
     geo_lo = _GEOM_EDGE * 2.0 ** -math.ceil(math.log2(_GEOM_EDGE / _GEOM_FLOOR))
     n_geo = round(math.log2(_GEOM_EDGE / geo_lo))
@@ -225,11 +224,8 @@ def _build_table(omega: Callable, r_a: float, e_max: float,
                                       mono[~fixed], resid[~fixed])]
     while queue:
         m, h, v, c, r, depth = queue.pop()
-        scale = float(np.max(np.abs(v)))
-        floor = _PANEL_RTOL
-        if noise_rel is not None:
-            floor = max(floor, float(np.max(noise_rel(np.asarray([m - h, m + h])))))
-        if (r <= floor * scale or depth >= _MAX_DEPTH or h <= _MIN_WIDTH):
+        if (r <= _PANEL_RTOL * float(np.max(np.abs(v))) or depth >= _MAX_DEPTH
+                or h <= _MIN_WIDTH):
             keep_mid.append(np.asarray([m]))
             keep_half.append(np.asarray([h]))
             keep_vals.append(v[None, :])
@@ -389,8 +385,7 @@ def survival_exact(density: SpectralDensity, times, *,
     if e_max is None:
         e_max = _pick_e_max(density.pot.r_a, t_arr)
     start = time.perf_counter()
-    table = _build_table(density.omega, density.pot.r_a, e_max,
-                         noise_rel=density.interp_noise_rel)
+    table = _build_table(density.omega, density.pot.r_a, e_max)
     table_s = time.perf_counter() - start
 
     amps = np.empty(t_arr.shape, dtype=complex)
@@ -426,8 +421,7 @@ def survival_exact(density: SpectralDensity, times, *,
 
 def spectral_mass(density: SpectralDensity, e_hi: float = 4.0e4) -> float:
     """Integral of the density over [0, e_hi] plus the envelope tail."""
-    table = _build_table(density.omega, density.pot.r_a, float(e_hi),
-                         noise_rel=density.interp_noise_rel)
+    table = _build_table(density.omega, density.pot.r_a, float(e_hi))
     return _table_mass(table) + _envelope_tail(density.init.k_a, density.pot.r_a,
                                                table.e_max)
 

@@ -192,7 +192,7 @@ def test_arc_check_fails_on_reversed_radii(workdir, capsys):
 
 def test_arc_check_domain_error_exit_code(workdir, capsys):
     # radius 2 puts |k r_d| below the validity cutoff of the
-    # large-argument forms
+    # Hankel-product series
     assert main(["arc-check", "--arc_radii", "2,50"]) == 4
     assert "error-class: DomainError" in capsys.readouterr().err
 

@@ -11,6 +11,7 @@ from tailsurv.oracle import (OracleCheck, ode_oracle_boundary,
                              ode_oracle_boundary_many,
                              oracle_match_coefficients,
                              oracle_survival_bruteforce, run_verification)
+from tailsurv.oracle import _match_boundary
 from tailsurv.survival import survival_exact
 
 from conftest import make_potential
@@ -68,6 +69,18 @@ def test_scalar_and_vector_oracles_agree():
 # ------------------------------------------------------------------ #
 # exterior matching                                                  #
 # ------------------------------------------------------------------ #
+
+def test_matching_from_one_batched_pass_is_bit_identical():
+    # run_verification takes its matching data from the boundary-check pass
+    pot = make_potential(0.3)
+    ks = np.concatenate((np.linspace(0.05, 3.0, 30), (0.5, 1.0, 2.5)))
+    u, du = ode_oracle_boundary_many(pot, ks)
+    for i, k in enumerate((0.5, 1.0, 2.5), start=30):
+        single = ode_oracle_boundary(pot, k)
+        assert (single.u, single.du) == (u[i], du[i])
+        assert _match_boundary(pot, k, float(u[i]), float(du[i])) \
+            == oracle_match_coefficients(pot, k)
+
 
 def test_free_matching_gives_unit_modulus():
     pot = make_potential(0.0, v0=0.0, vb=0.0)

@@ -30,8 +30,9 @@ def test_series_depth_validated():
 
 @pytest.mark.parametrize("beta", REFERENCE_BETAS)
 def test_density_normalizes_to_unity(beta, density_for):
+    # measured within 3.3e-13 of one
     assert density_for(beta).normalization_integral() == pytest.approx(
-        1.0, abs=1.0e-6)
+        1.0, abs=1.0e-12)
 
 
 # ------------------------------------------------------------------ #
@@ -47,6 +48,20 @@ def test_density_nonnegative_and_vectorized(density_for):
     assert den.omega(0.25) == pytest.approx(w[np.searchsorted(e, 0.25)],
                                             rel=1.0)  # same order of magnitude
     assert isinstance(den.omega(0.25), float)
+
+
+@pytest.mark.parametrize("beta", (0.3, 0.7))
+def test_density_above_switch_is_independent_of_call_split(beta, density_for):
+    # |k r_d| >= 12.5 takes the Hankel-product series, whose term count is
+    # fixed per order, so each value is the same whatever shares its call
+    den = density_for(beta)
+    z = np.linspace(12.6, 60.0, 301)
+    for e in ((z / den.pot.r_d) ** 2, (z * np.exp(-0.3j) / den.pot.r_d) ** 2):
+        whole = den.omega(e)
+        assert np.array_equal(np.concatenate((den.omega(e[:7]), den.omega(e[7:]))), whole)
+        assert np.array_equal(den.omega(e[::-1]), whole[::-1])
+        # one energy below the switch in the call leaves the others alone
+        assert np.array_equal(den.omega(np.concatenate((e[:1] / 4.0, e)))[1:], whole)
 
 
 def test_density_rejects_nonpositive_real_energy(density_for):
@@ -123,13 +138,6 @@ def test_continuation_matches_mpmath_at_moderate_argument(density_for):
                   <= 1.0e-11)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="below the |z| = 24 switch (z = k r_d) the ascending "
-                          "series still serves complex z and loses digits: on "
-                          "the -pi/4 momentum ray (E = -iu/t) omega is off by "
-                          "2.2e-6 at |z| = 15 and by 15 percent at |z| = 21.5 "
-                          "(t = 1, u = 40) against 40-digit mpmath; 5.1e-6 and "
-                          "9 percent at beta = -0.4")
 def test_continuation_matches_mpmath_on_the_rotated_axis(density_for):
     assert np.all(_continued_rel_errors(density_for(0.3), [-19.5j, -40.0j])
                   <= 1.0e-10)
