@@ -3,16 +3,13 @@
 Provides a high-accuracy gamma function and the Riccati-Bessel pair
 (j_hat, n_hat) of real order beta > -1/2 together with their first
 derivatives, evaluated by ascending power series with term-wise
-differentiation.  Three evaluation routes cover the full order range:
+differentiation.  Two evaluation routes cover the full order range:
 
-* generic order: reflection-form series (the n_hat series combines the
-  order +nu and -nu solutions through cot/sin factors, nu = beta + 1/2);
 * non-negative integer beta: closed trigonometric forms via stable
-  low-order recurrences (the reflection factors are exactly degenerate
-  there and the closed forms are cheaper and exact);
-* beta within 1e-9 of a half-odd integer (nu integer): the reflection
-  form is singular, so the logarithmic series of the integer-order
-  second solution is used instead.
+  low-order recurrences (exact, and accurate beyond the series' reach);
+* every other order: Temme's split nu = n + mu of nu = beta + 1/2, which
+  sums the 1/sin(mu pi) cancellation of the reflection form analytically
+  and so stays accurate as nu passes through an integer.
 
 Series evaluation targets relative accuracy 1e-15 per term cutoff.  On
 the real axis the alternating series loses roughly e^{|x|} * eps to
@@ -33,7 +30,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 SQRT_PI = math.sqrt(math.pi)
-EULER_GAMMA = 0.57721566490153286
 
 # Series controls: relative term cutoff and hard term cap.
 SERIES_RTOL = 1.0e-15
@@ -43,7 +39,7 @@ SERIES_MAX_TERMS = 200
 # series; both routes carry a few parts in 1e11 there (e^x eps, e^{-2x}).
 SERIES_COMBO_SWITCH = 12.5
 
-# Orders closer than this to a degenerate point switch evaluation route.
+# Orders closer than this to an integer beta >= 0 take the closed forms.
 ORDER_DEGENERACY_TOL = 1.0e-9
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy is a
@@ -98,13 +94,6 @@ def _gamma_complex(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
-def digamma_int(n: int) -> float:
-    """Digamma at a positive integer: psi(n) = -gamma + H_{n-1}."""
-    if n < 1:
-        raise DomainError(f"digamma_int needs n >= 1, got {n}")
-    return -EULER_GAMMA + sum(1.0 / j for j in range(1, n))
-
-
 @dataclass(frozen=True)
 class BesselOrder:
     """Order bookkeeping for the Riccati-Bessel pair.
@@ -133,10 +122,6 @@ class BesselOrder:
     @property
     def is_integer_beta(self) -> bool:
         return abs(self.beta - round(self.beta)) < ORDER_DEGENERACY_TOL and round(self.beta) >= 0
-
-    @property
-    def is_integer_nu(self) -> bool:
-        return abs(self.nu - round(self.nu)) < ORDER_DEGENERACY_TOL
 
 
 class RiccatiPair(NamedTuple):
@@ -184,7 +169,81 @@ def _unpack(scalar: bool, *vals):
     return out if len(out) > 1 else out[0]
 
 
-_SERIES_COEF_CACHE: dict[tuple[float, float, int], tuple[np.ndarray, np.ndarray]] = {}
+# Taylor coefficients of 1/Gamma(1 + x) about x = 0 (DLMF 5.7.1); 21
+# terms reach rounding level on |x| <= 1/2.
+_RGAMMA_TAYLOR = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12,
+)
+
+
+class _SeriesTables(NamedTuple):
+    """Horner tables in w = (x/2)^2 for the ascending series of one order."""
+
+    mu: float            # nu - n, in [-1/2, 1/2)
+    ratio: float         # mu / sin(mu pi), 1/pi at mu = 0
+    shift: int           # n = floor(nu + 1/2): the n_hat table starts at w^-n
+    j: np.ndarray        # sqrt(pi) (-1)^i a_i
+    jd: np.ndarray       # (beta + 1 + 2i) times j
+    n: np.ndarray        # sqrt(pi) c_i
+    nd: np.ndarray       # (2i - beta) times n
+
+
+_SERIES_COEF_CACHE: dict[tuple[float, int], _SeriesTables] = {}
+
+
+def _series_tables(beta: float, n_terms: int) -> _SeriesTables:
+    """Coefficients of j_hat = sqrt(pi) (x/2)^{beta+1} sum_i (-1)^i a_i w^i
+    and n_hat = K j_hat + sqrt(pi) (x/2)^{-beta} sum_i c_i w^{i-n}.
+
+    Temme's split nu = n + mu (J. Comput. Phys. 21 (1976) 343), with
+    a_m = 1/(m! Gamma(m+nu+1)) and b_m = 1/((m+n)! Gamma(m+1-mu)) from the
+    terms m >= n of J_{-nu}.  Summing the reflection form's 1/sin(mu pi)
+    cancellation analytically gives c_{m+n} = (mu / sin mu pi) (-1)^m d_m
+    with d_m = (a_m - b_m)/mu, and c_k = -Gamma(n-k+mu)/(pi k!) for k < n.
+    d_0 comes from Gamma_1, Gamma_2 (Taylor series of 1/Gamma(1+x)) and
+    ((1+mu)_n - n!)/mu, d_m from a recurrence with no difference of nearly
+    equal terms.  Both tables hold n_terms + n + 1 entries.
+    """
+    key = (beta, n_terms)
+    cached = _SERIES_COEF_CACHE.get(key)
+    if cached is None:
+        nu = beta + 0.5
+        n = math.floor(nu + 0.5)
+        mu = nu - n
+        gamma2 = sum(c * mu ** (2 * k) for k, c in enumerate(_RGAMMA_TAYLOR[0::2]))
+        gamma1 = -sum(c * mu ** (2 * k) for k, c in enumerate(_RGAMMA_TAYLOR[1::2]))
+        # (1+mu)_k for k = 0 .. n, and ((1+mu)_n - n!)/mu
+        poch, poch_diff = [1.0], 0.0
+        for k in range(1, n + 1):
+            poch_diff = k * poch_diff + poch[-1]
+            poch.append(poch[-1] * (k + mu))
+        ratio = mu / math.sin(mu * math.pi) if mu else 1.0 / math.pi
+        rgamma_1p_mu = gamma2 - mu * gamma1     # 1/Gamma(1+mu)
+        size = n_terms + n + 1
+        a = np.empty(size)                        # (-1)^m a_m
+        d = np.empty(size - n)                    # (-1)^m d_m
+        a[0] = rgamma_1p_mu / poch[n]
+        b = (gamma2 + mu * gamma1) / math.factorial(n)
+        d[0] = -(2.0 * gamma1 + poch_diff * b) / poch[n]
+        for m in range(1, size):
+            a[m] = -a[m - 1] / (m * (m + nu))
+        for m in range(1, size - n):
+            d[m] = (b * (2 * m + n) / ((m + n) * (m - mu)) - d[m - 1]) / (m * (m + nu))
+            b /= -(m + n) * (m - mu)              # (-1)^m b_m
+        head = [-poch[n - k - 1] / (math.pi * math.factorial(k) * rgamma_1p_mu) for k in range(n)]
+        a *= SQRT_PI
+        c = SQRT_PI * np.concatenate((head, ratio * d))
+        i = np.arange(size)
+        cached = _SeriesTables(mu, ratio, n, a, (beta + 1.0 + 2.0 * i) * a,
+                               c, (2.0 * i - beta) * c)
+        _SERIES_COEF_CACHE[key] = cached
+    return cached
 
 
 def _series_term_count(w_max: float, ratio_shift: float) -> int:
@@ -206,57 +265,56 @@ def _series_term_count(w_max: float, ratio_shift: float) -> int:
         f"(max (x/2)^2 = {w_max:.3g})")
 
 
-def _series_coefficients(exponent0: float, ratio_shift: float,
-                         n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient tables for the power series and its derivative weight."""
-    key = (exponent0, ratio_shift, n_terms)
-    cached = _SERIES_COEF_CACHE.get(key)
-    if cached is None:
-        c = np.empty(n_terms + 1)
-        c[0] = 1.0
-        for p in range(n_terms):
-            c[p + 1] = -c[p] / ((p + 1.0) * (p + ratio_shift))
-        d = c * (exponent0 + 2.0 * np.arange(n_terms + 1))
-        _SERIES_COEF_CACHE[key] = cached = (c, d)
-    return cached
+def _pair_series(beta: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ascending series for every order but integer beta (see _series_tables).
 
-
-def _power_series(x: np.ndarray, exponent0: float, ratio_shift: float,
-                  seed_scale: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Sum seed_scale * sum_p t_p x^{exponent0+2p} and its x-derivative.
-
-    t_0 = 1 and t_{p+1}/t_p = -(x/2)^2 / ((p+1)(p+ratio_shift)).
-    Evaluated as a Horner sum in (x/2)^2 with coefficients cached per
-    (exponent0, ratio_shift, length); raises ConvergenceError at the
-    term cap.  Returns (sum, d/dx sum).
+    n_hat = K j_hat + P sum_i c_i w^{i-n}, with P = sqrt(pi) (x/2)^{-beta},
+    K = (cos mu pi - (x/2)^{-2 mu}) / sin mu pi -> 2 ln(x/2) / pi at mu = 0,
+    and K' = 2 (mu / sin mu pi) (x/2)^{-2 mu} / x.  One log and two
+    exponentials per element give every power: (x/2)^{beta+1}, (x/2)^{-2 mu}
+    and their product over w^n, (x/2)^{-beta}.  All four Horner sums share
+    one loop, and the arithmetic runs in place to keep peak memory down.
     """
-    half_sq = (0.5 * x) * (0.5 * x)
-    n_terms = _series_term_count(float(np.max(np.abs(half_sq))), ratio_shift)
-    coef, coef_d = _series_coefficients(exponent0, ratio_shift, n_terms)
-    if np.iscomplexobj(x):
-        base = np.exp(exponent0 * np.log(x))
+    w = np.square(0.5 * x)
+    # 1/2 < min(nu + 1, 1 - mu): a term-ratio shift for a_m and b_m alike
+    tab = _series_tables(beta, _series_term_count(float(np.max(np.abs(w))), 0.5))
+    j = np.full_like(x, tab.j[-1])
+    jp = np.full_like(x, tab.jd[-1])
+    n = np.full_like(x, tab.n[-1])
+    np_ = np.full_like(x, tab.nd[-1])
+    for i in range(tab.j.size - 2, -1, -1):
+        j *= w
+        j += tab.j[i]
+        jp *= w
+        jp += tab.jd[i]
+        n *= w
+        n += tab.n[i]
+        np_ *= w
+        np_ += tab.nd[i]
+    log_half = np.log(0.5 * x)
+    scale = np.exp((beta + 1.0) * log_half)
+    j *= scale
+    jp *= scale
+    jp /= x
+    power = np.expm1(-2.0 * tab.mu * log_half)     # (x/2)^{-2 mu} - 1
+    if tab.mu == 0.0:
+        k_fac = np.multiply(log_half, 2.0 / math.pi, out=log_half)
     else:
-        base = x ** exponent0
-    total = np.full_like(base, coef[-1])
-    total_d = np.full_like(base, coef_d[-1])
-    for p in range(n_terms - 1, -1, -1):
-        total = total * half_sq + coef[p]
-        total_d = total_d * half_sq + coef_d[p]
-    scale = seed_scale * base
-    return scale * total, scale * total_d / x
-
-
-def _pair_generic(beta: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Reflection-form series for non-degenerate order."""
-    nu = beta + 0.5
-    j, jp = _power_series(x, beta + 1.0, beta + 1.5,
-                          SQRT_PI / (2.0 ** (beta + 1.0) * gamma(beta + 1.5)))
-    s2, s2p = _power_series(x, -beta, 0.5 - beta,
-                            SQRT_PI / (2.0 ** (-beta) * gamma(0.5 - beta)))
-    cot_term = 1.0 / math.tan(nu * math.pi)
-    csc_term = 1.0 / math.sin(nu * math.pi)
-    n = cot_term * j - csc_term * s2
-    np_ = cot_term * jp - csc_term * s2p
+        k_fac = np.multiply(power, -1.0 / math.sin(tab.mu * math.pi), out=log_half)
+        k_fac -= math.tan(0.5 * tab.mu * math.pi)
+    power += 1.0
+    scale *= power                              # (x/2)^{-beta} w^n
+    for _ in range(tab.shift):
+        scale /= w
+    del w
+    n *= scale
+    np_ *= scale
+    np_ /= x
+    kp_fac = np.multiply(power, 2.0 * tab.ratio, out=power)
+    kp_fac /= x
+    n += k_fac * j
+    np_ += kp_fac * j
+    np_ += k_fac * jp
     return j, jp, n, np_
 
 
@@ -277,63 +335,6 @@ def _pair_integer_beta(ell: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
     return j0, jp, n0, np_
 
 
-def _pair_integer_nu(n_order: int, beta: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Logarithmic-series route for nu = integer n_order >= 0.
-
-    The second solution picks up a log term; all pieces are summed with
-    term-wise derivatives, sharing the regular solution's series.
-    """
-    j, jp = _power_series(x, beta + 1.0, beta + 1.5,
-                          SQRT_PI / (2.0 ** (beta + 1.0) * gamma(beta + 1.5)))
-    log_half = np.log(0.5 * x)
-
-    # Finite sum: k = 0 .. n-1 of (n-k-1)!/k! (x/2)^{2k-n+1/2}.
-    fin = np.zeros_like(j)
-    fin_d = np.zeros_like(j)
-    for k in range(n_order):
-        coef = math.factorial(n_order - k - 1) / math.factorial(k)
-        expo = 2.0 * k - n_order + 0.5
-        if np.iscomplexobj(x):
-            pw = np.exp(expo * np.log(0.5 * x))
-        else:
-            pw = (0.5 * x) ** expo
-        fin += coef * pw
-        fin_d += coef * pw * (expo / x)
-
-    # Digamma-weighted series: k = 0 .. inf.
-    half_sq = (0.5 * x) * (0.5 * x)
-    expo0 = n_order + 0.5
-    if np.iscomplexobj(x):
-        c = np.exp(expo0 * np.log(0.5 * x)) / math.factorial(n_order)
-    else:
-        c = (0.5 * x) ** expo0 / math.factorial(n_order)
-    psi_a = digamma_int(1)
-    psi_b = digamma_int(n_order + 1)
-    term = c * (psi_a + psi_b)
-    tot = term.copy()
-    tot_d = term * expo0
-    env = np.abs(tot)
-    converged = False
-    for k in range(SERIES_MAX_TERMS):
-        c = c * (-half_sq) / ((k + 1.0) * (k + n_order + 1.0))
-        psi_a += 1.0 / (k + 1.0)
-        psi_b += 1.0 / (k + n_order + 1.0)
-        term = c * (psi_a + psi_b)
-        tot += term
-        tot_d += term * (expo0 + 2.0 * (k + 1.0))
-        env = np.maximum(env, np.abs(tot))
-        if np.all(np.abs(term) <= SERIES_RTOL * (env + np.finfo(float).tiny)):
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"logarithmic Riccati series did not converge within {SERIES_MAX_TERMS} terms")
-
-    n = (2.0 / math.pi) * log_half * j - (fin + tot) / SQRT_PI
-    np_ = (2.0 / math.pi) * (j / x + log_half * jp) - (fin_d + tot_d / x) / SQRT_PI
-    return j, jp, n, np_
-
-
 def riccati_pair_with_derivatives(order: BesselOrder, x) -> RiccatiPair:
     """(j_hat, j_hat', n_hat, n_hat') at argument x (scalar or array).
 
@@ -343,10 +344,8 @@ def riccati_pair_with_derivatives(order: BesselOrder, x) -> RiccatiPair:
     arr, scalar = _coerce_argument(x)
     if order.is_integer_beta:
         vals = _pair_integer_beta(int(round(order.beta)), arr)
-    elif order.is_integer_nu:
-        vals = _pair_integer_nu(int(round(order.nu)), order.beta, arr)
     else:
-        vals = _pair_generic(order.beta, arr)
+        vals = _pair_series(order.beta, arr)
     return RiccatiPair(*_unpack(scalar, *vals))
 
 

@@ -53,9 +53,9 @@ _MAX_DEPTH = 48
 _MIN_WIDTH = 1.0e-8
 
 # Cap on density evaluations per panel table.  The largest tables in
-# use take 14 128-14 256 (e_max = 4e4); without a cap, tails within
-# ~5e-4 of beta = 1/2, whose density carries ~1e-9 of cancellation
-# noise, bisect toward _MAX_DEPTH for minutes and gigabytes.
+# use take 14 128-14 256 (e_max = 4e4); without a cap, a density whose
+# evaluation error exceeds _PANEL_RTOL would bisect toward _MAX_DEPTH
+# for minutes and gigabytes.
 _MAX_TABLE_EVALS = 200_000
 
 # Outer edge of the geometric threshold panels; below their last edge
@@ -187,9 +187,9 @@ def _interp(vals: np.ndarray):
 def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     """Adaptive panel table for int omega(E) e^{-iEt} dE on [0, e_max].
 
-    Panels are bisected until their interpolation residual is within
-    _PANEL_RTOL of their largest value; the density's evaluation error
-    (a few parts in 1e11 away from beta ~ 1/2) stays below that.
+    Every panel, geometric ones included, is bisected until its
+    interpolation residual is within _PANEL_RTOL of its largest value;
+    the density's evaluation error (a few parts in 1e11) stays below that.
     """
     geo_lo = _GEOM_EDGE * 2.0 ** -math.ceil(math.log2(_GEOM_EDGE / _GEOM_FLOOR))
     n_geo = round(math.log2(_GEOM_EDGE / geo_lo))
@@ -214,14 +214,14 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     mid, half, vals = _eval_panels(omega, edges)
     n_evals = vals.size
     mono, resid = _interp(vals)
-    fixed = mid < _GEOM_EDGE  # geometric panels are self-similar; no refinement
+    done = resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1)
 
-    # adaptive bisection queue
+    # adaptive bisection queue; initial panels within target skip it
     keep_mid, keep_half, keep_vals, keep_mono, keep_resid = \
-        [mid[fixed]], [half[fixed]], [vals[fixed]], [mono[fixed]], [resid[fixed]]
+        [mid[done]], [half[done]], [vals[done]], [mono[done]], [resid[done]]
     queue = [(float(m), float(h), v, c, float(r), 0)
-             for m, h, v, c, r in zip(mid[~fixed], half[~fixed], vals[~fixed],
-                                      mono[~fixed], resid[~fixed])]
+             for m, h, v, c, r in zip(mid[~done], half[~done], vals[~done],
+                                      mono[~done], resid[~done])]
     while queue:
         m, h, v, c, r, depth = queue.pop()
         if (r <= _PANEL_RTOL * float(np.max(np.abs(v))) or depth >= _MAX_DEPTH

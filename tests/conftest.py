@@ -10,11 +10,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tailsurv import (InitialState, SpectralDensity, WBPotential, beta_sweep,
                       fit_power_law, survival_exact)
 
 SESSION_T0 = time.time()
+
+# Property tests draw the same examples on every run, with no per-example
+# deadline (the first draws pay for imports and coefficient caches).
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 #: The reference well-barrier geometry used throughout the test suite.
 REFERENCE = {"v0": 0.5, "vb": 1.8, "r_a": 3.0, "r_d": 3.4}

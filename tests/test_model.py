@@ -66,7 +66,7 @@ def _exterior_node(pot) -> float | None:
     return r0 if r0 > r else None
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(v0=st.floats(0.0, 3.0), vb=st.floats(0.0, 3.0), r_a=st.floats(0.5, 4.0),
        width=st.floats(0.1, 2.0), beta=st.floats(-0.49, 1.5))
 def test_node_count_matches_rk4_oracle(v0, vb, r_a, width, beta):

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import tailsurv.survival
+from tailsurv import InitialState, SpectralDensity, WBPotential
 from tailsurv.errors import DomainError, ResourceLimitError, ToleranceError
+from tailsurv.oracle import oracle_survival_bruteforce
 from tailsurv.specfun import gamma
 from tailsurv.survival import (SurvivalSeries, asymptote_one_term,
                                asymptote_series, spectral_mass,
@@ -77,26 +79,28 @@ def test_panel_table_budget_names_stage_and_count(density_for, monkeypatch):
         survival_exact(density_for(0.3), np.array([0.1, 500.0]))
 
 
-@pytest.mark.parametrize("beta", (0.498, 0.499, 0.501))
+@pytest.mark.parametrize("beta", (0.498, 0.499, 0.501, 0.4995, 0.5005,
+                                  0.4999999, 1.4999, 1.5001))
 def test_exact_near_half_integer_order(beta):
-    # 2352, 2448 and 2384 density evaluations, as at beta = 0.49 (2352)
+    # nu = beta + 1/2 near an integer: 2352 density evaluations up to
+    # beta = 0.5005 and 2512 at 1.4999 and 1.5001, as at beta = 0.49 (2352)
     s = survival_exact(make_density(beta), np.linspace(*WINDOW, 50))
     assert s.meta["density_evals"] <= 3000
     assert s.meta["max_error_estimate"] <= 1.0e-8
     assert np.all((s.probability > 0.0) & (s.probability < 1.0))
 
 
-@pytest.mark.parametrize("beta", (0.4995, 0.5005))
-@pytest.mark.xfail(strict=True, raises=ResourceLimitError,
-                   reason="within ~5e-4 of beta = 1/2 the reflection form of the "
-                          "ascending series cancels (nu = beta + 1/2 is nearly an "
-                          "integer): just below the |k r_d| = 12.5 switch it carries "
-                          "8e-10 (0.4995) and 1.4e-9 (0.5005) relative on n^2 + j^2 "
-                          "against mpmath, above the 5e-10 panel target, and the "
-                          "bisection spends the 200 000-evaluation budget at "
-                          "E = 12.68 and 13.12 (~2.3 s)")
-def test_exact_closer_to_half_integer_order(beta):
-    survival_exact(make_density(beta), np.linspace(*WINDOW, 50))
+def test_geometric_panels_bisect_near_narrow_resonance():
+    # resonance at E ~ 0.068 with width ~ 0.0022: its tail leaves an
+    # interpolation residual of 6.2e-6 on the geometric panel
+    # [0.03125, 0.0625] unless that panel is bisected like the others
+    pot = WBPotential(v0=0.753, vb=2.418, r_a=2.868, r_d=4.33, beta=0.7629)
+    density = SpectralDensity(pot, InitialState.from_potential(pot))
+    times = np.array([60.0, 200.0])
+    s = survival_exact(density, times)
+    assert s.meta["max_error_estimate"] <= 1.0e-8
+    for t, p in zip(times, s.probability):
+        assert abs(p - oracle_survival_bruteforce(density, t)) <= 1.0e-10
 
 
 def _reference_amplitude(table, t: float):
