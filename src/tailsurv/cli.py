@@ -23,7 +23,6 @@ from .analysis import (beta_sweep, default_sweep_grid, fit_power_law)
 from .emit import read_table, write_model_json, write_table
 from .errors import ConfigError, TailsurvError, ToleranceError
 from .model import InitialState, WBPotential
-from .oracle import run_verification
 from .spectral import SpectralDensity, arc_density_magnitude
 from .survival import (asymptote_one_term, asymptote_series, survival_exact,
                        survival_laplace_axis)
@@ -174,7 +173,7 @@ def _parse_floats(text: str) -> list[float]:
 # subcommands                                                       #
 # ----------------------------------------------------------------- #
 
-def cmd_density(cfg: dict) -> int:
+def cmd_density(cfg: dict, args: argparse.Namespace) -> int:
     density = _build_density(cfg)
     e = np.geomspace(float(cfg["e_min"]), float(cfg["e_max"]),
                      int(cfg["e_points"]))
@@ -186,7 +185,7 @@ def cmd_density(cfg: dict) -> int:
     return 0
 
 
-def cmd_survive(cfg: dict) -> int:
+def cmd_survive(cfg: dict, args: argparse.Namespace) -> int:
     density = _build_density(cfg)
     times = _time_grid(cfg)
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
@@ -230,7 +229,7 @@ def cmd_survive(cfg: dict) -> int:
     return 0
 
 
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     base = _potential_from_cfg(cfg)
     start, stop, step = (float(cfg["beta_start"]), float(cfg["beta_stop"]),
                          float(cfg["beta_step"]))
@@ -249,7 +248,7 @@ def cmd_sweep(cfg: dict) -> int:
     return 0
 
 
-def cmd_arc_check(cfg: dict) -> int:
+def cmd_arc_check(cfg: dict, args: argparse.Namespace) -> int:
     pot = _potential_from_cfg(cfg)
     init = InitialState.from_potential(pot, n_a=int(cfg["n_a"]))
     radii = _parse_floats(cfg["arc_radii"])
@@ -271,7 +270,8 @@ def cmd_arc_check(cfg: dict) -> int:
     return 0
 
 
-def cmd_fit(cfg: dict, path: str, column: str | None) -> int:
+def cmd_fit(cfg: dict, args: argparse.Namespace) -> int:
+    path, column = args.file, args.column
     header, data = read_table(path)
     if "t" not in data:
         raise ConfigError(f"{path}: no 't' column (found {header})")
@@ -295,13 +295,15 @@ def cmd_fit(cfg: dict, path: str, column: str | None) -> int:
     return 0
 
 
-def cmd_show_config(cfg: dict) -> int:
+def cmd_show_config(cfg: dict, args: argparse.Namespace) -> int:
     for key in DEFAULTS:
         print(f"{key} = {cfg[key]}")
     return 0
 
 
-def cmd_verify(cfg: dict) -> int:
+def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
+    from .oracle import run_verification
+
     density = _build_density(cfg)
     report = run_verification(density)
     for line in report.lines():
@@ -309,6 +311,18 @@ def cmd_verify(cfg: dict) -> int:
     if not report.all_passed:
         raise ToleranceError("oracle verification failed")
     return 0
+
+
+COMMANDS = {
+    "density": (cmd_density, "emit the energy density on a grid"),
+    "survive": (cmd_survive, "emit survival curves (exact and asymptotic)"),
+    "sweep": (cmd_sweep, "emit the effective-exponent sweep over tail strengths"),
+    "arc-check": (cmd_arc_check, "report |G| decay along lower-half-plane rays"),
+    "show-config": (cmd_show_config, "print the resolved configuration"),
+    "fit": (cmd_fit, "fit a power law to an emitted survival file"),
+    "verify": (cmd_verify, "cross-check the boundary data, Jost modulus and "
+                           "exact survival against independent oracles"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,14 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{key}", type=(str if kind is str else kind),
                            default=None, help=f"override (default {val!r})")
 
-    for name, help_text in (
-            ("density", "emit the energy density on a grid"),
-            ("survive", "emit survival curves (exact and asymptotic)"),
-            ("sweep", "emit the effective-exponent sweep over tail strengths"),
-            ("arc-check", "report |G| decay along lower-half-plane rays"),
-            ("show-config", "print the resolved configuration"),
-            ("fit", "fit a power law to an emitted survival file"),
-            ("verify", argparse.SUPPRESS)):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_common(p)
         if name == "fit":
@@ -347,21 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "density":
-            return cmd_density(cfg)
-        if args.command == "survive":
-            return cmd_survive(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "arc-check":
-            return cmd_arc_check(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.file, args.column)
-        if args.command == "show-config":
-            return cmd_show_config(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][0](cfg, args)
     except TailsurvError as exc:
         print(f"error-class: {type(exc).__name__}", file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -41,10 +41,6 @@ from .specfun import (SERIES_COMBO_SWITCH, SQRT_PI, BesselOrder, RiccatiCombos, 
                       riccati_combos, riccati_large_x_combos,
                       riccati_pair_with_derivatives)
 
-# Interior momenta closer than this to the mode momentum use the
-# series form of the removable sin(k_I r_a)/(k_a^2 - k_I^2) factor.
-_MODE_RESONANT_CUT = 1.0e-6
-
 # Orders this close to an integer nu degenerate the three-term
 # threshold refinement (its reflection coefficients blow up).
 _NU_INTEGER_CUT = 1.0e-6
@@ -81,25 +77,15 @@ class ThresholdCoeffs:
 
 
 def _mode_overlap_factor(k_i, k_a: float, n_a: int):
-    """sin(k_I r_a) / (k_a^2 - k_I^2) with its removable point resolved.
+    """sin(k_I r_a) / (k_a^2 - k_I^2), with no removable point.
 
-    r_a enters through k_a = n_a pi / r_a; the caller scales.  Works on
-    real or complex arrays.
+    With k_a r_a = n_a pi this is (-1)^(n_a+1) r_a sinc((k_I - k_a) r_a)
+    / (k_a + k_I), sinc(x) = sin(x) / x.  r_a enters through
+    k_a = n_a pi / r_a; the caller scales.  Works on real or complex arrays.
     """
-    k_i = np.asarray(k_i)
     r_a = n_a * math.pi / k_a
-    near = np.abs(k_i - k_a) < _MODE_RESONANT_CUT
-    if np.any(near):
-        delta = np.where(near, k_i - k_a, 0.0)
-        arg = delta * r_a
-        # sin(n_a pi + x) = (-1)^{n_a} sin x; sin(x)/x by series
-        sinc = 1.0 - arg * arg / 6.0 * (1.0 - arg * arg / 20.0)
-        sign = -1.0 if n_a % 2 == 0 else 1.0
-        series = sign * (-r_a) * sinc / (2.0 * k_a + delta)
-        direct = (np.sin(np.where(near, 0.0, k_i) * r_a)
-                  / np.where(near, 1.0, (k_a - k_i) * (k_a + k_i)))
-        return np.where(near, series, direct)
-    return np.sin(k_i * r_a) / ((k_a - k_i) * (k_a + k_i))
+    sign = 1.0 if n_a % 2 else -1.0
+    return sign * r_a * np.sinc((np.asarray(k_i) - k_a) * r_a / math.pi) / (k_a + k_i)
 
 
 class SpectralDensity:

@@ -10,9 +10,11 @@ Gauss-Legendre nodes, and each panel contributes either the plain
 Gauss sum (when the phase turn t * half_width is small) or exact
 polynomial-times-exponential moments via a stable integration-by-parts
 recursion (when it is large); all times are evaluated together, in
-blocks, in real arithmetic.  Geometrically shrinking panels resolve
-the threshold power law down to E ~ 1e-13, adaptive bisection resolves
-the resonance peak, and the truncated high-energy tail is summed by
+blocks, in real arithmetic.  The panels start as geometrically
+shrinking ones down to E ~ 1e-13, for the threshold power law, and
+uniform ones in k = sqrt(E) above; one refinement loop then bisects,
+level by level, every panel whose interpolant misses its target (the
+resonance peak chiefly).  The truncated high-energy tail is summed by
 integration by parts using end-point derivatives of the last panel's
 interpolant.
 
@@ -53,14 +55,15 @@ _MAX_DEPTH = 48
 _MIN_WIDTH = 1.0e-8
 
 # Cap on density evaluations per panel table.  The largest tables in
-# use take 14 128-14 256 (e_max = 4e4); without a cap, a density whose
-# evaluation error exceeds _PANEL_RTOL would bisect toward _MAX_DEPTH
-# for minutes and gigabytes.
+# use take 7232-7392 (e_max = 4e4, the sweep's tail strengths); without
+# a cap, a density whose evaluation error exceeds _PANEL_RTOL would
+# bisect toward _MAX_DEPTH for minutes and gigabytes.
 _MAX_TABLE_EVALS = 200_000
 
-# Outer edge of the geometric threshold panels; below their last edge
-# the remaining mass is added as a power-law estimate.
-_GEOM_EDGE = 0.0625
+# Outer edge of the geometric threshold panels, where the panels
+# uniform in k begin; below their last edge (~5.7e-14) the remaining
+# mass is added as a power-law estimate.
+_GEOM_EDGE = 0.25
 _GEOM_FLOOR = 1.0e-13
 
 _DERIV_TERMS = 6  # integration-by-parts tail depth
@@ -168,12 +171,10 @@ class _PanelTable:
     n_evals: int
 
 
-def _eval_panels(omega: Callable, edges: np.ndarray):
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = omega(nodes.ravel()).reshape(nodes.shape)
-    return mid, half, vals
+def _eval_panels(omega: Callable, mid: np.ndarray, half: np.ndarray):
+    """Density at the Gauss nodes of every panel, in one call."""
+    nodes = mid[:, None] + half[:, None] * _GL_X
+    return omega(nodes.ravel()).reshape(nodes.shape)
 
 
 def _interp(vals: np.ndarray):
@@ -187,89 +188,60 @@ def _interp(vals: np.ndarray):
 def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     """Adaptive panel table for int omega(E) e^{-iEt} dE on [0, e_max].
 
-    Every panel, geometric ones included, is bisected until its
-    interpolation residual is within _PANEL_RTOL of its largest value;
-    the density's evaluation error (a few parts in 1e11) stays below that.
+    The initial panels halve geometrically from _GEOM_EDGE toward
+    _GEOM_FLOOR and are uniform in k = sqrt(E) from _GEOM_EDGE to e_max,
+    at most pi / (2 r_a) wide: half a period of the well factor
+    sin^2(k_I r_a).  Each level evaluates all its pending panels in one
+    density call, keeps those whose interpolation residual is within
+    _PANEL_RTOL of their largest value (or that reached _MIN_WIDTH or
+    _MAX_DEPTH) and bisects the rest; the density's evaluation error (a
+    few parts in 1e11) stays below that target.
     """
-    geo_lo = _GEOM_EDGE * 2.0 ** -math.ceil(math.log2(_GEOM_EDGE / _GEOM_FLOOR))
-    n_geo = round(math.log2(_GEOM_EDGE / geo_lo))
-    geom = _GEOM_EDGE * 2.0 ** -np.arange(n_geo + 1, dtype=float)
-    edges = [geom[::-1]]
-    lo = _GEOM_EDGE
     if e_max <= 4.0:
         raise DomainError(f"e_max = {e_max:g} too small; need > 4")
-    edges.append(np.linspace(lo, 4.0, 32)[1:])
-    edges.append(np.linspace(4.0, 16.0, 25)[1:])
-    hi_mid = min(70.0, e_max)
-    edges.append(np.arange(17.0, hi_mid + 0.5, 1.0))
-    if edges[-1][-1] != hi_mid:
-        edges.append(np.asarray([hi_mid]))
-    if e_max > 70.0:
-        dk = math.pi / (4.0 * r_a)
-        ks = np.arange(math.sqrt(70.0) + dk, math.sqrt(e_max), dk)
-        edges.append(ks * ks)
-        edges.append(np.asarray([e_max]))
-    edges = np.concatenate(edges)
+    n_geo = math.ceil(math.log2(_GEOM_EDGE / _GEOM_FLOOR))
+    k_lo, k_hi = math.sqrt(_GEOM_EDGE), math.sqrt(e_max)
+    ks = np.linspace(k_lo, k_hi, math.ceil((k_hi - k_lo) * 2.0 * r_a / math.pi) + 1)
+    edges = np.concatenate((_GEOM_EDGE * 2.0 ** -np.arange(n_geo, 0, -1.0), ks * ks))
+    edges[-1] = e_max
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
 
-    mid, half, vals = _eval_panels(omega, edges)
-    n_evals = vals.size
-    mono, resid = _interp(vals)
-    done = resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1)
-
-    # adaptive bisection queue; initial panels within target skip it
-    keep_mid, keep_half, keep_vals, keep_mono, keep_resid = \
-        [mid[done]], [half[done]], [vals[done]], [mono[done]], [resid[done]]
-    queue = [(float(m), float(h), v, c, float(r), 0)
-             for m, h, v, c, r in zip(mid[~done], half[~done], vals[~done],
-                                      mono[~done], resid[~done])]
-    while queue:
-        m, h, v, c, r, depth = queue.pop()
-        if (r <= _PANEL_RTOL * float(np.max(np.abs(v))) or depth >= _MAX_DEPTH
-                or h <= _MIN_WIDTH):
-            keep_mid.append(np.asarray([m]))
-            keep_half.append(np.asarray([h]))
-            keep_vals.append(v[None, :])
-            keep_mono.append(c[None, :])
-            keep_resid.append(np.asarray([r]))
-            continue
-        if n_evals + 2 * _GL_X.size > _MAX_TABLE_EVALS:
+    kept, n_evals = [], 0
+    for depth in range(_MAX_DEPTH + 1):
+        if n_evals + mid.size * _GL_X.size > _MAX_TABLE_EVALS:
             raise ResourceLimitError(
-                f"panel table: {n_evals} density evaluations used, next "
-                f"bisection would exceed the budget of {_MAX_TABLE_EVALS} "
-                f"(panel [{m - h:.6g}, {m + h:.6g}] at depth {depth})")
-        sub_edges = np.asarray([m - h, m, m + h])
-        sm, sh, sv = _eval_panels(omega, sub_edges)
-        n_evals += sv.size
-        smono, sresid = _interp(sv)
-        for i in range(2):
-            queue.append((float(sm[i]), float(sh[i]), sv[i], smono[i],
-                          float(sresid[i]), depth + 1))
+                f"panel table: {n_evals} density evaluations used, bisection "
+                f"level {depth} ({mid.size} panels from E = {mid[0] - half[0]:.6g}) "
+                f"would exceed the budget of {_MAX_TABLE_EVALS}")
+        vals = _eval_panels(omega, mid, half)
+        n_evals += vals.size
+        mono, resid = _interp(vals)
+        done = ((resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1))
+                | (half <= _MIN_WIDTH) | (depth == _MAX_DEPTH))
+        kept.append((mid[done], half[done], vals[done], mono[done], resid[done]))
+        if done.all():
+            break
+        half = 0.5 * half[~done]
+        mid = np.stack((mid[~done] - half, mid[~done] + half), axis=1).ravel()
+        half = np.repeat(half, 2)
 
-    mid = np.concatenate(keep_mid)
-    order = np.argsort(mid)
-    mid = mid[order]
-    half = np.concatenate(keep_half)[order]
-    vals = np.concatenate(keep_vals, axis=0)[order]
-    mono = np.concatenate(keep_mono, axis=0)[order]
-    resid = np.concatenate(keep_resid)[order]
+    order = np.argsort(np.concatenate([level[0] for level in kept]))
+    mid, half, vals, mono, resid = (np.concatenate(c)[order] for c in zip(*kept))
 
     # end derivatives from the last panel's interpolant:
     # d^n omega / dE^n = (d^n p / ds^n at s=1) / half^n
-    last = mono[-1]
-    h_last = half[-1]
-    end = (_END_DERIV @ last) / h_last ** np.arange(_DERIV_TERMS)
+    end = (_END_DERIV @ mono[-1]) / half[-1] ** np.arange(_DERIV_TERMS)
 
-    # mass below the lowest edge from the local power law
-    e0, e1 = mid[0], mid[1]
-    w0 = float(vals[0].mean()), float(vals[1].mean())
-    local_p = math.log(w0[1] / w0[0]) / math.log(e1 / e0)
+    # mass below the lowest edge from the local power law, with the
+    # density there from the first panel's interpolant at s = -1
+    w0, w1 = vals[0].mean(), vals[1].mean()
+    local_p = math.log(w1 / w0) / math.log(mid[1] / mid[0])
     cut = mid[0] - half[0]
-    om_cut = float(omega(np.asarray([cut]))[0])
-    sub_mass = om_cut * cut / (local_p + 1.0)
+    sub_mass = float(mono[0] @ (-1.0) ** np.arange(16)) * cut / (local_p + 1.0)
 
     return _PanelTable(mid=mid, half=half, vals=vals, mono=mono, resid=resid,
-                       e_max=float(edges[-1]), end_derivs=end,
-                       sub_mass=sub_mass, n_evals=n_evals)
+                       e_max=float(e_max), end_derivs=end, sub_mass=sub_mass,
+                       n_evals=n_evals)
 
 
 def _table_mass(table: _PanelTable) -> float:

@@ -1,5 +1,9 @@
 """End-to-end command-line behavior: config layering, files, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -104,6 +108,12 @@ def test_survive_warns_below_pole_crossover(workdir, capsys):
                  "--t_per_decade", "10", "--methods", "laplace"]) == 0
     err = capsys.readouterr().err
     assert "warning" in err and "t ~ 200" in err
+
+
+def test_survive_from_t_1_1_exits_zero(workdir, capsys):
+    # e_max = (3 r_a / 1.1)^2 = 66.9 is off any round grid edge
+    assert main(["survive", "--t_min", "1.1", "--t_max", "100"]) == 0
+    assert "exact error estimate" in capsys.readouterr().out
 
 
 def test_survive_rejects_unknown_method(workdir, capsys):
@@ -225,6 +235,21 @@ def test_verify_command(workdir, capsys):
     out = capsys.readouterr().out
     assert out.count("pass") == 3
     assert "FAIL" not in out
+
+
+def test_verify_is_listed_in_help(workdir, capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert any(line.split()[:2] == ["verify", "cross-check"] for line in out.splitlines())
+
+
+def test_cli_import_loads_no_oracle():
+    code = "import sys, tailsurv.cli\nprint('tailsurv.oracle' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_potential_validation_propagates(workdir, capsys):

@@ -7,7 +7,8 @@ import pytest
 
 from tailsurv.errors import DomainError
 from tailsurv.model import InitialState, WBPotential
-from tailsurv.spectral import SpectralDensity, arc_density_magnitude
+from tailsurv.spectral import (SpectralDensity, _mode_overlap_factor,
+                               arc_density_magnitude)
 
 from conftest import REFERENCE_BETAS, make_density, make_potential
 
@@ -62,6 +63,23 @@ def test_density_above_switch_is_independent_of_call_split(beta, density_for):
         assert np.array_equal(den.omega(e[::-1]), whole[::-1])
         # one energy below the switch in the call leaves the others alone
         assert np.array_equal(den.omega(np.concatenate((e[:1] / 4.0, e)))[1:], whole)
+
+
+@pytest.mark.parametrize("n_a", (1, 2))
+@pytest.mark.parametrize("ray", (1.0, np.exp(-0.25j)), ids=("real", "ray"))
+def test_mode_overlap_factor_is_continuous_through_its_removable_point(n_a, ray):
+    # sin(k_I r_a) / (k_a^2 - k_I^2) -> (-1)^(n_a+1) r_a / (2 k_a) as
+    # k_I -> k_a, approached from either side of |k_I - k_a| = 1e-6
+    r_a = 3.0
+    k_a = n_a * math.pi / r_a
+    limit = (-1.0) ** (n_a + 1) * r_a / (2.0 * k_a)
+    d = np.array([-1.01e-6, -0.99e-6, 0.0, 0.99e-6, 1.01e-6]) * ray
+    got = _mode_overlap_factor(k_a + d, k_a, n_a)
+    assert got[2] == pytest.approx(limit, rel=1.0e-15)
+    assert np.max(np.abs(got / limit - 1.0)) <= 1.0e-6
+    far = k_a + 0.3 * ray
+    assert _mode_overlap_factor(np.asarray([far]), k_a, n_a)[0] == pytest.approx(
+        np.sin(far * r_a) / (k_a ** 2 - far ** 2), rel=1.0e-13)
 
 
 def test_density_rejects_nonpositive_real_energy(density_for):

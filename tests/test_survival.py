@@ -17,8 +17,9 @@ from tailsurv.specfun import gamma
 from tailsurv.survival import (SurvivalSeries, asymptote_one_term,
                                asymptote_series, spectral_mass,
                                survival_exact, survival_laplace_axis)
-from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _PHASE_SWITCH,
-                               _build_table, _envelope_tail, _table_amplitudes)
+from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _MIN_WIDTH, _PANEL_RTOL,
+                               _PHASE_SWITCH, _build_table, _envelope_tail,
+                               _table_amplitudes)
 
 from conftest import REFERENCE_BETAS, WINDOW, make_density
 
@@ -82,25 +83,75 @@ def test_panel_table_budget_names_stage_and_count(density_for, monkeypatch):
 @pytest.mark.parametrize("beta", (0.498, 0.499, 0.501, 0.4995, 0.5005,
                                   0.4999999, 1.4999, 1.5001))
 def test_exact_near_half_integer_order(beta):
-    # nu = beta + 1/2 near an integer: 2352 density evaluations up to
-    # beta = 0.5005 and 2512 at 1.4999 and 1.5001, as at beta = 0.49 (2352)
+    # nu = beta + 1/2 near an integer: 1328 density evaluations up to
+    # beta = 0.5005 and 1488 at 1.4999 and 1.5001, as at beta = 0.49 (1328)
     s = survival_exact(make_density(beta), np.linspace(*WINDOW, 50))
     assert s.meta["density_evals"] <= 3000
     assert s.meta["max_error_estimate"] <= 1.0e-8
     assert np.all((s.probability > 0.0) & (s.probability < 1.0))
 
 
+def _narrow_resonance_density():
+    pot = WBPotential(v0=0.753, vb=2.418, r_a=2.868, r_d=4.33, beta=0.7629)
+    return SpectralDensity(pot, InitialState.from_potential(pot))
+
+
 def test_geometric_panels_bisect_near_narrow_resonance():
     # resonance at E ~ 0.068 with width ~ 0.0022: its tail leaves an
     # interpolation residual of 6.2e-6 on the geometric panel
     # [0.03125, 0.0625] unless that panel is bisected like the others
-    pot = WBPotential(v0=0.753, vb=2.418, r_a=2.868, r_d=4.33, beta=0.7629)
-    density = SpectralDensity(pot, InitialState.from_potential(pot))
+    density = _narrow_resonance_density()
     times = np.array([60.0, 200.0])
     s = survival_exact(density, times)
     assert s.meta["max_error_estimate"] <= 1.0e-8
     for t, p in zip(times, s.probability):
         assert abs(p - oracle_survival_bruteforce(density, t)) <= 1.0e-10
+
+
+def test_table_evaluates_one_density_call_per_bisection_level():
+    density = _narrow_resonance_density()
+    calls = []
+
+    def omega(e):
+        calls.append(e.size)
+        return density.omega(e)
+
+    table = _build_table(omega, density.pot.r_a, 64.0)
+    # the first call holds the initial panels, each later one the halves
+    # of the panels rejected by the level before: 8 calls here, and no
+    # one-point call for the sub-threshold density
+    assert len(calls) <= 10
+    assert calls[0] % 16 == 0 and all(n % 32 == 0 for n in calls[1:])
+    assert sum(calls) == table.n_evals
+    assert table.mid.size == calls[0] // 16 + sum(calls[1:]) // 32
+
+
+@pytest.mark.parametrize("e_max", (64.0, 64.0000001, 2500.0, 8061.5644))
+def test_table_panels_meet_target_and_tile_up_to_e_max(e_max):
+    density = _narrow_resonance_density()
+    table = _build_table(density.omega, density.pot.r_a, e_max)
+    scale = np.max(np.abs(table.vals), axis=1)
+    assert np.all((table.resid <= _PANEL_RTOL * scale) | (table.half <= _MIN_WIDTH))
+    lo, hi = table.mid - table.half, table.mid + table.half
+    assert np.all(table.half > 0.0)
+    assert np.all(np.abs(lo[1:] - hi[:-1]) <= 1.0e-15 * hi[:-1])
+    assert table.e_max == e_max and hi[-1] == pytest.approx(e_max, rel=1.0e-15)
+
+
+def test_exact_holds_tolerance_on_a_grid_from_t_1_1(density_for):
+    # t_min = 1.1 puts e_max at 66.9, off any round grid edge; the last
+    # panel must still end there, neither reversed nor a sliver
+    s = survival_exact(density_for(0.3), np.geomspace(1.1, 100.0, 60))
+    assert s.meta["e_max"] == pytest.approx((9.0 / 1.1) ** 2)
+    assert s.meta["max_error_estimate"] <= 1.0e-8
+
+
+@pytest.mark.parametrize("e_max", (64.0000001, 8061.5644))
+def test_exact_holds_tolerance_when_e_max_just_passes_a_grid_edge(density_for, e_max):
+    # a sliver last panel ending at e_max would blow up the end
+    # derivatives that sum the truncated tail (estimates 5e22 and 0.05)
+    s = survival_exact(density_for(0.3), np.array([2.0, 50.0]), e_max=e_max)
+    assert s.meta["max_error_estimate"] <= 1.0e-8
 
 
 def _reference_amplitude(table, t: float):
