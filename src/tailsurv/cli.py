@@ -308,6 +308,8 @@ def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
     report = run_verification(density)
     for line in report.lines():
         print(line)
+    print("cost: " + ", ".join(f"{key} {val:.3g}" if isinstance(val, float)
+                               else f"{key} {val}" for key, val in report.meta.items()))
     if not report.all_passed:
         raise ToleranceError("oracle verification failed")
     return 0

@@ -235,6 +235,7 @@ def test_verify_command(workdir, capsys):
     out = capsys.readouterr().out
     assert out.count("pass") == 3
     assert "FAIL" not in out
+    assert out.splitlines()[-1].startswith("cost: rk4_steps ")
 
 
 def test_verify_is_listed_in_help(workdir, capsys):

@@ -1,20 +1,23 @@
 """Independent cross-checks: ODE integration, linear solve, brute quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tailsurv.oracle
 from tailsurv.errors import DomainError, ResourceLimitError
 from tailsurv.model import regular_boundary
 from tailsurv.oracle import (OracleCheck, ode_oracle_boundary,
                              ode_oracle_boundary_many,
                              oracle_match_coefficients,
-                             oracle_survival_bruteforce, run_verification)
-from tailsurv.oracle import _match_boundary
+                             oracle_survival_bruteforce, rk4_radial,
+                             run_verification)
+from tailsurv.oracle import _match_boundary, _rk4_grid, _rk4_steps
 from tailsurv.survival import survival_exact
 
-from conftest import make_potential
+from conftest import REFERENCE_BETAS, make_potential
 
 
 # ------------------------------------------------------------------ #
@@ -50,6 +53,39 @@ def test_finer_step_tightens_agreement():
         scale = max(abs(closed.u), abs(closed.du))
         assert abs(closed.u - u[i]) / scale < 1.0e-11
         assert abs(closed.du - du[i]) / scale < 1.0e-11
+
+
+def _classical_rk4_walk(pot, k_sq, breakpoints, step):
+    """Reference: textbook RK4 stages, one step at a time, on the oracle's radii."""
+    h, radii = _rk4_grid(breakpoints, step)
+    u, du = np.zeros_like(k_sq), np.ones_like(k_sq)
+    for w, samples in zip(h, radii.T):
+        g0, gm, g1 = (pot.v(x) - k_sq for x in samples)
+        k1u, k1d = du, g0 * u
+        k2u, k2d = du + 0.5 * w * k1d, gm * (u + 0.5 * w * k1u)
+        k3u, k3d = du + 0.5 * w * k2d, gm * (u + 0.5 * w * k2u)
+        k4u, k4d = du + w * k3d, g1 * (u + w * k3u)
+        u = u + w / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        du = du + w / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    return u, du
+
+
+def test_composed_step_maps_match_step_walks():
+    # pairwise composition reorders the rounding only; each step map is
+    # the classical four-stage step
+    pot = make_potential(0.3)
+    k_sq = np.linspace(0.05, 3.0, 7) ** 2
+    breakpoints, step = (pot.r_a, pot.r_d), 1.0e-3 * pot.r_d
+    u, du = rk4_radial(pot.v, k_sq, breakpoints, step)
+    d = _rk4_steps(pot.v, k_sq, breakpoints, step)
+    walk_u, walk_du = np.zeros_like(k_sq), np.ones_like(k_sq)
+    for d_uu, d_ud, d_du, d_dd in zip(*d):
+        walk_u, walk_du = (walk_u + d_uu * walk_u + d_ud * walk_du,
+                           walk_du + d_du * walk_u + d_dd * walk_du)
+    ref_u, ref_du = _classical_rk4_walk(pot, k_sq, breakpoints, step)
+    scale = np.maximum(np.abs(ref_u), np.abs(ref_du))
+    for a, b in ((u, walk_u), (du, walk_du), (u, ref_u), (du, ref_du)):
+        assert np.max(np.abs(a - b) / scale) <= 1.0e-13
 
 
 def test_step_cap_enforced():
@@ -121,10 +157,56 @@ def test_brute_force_matches_exact_spot(density_for):
 
 def test_brute_force_validation(density_for):
     den = density_for(0.3)
-    with pytest.raises(DomainError):
-        oracle_survival_bruteforce(den, -1.0)
-    with pytest.raises(ResourceLimitError):
-        oracle_survival_bruteforce(den, 1500.0)
+    for t in (-1.0, [5.0, -1.0], np.array([[-1.0]])):
+        with pytest.raises(DomainError):
+            oracle_survival_bruteforce(den, t)
+    for t in (1500.0, [5.0, 1500.0], np.array([[1500.0]])):
+        with pytest.raises(ResourceLimitError):
+            oracle_survival_bruteforce(den, t)
+
+
+def test_brute_force_grid_cap_names_stage_size_and_cap(density_for):
+    # the bulk grid of t = 1000 up to e_max = 2000 trips the cap
+    with pytest.raises(ResourceLimitError, match=(
+            r"^brute-force oracle: grid of 82573373 points at t = 1000 "
+            r"exceeds _MAX_BRUTE_POINTS = 40000000$")):
+        oracle_survival_bruteforce(density_for(0.3), 1000.0, e_max=2000.0)
+
+
+@pytest.mark.parametrize("beta", REFERENCE_BETAS)
+def test_batched_times_match_one_call_per_time(density_for, beta):
+    # the positive times share the t = 500 grid; e_max = 100 keeps every
+    # grid but t = 0's (which starts from e = 2500) four times smaller
+    den = density_for(beta)
+    times = np.array([0.0, 1.0, 60.0, 200.0, 500.0])
+    batched = oracle_survival_bruteforce(den, times, e_max=100.0)
+    assert batched.shape == times.shape
+    for t, p in zip(times, batched):
+        single = oracle_survival_bruteforce(den, t, e_max=100.0)
+        assert isinstance(single, float)
+        assert abs(p - single) <= 1.0e-12
+
+
+def test_brute_force_does_not_depend_on_chunk_length(density_for, monkeypatch):
+    den = density_for(0.3)
+    times = np.array([60.0, 200.0])
+    default = oracle_survival_bruteforce(den, times)
+    # chunks of 8008 points for each of the two times: not a divisor of
+    # the grid sizes, so the last chunk is partial
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 8008)
+    small = oracle_survival_bruteforce(den, times)
+    assert np.all(np.abs(small - default) <= 1.0e-13 * default)
+
+
+def test_brute_force_memory_does_not_grow_with_grid(density_for):
+    den = density_for(0.3)
+    tracemalloc.start()
+    try:
+        oracle_survival_bruteforce(den, 200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 # ------------------------------------------------------------------ #
@@ -145,3 +227,7 @@ def test_verification_report(density_for):
     joined = "\n".join(lines)
     for label in ("boundary", "Jost", "brute"):
         assert label in joined
+    meta = report.meta
+    assert meta["rk4_steps"] > 0
+    assert meta["threshold_evals"] > 0 and meta["bulk_evals"] > 0
+    assert all(meta[k] >= 0.0 for k in ("boundary_s", "exact_s", "bruteforce_s"))
