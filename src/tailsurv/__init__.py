@@ -11,17 +11,15 @@ produce parameter-dependent effective exponents — the toolkit's
 central numerical statements.
 """
 
-from .analysis import (FitResult, SweepRow, beta_sweep, default_sweep_grid,
-                       fit_exponential, fit_power_law, resonance_width)
+from .analysis import (FitResult, SweepRow, beta_sweep, fit_exponential,
+                       fit_power_law, resonance_width)
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      ResourceLimitError, TailsurvError, ToleranceError)
-from .model import (InitialState, RegularSolutionBoundary, WBPotential,
-                    regular_boundary, regular_boundary_sq,
-                    zero_energy_boundary)
+from .model import InitialState, WBPotential, regular_boundary_sq
 from .spectral import (SpectralDensity, ThresholdCoeffs,
                        arc_density_magnitude, threshold_coeffs)
-from .specfun import (BesselOrder, gamma, riccati_combos,
-                      riccati_large_x_combos, riccati_pair_with_derivatives)
+from .specfun import (BesselOrder, riccati_combos, riccati_large_x_combos,
+                      riccati_pair_with_derivatives)
 from .survival import (AsymptoticModel, SurvivalSeries, asymptote_one_term,
                        asymptote_series, spectral_mass, survival_exact,
                        survival_laplace_axis)
@@ -36,7 +34,6 @@ __all__ = [
     "DomainError",
     "FitResult",
     "InitialState",
-    "RegularSolutionBoundary",
     "ResourceLimitError",
     "SpectralDensity",
     "SurvivalSeries",
@@ -49,11 +46,8 @@ __all__ = [
     "asymptote_one_term",
     "asymptote_series",
     "beta_sweep",
-    "default_sweep_grid",
     "fit_exponential",
     "fit_power_law",
-    "gamma",
-    "regular_boundary",
     "regular_boundary_sq",
     "resonance_width",
     "riccati_combos",
@@ -63,5 +57,4 @@ __all__ = [
     "survival_exact",
     "survival_laplace_axis",
     "threshold_coeffs",
-    "zero_energy_boundary",
 ]

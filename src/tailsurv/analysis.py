@@ -137,7 +137,7 @@ def resonance_width(density: SpectralDensity) -> tuple[float, float]:
     return float(popt[1]), float(abs(popt[2]))
 
 
-def beta_sweep(base: WBPotential, betas=None,
+def beta_sweep(base: WBPotential, betas,
                window: tuple[float, float] = (400.0, 800.0),
                n_samples: int = 50) -> list[SweepRow]:
     """Effective exponent across tail strengths at fixed geometry.
@@ -146,8 +146,6 @@ def beta_sweep(base: WBPotential, betas=None,
     computed on n_samples equally spaced times inside the window, and
     the power law is fitted.  Rows come back sorted by beta.
     """
-    if betas is None:
-        betas = default_sweep_grid()
     betas = sorted(float(b) for b in betas)
     times = np.linspace(window[0], window[1], n_samples)
     rows = []
@@ -162,7 +160,3 @@ def beta_sweep(base: WBPotential, betas=None,
                              residual=fit.rms_residual))
     return rows
 
-
-def default_sweep_grid() -> np.ndarray:
-    """Tail strengths -0.45 to 1.0 in steps of 0.05."""
-    return np.round(np.arange(-0.45, 1.0 + 0.025, 0.05), 10)

@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (beta_sweep, default_sweep_grid, fit_power_law)
+from .analysis import beta_sweep, fit_power_law
 from .emit import read_table, write_model_json, write_table
 from .errors import ConfigError, TailsurvError, ToleranceError
 from .model import InitialState, WBPotential
 from .spectral import SpectralDensity, arc_density_magnitude
-from .survival import (asymptote_one_term, asymptote_series, survival_exact,
-                       survival_laplace_axis)
+from .survival import (asymptote_one_term, asymptote_series, spectral_mass,
+                       survival_exact, survival_laplace_axis)
 
 DEFAULTS: dict[str, object] = {
     # reference potential and initial state
@@ -62,6 +62,10 @@ DEFAULTS: dict[str, object] = {
 }
 
 _METHODS = ("exact", "laplace", "laplace-threshold", "one-term", "series")
+
+# Config keys of the potential, and of the potential with its initial state.
+_POTENTIAL_KEYS = ("v0", "vb", "r_a", "r_d", "beta")
+_STATE_KEYS = _POTENTIAL_KEYS + ("n_a",)
 
 
 def _parse_value(key: str, text: str):
@@ -114,8 +118,7 @@ def _out_path(cfg: dict, fallback: str) -> Path:
 
 
 def _potential_from_cfg(cfg: dict) -> WBPotential:
-    return WBPotential(**{key: float(cfg[key])
-                          for key in ("v0", "vb", "r_a", "r_d", "beta")})
+    return WBPotential(**{key: float(cfg[key]) for key in _POTENTIAL_KEYS})
 
 
 def _build_density(cfg: dict) -> SpectralDensity:
@@ -180,7 +183,7 @@ def cmd_density(cfg: dict, args: argparse.Namespace) -> int:
     om = density.omega(e)
     path = _out_path(cfg, "density.csv")
     write_table(path, ["E", "omega"], [e, om])
-    norm = density.normalization_integral()
+    norm = spectral_mass(density)
     print(f"density: {e.size} points -> {path} (integral over continuum: {norm:.9f})")
     return 0
 
@@ -315,15 +318,24 @@ def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
     return 0
 
 
+# name: (handler, help, the config keys it reads, each also a flag)
 COMMANDS = {
-    "density": (cmd_density, "emit the energy density on a grid"),
-    "survive": (cmd_survive, "emit survival curves (exact and asymptotic)"),
-    "sweep": (cmd_sweep, "emit the effective-exponent sweep over tail strengths"),
-    "arc-check": (cmd_arc_check, "report |G| decay along lower-half-plane rays"),
-    "show-config": (cmd_show_config, "print the resolved configuration"),
-    "fit": (cmd_fit, "fit a power law to an emitted survival file"),
+    "density": (cmd_density, "emit the energy density on a grid",
+                _STATE_KEYS + ("e_min", "e_max", "e_points", "out")),
+    "survive": (cmd_survive, "emit survival curves (exact and asymptotic)",
+                _STATE_KEYS + ("t_min", "t_max", "t_per_decade", "methods",
+                               "n_terms", "abs_tol", "out")),
+    "sweep": (cmd_sweep, "emit the effective-exponent sweep over tail strengths",
+              _POTENTIAL_KEYS + ("fit_lo", "fit_hi", "fit_samples", "beta_start",
+                                 "beta_stop", "beta_step", "out")),
+    "arc-check": (cmd_arc_check, "report |G| decay along lower-half-plane rays",
+                  _STATE_KEYS + ("arc_radii", "arc_angles")),
+    "show-config": (cmd_show_config, "print the resolved configuration",
+                    tuple(DEFAULTS)),
+    "fit": (cmd_fit, "fit a power law to an emitted survival file",
+            ("fit_lo", "fit_hi")),
     "verify": (cmd_verify, "cross-check the boundary data, Jost modulus and "
-                           "exact survival against independent oracles"),
+                           "exact survival against independent oracles", _STATE_KEYS),
 }
 
 
@@ -334,16 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "potential with an inverse-square tail.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        for key, val in DEFAULTS.items():
-            kind = type(val)
-            p.add_argument(f"--{key}", type=(str if kind is str else kind),
-                           default=None, help=f"override (default {val!r})")
-
-    for name, (_, help_text) in COMMANDS.items():
+    for name, (_, help_text, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        add_common(p)
+        p.add_argument("--config", help="flat key=value config file")
+        for key in keys:
+            val = DEFAULTS[key]
+            p.add_argument(f"--{key}", type=type(val), default=None,
+                           help=f"override (default {val!r})")
         if name == "fit":
             p.add_argument("file", help="CSV with a t column and data columns")
             p.add_argument("--column", default=None,

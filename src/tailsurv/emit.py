@@ -62,7 +62,6 @@ def write_model_json(path, model) -> Path:
     path = Path(path)
     payload = {
         "origin": model.origin,
-        "space": model.space,
         "coefficients": [float(c) for c in model.coefficients],
         "exponents": [float(e) for e in model.exponents],
         "meta": model.meta,

@@ -7,10 +7,10 @@ Geometry, in reduced units (hbar = 2m = 1, energy = k^2):
 * tail beta(beta+1)/r^2 for r > r_d.
 
 The regular radial solution u(k; r) (u(0) = 0, u'(0) = 1) has closed
-piecewise-trigonometric forms inside r_d; `regular_boundary` evaluates
-its value and slope at the matching radius as analytic functions of
-k^2, so complex momenta and the barrier-top crossing k^2 = vb need no
-special casing by the caller.
+piecewise-trigonometric forms inside r_d; `regular_boundary_sq`
+evaluates its value and slope at the matching radius as analytic
+functions of k^2, so complex momenta and the barrier-top crossing
+k^2 = vb need no special casing by the caller.
 
 The initial state is the lowest modes of the well region with an
 infinite-wall cutoff at r_a: u_i(r) = sqrt(2/r_a) sin(n_a pi r / r_a)
@@ -25,9 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-
-# Taylor switchover for sin(s L)/s and the removable kappa -> 0 point.
-_SINC_SERIES_CUT = 1.0e-4
 
 
 @dataclass(frozen=True)
@@ -113,10 +110,10 @@ class WBPotential:
             u_a = math.sin(k * self.r_a) / k
         else:
             nodes, u_a = 0, self.r_a
-        bnd = zero_energy_boundary(self)
-        if u_a * bnd.u <= 0.0:
+        u, du = regular_boundary_sq(self, 0.0)
+        if u_a * u <= 0.0:
             nodes += 1
-        if bnd.u * (self.r_d * bnd.du + self.beta * bnd.u) < 0.0:
+        if u * (self.r_d * du + self.beta * u) < 0.0:
             nodes += 1
         return nodes
 
@@ -154,15 +151,6 @@ class InitialState:
         return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class RegularSolutionBoundary:
-    """Regular solution value and slope at the matching radius r_d."""
-
-    k: complex | float
-    u: complex | float
-    du: complex | float
-
-
 def _cos_sqrt(z):
     """cos(sqrt(z)), entire in z; handles negative real z as cosh."""
     if np.iscomplexobj(z):
@@ -176,30 +164,24 @@ def _cos_sqrt(z):
 
 
 def _sinc_sqrt(z, length):
-    """sin(sqrt(z) L)/sqrt(z), entire in z; series near the origin.
+    """sin(sqrt(z) L)/sqrt(z), entire in z; handles negative real z as sinh.
 
-    The series branch covers the removable point z = 0 (for real
-    barriers this is the k^2 = vb crossing of the barrier momentum).
+    The quotient is accurate to rounding for every z != 0, so only the
+    removable point z = 0 itself (for real barriers, the k^2 = vb
+    crossing of the barrier momentum) takes its limit L.
     """
-    z = np.asarray(z)
-    small = np.abs(z) * length * length < _SINC_SERIES_CUT * _SINC_SERIES_CUT
+    zero = z == 0.0
     if np.iscomplexobj(z):
-        s = np.sqrt(np.where(small, 1.0, z))
+        s = np.sqrt(np.where(zero, 1.0, z))
         out = np.sin(s * length) / s
-    elif z.ndim == 0:
-        return _sinc_sqrt(z[None], length)[0]
     else:
         out = np.empty_like(z, dtype=float)
-        pos = ~small & (z > 0.0)
-        neg = ~small & (z <= 0.0)
+        pos, neg = z > 0.0, z < 0.0
         sp = np.sqrt(z[pos])
         out[pos] = np.sin(sp * length) / sp
         sn = np.sqrt(-z[neg])
-        out[neg] = np.sinh(sn * length) / np.where(sn == 0.0, 1.0, sn)
-    if np.any(small):
-        w = z * (length * length)
-        series = length * (1.0 - w / 6.0 * (1.0 - w / 20.0 * (1.0 - w / 42.0)))
-        out = np.where(small, series, out)
+        out[neg] = np.sinh(sn * length) / sn
+    out[zero] = length
     return out
 
 
@@ -225,27 +207,3 @@ def regular_boundary_sq(pot: WBPotential, k_sq):
     if scalar:
         return u[0], du[0]
     return u, du
-
-
-def regular_boundary(pot: WBPotential, k) -> RegularSolutionBoundary:
-    """Closed-form boundary data of the regular solution at r_d."""
-    if isinstance(k, (np.floating, np.integer)):
-        k = float(k)
-    elif isinstance(k, np.complexfloating):
-        k = complex(k)
-    if not isinstance(k, (int, float, complex)):
-        raise DomainError(f"k must be a scalar, got {type(k).__name__}")
-    if not np.isfinite(k):
-        raise DomainError(f"k must be finite, got {k!r}")
-    w = complex(k) ** 2
-    if isinstance(k, complex):
-        u, du = regular_boundary_sq(pot, w)
-        return RegularSolutionBoundary(k=k, u=complex(u), du=complex(du))
-    u, du = regular_boundary_sq(pot, w.real)
-    return RegularSolutionBoundary(k=float(k), u=float(u), du=float(du))
-
-
-def zero_energy_boundary(pot: WBPotential) -> RegularSolutionBoundary:
-    """Boundary data at threshold (k = 0); seeds the threshold laws."""
-    u, du = regular_boundary_sq(pot, 0.0)
-    return RegularSolutionBoundary(k=0.0, u=float(u), du=float(du))

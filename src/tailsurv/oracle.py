@@ -32,6 +32,15 @@ _MAX_BRUTE_POINTS = 40_000_000
 # number of times summed (~32 bytes per point and time).  A `verify` op
 # ran ~20% faster than with 250 000 points (2-vCPU x86-64 host).
 _BRUTE_CHUNK = 65_536
+# RK4 steps relative to r_d: the default and largest one, and the finer
+# one of the matching checks (the Jost modulus by linear solve then
+# agrees with the closed form to ~1e-12).
+_RK4_STEP = 1.0e-3
+_MATCH_STEP = 1.0e-4
+# The zero-energy node count integrates out to this multiple of r_d.
+_NODE_R_MAX = 10.0
+# Brute-force steps stay at or below pi/(_STEPS_PER_PI * t).
+_STEPS_PER_PI = 64.0
 
 
 def _rk4_grid(breakpoints, step: float):
@@ -100,15 +109,14 @@ def rk4_radial(v_func, k_sq, breakpoints, step: float):
     return d[1, 0], 1.0 + d[3, 0]
 
 
-def count_nodes_zero_energy(pot, r_max_factor: float = 10.0,
-                            step_factor: float = 1.0e-3) -> int:
-    """Nodes of the zero-energy regular solution on (0, r_max_factor * r_d].
+def count_nodes_zero_energy(pot) -> int:
+    """Nodes of the zero-energy regular solution on (0, _NODE_R_MAX * r_d].
 
     Counts strict sign changes of u over the RK4 steps.  A node signals
     a bound state in the spectrum.
     """
-    breakpoints = (pot.r_a, pot.r_d, r_max_factor * pot.r_d)
-    d = _rk4_steps(pot.v, 0.0, breakpoints, step_factor * pot.r_d)
+    breakpoints = (pot.r_a, pot.r_d, _NODE_R_MAX * pot.r_d)
+    d = _rk4_steps(pot.v, 0.0, breakpoints, _RK4_STEP * pot.r_d)
     u, du = 0.0, 1.0
     changes, last = 0, 0
     for d_uu, d_ud, d_du, d_dd in zip(*d.tolist()):
@@ -128,36 +136,27 @@ def ode_oracle_boundary_many(pot, ks, step: float | None = None):
     defaults to 1e-3 * r_d and must not exceed it.  Returns (u, du)
     arrays aligned with ks.
     """
+    cap = _RK4_STEP * pot.r_d
     if step is None:
-        step = 1.0e-3 * pot.r_d
-    if step > 1.0e-3 * pot.r_d:
-        raise DomainError(
-            f"oracle step must be <= 1e-3 * r_d = {1.0e-3 * pot.r_d:g}, got {step:g}")
+        step = cap
+    if step > cap:
+        raise DomainError(f"oracle step must be <= 1e-3 * r_d = {cap:g}, got {step:g}")
     ks = np.asarray(ks, dtype=float)
     return rk4_radial(pot.v, ks * ks, (pot.r_a, pot.r_d), step)
 
 
-def ode_oracle_boundary(pot, k: float, step: float | None = None):
-    """Regular-solution boundary data at r_d by fixed-step integration."""
-    from .model import RegularSolutionBoundary
-
-    k = float(k)
-    u, du = ode_oracle_boundary_many(pot, [k], step)
-    return RegularSolutionBoundary(k=k, u=float(u[0]), du=float(du[0]))
-
-
-def oracle_match_coefficients(pot, k: float, step: float | None = None):
+def oracle_match_coefficients(pot, k: float):
     """Exterior expansion coefficients (a, b) by direct linear solve.
 
-    Matches ODE-integrated (u, u') at r_d against a j_hat(k r) +
-    b n_hat(k r); returns (a, b).  The production Jost modulus can then
-    be cross-checked against k^2 (a^2 + b^2).
+    Matches ODE-integrated (u, u') at r_d, in steps of _MATCH_STEP * r_d,
+    against a j_hat(k r) + b n_hat(k r); returns (a, b).  The production
+    Jost modulus can then be cross-checked against k^2 (a^2 + b^2).
     """
     k = float(k)
     if k <= 0.0:
         raise DomainError(f"matching requires k > 0, got {k:g}")
-    bnd = ode_oracle_boundary(pot, k, step)
-    return _match_boundary(pot, k, bnd.u, bnd.du)
+    u, du = ode_oracle_boundary_many(pot, [k], step=_MATCH_STEP * pot.r_d)
+    return _match_boundary(pot, k, float(u[0]), float(du[0]))
 
 
 def _match_boundary(pot, k: float, u: float, du: float):
@@ -254,14 +253,14 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
 
 
 def _bruteforce_on_one_grid(density, times: np.ndarray, e_max: float,
-                            step_divisor: float, counts: dict | None):
+                            counts: dict | None):
     """Survival at `times` (all zero, or all positive) from one grid.
 
     The grid is the one the largest time needs, so every step stays at
-    or below pi/(step_divisor * t) for each time.
+    or below pi/(_STEPS_PER_PI * t) for each time.
     """
     t = float(times.max())
-    bound = math.pi / (step_divisor * max(t, 1.0))
+    bound = math.pi / (_STEPS_PER_PI * max(t, 1.0))
     r_a = density.pot.r_a
     k_req = math.sqrt(max(e_max, 2500.0 if t == 0.0 else e_max))
     if t == 0.0:
@@ -296,13 +295,12 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, e_max: float,
     return np.abs(amp) ** 2
 
 
-def oracle_survival_bruteforce(density, t, e_max: float = 400.0,
-                               step_divisor: float = 64.0, *,
+def oracle_survival_bruteforce(density, t, e_max: float = 400.0, *,
                                counts: dict | None = None):
     """Survival probability by trapezoid sums with Richardson extrapolation.
 
     Deliberately independent of the panel integrator: plain uniform
-    trapezoid sums, every step at or below pi/(step_divisor * t), in
+    trapezoid sums, every step at or below pi/(_STEPS_PER_PI * t), in
     two pieces.  On [0, 1] the density rises with a fractional power,
     so three coarsened companions remove the three slowest error powers
     with exponent-matched weights; the bulk piece uses the classical
@@ -328,8 +326,7 @@ def oracle_survival_bruteforce(density, t, e_max: float = 400.0,
     out = np.empty(flat.shape)
     for group in (flat == 0.0, flat > 0.0):
         if group.any():
-            out[group] = _bruteforce_on_one_grid(density, flat[group], e_max,
-                                                 step_divisor, counts)
+            out[group] = _bruteforce_on_one_grid(density, flat[group], e_max, counts)
     return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
 
 
@@ -385,7 +382,7 @@ def run_verification(density, times=(100.0, 500.0)) -> OracleReport:
     t0 = perf_counter()
     ks = np.linspace(0.05, 3.0, 30)
     match_ks = (0.5, 1.0, 2.5)  # integrated in the same RK4 pass as ks
-    step = 1.0e-4 * pot.r_d
+    step = _MATCH_STEP * pot.r_d
     u_ode, du_ode = ode_oracle_boundary_many(pot, np.r_[ks, match_ks], step=step)
     meta["rk4_steps"] = _rk4_grid((pot.r_a, pot.r_d), step)[0].size
     u, du = regular_boundary_sq(pot, ks ** 2)

@@ -1,9 +1,8 @@
 """Special functions for inverse-square-tail scattering problems.
 
-Provides a high-accuracy gamma function and the Riccati-Bessel pair
-(j_hat, n_hat) of real order beta > -1/2 together with their first
-derivatives, evaluated by ascending power series with term-wise
-differentiation.  Two evaluation routes cover the full order range:
+Provides the Riccati-Bessel pair (j_hat, n_hat) of real order
+beta > -1/2 together with their first derivatives, evaluated by
+ascending power series with term-wise differentiation.  Two evaluation routes cover the full order range:
 
 * non-negative integer beta: closed trigonometric forms via stable
   low-order recurrences (exact, and accurate beyond the series' reach);
@@ -20,7 +19,6 @@ combinations come from the asymptotic Hankel-product series instead
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,57 +39,6 @@ SERIES_COMBO_SWITCH = 12.5
 
 # Orders closer than this to an integer beta >= 0 take the closed forms.
 ORDER_DEGENERACY_TOL = 1.0e-9
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy is a
-# few ulp over the strip -5 <= Re z <= 50 used here.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(z: complex | float) -> complex | float:
-    """Gamma function for real or complex scalar z.
-
-    Uses the Lanczos rational approximation with reflection for
-    Re z < 0.5.  Raises DomainError at the poles (non-positive
-    integers) and on non-finite input.
-    """
-    if isinstance(z, (np.floating, np.integer)):
-        z = float(z)
-    elif isinstance(z, np.complexfloating):
-        z = complex(z)
-    if not isinstance(z, (int, float, complex)):
-        raise DomainError(f"gamma expects a scalar, got {type(z).__name__}")
-    zc = complex(z)
-    if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
-        raise DomainError(f"gamma argument must be finite, got {z!r}")
-    if zc.imag == 0.0 and zc.real <= 0.0 and zc.real == round(zc.real):
-        raise DomainError(f"gamma pole at z = {zc.real:g}")
-    val = _gamma_complex(zc)
-    if isinstance(z, complex):
-        return val
-    return val.real
-
-
-def _gamma_complex(z: complex) -> complex:
-    if z.real < 0.5:
-        # Reflection; sin(pi z) is nonzero away from the poles.
-        return math.pi / (cmath.sin(math.pi * z) * _gamma_complex(1.0 - z))
-    z = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc = acc + c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
 @dataclass(frozen=True)
@@ -347,16 +294,6 @@ def riccati_pair_with_derivatives(order: BesselOrder, x) -> RiccatiPair:
     else:
         vals = _pair_series(order.beta, arr)
     return RiccatiPair(*_unpack(scalar, *vals))
-
-
-def riccati_j(order: BesselOrder, x):
-    """Regular Riccati-Bessel function j_hat of the given order."""
-    return riccati_pair_with_derivatives(order, x).j
-
-
-def riccati_n(order: BesselOrder, x):
-    """Irregular Riccati-Bessel function n_hat of the given order."""
-    return riccati_pair_with_derivatives(order, x).n
 
 
 def riccati_combos(order: BesselOrder, x) -> RiccatiCombos:

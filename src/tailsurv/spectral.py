@@ -36,14 +36,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import InitialState, WBPotential, regular_boundary_sq, zero_energy_boundary
-from .specfun import (SERIES_COMBO_SWITCH, SQRT_PI, BesselOrder, RiccatiCombos, gamma,
+from .model import InitialState, WBPotential, regular_boundary_sq
+from .specfun import (SERIES_COMBO_SWITCH, SQRT_PI, BesselOrder, RiccatiCombos,
                       riccati_combos, riccati_large_x_combos,
                       riccati_pair_with_derivatives)
 
 # Orders this close to an integer nu degenerate the three-term
 # threshold refinement (its reflection coefficients blow up).
 _NU_INTEGER_CUT = 1.0e-6
+
+# Terms of the threshold density series, the most `asymptote_series` uses.
+_DENSITY_SERIES_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -96,16 +99,12 @@ class SpectralDensity:
     refinement degenerates still support plain density evaluation.
     """
 
-    def __init__(self, pot: WBPotential, init: InitialState,
-                 n_series: int = 6) -> None:
+    def __init__(self, pot: WBPotential, init: InitialState) -> None:
         if abs(init.r_a - pot.r_a) > 1e-12:
             raise DomainError(
                 f"initial state r_a = {init.r_a:g} does not match potential r_a = {pot.r_a:g}")
         self.pot = pot
         self.init = init
-        self.n_series = int(n_series)
-        if self.n_series < 1:
-            raise DomainError(f"n_series must be >= 1, got {n_series}")
         self.order = BesselOrder(pot.beta)
 
     # -- Jost modulus ------------------------------------------------
@@ -233,17 +232,10 @@ class SpectralDensity:
 
     @cached_property
     def threshold(self) -> ThresholdCoeffs:
-        return threshold_coeffs(self.pot, self.init, self.n_series)
-
-    def normalization_integral(self, e_hi: float = 4.0e4) -> float:
-        """Integral of the density over the continuum (should be 1)."""
-        from .survival import spectral_mass
-
-        return spectral_mass(self, e_hi)
+        return threshold_coeffs(self.pot, self.init)
 
 
-def threshold_coeffs(pot: WBPotential, init: InitialState,
-                     n_series: int = 6) -> ThresholdCoeffs:
+def threshold_coeffs(pot: WBPotential, init: InitialState) -> ThresholdCoeffs:
     """Threshold expansion coefficients from zero-energy boundary data.
 
     Raises a domain error when the leading coefficient degenerates
@@ -252,15 +244,15 @@ def threshold_coeffs(pot: WBPotential, init: InitialState,
     """
     beta = pot.beta
     nu = beta + 0.5
-    bnd = zero_energy_boundary(pot)
+    u0, du0 = map(float, regular_boundary_sq(pot, 0.0))
     r_d = pot.r_d
-    bracket_minus = beta * bnd.u / r_d + bnd.du
-    bracket_plus = (beta + 1.0) * bnd.u / r_d - bnd.du
+    bracket_minus = beta * u0 / r_d + du0
+    bracket_plus = (beta + 1.0) * u0 / r_d - du0
     if abs(bracket_minus) < 1.0e-12:
         raise DomainError(
             "degenerate threshold: the zero-energy solution matches the "
             "decaying tail branch, so |f| ~ k^{-beta} fails")
-    jost_scale = (2.0 ** beta * gamma(beta + 0.5) / (SQRT_PI * r_d ** beta)
+    jost_scale = (2.0 ** beta * math.gamma(beta + 0.5) / (SQRT_PI * r_d ** beta)
                   * abs(bracket_minus))
 
     k_a = init.k_a
@@ -277,18 +269,18 @@ def threshold_coeffs(pot: WBPotential, init: InitialState,
                                density_scale=density_scale, coeff_down=None,
                                coeff_mid=None, coeff_up=None, density_series=None)
 
-    g_nu = gamma(nu)
+    g_nu = math.gamma(nu)
     coeff_down = g_nu ** 2 * 2.0 ** (2.0 * nu - 1.0) / (math.pi * r_d ** (2.0 * nu - 1.0)) \
         * bracket_minus ** 2
     coeff_mid = (r_d / (nu * math.tan(nu * math.pi))) * bracket_minus * bracket_plus
-    coeff_up = r_d ** (2.0 * nu + 1.0) * gamma(1.0 - nu) ** 2 \
+    coeff_up = r_d ** (2.0 * nu + 1.0) * math.gamma(1.0 - nu) ** 2 \
         / (math.pi * 2.0 ** (2.0 * nu + 1.0) * nu ** 2) * bracket_plus ** 2
 
     # geometric expansion of density_scale k^{2 nu} / (1 + a k^{2 nu} + b k^{4 nu})
     a = coeff_mid / coeff_down
     b = coeff_up / coeff_down
     cs = [1.0]
-    for m in range(1, n_series):
+    for m in range(1, _DENSITY_SERIES_TERMS):
         nxt = -a * cs[m - 1] - (b * cs[m - 2] if m >= 2 else 0.0)
         cs.append(nxt)
     series = tuple(density_scale * c for c in cs)

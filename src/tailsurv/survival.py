@@ -41,7 +41,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ToleranceError
-from .specfun import gamma
 from .spectral import SpectralDensity, ThresholdCoeffs
 
 # Phase turn t * half_width above which a panel switches from the
@@ -67,6 +66,9 @@ _GEOM_EDGE = 0.25
 _GEOM_FLOOR = 1.0e-13
 
 _DERIV_TERMS = 6  # integration-by-parts tail depth
+
+# Upper end of the table that `spectral_mass` integrates.
+_MASS_E_HI = 4.0e4
 
 # Times per block of the batched amplitude; a block's temporaries are
 # a few (block, panels, 8) float arrays, ~2 MB each at 900 panels.
@@ -96,7 +98,7 @@ for _n in range(_DERIV_TERMS):
 class SurvivalSeries:
     """Survival data on a time grid.
 
-    amplitudes is None for probability-space asymptotic models, which
+    amplitudes is None for probabilities read back from a file, which
     carry no phase information.
     """
 
@@ -113,23 +115,19 @@ class SurvivalSeries:
 
 @dataclass(frozen=True)
 class AsymptoticModel:
-    """Sum of inverse powers approximating the long-time survival.
+    """Sum of inverse powers approximating the long-time amplitude.
 
-    space "amplitude": A(t) ~ sum_m coeff_m (i t)^{-expo_m}, and the
-    probability is the squared modulus.  space "probability":
-    P(t) ~ sum_m coeff_m t^{-expo_m} directly.  origin records which
-    construction produced the model ("one-term" or "multi-term").
+    A(t) ~ sum_m coeff_m (i t)^{-expo_m}, and the probability is its
+    squared modulus.  origin records which construction produced the
+    model ("one-term" or "multi-term").
     """
 
     origin: str
-    space: str
     coefficients: tuple[float, ...]
     exponents: tuple[float, ...]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.space not in ("amplitude", "probability"):
-            raise DomainError(f"unknown model space {self.space!r}")
         if len(self.coefficients) != len(self.exponents):
             raise DomainError("coefficient/exponent length mismatch")
 
@@ -137,13 +135,6 @@ class AsymptoticModel:
         t = np.asarray(times, dtype=float)
         if np.any(t <= 0.0):
             raise DomainError("asymptotic models need t > 0")
-        if self.space == "probability":
-            p = np.zeros_like(t)
-            for c, s in zip(self.coefficients, self.exponents):
-                p = p + c * t ** (-s)
-            return SurvivalSeries(times=t, probability=p, amplitudes=None,
-                                  method=f"asymptote-{self.origin}",
-                                  meta=dict(self.meta))
         amp = np.zeros(t.shape, dtype=complex)
         for c, s in zip(self.coefficients, self.exponents):
             # (i t)^{-s} with i = e^{i pi/2}: modulus t^{-s}, fixed phase
@@ -391,9 +382,12 @@ def survival_exact(density: SpectralDensity, times, *,
                           method="exact", meta=meta)
 
 
-def spectral_mass(density: SpectralDensity, e_hi: float = 4.0e4) -> float:
-    """Integral of the density over [0, e_hi] plus the envelope tail."""
-    table = _build_table(density.omega, density.pot.r_a, float(e_hi))
+def spectral_mass(density: SpectralDensity) -> float:
+    """Integral of the density over the continuum (1 for a valid state).
+
+    The tabulated integral over [0, _MASS_E_HI] plus the envelope tail.
+    """
+    table = _build_table(density.omega, density.pot.r_a, _MASS_E_HI)
     return _table_mass(table) + _envelope_tail(density.init.k_a, density.pot.r_a,
                                                table.e_max)
 
@@ -464,16 +458,18 @@ def survival_laplace_axis(density: SpectralDensity, times, *,
 # ----------------------------------------------------------------- #
 
 def asymptote_one_term(coeffs: ThresholdCoeffs) -> AsymptoticModel:
-    """Leading long-time power law in probability space.
+    """Leading long-time power law of the amplitude.
 
-    P(t) ~ density_scale^2 Gamma(beta + 3/2)^2 t^{-(2 beta + 3)}.
+    A(t) ~ density_scale Gamma(nu + 1) (i t)^{-(nu + 1)}, so
+    P(t) ~ density_scale^2 Gamma(beta + 3/2)^2 t^{-(2 beta + 3)}.  It
+    needs only the leading threshold law, so unlike `asymptote_series`
+    it holds at integer nu too.
     """
-    g = gamma(coeffs.beta + 1.5)
-    amp = (coeffs.density_scale * g) ** 2
-    return AsymptoticModel(origin="one-term", space="probability",
-                           coefficients=(amp,),
-                           exponents=(2.0 * coeffs.beta + 3.0,),
-                           meta={"beta": coeffs.beta, "nu": coeffs.nu})
+    nu = coeffs.nu
+    return AsymptoticModel(origin="one-term",
+                           coefficients=(coeffs.density_scale * math.gamma(nu + 1.0),),
+                           exponents=(nu + 1.0,),
+                           meta={"beta": coeffs.beta, "nu": nu})
 
 
 def asymptote_series(coeffs: ThresholdCoeffs, n_terms: int = 4
@@ -490,11 +486,8 @@ def asymptote_series(coeffs: ThresholdCoeffs, n_terms: int = 4
         raise DomainError(
             f"n_terms must be in [1, {len(series)}], got {n_terms}")
     nu = coeffs.nu
-    cs, es = [], []
-    for m in range(1, n_terms + 1):
-        cs.append(series[m - 1] * gamma(1.0 + m * nu))
-        es.append(1.0 + m * nu)
-    return AsymptoticModel(origin="multi-term", space="amplitude",
-                           coefficients=tuple(cs), exponents=tuple(es),
-                           meta={"beta": coeffs.beta, "nu": nu,
-                                 "n_terms": n_terms})
+    es = tuple(1.0 + m * nu for m in range(1, n_terms + 1))
+    return AsymptoticModel(origin="multi-term",
+                           coefficients=tuple(c * math.gamma(e) for c, e in zip(series, es)),
+                           exponents=es,
+                           meta={"beta": coeffs.beta, "nu": nu, "n_terms": n_terms})

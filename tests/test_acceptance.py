@@ -20,12 +20,12 @@ from tailsurv.model import InitialState
 from tailsurv.specfun import (BesselOrder, riccati_pair_with_derivatives)
 from tailsurv.spectral import arc_density_magnitude
 from tailsurv.survival import (SurvivalSeries, asymptote_one_term,
-                               asymptote_series, survival_exact,
+                               asymptote_series, spectral_mass, survival_exact,
                                survival_laplace_axis)
 from tailsurv.oracle import (ode_oracle_boundary_many,
                              oracle_match_coefficients,
                              oracle_survival_bruteforce)
-from tailsurv.model import regular_boundary
+from tailsurv.model import regular_boundary_sq
 
 import conftest
 from conftest import REFERENCE_BETAS, make_potential
@@ -57,7 +57,7 @@ def test_each_reference_density_normalizes_quickly():
     for beta, pot in pots.items():
         t0 = time.perf_counter()
         den = SpectralDensity(pot, InitialState.from_potential(pot))
-        dev = abs(den.normalization_integral() - 1.0)
+        dev = abs(spectral_mass(den) - 1.0)
         dt = time.perf_counter() - t0
         worst_dev = max(worst_dev, dev)
         worst_dt = max(worst_dt, dt)
@@ -193,16 +193,14 @@ def test_oracle_cross_checks_within_budget(density_for):
     ks = np.linspace(0.05, 3.0, 30)
     u, du = ode_oracle_boundary_many(pot, ks)
     ode_worst = 0.0
-    for i, k in enumerate(ks):
-        closed = regular_boundary(pot, float(k))
-        scale = max(abs(closed.u), abs(closed.du))
-        ode_worst = max(ode_worst, abs(closed.u - u[i]) / scale,
-                        abs(closed.du - du[i]) / scale)
+    for i, (cu, cdu) in enumerate(zip(*regular_boundary_sq(pot, ks ** 2))):
+        scale = max(abs(cu), abs(cdu))
+        ode_worst = max(ode_worst, abs(cu - u[i]) / scale, abs(cdu - du[i]) / scale)
 
     den = density_for(0.3)
     jost_worst = 0.0
     for k in (0.5, 1.0, 2.5):
-        a, b = oracle_match_coefficients(pot, k, step=1.0e-4 * pot.r_d)
+        a, b = oracle_match_coefficients(pot, k)
         solved = k * k * (a * a + b * b)
         jost_worst = max(jost_worst,
                          abs(solved - den.jost_modulus_sq(k))

@@ -7,8 +7,7 @@ from tailsurv.errors import ConvergenceError, DomainError
 from tailsurv.model import InitialState, WBPotential
 from tailsurv.spectral import SpectralDensity
 from tailsurv.survival import SurvivalSeries
-from tailsurv.analysis import (beta_sweep, default_sweep_grid,
-                               fit_exponential, fit_power_law,
+from tailsurv.analysis import (beta_sweep, fit_exponential, fit_power_law,
                                resonance_width)
 
 from conftest import make_density, make_potential
@@ -122,14 +121,6 @@ def test_resonance_width_requires_interior_peak():
 # ------------------------------------------------------------------ #
 # sweep                                                              #
 # ------------------------------------------------------------------ #
-
-def test_default_sweep_grid_shape():
-    grid = default_sweep_grid()
-    assert grid[0] == -0.45 and grid[-1] == 1.0
-    assert len(grid) == 30
-    steps = np.diff(grid)
-    assert np.allclose(steps, 0.05, atol=1.0e-12)
-
 
 def test_sweep_rows_sorted_and_annotated(repulsive_sweep_rows):
     betas = [row.beta for row in repulsive_sweep_rows]

@@ -42,6 +42,15 @@ def test_cli_override_beats_config_file(workdir, capsys):
     assert "vb = 1.6" in out
 
 
+@pytest.mark.parametrize("argv", (["verify", "--t_min", "5"], ["sweep", "--n_a", "2"]))
+def test_flags_a_command_does_not_read_are_rejected(workdir, capsys, argv):
+    # verify has no time grid, and the sweep always uses mode 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_config_file_parsing(workdir):
     good = workdir / "good.cfg"
     good.write_text("t_per_decade = 40\nmethods = exact,laplace\n")
@@ -176,6 +185,16 @@ def test_sweep_single_row(workdir, capsys):
     assert data["beta"].tolist() == [0.3]
     assert data["mu_predicted"][0] == pytest.approx(3.6, rel=1.0e-14)
     assert data["mu_f"][0] == pytest.approx(3.6, abs=0.05)
+
+
+def test_sweep_default_grid(workdir, capsys):
+    # beta_start, beta_stop, beta_step default to -0.45, 1.0, 0.05
+    assert main(["sweep"]) == 0
+    assert "sweep: 30 tail strengths" in capsys.readouterr().out
+    _, data = read_table(workdir / "sweep.csv")
+    assert data["beta"][0] == -0.45 and data["beta"][-1] == 1.0
+    assert len(data["beta"]) == 30
+    assert np.allclose(np.diff(data["beta"]), 0.05, atol=1.0e-12)
 
 
 def test_sweep_rejects_bad_grid(workdir, capsys):

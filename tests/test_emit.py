@@ -66,7 +66,7 @@ def test_model_json_contents(tmp_path, density_for):
     write_model_json(path, model)
     payload = json.loads(path.read_text())
     assert payload["origin"] == "one-term"
-    assert payload["space"] == "probability"
+    assert set(payload) == {"origin", "coefficients", "exponents", "meta"}
     assert payload["coefficients"] == [model.coefficients[0]]
     assert payload["exponents"] == [model.exponents[0]]
     assert isinstance(payload["meta"], dict)

@@ -12,8 +12,7 @@ from scipy.integrate import simpson
 
 import tailsurv.model
 from tailsurv.errors import ConfigError, DomainError
-from tailsurv.model import (InitialState, WBPotential, regular_boundary,
-                            regular_boundary_sq, zero_energy_boundary)
+from tailsurv.model import InitialState, WBPotential, _sinc_sqrt, regular_boundary_sq
 from tailsurv.oracle import count_nodes_zero_energy
 
 from conftest import REFERENCE, make_potential
@@ -56,10 +55,10 @@ def _unvalidated(**params) -> WBPotential:
 
 def _exterior_node(pot) -> float | None:
     """Zero beyond r_d of A r^(beta+1) + B r^(-beta), matched at r_d by a linear solve."""
-    bnd = zero_energy_boundary(pot)
+    u, du = regular_boundary_sq(pot, 0.0)
     p, q, r = pot.beta + 1.0, -pot.beta, pot.r_d
     a, b = np.linalg.solve([[r ** p, r ** q], [p * r ** (p - 1.0), q * r ** (q - 1.0)]],
-                           [bnd.u, bnd.du])
+                           [u, du])
     if a == 0.0 or -b / a <= 0.0:
         return None
     r0 = (-b / a) ** (1.0 / (2.0 * pot.beta + 1.0))
@@ -213,55 +212,89 @@ def test_initial_state_wavefunction_shape_and_support():
 def test_free_boundary_matches_trig_closed_form():
     pot = make_potential(0.0, v0=0.0, vb=0.0)
     k = 1.3
-    b = regular_boundary(pot, k)
-    assert b.u == pytest.approx(math.sin(k * pot.r_d) / k, rel=1.0e-13)
-    assert b.du == pytest.approx(math.cos(k * pot.r_d), rel=1.0e-13)
-
-
-def test_boundary_requires_scalar_momentum():
-    with pytest.raises(DomainError):
-        regular_boundary(make_potential(0.3), np.array([1.0, 2.0]))
-
-
-def test_boundary_even_in_momentum():
-    pot = make_potential(0.3)
-    plus, minus = regular_boundary(pot, 1.3), regular_boundary(pot, -1.3)
-    assert plus.u == minus.u and plus.du == minus.du
+    u, du = regular_boundary_sq(pot, k * k)
+    assert u == pytest.approx(math.sin(k * pot.r_d) / k, rel=1.0e-13)
+    assert du == pytest.approx(math.cos(k * pot.r_d), rel=1.0e-13)
 
 
 def test_boundary_real_for_real_momentum():
-    b = regular_boundary(make_potential(0.7), 2.1)
-    assert isinstance(b.u, float) and isinstance(b.du, float)
+    u, du = regular_boundary_sq(make_potential(0.7), 2.1 ** 2)
+    assert isinstance(u, float) and isinstance(du, float)
 
 
 def test_zero_energy_boundary_frozen_values():
-    z0 = zero_energy_boundary(make_potential(0.3))
-    assert z0.u == pytest.approx(1.16358450282268, rel=1.0e-12)
-    assert z0.du == pytest.approx(0.309757549712616, rel=1.0e-12)
+    u, du = regular_boundary_sq(make_potential(0.3), 0.0)
+    assert u == pytest.approx(1.16358450282268, rel=1.0e-12)
+    assert du == pytest.approx(0.309757549712616, rel=1.0e-12)
 
 
 def test_small_momentum_limit_matches_zero_energy():
     pot = make_potential(0.3)
-    z0 = zero_energy_boundary(pot)
-    b = regular_boundary(pot, 1.0e-8)
-    assert b.u == pytest.approx(z0.u, rel=1.0e-6)
-    assert b.du == pytest.approx(z0.du, rel=1.0e-6)
+    u0, du0 = regular_boundary_sq(pot, 0.0)
+    u, du = regular_boundary_sq(pot, 1.0e-8 ** 2)
+    assert u == pytest.approx(u0, rel=1.0e-6)
+    assert du == pytest.approx(du0, rel=1.0e-6)
     uu, dd = regular_boundary_sq(pot, np.array([0.0]))
-    assert uu[0] == pytest.approx(z0.u, rel=1.0e-12)
-    assert dd[0] == pytest.approx(z0.du, rel=1.0e-12)
+    assert uu[0] == pytest.approx(u0, rel=1.0e-12)
+    assert dd[0] == pytest.approx(du0, rel=1.0e-12)
 
 
 def test_boundary_continuous_across_barrier_top():
     # k^2 = vb is a removable point of the piecewise forms
     pot = make_potential(0.3)
     kb = math.sqrt(REFERENCE["vb"])
-    lo = regular_boundary(pot, kb - 1.0e-9)
-    mid = regular_boundary(pot, kb)
-    hi = regular_boundary(pot, kb + 1.0e-9)
-    assert abs(hi.u - lo.u) < 1.0e-8
-    assert abs(hi.du - lo.du) < 1.0e-8
-    assert mid.u == pytest.approx(-0.715455189499, rel=1.0e-9)
-    assert mid.du == pytest.approx(-0.161947329384, rel=1.0e-9)
+    (lo, mid, hi), (dlo, dmid, dhi) = regular_boundary_sq(
+        pot, np.array([kb - 1.0e-9, kb, kb + 1.0e-9]) ** 2)
+    assert abs(hi - lo) < 1.0e-8
+    assert abs(dhi - dlo) < 1.0e-8
+    assert mid == pytest.approx(-0.715455189499, rel=1.0e-9)
+    assert dmid == pytest.approx(-0.161947329384, rel=1.0e-9)
+
+
+# sin(sqrt(z) L)/sqrt(z) near its removable point z = 0, frozen from
+# 40-digit mpmath: (z, L, value)
+_SINC_REFERENCE = (
+    (0.0, 0.4, 0.4), (1e-300, 0.4, 0.4), (-1e-300, 0.4, 0.4),
+    (1e-30, 0.4, 0.4), (-1e-30, 0.4, 0.4),
+    (1e-12, 0.4, 0.39999999999998936), (-1e-12, 0.4, 0.4000000000000107),
+    (6e-08, 0.4, 0.39999999936), (-6e-08, 0.4, 0.40000000064),
+    (1e-07, 0.4, 0.3999999989333334), (-1e-07, 0.4, 0.40000000106666667),
+    (0.0001, 0.4, 0.3999989333341867), (-0.0001, 0.4, 0.40000106666752),
+    (1e-09 + 1e-09j, 0.4, 0.39999999998933333 - 1.0666666666496003e-11j),
+    (5e-08 - 3e-08j, 0.4, 0.3999999994666667 + 3.1999999974400004e-10j),
+    (0.001j, 0.4, 0.39999999991466667 - 1.066666666634159e-05j),
+    (0.0, 3.0, 3.0), (1e-300, 3.0, 3.0), (-1e-300, 3.0, 3.0),
+    (1e-30, 3.0, 3.0), (-1e-30, 3.0, 3.0),
+    (1e-12, 3.0, 2.9999999999955), (-1e-12, 3.0, 3.0000000000045),
+    (6e-08, 3.0, 2.9999997300000074), (-6e-08, 3.0, 3.0000002700000072),
+    (1e-07, 3.0, 2.99999955000002), (-1e-07, 3.0, 3.0000004500000204),
+    (0.0001, 3.0, 2.999550020249566), (-0.0001, 3.0, 3.000450020250434),
+    (1e-09 + 1e-09j, 3.0, 2.9999999955 - 4.49999999595e-09j),
+    (5e-08 - 3e-08j, 3.0, 2.999999775000003 + 1.3499999392500009e-07j),
+    (0.001j, 3.0, 2.999997975000054 - 0.004499999566071433j),
+)
+
+
+@pytest.mark.parametrize("length", (0.4, 3.0))
+def test_sinc_sqrt_matches_mpmath_near_zero(length):
+    # the direct quotient is exact to rounding for every z != 0, so only
+    # z = 0 itself takes the limit; real rows run through both branches
+    rows = [(z, ref) for z, ell, ref in _SINC_REFERENCE if ell == length]
+    z = np.array([z for z, _ in rows])
+    ref = np.array([ref for _, ref in rows])
+    real = z.imag == 0.0
+    for got, want in ((_sinc_sqrt(z, length), ref),
+                      (_sinc_sqrt(z[real].real, length), ref[real].real)):
+        assert np.max(np.abs(got / want - 1.0)) <= 1.0e-14
+    assert _sinc_sqrt(z[real].real, length).dtype == float
+
+
+def test_boundary_at_removable_points_matches_mpmath():
+    # k^2 = vb and k^2 = -v0 exactly: zero barrier and zero well momentum
+    u, du = regular_boundary_sq(make_potential(0.3),
+                                np.array([REFERENCE["vb"], -REFERENCE["v0"]]))
+    assert np.max(np.abs(u / [-0.7154551894990966, 3.9941257424772316] - 1.0)) <= 1.0e-14
+    assert np.max(np.abs(du / [-0.16194732938409492, 4.122134523211776] - 1.0)) <= 1.0e-14
 
 
 def test_boundary_continuous_across_well_bottom():
@@ -277,9 +310,9 @@ def test_boundary_continuous_across_well_bottom():
 
 def test_boundary_sq_vectorized_and_consistent():
     pot = make_potential(0.3)
-    b = regular_boundary(pot, 1.3)
     u, du = regular_boundary_sq(pot, 1.3**2)
-    assert b.u == u and b.du == du
+    uu, dd = regular_boundary_sq(pot, np.array([1.3**2]))
+    assert u == uu[0] and du == dd[0]
     w = np.array([-0.3, 0.0, 0.5, 2.4])
     uu, dd = regular_boundary_sq(pot, w)
     assert uu.shape == w.shape and dd.shape == w.shape

@@ -8,9 +8,8 @@ import pytest
 
 import tailsurv.oracle
 from tailsurv.errors import DomainError, ResourceLimitError
-from tailsurv.model import regular_boundary
-from tailsurv.oracle import (OracleCheck, ode_oracle_boundary,
-                             ode_oracle_boundary_many,
+from tailsurv.model import regular_boundary_sq
+from tailsurv.oracle import (OracleCheck, ode_oracle_boundary_many,
                              oracle_match_coefficients,
                              oracle_survival_bruteforce, rk4_radial,
                              run_verification)
@@ -26,9 +25,9 @@ from conftest import REFERENCE_BETAS, make_potential
 
 def test_integration_reproduces_free_trig():
     pot = make_potential(0.0, v0=0.0, vb=0.0)
-    bnd = ode_oracle_boundary(pot, 1.0)
-    assert abs(bnd.u - math.sin(pot.r_d)) < 1.0e-10
-    assert abs(bnd.du - math.cos(pot.r_d)) < 1.0e-10
+    (u,), (du,) = ode_oracle_boundary_many(pot, [1.0])
+    assert abs(u - math.sin(pot.r_d)) < 1.0e-10
+    assert abs(du - math.cos(pot.r_d)) < 1.0e-10
 
 
 def test_default_step_matches_closed_form_on_grid():
@@ -36,11 +35,9 @@ def test_default_step_matches_closed_form_on_grid():
     ks = np.linspace(0.05, 3.0, 30)
     u, du = ode_oracle_boundary_many(pot, ks)
     worst = 0.0
-    for i, k in enumerate(ks):
-        closed = regular_boundary(pot, float(k))
-        scale = max(abs(closed.u), abs(closed.du))
-        worst = max(worst, abs(closed.u - u[i]) / scale,
-                    abs(closed.du - du[i]) / scale)
+    for i, (cu, cdu) in enumerate(zip(*regular_boundary_sq(pot, ks ** 2))):
+        scale = max(abs(cu), abs(cdu))
+        worst = max(worst, abs(cu - u[i]) / scale, abs(cdu - du[i]) / scale)
     assert worst < 1.0e-8
 
 
@@ -48,11 +45,10 @@ def test_finer_step_tightens_agreement():
     pot = make_potential(0.7)
     ks = np.linspace(0.3, 2.7, 5)
     u, du = ode_oracle_boundary_many(pot, ks, step=1.0e-4 * pot.r_d)
-    for i, k in enumerate(ks):
-        closed = regular_boundary(pot, float(k))
-        scale = max(abs(closed.u), abs(closed.du))
-        assert abs(closed.u - u[i]) / scale < 1.0e-11
-        assert abs(closed.du - du[i]) / scale < 1.0e-11
+    for i, (cu, cdu) in enumerate(zip(*regular_boundary_sq(pot, ks ** 2))):
+        scale = max(abs(cu), abs(cdu))
+        assert abs(cu - u[i]) / scale < 1.0e-11
+        assert abs(cdu - du[i]) / scale < 1.0e-11
 
 
 def _classical_rk4_walk(pot, k_sq, breakpoints, step):
@@ -94,14 +90,6 @@ def test_step_cap_enforced():
         ode_oracle_boundary_many(pot, [1.0], step=4.0e-3)
 
 
-def test_scalar_and_vector_oracles_agree():
-    pot = make_potential(0.3)
-    single = ode_oracle_boundary(pot, 1.3)
-    u, du = ode_oracle_boundary_many(pot, [1.3])
-    assert single.u == u[0] and single.du == du[0]
-    assert single.k == 1.3
-
-
 # ------------------------------------------------------------------ #
 # exterior matching                                                  #
 # ------------------------------------------------------------------ #
@@ -110,10 +98,11 @@ def test_matching_from_one_batched_pass_is_bit_identical():
     # run_verification takes its matching data from the boundary-check pass
     pot = make_potential(0.3)
     ks = np.concatenate((np.linspace(0.05, 3.0, 30), (0.5, 1.0, 2.5)))
-    u, du = ode_oracle_boundary_many(pot, ks)
+    step = 1.0e-4 * pot.r_d
+    u, du = ode_oracle_boundary_many(pot, ks, step=step)
     for i, k in enumerate((0.5, 1.0, 2.5), start=30):
-        single = ode_oracle_boundary(pot, k)
-        assert (single.u, single.du) == (u[i], du[i])
+        (su,), (sdu,) = ode_oracle_boundary_many(pot, [k], step=step)
+        assert (su, sdu) == (u[i], du[i])
         assert _match_boundary(pot, k, float(u[i]), float(du[i])) \
             == oracle_match_coefficients(pot, k)
 
@@ -134,7 +123,7 @@ def test_matching_requires_positive_momentum():
 def test_matching_agrees_with_production_jost(density_for):
     den = density_for(0.3)
     k = 1.0
-    a, b = oracle_match_coefficients(den.pot, k, step=1.0e-4 * den.pot.r_d)
+    a, b = oracle_match_coefficients(den.pot, k)
     assert k * k * (a * a + b * b) == pytest.approx(
         den.jost_modulus_sq(k), rel=1.0e-8)
 

@@ -9,6 +9,7 @@ from tailsurv.errors import DomainError
 from tailsurv.model import InitialState, WBPotential
 from tailsurv.spectral import (SpectralDensity, _mode_overlap_factor,
                                arc_density_magnitude)
+from tailsurv.survival import spectral_mass
 
 from conftest import REFERENCE_BETAS, make_density, make_potential
 
@@ -23,16 +24,10 @@ def test_mismatched_initial_state_rejected():
         SpectralDensity(pot, InitialState(r_a=2.5))
 
 
-def test_series_depth_validated():
-    pot = make_potential(0.3)
-    with pytest.raises(DomainError):
-        SpectralDensity(pot, InitialState.from_potential(pot), n_series=0)
-
-
 @pytest.mark.parametrize("beta", REFERENCE_BETAS)
 def test_density_normalizes_to_unity(beta, density_for):
     # measured within 3.3e-13 of one
-    assert density_for(beta).normalization_integral() == pytest.approx(
+    assert spectral_mass(density_for(beta)) == pytest.approx(
         1.0, abs=1.0e-12)
 
 

@@ -13,7 +13,6 @@ import tailsurv.survival
 from tailsurv import InitialState, SpectralDensity, WBPotential
 from tailsurv.errors import DomainError, ResourceLimitError, ToleranceError
 from tailsurv.oracle import oracle_survival_bruteforce
-from tailsurv.specfun import gamma
 from tailsurv.survival import (SurvivalSeries, asymptote_one_term,
                                asymptote_series, spectral_mass,
                                survival_exact, survival_laplace_axis)
@@ -417,9 +416,9 @@ def test_one_term_model_structure(density_for):
               else make_density(1.0)).threshold
         model = asymptote_one_term(th)
         nu = beta + 0.5
-        assert model.space == "probability"
-        assert list(model.exponents) == [pytest.approx(2.0 * beta + 3.0)]
-        predicted = (th.density_scale * gamma(1.0 + nu))**2
+        # amplitude space: |A|^2 decays with exponent 2 (nu + 1) = 2 beta + 3
+        assert list(model.exponents) == [pytest.approx(nu + 1.0)]
+        predicted = th.density_scale * math.gamma(1.0 + nu)
         assert model.coefficients[0] == pytest.approx(predicted, rel=1.0e-12)
 
 
@@ -428,10 +427,9 @@ def test_series_model_structure(density_for):
     model = asymptote_series(th, n_terms=4)
     nu = th.nu
     series = th.require_series()
-    assert model.space == "amplitude"
     for m, (c, s) in enumerate(zip(model.coefficients, model.exponents)):
         assert s == pytest.approx(1.0 + nu * (m + 1), rel=1.0e-12)
-        assert c == pytest.approx(series[m] * gamma(1.0 + nu * (m + 1)),
+        assert c == pytest.approx(series[m] * math.gamma(1.0 + nu * (m + 1)),
                                   rel=1.0e-12)
 
 
@@ -441,6 +439,16 @@ def test_series_first_term_reproduces_one_term(density_for):
     one = asymptote_one_term(th).evaluate(t).probability
     s1 = asymptote_series(th, n_terms=1).evaluate(t).probability
     assert np.allclose(s1, one, rtol=1.0e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", (-0.4, 0.3, 0.7))
+def test_one_term_amplitude_is_first_series_term(beta, density_for):
+    # phase included, not only |A|^2
+    th = density_for(beta).threshold
+    t = np.geomspace(10.0, 1000.0, 7)
+    one = asymptote_one_term(th).evaluate(t).amplitudes
+    s1 = asymptote_series(th, n_terms=1).evaluate(t).amplitudes
+    assert np.max(np.abs(one / s1 - 1.0)) <= 1.0e-14
 
 
 def test_series_magnitude_invariant_under_phase_branch(density_for):
@@ -487,6 +495,7 @@ def test_series_blocked_at_integer_order():
     # the one-term model only needs the leading scale and still works
     model = asymptote_one_term(th)
     assert np.isfinite(model.evaluate(np.array([100.0])).probability[0])
+    assert np.isfinite(model.evaluate(np.array([100.0])).amplitudes[0])
 
 
 def test_models_reject_nonpositive_times(density_for):
