@@ -63,8 +63,9 @@ DEFAULTS: dict[str, object] = {
 
 _METHODS = ("exact", "laplace", "laplace-threshold", "one-term", "series")
 
-# Config keys of the potential, and of the potential with its initial state.
-_POTENTIAL_KEYS = ("v0", "vb", "r_a", "r_d", "beta")
+# Config keys of the geometry, of the potential and of it with its initial state.
+_GEOMETRY_KEYS = ("v0", "vb", "r_a", "r_d")
+_POTENTIAL_KEYS = _GEOMETRY_KEYS + ("beta",)
 _STATE_KEYS = _POTENTIAL_KEYS + ("n_a",)
 
 
@@ -233,12 +234,12 @@ def cmd_survive(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
-    base = _potential_from_cfg(cfg)
     start, stop, step = (float(cfg["beta_start"]), float(cfg["beta_stop"]),
                          float(cfg["beta_step"]))
     if step <= 0 or stop < start:
         raise ConfigError("need beta_step > 0 and beta_stop >= beta_start")
     betas = np.round(np.arange(start, stop + step / 2, step), 10)
+    base = _potential_from_cfg(dict(cfg, beta=betas[0]))  # the sweep sets beta
     rows = beta_sweep(base, betas,
                       window=(float(cfg["fit_lo"]), float(cfg["fit_hi"])),
                       n_samples=int(cfg["fit_samples"]))
@@ -326,7 +327,7 @@ COMMANDS = {
                 _STATE_KEYS + ("t_min", "t_max", "t_per_decade", "methods",
                                "n_terms", "abs_tol", "out")),
     "sweep": (cmd_sweep, "emit the effective-exponent sweep over tail strengths",
-              _POTENTIAL_KEYS + ("fit_lo", "fit_hi", "fit_samples", "beta_start",
+              _GEOMETRY_KEYS + ("fit_lo", "fit_hi", "fit_samples", "beta_start",
                                  "beta_stop", "beta_step", "out")),
     "arc-check": (cmd_arc_check, "report |G| decay along lower-half-plane rays",
                   _STATE_KEYS + ("arc_radii", "arc_angles")),
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, (_, help_text, keys) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)  # no prefix flags
         p.add_argument("--config", help="flat key=value config file")
         for key in keys:
             val = DEFAULTS[key]

@@ -10,7 +10,9 @@ The regular radial solution u(k; r) (u(0) = 0, u'(0) = 1) has closed
 piecewise-trigonometric forms inside r_d; `regular_boundary_sq`
 evaluates its value and slope at the matching radius as analytic
 functions of k^2, so complex momenta and the barrier-top crossing
-k^2 = vb need no special casing by the caller.
+k^2 = vb need no special casing by the caller.  Each region's pair
+(cos(q L), sin(q L)/q) comes from one square root of q^2, and one
+assembly of (u, u') serves this module and the density in `spectral`.
 
 The initial state is the lowest modes of the well region with an
 infinite-wall cutoff at r_a: u_i(r) = sqrt(2/r_a) sin(n_a pi r / r_a)
@@ -151,38 +153,55 @@ class InitialState:
         return float(out[0]) if scalar else out
 
 
-def _cos_sqrt(z):
-    """cos(sqrt(z)), entire in z; handles negative real z as cosh."""
-    if np.iscomplexobj(z):
-        return np.cos(np.sqrt(z))
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = np.cos(np.sqrt(z[pos]))
-    out[~pos] = np.cosh(np.sqrt(-z[~pos]))
-    return out
+def _trig_sqrt(z, length):
+    """(cos(sqrt(z) L), sin(sqrt(z) L)/sqrt(z)), entire in z, from one square root.
 
-
-def _sinc_sqrt(z, length):
-    """sin(sqrt(z) L)/sqrt(z), entire in z; handles negative real z as sinh.
-
-    The quotient is accurate to rounding for every z != 0, so only the
-    removable point z = 0 itself (for real barriers, the k^2 = vb
-    crossing of the barrier momentum) takes its limit L.
+    Negative real z gives (cosh, sinh/kappa), kappa = sqrt(-z).  A real
+    call whose z are all >= 0 or all <= 0 takes no masks; a mixed-sign
+    call splits once, so each branch runs only on its own elements.  The
+    quotient is exact to rounding for z != 0; z = 0 takes the limit (1, L).
     """
-    zero = z == 0.0
-    if np.iscomplexobj(z):
-        s = np.sqrt(np.where(zero, 1.0, z))
-        out = np.sin(s * length) / s
-    else:
-        out = np.empty_like(z, dtype=float)
-        pos, neg = z > 0.0, z < 0.0
-        sp = np.sqrt(z[pos])
-        out[pos] = np.sin(sp * length) / sp
-        sn = np.sqrt(-z[neg])
-        out[neg] = np.sinh(sn * length) / sn
-    out[zero] = length
-    return out
+    if np.iscomplexobj(z) or z.min(initial=np.inf) >= 0.0:
+        return _trig_pair(np.sqrt(z), length, np.cos, np.sin)
+    if z.max(initial=-np.inf) <= 0.0:
+        return _trig_pair(np.sqrt(-z), length, np.cosh, np.sinh)
+    pos = z >= 0.0
+    cos_out, sinc_out = np.empty_like(z), np.empty_like(z)
+    cos_out[pos], sinc_out[pos] = _trig_pair(np.sqrt(z[pos]), length, np.cos, np.sin)
+    neg = ~pos
+    cos_out[neg], sinc_out[neg] = _trig_pair(np.sqrt(-z[neg]), length, np.cosh, np.sinh)
+    return cos_out, sinc_out
+
+
+def _trig_pair(s, length, cos, sin):
+    """(cos(s L), sin(s L)/s), limit L at s = 0; cos, sin circular or hyperbolic."""
+    arg = s * length
+    sinc = np.divide(sin(arg), s, out=np.full_like(arg, length), where=s != 0.0)
+    return cos(arg), sinc
+
+
+def _well_boundary(pot: WBPotential, k_sq, sinc_a, cos_a):
+    """(u, u') at r_d from k_sq and the well pair; see `_assemble_boundary`."""
+    z_b = k_sq - pot.vb                     # minus the barrier's kappa^2
+    return _assemble_boundary(sinc_a, cos_a, *_trig_sqrt(z_b, pot.r_b), z_b)
+
+
+def _assemble_boundary(sinc_a, cos_a, cos_b, sinc_b, z_b):
+    """(u, u') at r_d from the well and barrier pairs.
+
+    The well pair is (sin(k_I r_a)/k_I, cos(k_I r_a)), the barrier pair
+    (cos(q r_b), sin(q r_b)/q) with q^2 = z_b = k^2 - vb, and u = sinc_a
+    cos_b + cos_a sinc_b, u' = cos_a cos_b - z_b sinc_a sinc_b.  A factor
+    common to either pair carries over to (u, u').  Works in place,
+    overwriting sinc_a and cos_a.
+    """
+    u = sinc_a * cos_b
+    u += cos_a * sinc_b
+    cos_a *= cos_b
+    sinc_a *= sinc_b
+    sinc_a *= z_b
+    cos_a -= sinc_a
+    return u, cos_a
 
 
 def regular_boundary_sq(pot: WBPotential, k_sq):
@@ -196,14 +215,6 @@ def regular_boundary_sq(pot: WBPotential, k_sq):
     scalar = np.asarray(k_sq).ndim == 0
     if not np.all(np.isfinite(w)):
         raise DomainError("k^2 must be finite")
-    ki_sq = w + pot.v0          # interior momentum squared
-    kap_sq = pot.vb - w         # barrier momentum squared (decaying side)
-    sin_a = _sinc_sqrt(ki_sq, pot.r_a)        # sin(k_I r_a)/k_I
-    cos_a = _cos_sqrt(ki_sq * pot.r_a ** 2)   # cos(k_I r_a)
-    cosh_b = _cos_sqrt(-kap_sq * pot.r_b ** 2)    # cosh(kappa r_b)
-    sinh_b = _sinc_sqrt(-kap_sq, pot.r_b)         # sinh(kappa r_b)/kappa
-    u = sin_a * cosh_b + cos_a * sinh_b
-    du = kap_sq * sin_a * sinh_b + cos_a * cosh_b
-    if scalar:
-        return u[0], du[0]
-    return u, du
+    cos_a, sinc_a = _trig_sqrt(w + pot.v0, pot.r_a)
+    u, du = _well_boundary(pot, w, sinc_a, cos_a)
+    return (u[0], du[0]) if scalar else (u, du)

@@ -24,7 +24,11 @@ attractive tails are provided by `threshold_coeffs`.
 
 The quadratic combinations come from the ascending series of the
 Riccati pair below |k r_d| = SERIES_COMBO_SWITCH (12.5) and from the
-asymptotic Hankel-product series above it.
+asymptotic Hankel-product series above it.  `omega` makes one pass per
+energy: three square roots (k, k_I and the barrier momentum) and, above
+the barrier, four circular functions.  The well's sine and cosine come
+from the shifted phase d = (k_I - k_a) r_a, and sin d also gives the
+mode-overlap factor, so that factor stays exact through k_I = k_a.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import InitialState, WBPotential, regular_boundary_sq
+from .model import (InitialState, WBPotential, _assemble_boundary, _well_boundary,
+                    regular_boundary_sq)
 from .specfun import (SERIES_COMBO_SWITCH, SQRT_PI, BesselOrder, RiccatiCombos,
                       riccati_combos, riccati_large_x_combos,
                       riccati_pair_with_derivatives)
@@ -79,16 +84,45 @@ class ThresholdCoeffs:
         return self.density_series
 
 
-def _mode_overlap_factor(k_i, k_a: float, n_a: int):
-    """sin(k_I r_a) / (k_a^2 - k_I^2), with no removable point.
+def _shifted_well(k_i, k_a: float, n_a: int):
+    """(sin d, cos d, overlap) at the shifted well phase d = (k_I - k_a) r_a.
 
-    With k_a r_a = n_a pi this is (-1)^(n_a+1) r_a sinc((k_I - k_a) r_a)
-    / (k_a + k_I), sinc(x) = sin(x) / x.  r_a enters through
-    k_a = n_a pi / r_a; the caller scales.  Works on real or complex arrays.
+    With k_a r_a = n_a pi, sin(k_I r_a) = (-1)^n_a sin d, cos(k_I r_a) =
+    (-1)^n_a cos d, and the mode-overlap factor sin(k_I r_a) / (k_a^2 -
+    k_I^2) is (-1)^(n_a+1) r_a (sin d / d) / (k_a + k_I), which takes its
+    limit r_a / (2 k_a) up to sign at d = 0.  The unshifted quotient
+    would lose eps k_I r_a / |d| of relative accuracy near that point.
+    r_a enters through k_a = n_a pi / r_a; the caller scales.  Works on
+    real or complex arrays.
     """
     r_a = n_a * math.pi / k_a
-    sign = 1.0 if n_a % 2 else -1.0
-    return sign * r_a * np.sinc((np.asarray(k_i) - k_a) * r_a / math.pi) / (k_a + k_i)
+    d = (k_i - k_a) * r_a
+    sin_d = np.sin(d)
+    overlap = np.divide(sin_d, d, out=np.ones_like(d), where=d != 0.0)
+    overlap *= r_a if n_a % 2 else -r_a
+    overlap /= k_a + k_i
+    return sin_d, np.cos(d), overlap
+
+
+def _off_threshold(x, name: str):
+    """x as a 1-d float or complex array, and whether it was a scalar.
+    Raises unless x is finite, off the branch point 0 and, if real, positive."""
+    arr, scalar = np.atleast_1d(np.asarray(x)), np.ndim(x) == 0
+    if not np.iscomplexobj(arr):
+        arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    if np.any(arr == 0 if np.iscomplexobj(arr) else arr <= 0.0):
+        raise DomainError(f"{name} must be nonzero, and positive when real: "
+                          "threshold and the continuation cut are excluded")
+    return arr, scalar
+
+
+def _c_sq(combos: RiccatiCombos, k, w, u, du):
+    """C^2(k) from the Riccati combinations at k r_d and (u, u'); w = k^2."""
+    return (combos.sum_sq_deriv * u * u
+            + combos.sum_sq * du * du / w
+            - 2.0 * combos.cross * u * du / k)
 
 
 class SpectralDensity:
@@ -125,33 +159,16 @@ class SpectralDensity:
             fields.append(full)
         return RiccatiCombos(*fields)
 
-    def _c_sq(self, k, w):
-        """C^2(k) from boundary data and Riccati combinations; w = k^2."""
-        u, du = regular_boundary_sq(self.pot, w)
-        combos = self._combos(k * self.pot.r_d)
-        return (combos.sum_sq_deriv * u * u
-                + combos.sum_sq * du * du / w
-                - 2.0 * combos.cross * u * du / k)
-
     def jost_modulus_sq(self, k):
         """Squared Jost modulus k^2 C^2(k); scalar or array, k != 0.
 
         Real positive k gives the physical squared modulus; complex k
         gives its analytic continuation.
         """
-        arr = np.asarray(k)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("k must be finite")
-        if np.any(arr == 0):
-            raise DomainError("Jost modulus is evaluated away from k = 0")
-        if not np.iscomplexobj(arr):
-            arr = arr.astype(float)
-            if np.any(arr < 0):
-                raise DomainError("real k must be positive")
+        arr, scalar = _off_threshold(k, "k")
         w = arr * arr
-        out = w * self._c_sq(arr, w)
+        out = w * _c_sq(self._combos(arr * self.pot.r_d), arr, w,
+                        *regular_boundary_sq(self.pot, w))
         return (out[0] if scalar else out)
 
     def phase_shift(self, k: float) -> float:
@@ -182,27 +199,23 @@ class SpectralDensity:
         lower-half-sheet continuation used by the contour
         representation.
         """
-        arr = np.asarray(e)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("energy must be finite")
-        if not np.iscomplexobj(arr):
-            arr = arr.astype(float)
-            if np.any(arr <= 0.0):
-                raise DomainError(
-                    "real energies must be positive (threshold and the cut excluded)")
-        else:
-            if np.any(arr == 0):
-                raise DomainError("the density has a branch point at E = 0")
-        w = arr
-        k = np.sqrt(w)
-        k_i = np.sqrt(w + self.pot.v0)
-        c_sq = self._c_sq(k, w)
+        arr, scalar = _off_threshold(e, "energy")
+        k = np.sqrt(arr)
+        k_i = np.sqrt(arr + self.pot.v0)
         k_a = self.init.k_a
-        overlap = _mode_overlap_factor(k_i, k_a, self.init.n_a)
-        pref = 2.0 * k_a ** 2 / (math.pi * self.pot.r_a)
-        out = pref * overlap * overlap / ((w + self.pot.v0) * k * c_sq)
+        sin_d, cos_d, out = _shifted_well(k_i, k_a, self.init.n_a)
+        # the density's numerator, before the combinations: fewer live arrays
+        out *= out
+        out *= 2.0 * k_a ** 2 / (math.pi * self.pot.r_a)
+        sin_d /= k_i
+        k_i *= k_i
+        k_i *= k
+        out /= k_i
+        del k_i
+        # (sin d / k_I, cos d) is (-1)^n_a times the well pair; C^2 is even in it
+        u, du = _well_boundary(self.pot, arr, sin_d, cos_d)
+        del sin_d
+        out /= _c_sq(self._combos(k * self.pot.r_d), k, arr, u, du)
         return (out[0] if scalar else out)
 
     def threshold_pade_omega(self, e):
@@ -217,13 +230,7 @@ class SpectralDensity:
             raise DomainError(
                 f"threshold refinement unavailable: nu = {th.nu:g} is within "
                 "1e-6 of an integer")
-        arr = np.asarray(e)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if not np.iscomplexobj(arr):
-            arr = arr.astype(float)
-            if np.any(arr <= 0.0):
-                raise DomainError("real energies must be positive")
+        arr, scalar = _off_threshold(e, "energy")
         knu2 = arr ** th.nu if not np.iscomplexobj(arr) else np.exp(th.nu * np.log(arr))
         ratio_mid = th.coeff_mid / th.coeff_down
         ratio_up = th.coeff_up / th.coeff_down
@@ -261,7 +268,7 @@ def threshold_coeffs(pot: WBPotential, init: InitialState) -> ThresholdCoeffs:
         g0 = pot.r_a / (k_a * k_a - pot.v0)
     else:
         k_i0 = math.sqrt(pot.v0)
-        g0 = float(_mode_overlap_factor(np.asarray([k_i0]), k_a, init.n_a)[0]) / k_i0
+        g0 = float(_shifted_well(np.asarray([k_i0]), k_a, init.n_a)[2][0]) / k_i0
     density_scale = (2.0 * k_a ** 2 / (math.pi * pot.r_a)) * g0 * g0 / jost_scale ** 2
 
     if abs(nu - round(nu)) < _NU_INTEGER_CUT:
@@ -334,15 +341,11 @@ def arc_density_magnitude(pot: WBPotential, init: InitialState,
     sig_c = (1.0 + ea) / 2.0            # cos(za), same scale removed
     tau_c = (1.0 + eb) / 2.0            # cosh(kappa r_b), scale e^{i zb}
     tau_s = (1.0 - eb) / (2j * q)       # sinh(kappa r_b)/kappa, same
-    u_sc = sig_s * tau_c + sig_c * tau_s
-    du_sc = -q * q * sig_s * tau_s + sig_c * tau_c
-    combos = riccati_large_x_combos(BesselOrder(pot.beta), z)
-    c_sq_sc = (combos.sum_sq_deriv * u_sc * u_sc
-               + combos.sum_sq * du_sc * du_sc / w
-               - 2.0 * combos.cross * u_sc * du_sc / k)
     # G = sin^2(za) / C^2 = e^{-2 i zb} * (k_I sig_s)^2 / scaled C^2
-    log_mag = 2.0 * float(np.imag(zb)) + math.log(abs(k_i * k_i * sig_s * sig_s)) \
-        - math.log(abs(c_sq_sc))
+    log_mag = 2.0 * float(np.imag(zb)) + math.log(abs(k_i * k_i * sig_s * sig_s))
+    u_sc, du_sc = _assemble_boundary(sig_s, sig_c, tau_c, tau_s, q * q)
+    c_sq_sc = _c_sq(riccati_large_x_combos(BesselOrder(pot.beta), z), k, w, u_sc, du_sc)
+    log_mag -= math.log(abs(c_sq_sc))
     if log_mag < -700.0:
         return 0.0
     return math.exp(log_mag)

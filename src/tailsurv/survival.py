@@ -366,17 +366,20 @@ def survival_exact(density: SpectralDensity, times, *,
     ests = parts.sum(axis=1)
     i_bad = int(np.argmax(ests))
     worst = float(ests[i_bad])
+    error_parts = dict(zip(("interpolation", "truncation", "sub_threshold"),
+                           parts[i_bad].tolist()))
     if worst > abs_tol:
         raise ToleranceError(
-            f"quadrature error estimate {worst:.3e} at t = {t_arr[i_bad]:g} "
-            f"exceeds abs_tol = {abs_tol:.3e}; increase e_max or abs_tol")
+            f"amplitude stage: error estimate {worst:.3e} at t = {t_arr[i_bad]:g} exceeds "
+            f"abs_tol = {abs_tol:.3e}; largest part {max(error_parts, key=error_parts.get)} ("
+            + ", ".join(f"{key} {val:.3e}" for key, val in error_parts.items())
+            + "); increase e_max or abs_tol")
 
     prob = np.abs(amps) ** 2
     meta = {"e_max": table.e_max, "panels": int(table.mid.size),
             "density_evals": table.n_evals,
             "max_error_estimate": worst,
-            "error_parts": dict(zip(("interpolation", "truncation", "sub_threshold"),
-                                    parts[i_bad].tolist())),
+            "error_parts": error_parts,
             "table_s": table_s, "amplitude_s": amplitude_s}
     return SurvivalSeries(times=t_arr, probability=prob, amplitudes=amps,
                           method="exact", meta=meta)

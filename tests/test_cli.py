@@ -42,9 +42,10 @@ def test_cli_override_beats_config_file(workdir, capsys):
     assert "vb = 1.6" in out
 
 
-@pytest.mark.parametrize("argv", (["verify", "--t_min", "5"], ["sweep", "--n_a", "2"]))
+@pytest.mark.parametrize("argv", (["verify", "--t_min", "5"], ["sweep", "--n_a", "2"],
+                                  ["sweep", "--beta", "-0.6"]))
 def test_flags_a_command_does_not_read_are_rejected(workdir, capsys, argv):
-    # verify has no time grid, and the sweep always uses mode 1
+    # verify has no time grid, and the sweep always uses mode 1 and sets beta
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -185,6 +186,16 @@ def test_sweep_single_row(workdir, capsys):
     assert data["beta"].tolist() == [0.3]
     assert data["mu_predicted"][0] == pytest.approx(3.6, rel=1.0e-14)
     assert data["mu_f"][0] == pytest.approx(3.6, abs=0.05)
+
+
+def test_sweep_ignores_config_beta(workdir, capsys):
+    # beta = -0.6 would fail validation, but the sweep sets beta itself
+    argv = ["sweep", "--beta_start", "0.3", "--beta_stop", "0.3", "--fit_samples", "12"]
+    assert main(argv + ["--out", "plain.csv"]) == 0
+    (workdir / "beta.cfg").write_text("beta = -0.6\n")
+    assert main(argv + ["--config", "beta.cfg", "--out", "beta.csv"]) == 0
+    capsys.readouterr()
+    assert (workdir / "beta.csv").read_bytes() == (workdir / "plain.csv").read_bytes()
 
 
 def test_sweep_default_grid(workdir, capsys):

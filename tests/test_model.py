@@ -12,7 +12,7 @@ from scipy.integrate import simpson
 
 import tailsurv.model
 from tailsurv.errors import ConfigError, DomainError
-from tailsurv.model import InitialState, WBPotential, _sinc_sqrt, regular_boundary_sq
+from tailsurv.model import InitialState, WBPotential, _trig_sqrt, regular_boundary_sq
 from tailsurv.oracle import count_nodes_zero_energy
 
 from conftest import REFERENCE, make_potential
@@ -251,42 +251,64 @@ def test_boundary_continuous_across_barrier_top():
     assert dmid == pytest.approx(-0.161947329384, rel=1.0e-9)
 
 
-# sin(sqrt(z) L)/sqrt(z) near its removable point z = 0, frozen from
-# 40-digit mpmath: (z, L, value)
+# cos(sqrt(z) L) and sin(sqrt(z) L)/sqrt(z) near their removable point
+# z = 0, frozen from 40-digit mpmath: (z, L, sinc value, cos value)
 _SINC_REFERENCE = (
-    (0.0, 0.4, 0.4), (1e-300, 0.4, 0.4), (-1e-300, 0.4, 0.4),
-    (1e-30, 0.4, 0.4), (-1e-30, 0.4, 0.4),
-    (1e-12, 0.4, 0.39999999999998936), (-1e-12, 0.4, 0.4000000000000107),
-    (6e-08, 0.4, 0.39999999936), (-6e-08, 0.4, 0.40000000064),
-    (1e-07, 0.4, 0.3999999989333334), (-1e-07, 0.4, 0.40000000106666667),
-    (0.0001, 0.4, 0.3999989333341867), (-0.0001, 0.4, 0.40000106666752),
-    (1e-09 + 1e-09j, 0.4, 0.39999999998933333 - 1.0666666666496003e-11j),
-    (5e-08 - 3e-08j, 0.4, 0.3999999994666667 + 3.1999999974400004e-10j),
-    (0.001j, 0.4, 0.39999999991466667 - 1.066666666634159e-05j),
-    (0.0, 3.0, 3.0), (1e-300, 3.0, 3.0), (-1e-300, 3.0, 3.0),
-    (1e-30, 3.0, 3.0), (-1e-30, 3.0, 3.0),
-    (1e-12, 3.0, 2.9999999999955), (-1e-12, 3.0, 3.0000000000045),
-    (6e-08, 3.0, 2.9999997300000074), (-6e-08, 3.0, 3.0000002700000072),
-    (1e-07, 3.0, 2.99999955000002), (-1e-07, 3.0, 3.0000004500000204),
-    (0.0001, 3.0, 2.999550020249566), (-0.0001, 3.0, 3.000450020250434),
-    (1e-09 + 1e-09j, 3.0, 2.9999999955 - 4.49999999595e-09j),
-    (5e-08 - 3e-08j, 3.0, 2.999999775000003 + 1.3499999392500009e-07j),
-    (0.001j, 3.0, 2.999997975000054 - 0.004499999566071433j),
+    (0.0, 0.4, 0.4, 1.0),
+    (1e-300, 0.4, 0.4, 1.0),
+    (-1e-300, 0.4, 0.4, 1.0),
+    (1e-30, 0.4, 0.4, 1.0),
+    (-1e-30, 0.4, 0.4, 1.0),
+    (1e-12, 0.4, 0.39999999999998936, 0.99999999999992),
+    (-1e-12, 0.4, 0.4000000000000107, 1.00000000000008),
+    (6e-08, 0.4, 0.39999999936, 0.9999999952),
+    (-6e-08, 0.4, 0.40000000064, 1.0000000048),
+    (1e-07, 0.4, 0.3999999989333334, 0.999999992),
+    (-1e-07, 0.4, 0.40000000106666667, 1.000000008),
+    (0.0001, 0.4, 0.3999989333341867, 0.9999920000106667),
+    (-0.0001, 0.4, 0.40000106666752, 1.0000080000106666),
+    ((1e-09+1e-09j), 0.4, (0.39999999998933333-1.0666666666496003e-11j),
+     (0.99999999992-7.999999999786668e-11j)),
+    ((5e-08-3e-08j), 0.4, (0.3999999994666667+3.1999999974400004e-10j),
+     (0.999999996+2.3999999968e-09j)),
+    (0.001j, 0.4, (0.39999999991466667-1.066666666634159e-05j),
+     (0.9999999989333334-7.999999999431112e-05j)),
+    (0.0, 3.0, 3.0, 1.0),
+    (1e-300, 3.0, 3.0, 1.0),
+    (-1e-300, 3.0, 3.0, 1.0),
+    (1e-30, 3.0, 3.0, 1.0),
+    (-1e-30, 3.0, 3.0, 1.0),
+    (1e-12, 3.0, 2.9999999999955, 0.9999999999955),
+    (-1e-12, 3.0, 3.0000000000045, 1.0000000000045),
+    (6e-08, 3.0, 2.9999997300000074, 0.9999997300000122),
+    (-6e-08, 3.0, 3.0000002700000072, 1.0000002700000121),
+    (1e-07, 3.0, 2.99999955000002, 0.9999995500000337),
+    (-1e-07, 3.0, 3.0000004500000204, 1.0000004500000337),
+    (0.0001, 3.0, 2.999550020249566, 0.9995500337489875),
+    (-0.0001, 3.0, 3.000450020250434, 1.0004500337510125),
+    ((1e-09+1e-09j), 3.0, (2.9999999955-4.49999999595e-09j), (0.9999999955-4.49999999325e-09j)),
+    ((5e-08-3e-08j), 3.0, (2.999999775000003+1.3499999392500009e-07j),
+     (0.9999997750000054+1.349999898750002e-07j)),
+    (0.001j, 3.0, (2.999997975000054-0.004499999566071433j),
+     (0.9999966250001627-0.0044999989875000165j)),
 )
 
 
 @pytest.mark.parametrize("length", (0.4, 3.0))
 def test_sinc_sqrt_matches_mpmath_near_zero(length):
     # the direct quotient is exact to rounding for every z != 0, so only
-    # z = 0 itself takes the limit; real rows run through both branches
-    rows = [(z, ref) for z, ell, ref in _SINC_REFERENCE if ell == length]
-    z = np.array([z for z, _ in rows])
-    ref = np.array([ref for _, ref in rows])
+    # z = 0 itself takes the limit; real rows run mixed-sign and one by one
+    rows = [row for row in _SINC_REFERENCE if row[1] == length]
+    z = np.array([row[0] for row in rows])
+    sinc_ref = np.array([row[2] for row in rows])
+    cos_ref = np.array([row[3] for row in rows])
     real = z.imag == 0.0
-    for got, want in ((_sinc_sqrt(z, length), ref),
-                      (_sinc_sqrt(z[real].real, length), ref[real].real)):
-        assert np.max(np.abs(got / want - 1.0)) <= 1.0e-14
-    assert _sinc_sqrt(z[real].real, length).dtype == float
+    singles = [(z[i:i + 1].real, i) for i in np.flatnonzero(real)]
+    for arg, keep in [(z, slice(None)), (z[real].real, real)] + singles:
+        cos, sinc = _trig_sqrt(arg, length)
+        assert np.max(np.abs(sinc / sinc_ref[keep] - 1.0)) <= 1.0e-14
+        assert np.max(np.abs(cos / cos_ref[keep] - 1.0)) <= 1.0e-14
+    assert _trig_sqrt(z[real].real, length)[1].dtype == float
 
 
 def test_boundary_at_removable_points_matches_mpmath():

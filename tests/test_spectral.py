@@ -7,7 +7,7 @@ import pytest
 
 from tailsurv.errors import DomainError
 from tailsurv.model import InitialState, WBPotential
-from tailsurv.spectral import (SpectralDensity, _mode_overlap_factor,
+from tailsurv.spectral import (SpectralDensity, _shifted_well,
                                arc_density_magnitude)
 from tailsurv.survival import spectral_mass
 
@@ -60,6 +60,32 @@ def test_density_above_switch_is_independent_of_call_split(beta, density_for):
         assert np.array_equal(den.omega(np.concatenate((e[:1] / 4.0, e)))[1:], whole)
 
 
+@pytest.mark.parametrize("beta", (0.3, 0.7))
+def test_density_is_independent_of_call_split_across_barrier_top(beta, density_for):
+    # vb = 16 lies above |k r_d| = 12.5 (E = 13.5), so pieces cut at the
+    # switch and at vb keep every series element's call partners: each piece
+    # takes the one-signed barrier route, the whole call the split one
+    den = density_for(beta, vb=16.0)
+    e = np.sort(np.append(np.geomspace(0.5, 60.0, 301), 16.0))
+    whole = den.omega(e)
+    cuts = np.searchsorted(e, [(12.5 / den.pot.r_d) ** 2, 16.0])
+    assert np.array_equal(np.concatenate([den.omega(p) for p in np.split(e, cuts)]), whole)
+
+
+@pytest.mark.parametrize("ray", (1.0, np.exp(-0.3j)), ids=("real", "ray"))
+def test_density_is_smooth_through_its_removable_points(ray, density_for):
+    # E = vb (zero barrier momentum) and k_I = k_a (zero shifted well
+    # phase) exactly, approached at +-1e-7 along the real axis or a ray
+    den = density_for(0.3)
+    k_a = den.init.k_a
+    e_a = k_a * k_a - den.pot.v0
+    assert np.sqrt(e_a + den.pot.v0) == k_a
+    for e0 in (den.pot.vb, e_a):
+        vals = den.omega(e0 + np.array([-1.0e-7, 0.0, 1.0e-7]) * ray)
+        assert np.all(np.isfinite(vals))
+        assert np.max(np.abs(vals[[0, 2]] / vals[1] - 1.0)) <= 1.0e-6
+
+
 @pytest.mark.parametrize("n_a", (1, 2))
 @pytest.mark.parametrize("ray", (1.0, np.exp(-0.25j)), ids=("real", "ray"))
 def test_mode_overlap_factor_is_continuous_through_its_removable_point(n_a, ray):
@@ -69,20 +95,21 @@ def test_mode_overlap_factor_is_continuous_through_its_removable_point(n_a, ray)
     k_a = n_a * math.pi / r_a
     limit = (-1.0) ** (n_a + 1) * r_a / (2.0 * k_a)
     d = np.array([-1.01e-6, -0.99e-6, 0.0, 0.99e-6, 1.01e-6]) * ray
-    got = _mode_overlap_factor(k_a + d, k_a, n_a)
+    got = _shifted_well(k_a + d, k_a, n_a)[2]
     assert got[2] == pytest.approx(limit, rel=1.0e-15)
     assert np.max(np.abs(got / limit - 1.0)) <= 1.0e-6
     far = k_a + 0.3 * ray
-    assert _mode_overlap_factor(np.asarray([far]), k_a, n_a)[0] == pytest.approx(
+    assert _shifted_well(np.asarray([far]), k_a, n_a)[2][0] == pytest.approx(
         np.sin(far * r_a) / (k_a ** 2 - far ** 2), rel=1.0e-13)
 
 
 def test_density_rejects_nonpositive_real_energy(density_for):
+    # the threshold refinement shares the density's input check
     den = density_for(0.3)
-    with pytest.raises(DomainError):
-        den.omega(0.0)
-    with pytest.raises(DomainError):
-        den.omega(-0.5)
+    for fn in (den.omega, den.threshold_pade_omega):
+        for bad in (0.0, -0.5, 0j, np.nan, np.array([1.0, np.inf])):
+            with pytest.raises(DomainError):
+                fn(bad)
 
 
 @pytest.mark.parametrize("beta,slope", ((0.3, 0.8), (0.7, 1.2), (1.0, 1.5)))

@@ -61,6 +61,19 @@ def test_survival_unreachable_tolerance_raises(density_for):
         survival_exact(density_for(0.3), np.array([500.0]), abs_tol=1.0e-16)
 
 
+@pytest.mark.parametrize("times,abs_tol,e_max,t_bad,largest", (
+    ((500.0,), 1.0e-16, None, "500", "interpolation"),        # tiny budget
+    ((500.0, 0.5), 1.0e-12, 20.0, "0.5", "truncation")))      # low e_max at t = 0.5
+def test_tolerance_error_names_stage_time_and_largest_part(times, abs_tol, e_max, t_bad,
+                                                           largest, density_for):
+    with pytest.raises(ToleranceError) as exc:
+        survival_exact(density_for(0.3), np.array(times), abs_tol=abs_tol, e_max=e_max)
+    msg = str(exc.value)
+    assert msg.startswith("amplitude stage: ") and f"at t = {t_bad} " in msg
+    assert f"largest part {largest} (" in msg
+    assert all(f"{part} " in msg for part in ("interpolation", "truncation", "sub_threshold"))
+
+
 def test_survival_reports_accuracy_metadata(density_for):
     s = survival_exact(density_for(0.3), np.array([50.0, 100.0]))
     assert s.method == "exact"
