@@ -4,11 +4,11 @@ Every function here reaches the same physical quantities as the
 production modules through a deliberately different numerical scheme:
 
 * fixed-step fourth-order integration of the radial equation instead of
-  the closed piecewise forms;
+  the closed piecewise forms, squaring one step map per segment;
 * a direct 2x2 linear solve for the exterior matching coefficients
   instead of the assembled quadratic-combination formula;
 * uniform ultra-fine trapezoidal quadrature with one Richardson step
-  instead of the panel/moment oscillatory integrator.
+  instead of the panel/moment oscillatory integrator, on two threads.
 
 None of the production results are reused internally beyond the shared
 special-function evaluations that define the problem itself.
@@ -17,6 +17,7 @@ special-function evaluations that define the problem itself.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +29,13 @@ from .survival import _envelope_tail
 # Hard cap on brute-force grid size.  The grid is streamed in chunks, so
 # this guards runtime, not memory.
 _MAX_BRUTE_POINTS = 40_000_000
-# Grid points per density call of the streamed trapezoid sums, times the
-# number of times summed (~32 bytes per point and time).  A `verify` op
-# ran ~20% faster than with 250 000 points (2-vCPU x86-64 host).
+# Grid points per density call, times max(2, number of times summed);
+# ~32 bytes per point and time.  16 384-point calls lost most of the
+# threads' gain to per-call Python work, which holds the GIL.
 _BRUTE_CHUNK = 65_536
+# numpy releases the GIL in its loops: two threads ran `omega` on 1.6 M
+# energies in 0.23 s, one in 0.39 s (2-vCPU x86-64 host).
+_BRUTE_WORKERS = min(2, os.cpu_count() or 1)
 # RK4 steps relative to r_d: the default and largest one, and the finer
 # one of the matching checks (the Jost modulus by linear solve then
 # agrees with the closed form to ~1e-12).
@@ -88,25 +92,42 @@ def _rk4_steps(v_func, k_sq, breakpoints, step: float):
                      h2 / 6.0 * (2.0 * gm + g1) + h2 * h2 / 24.0 * gm * g1))
 
 
+def _compose(l, e):
+    """D of (I + L)(I + E) = I + (L + E + L E), maps as (D_uu, D_ud, D_du, D_dd)."""
+    l_uu, l_ud, l_du, l_dd = l
+    e_uu, e_ud, e_du, e_dd = e
+    return np.stack((l_uu + e_uu + l_uu * e_uu + l_ud * e_du,
+                     l_ud + e_ud + l_uu * e_ud + l_ud * e_dd,
+                     l_du + e_du + l_du * e_uu + l_dd * e_du,
+                     l_dd + e_dd + l_du * e_ud + l_dd * e_dd))
+
+
 def rk4_radial(v_func, k_sq, breakpoints, step: float):
     """Integrate u'' = (v(r) - k^2) u from r = 0 with u = 0, u' = 1.
 
-    Returns (u, u') at the final breakpoint.  The step maps of
-    `_rk4_steps` are composed pairwise, later on the left, by
-    (I + L)(I + E) = I + (L + E + L E); an odd one out is padded with
-    the identity (D = 0).
+    Returns (u, u') at the final breakpoint.  v must be constant between
+    breakpoints (DomainError if it differs at a segment's first and last
+    sample radii), so a segment's step maps are all the one `_rk4_steps`
+    builds: binary powering raises it to the step count, and segments
+    compose, later on the left, by `_compose`.
     """
-    d = _rk4_steps(v_func, k_sq, breakpoints, step)
-    while d.shape[1] > 1:
-        if d.shape[1] % 2:
-            d = np.concatenate((d, np.zeros_like(d[:, :1])), axis=1)
-        e_uu, e_ud, e_du, e_dd = d[:, 0::2]
-        l_uu, l_ud, l_du, l_dd = d[:, 1::2]
-        d = np.stack((l_uu + e_uu + l_uu * e_uu + l_ud * e_du,
-                      l_ud + e_ud + l_uu * e_ud + l_ud * e_dd,
-                      l_du + e_du + l_du * e_uu + l_dd * e_du,
-                      l_dd + e_dd + l_du * e_ud + l_dd * e_dd))
-    return d[1, 0], 1.0 + d[3, 0]
+    total, r = np.zeros((4,) + np.shape(k_sq)), 0.0  # D = 0: the identity
+    for r_end in breakpoints:
+        n = max(1, int(math.ceil((r_end - r) / step)))
+        width = (r_end - r) / n
+        v_first, v_last = v_func(np.array([r + 1e-12, r_end - 1e-12]))
+        if v_first != v_last:
+            raise DomainError(f"rk4_radial needs v constant on ({r:g}, {r_end:g})")
+        # one step of the segment, on radii shifted by r
+        power = _rk4_steps(lambda x: v_func(x + r), k_sq, (width,), width)[:, 0]
+        while n:
+            if n & 1:
+                total = _compose(power, total)
+            n >>= 1
+            if n:
+                power = _compose(power, power)
+        r = r_end
+    return total[1], 1.0 + total[3]
 
 
 def count_nodes_zero_energy(pot) -> int:
@@ -208,29 +229,33 @@ def _threshold_error_exponents(nu: float) -> tuple[float, ...]:
 
 
 def _nested_trapezoid(density, times, lo: float, hi: float,
-                      n_fine: int, n_levels: int) -> np.ndarray:
+                      n_fine: int, n_levels: int, counts: dict | None) -> np.ndarray:
     """Trapezoid sums of omega(E) e^{-iEt} on nested uniform grids.
 
     The finest grid has n_fine panels (n_fine divisible by
     2^(n_levels-1)); coarser sums use every 2nd, 4th, ... point.  The
-    grid is streamed in chunks of `_BRUTE_CHUNK / len(times)` points (a
-    multiple of the coarsest stride), and each time keeps one running
-    sum per residue of the grid index modulo that stride, plus the two
-    end points.  Within a chunk starting at e0 the phase is e^{-i t e0}
-    times one row e^{-i t h j} per time, computed once.  Returns the
-    sums, shape (n_levels, len(times)), finest first.
+    grid is streamed on `_BRUTE_WORKERS` threads in chunks of
+    `_BRUTE_CHUNK / max(2, len(times))` points (a multiple of the
+    coarsest stride), one density call each (counted in counts), and
+    each time keeps one running sum per residue of the grid index modulo
+    that stride, plus the two end points.  Within a chunk starting at e0
+    the phase is e^{-i t e0} times one row e^{-i t h j} per time,
+    computed once.  Returns the sums, shape (n_levels, len(times)),
+    finest first.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: not at load
+
     times = np.asarray(times, dtype=float)
     width = 2 ** (n_levels - 1)
-    chunk = max(width, _BRUTE_CHUNK // times.size // width * width)
+    chunk = max(width, _BRUTE_CHUNK // max(2, times.size) // width * width)
     h = (hi - lo) / n_fine
     # rows[:, p, j] holds cos, then sin, of t h (j width + p): the sums
     # run along the last, contiguous axis, where numpy sums pairwise
     phase = np.outer(times, h * np.arange(chunk)).reshape(times.size, -1, width)
     phase = phase.transpose(0, 2, 1)
     rows = np.ascontiguousarray(np.concatenate((np.cos(phase), np.sin(phase))))
-    acc = np.zeros((times.size, width), dtype=complex)
-    for a in range(0, n_fine, chunk):
+
+    def chunk_sum(a):
         b = min(a + chunk, n_fine)
         # the same points as np.linspace(lo, hi, n_fine + 1); the last
         # chunk also carries the end point hi
@@ -240,13 +265,23 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
         vals = np.zeros(e.size)
         start = 1 if e[0] == 0.0 else 0  # the density's limit at threshold
         vals[start:] = density.omega(e[start:])
-        if a == 0:
-            g_lo = vals[0] * np.exp(-1j * times * lo)
         q = (b - a) // width
         cos_sin = np.sum(rows[:, :, :q] * vals[:b - a].reshape(q, width).T, axis=-1)
-        acc += np.exp(-1j * times * e[0])[:, None] * (
+        return vals[0], vals[-1], np.exp(-1j * times * e[0])[:, None] * (
             cos_sin[:times.size] - 1j * cos_sin[times.size:])
-    g_hi = vals[-1] * np.exp(-1j * times * hi)
+
+    starts = range(0, n_fine, chunk)
+    acc = np.zeros((times.size, width), dtype=complex)
+    # map yields in chunk order, so the sums are the serial ones for any
+    # worker count; an exception cancels the chunks not yet started
+    with ThreadPoolExecutor(_BRUTE_WORKERS) as pool:
+        for a, (first, last, part) in zip(starts, pool.map(chunk_sum, starts)):
+            if a == 0:
+                g_lo = first * np.exp(-1j * times * lo)
+            acc += part
+    if counts is not None:
+        counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
+    g_hi = last * np.exp(-1j * times * hi)
     sums = [h * 2 ** lev * (acc[:, ::2 ** lev].sum(axis=1) - 0.5 * g_lo + 0.5 * g_hi)
             for lev in range(n_levels)]
     return np.array(sums)
@@ -284,8 +319,8 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, e_max: float,
     nu = density.pot.beta + 0.5
     weights = _richardson_weights(_threshold_error_exponents(nu))
     amp = weights @ _nested_trapezoid(density, times, 0.0, edge, 8 * n_thr,
-                                      len(weights))
-    sums_bulk = _nested_trapezoid(density, times, edge, e_out, 2 * n_bulk, 2)
+                                      len(weights), counts)
+    sums_bulk = _nested_trapezoid(density, times, edge, e_out, 2 * n_bulk, 2, counts)
     amp += (4.0 * sums_bulk[0] - sums_bulk[1]) / 3.0
     if t == 0.0:
         amp += _envelope_tail(density.init.k_a, density.pot.r_a, e_out)
@@ -313,8 +348,9 @@ def oracle_survival_bruteforce(density, t, e_max: float = 400.0, *,
     `t` is a scalar (returns a float) or an array (returns an array of
     its shape).  All positive times share one density pass on the grid
     the largest of them needs; t = 0 has its own grid.  If `counts` is
-    given, the density evaluations of the threshold and bulk pieces are
-    added to its "threshold_evals" and "bulk_evals" entries.
+    given, the density evaluations of the threshold and bulk pieces and
+    the density calls are added to its "threshold_evals", "bulk_evals"
+    and "density_calls" entries.
     """
     times = np.asarray(t, dtype=float)
     flat = times.ravel()
@@ -347,8 +383,9 @@ class OracleCheck:
 class OracleReport:
     """Bundle of verification rows with an overall verdict.
 
-    `meta` records what the checks cost: density evaluations, RK4 steps
-    and stage seconds.  It takes no part in comparing reports.
+    `meta` records what the checks cost: density evaluations and calls,
+    brute-force worker threads, RK4 steps and stage seconds.  It takes
+    no part in comparing reports.
     """
 
     checks: tuple[OracleCheck, ...] = field(default_factory=tuple)
@@ -406,6 +443,6 @@ def run_verification(density, times=(100.0, 500.0)) -> OracleReport:
     brute = oracle_survival_bruteforce(density, times, counts=meta)
     worst = float(np.max(np.abs(series.probability - brute)))
     checks.append(OracleCheck("survival exact vs brute force", worst, 1.0e-8))
-    meta.update(boundary_s=t1 - t0, exact_s=t2 - t1,
+    meta.update(workers=_BRUTE_WORKERS, boundary_s=t1 - t0, exact_s=t2 - t1,
                 bruteforce_s=perf_counter() - t2)
     return OracleReport(checks=tuple(checks), meta=meta)

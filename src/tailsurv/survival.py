@@ -337,10 +337,10 @@ def survival_exact(density: SpectralDensity, times, *,
     estimate (interpolation residuals, damped by phase mixing, plus the
     next-order truncation correction and the sub-threshold mass) is
     checked against abs_tol per time; failure raises with the worst
-    offender reported.  meta gives the worst estimate, its three parts
-    at that time (error_parts) and the table and amplitude stage times
-    in seconds.  P(0) includes the analytic estimate of mass beyond
-    e_max so the normalization limit is reproduced.
+    offender reported.  meta gives the estimate per time (error_estimate),
+    the worst one, its three parts at that time (error_parts) and the
+    table and amplitude stage seconds.  P(0) includes the analytic
+    estimate of mass beyond e_max so the normalization limit is reproduced.
     """
     t_arr = np.atleast_1d(np.asarray(times, dtype=float)).copy()
     if np.any(t_arr < 0.0):
@@ -378,7 +378,7 @@ def survival_exact(density: SpectralDensity, times, *,
     prob = np.abs(amps) ** 2
     meta = {"e_max": table.e_max, "panels": int(table.mid.size),
             "density_evals": table.n_evals,
-            "max_error_estimate": worst,
+            "error_estimate": ests, "max_error_estimate": worst,
             "error_parts": error_parts,
             "table_s": table_s, "amplitude_s": amplitude_s}
     return SurvivalSeries(times=t_arr, probability=prob, amplitudes=amps,

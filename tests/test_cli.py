@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: config layering, files, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -261,11 +262,16 @@ def test_angle_strings_parse():
 # ------------------------------------------------------------------ #
 
 def test_verify_command(workdir, capsys):
+    from tailsurv.oracle import _BRUTE_WORKERS
+
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert out.count("pass") == 3
     assert "FAIL" not in out
-    assert out.splitlines()[-1].startswith("cost: rk4_steps ")
+    cost = out.splitlines()[-1]
+    assert cost.startswith("cost: rk4_steps ")
+    assert re.search(r"\bdensity_calls [1-9]\d*,", cost)
+    assert re.search(rf"\bworkers {_BRUTE_WORKERS},", cost)
 
 
 def test_verify_is_listed_in_help(workdir, capsys):

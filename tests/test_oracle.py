@@ -1,12 +1,17 @@
 """Independent cross-checks: ODE integration, linear solve, brute quadrature."""
 
+import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import tailsurv.oracle
+from tailsurv import specfun
 from tailsurv.errors import DomainError, ResourceLimitError
 from tailsurv.model import regular_boundary_sq
 from tailsurv.oracle import (OracleCheck, ode_oracle_boundary_many,
@@ -16,7 +21,7 @@ from tailsurv.oracle import (OracleCheck, ode_oracle_boundary_many,
 from tailsurv.oracle import _match_boundary, _rk4_grid, _rk4_steps
 from tailsurv.survival import survival_exact
 
-from conftest import REFERENCE_BETAS, make_potential
+from conftest import REFERENCE_BETAS, make_density, make_potential
 
 
 # ------------------------------------------------------------------ #
@@ -67,8 +72,9 @@ def _classical_rk4_walk(pot, k_sq, breakpoints, step):
 
 
 def test_composed_step_maps_match_step_walks():
-    # pairwise composition reorders the rounding only; each step map is
-    # the classical four-stage step
+    # raising each segment's one step map to its step count by squaring
+    # reorders the rounding only; each step map is the classical
+    # four-stage step
     pot = make_potential(0.3)
     k_sq = np.linspace(0.05, 3.0, 7) ** 2
     breakpoints, step = (pot.r_a, pot.r_d), 1.0e-3 * pot.r_d
@@ -82,6 +88,12 @@ def test_composed_step_maps_match_step_walks():
     scale = np.maximum(np.abs(ref_u), np.abs(ref_du))
     for a, b in ((u, walk_u), (du, walk_du), (u, ref_u), (du, ref_du)):
         assert np.max(np.abs(a - b) / scale) <= 1.0e-13
+
+
+def test_rk4_needs_a_constant_potential_per_segment():
+    pot = make_potential(0.3)
+    with pytest.raises(DomainError, match="v constant"):
+        rk4_radial(pot.v, 1.0, (pot.r_a, pot.r_d, 2.0 * pot.r_d), 1.0e-3 * pot.r_d)
 
 
 def test_step_cap_enforced():
@@ -187,6 +199,55 @@ def test_brute_force_does_not_depend_on_chunk_length(density_for, monkeypatch):
     assert np.all(np.abs(small - default) <= 1.0e-13 * default)
 
 
+@pytest.mark.parametrize("t", [5.0, [3.0, 20.0], [0.0, 1.0, 7.0, 30.0]])
+def test_brute_force_is_bit_identical_for_any_worker_count(monkeypatch, t):
+    # a fresh order, with both coefficient caches cleared, so that the
+    # workers fill the caches concurrently; the first chunk returns last,
+    # and four workers on a short switch interval interleave the most
+    den = make_density(0.4137)
+    omega = den.omega
+    runs = []
+    for workers in (1, 2, 4):
+        calls = itertools.count()
+
+        def first_returns_last(e):
+            out = omega(e)
+            if next(calls) == 0:
+                time.sleep(0.05)
+            return out
+
+        monkeypatch.setattr(den, "omega", first_returns_last)
+        monkeypatch.setattr(tailsurv.oracle, "_BRUTE_WORKERS", workers)
+        specfun._SERIES_COEF_CACHE.clear()
+        specfun._LARGE_X_COEF_CACHE.clear()
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1.0e-6)
+        try:
+            runs.append(oracle_survival_bruteforce(den, t, e_max=100.0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+
+def test_density_error_in_a_chunk_reaches_the_caller(monkeypatch):
+    den = make_density(0.3)
+    calls, omega = itertools.count(), den.omega
+
+    def failing(e):
+        if next(calls) == 2:
+            raise DomainError("third chunk")
+        return omega(e)
+
+    monkeypatch.setattr(den, "omega", failing)
+    threads = threading.active_count()
+    with pytest.raises(DomainError, match="third chunk"):
+        oracle_survival_bruteforce(den, 1.0)
+    assert threading.active_count() == threads
+    # the seven chunks of the threshold piece are not all evaluated
+    assert next(calls) < 7
+
+
 def test_brute_force_memory_does_not_grow_with_grid(density_for):
     den = density_for(0.3)
     tracemalloc.start()
@@ -219,4 +280,8 @@ def test_verification_report(density_for):
     meta = report.meta
     assert meta["rk4_steps"] > 0
     assert meta["threshold_evals"] > 0 and meta["bulk_evals"] > 0
+    # one call per chunk of at most _BRUTE_CHUNK / 2 points, for two times
+    assert meta["density_calls"] >= (meta["threshold_evals"] + meta["bulk_evals"]) \
+        / (tailsurv.oracle._BRUTE_CHUNK // 2)
+    assert meta["workers"] == tailsurv.oracle._BRUTE_WORKERS
     assert all(meta[k] >= 0.0 for k in ("boundary_s", "exact_s", "bruteforce_s"))

@@ -282,6 +282,15 @@ def test_exact_meta_splits_error_and_times_stages(density_for):
         assert meta["table_s"] > 0.0 and meta["amplitude_s"] > 0.0
 
 
+def test_exact_meta_has_an_error_estimate_per_time(density_for):
+    t = np.array([0.0, 3.0, 50.0, 400.0, 800.0])
+    meta = survival_exact(density_for(0.3), t).meta
+    est = meta["error_estimate"]
+    assert est.shape == t.shape
+    assert np.max(est) == meta["max_error_estimate"]
+    assert np.isfinite(est[0]) and est[0] >= 0.0
+
+
 def test_spectral_mass_accounts_for_everything(density_for):
     assert spectral_mass(density_for(0.3)) == pytest.approx(1.0, abs=1.0e-6)
 
