@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import beta_sweep, fit_power_law
-from .emit import read_table, write_model_json, write_table
+from .emit import read_table, write_json, write_model_json, write_table
 from .errors import ConfigError, TailsurvError, ToleranceError
 from .model import InitialState, WBPotential
 from .spectral import SpectralDensity, arc_density_magnitude
@@ -228,6 +228,7 @@ def cmd_survive(cfg: dict, args: argparse.Namespace) -> int:
                              model)
     path = _out_path(cfg, "survival.csv")
     write_table(path, header, [times] + columns)
+    write_json(path.with_suffix(".meta.json"), exact.meta)
     print(f"survival: {times.size} times, methods {','.join(methods)} -> {path} "
           f"(exact error estimate {exact.meta['max_error_estimate']:.2e})")
     return 0

@@ -16,10 +16,6 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_table(path, header: list[str], columns: list) -> Path:
     """Write aligned columns under a header row."""
     path = Path(path)
@@ -30,11 +26,10 @@ def write_table(path, header: list[str], columns: list) -> Path:
     if len(header) != len(cols):
         raise ConfigError("header does not match column count")
     path.parent.mkdir(parents=True, exist_ok=True)
+    row = ",".join(["%.17g"] * len(cols)) + "\r\n"   # csv.writer's terminator
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(n):
-            writer.writerow([_fmt(c[i]) for c in cols])
+        csv.writer(fh).writerow(header)
+        fh.writelines(row % tuple(r) for r in np.column_stack(cols).tolist())
     return path
 
 
@@ -57,15 +52,26 @@ def read_table(path) -> tuple[list[str], dict[str, np.ndarray]]:
     return header, data
 
 
+def write_json(path, payload: dict) -> Path:
+    """Write payload as indented JSON; numpy arrays and scalars become
+    lists and numbers, floats keep their shortest round-trip repr."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, default=_plain) + "\n")
+    return path
+
+
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_model_json(path, model) -> Path:
     """Serialize an asymptotic model with full precision."""
-    path = Path(path)
-    payload = {
+    return write_json(path, {
         "origin": model.origin,
         "coefficients": [float(c) for c in model.coefficients],
         "exponents": [float(e) for e in model.exponents],
         "meta": model.meta,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+    })

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
+from .model import _sincos
 from .specfun import BesselOrder, riccati_pair_with_derivatives
 from .survival import _envelope_tail
 
@@ -251,9 +252,9 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
     h = (hi - lo) / n_fine
     # rows[:, p, j] holds cos, then sin, of t h (j width + p): the sums
     # run along the last, contiguous axis, where numpy sums pairwise
-    phase = np.outer(times, h * np.arange(chunk)).reshape(times.size, -1, width)
-    phase = phase.transpose(0, 2, 1)
-    rows = np.ascontiguousarray(np.concatenate((np.cos(phase), np.sin(phase))))
+    sin, cos = _sincos(times[:, None, None], (h * np.arange(chunk)).reshape(-1, width).T)
+    rows = np.concatenate((cos, sin))
+    del sin, cos
 
     def chunk_sum(a):
         b = min(a + chunk, n_fine)

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .model import _sincos
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -271,7 +272,7 @@ def _pair_integer_beta(ell: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
     Stable only for ell not much larger than |x|; the physical range here
     keeps ell at a handful at most.
     """
-    sin_x, cos_x = np.sin(x), np.cos(x)
+    sin_x, cos_x = _sincos(x)
     jm1, j0 = cos_x, sin_x          # orders -1, 0
     nm1, n0 = sin_x, -cos_x
     for i in range(ell):

@@ -40,8 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import (InitialState, WBPotential, _assemble_boundary, _well_boundary,
-                    regular_boundary_sq)
+from .model import (InitialState, WBPotential, _assemble_boundary, _sincos,
+                    _well_boundary, regular_boundary_sq)
 from .specfun import (SERIES_COMBO_SWITCH, SQRT_PI, BesselOrder, RiccatiCombos,
                       riccati_combos, riccati_large_x_combos,
                       riccati_pair_with_derivatives)
@@ -97,11 +97,11 @@ def _shifted_well(k_i, k_a: float, n_a: int):
     """
     r_a = n_a * math.pi / k_a
     d = (k_i - k_a) * r_a
-    sin_d = np.sin(d)
+    sin_d, cos_d = _sincos(d)
     overlap = np.divide(sin_d, d, out=np.ones_like(d), where=d != 0.0)
     overlap *= r_a if n_a % 2 else -r_a
     overlap /= k_a + k_i
-    return sin_d, np.cos(d), overlap
+    return sin_d, cos_d, overlap
 
 
 def _off_threshold(x, name: str):

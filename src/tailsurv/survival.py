@@ -41,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ToleranceError
+from .model import _sincos
 from .spectral import SpectralDensity, ThresholdCoeffs
 
 # Phase turn t * half_width above which a panel switches from the
@@ -267,12 +268,16 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray):
         small = theta <= _PHASE_SWITCH
         n_hi, n_lo = int(small[0].sum()), int(small[-1].sum())
         s_re, s_im = np.zeros(theta.shape), np.zeros(theta.shape)
-        arg = theta[:, :n_hi, None] * _GL_X[8:]
-        s_re[:, :n_hi] = np.einsum("bpk,pk->bp", np.cos(arg), vsum[:n_hi]) * small[:, :n_hi]
-        s_im[:, :n_hi] = np.einsum("bpk,pk->bp", np.sin(arg), vdif[:n_hi]) * small[:, :n_hi]
+        sin_a, cos_a = _sincos(theta[:, :n_hi, None], _GL_X[8:])
+        s_re[:, :n_hi] = np.einsum("bpk,pk->bp", cos_a, vsum[:n_hi]) * small[:, :n_hi]
+        s_im[:, :n_hi] = np.einsum("bpk,pk->bp", sin_a, vdif[:n_hi]) * small[:, :n_hi]
+        del sin_a, cos_a
         # moments; small-phase entries are clamped to stay finite, then masked
         th = np.maximum(theta[:, n_lo:], _PHASE_SWITCH)
-        inv, cos2, sin2 = 1.0 / th, 2.0 * np.cos(th), 2.0 * np.sin(th)
+        inv = 1.0 / th
+        sin2, cos2 = _sincos(th)
+        sin2 *= 2.0
+        cos2 *= 2.0
         r = sin2 * inv
         m_re, m_im = mono[n_lo:, 0] * r, np.zeros(th.shape)
         for j in range(1, 16):
@@ -285,8 +290,7 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray):
         big = ~small[:, n_lo:]
         s_re[:, n_lo:] += m_re * big
         s_im[:, n_lo:] += m_im * big
-        ph = t[idx, None] * mid
-        cp, sp = np.cos(ph), np.sin(ph)
+        sp, cp = _sincos(t[idx, None], mid)
         # pairwise sums over panels: a BLAS dot here loses ~2 ulp at t ~ 0.1
         amps[idx] = (np.sum((cp * s_re + sp * s_im) * half, axis=1)
                      + 1j * np.sum((cp * s_im - sp * s_re) * half, axis=1))

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: config layering, files, exit codes."""
 
+import json
 import os
 import re
 import subprocess
@@ -112,6 +113,18 @@ def test_survive_emits_all_methods(workdir, capsys):
     # the pole-free route agrees in this window; the one-term model is
     # systematically off for beta = 0.3 but in the right decade
     assert np.max(np.abs(data["P_laplace"] / data["P_exact"] - 1.0)) < 5.0e-2
+
+
+def test_survive_writes_exact_meta(workdir, capsys):
+    assert main(["survive", "--t_min", "400", "--t_max", "800",
+                 "--t_per_decade", "40", "--methods", "one-term"]) == 0
+    _, data = read_table(workdir / "survival.csv")
+    meta = json.loads((workdir / "survival.meta.json").read_text())
+    assert {"e_max", "panels", "density_evals", "error_estimate", "error_parts",
+            "table_s", "amplitude_s"} <= meta.keys()
+    assert len(meta["error_estimate"]) == data["t"].size
+    assert max(meta["error_estimate"]) == meta["max_error_estimate"]
+    assert set(meta["error_parts"]) == {"interpolation", "truncation", "sub_threshold"}
 
 
 def test_survive_warns_below_pole_crossover(workdir, capsys):

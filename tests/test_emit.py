@@ -76,3 +76,21 @@ def test_write_table_creates_parent_dirs(tmp_path):
     path = tmp_path / "nested" / "deep" / "out.csv"
     write_table(path, ["x"], [np.array([1.0])])
     assert path.exists()
+
+
+def test_write_table_bytes_frozen(tmp_path):
+    # the exact bytes of the csv.writer-per-row format: %.17g fields,
+    # '\r\n' line ends, integers and special values included
+    path = tmp_path / "frozen.csv"
+    write_table(path, ["t", "P exact", "q"],
+                [np.array([0.1, -0.0, np.inf, np.nan, 5e-324, 1e-300]),
+                 np.array([-np.inf, 1.0 / 3.0, 2.0, 1e22, -2.5e-308, 123456789.0]),
+                 [1, 2, 3, 4, 5, 6]])
+    assert path.read_bytes() == (
+        b"t,P exact,q\r\n"
+        b"0.10000000000000001,-inf,1\r\n"
+        b"-0,0.33333333333333331,2\r\n"
+        b"inf,2,3\r\n"
+        b"nan,1e+22,4\r\n"
+        b"4.9406564584124654e-324,-2.4999999999999998e-308,5\r\n"
+        b"1e-300,123456789,6\r\n")

@@ -3,7 +3,9 @@
 import ast
 import inspect
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,8 @@ from scipy.integrate import simpson
 
 import tailsurv.model
 from tailsurv.errors import ConfigError, DomainError
-from tailsurv.model import InitialState, WBPotential, _trig_sqrt, regular_boundary_sq
+from tailsurv.model import (InitialState, WBPotential, _sincos, _trig_sqrt,
+                            regular_boundary_sq)
 from tailsurv.oracle import count_nodes_zero_energy
 
 from conftest import REFERENCE, make_potential
@@ -123,6 +126,27 @@ def test_model_does_not_import_oracle():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not any("oracle" in name for name in imported), imported
+
+
+def test_only_sincos_reaches_numpy_sin_and_cos():
+    # every phase goes through the one tan-based kernel; a direct
+    # np.sin or np.cos (called or passed as a function) is a second route
+    offenders = []
+    for path in sorted(Path(inspect.getfile(tailsurv.model)).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_sincos":
+                inside.update(id(sub) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("sin", "cos")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy") and id(node) not in inside):
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  and {a.name for a in node.names} & {"sin", "cos"}):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
 
 
 def test_fields_coerced_to_float():
@@ -353,3 +377,69 @@ def test_boundary_sq_conjugate_symmetry():
 def test_boundary_sq_rejects_nonfinite():
     with pytest.raises(DomainError):
         regular_boundary_sq(make_potential(0.3), float("nan"))
+
+
+# ------------------------------------------------------------------ #
+# the sine-cosine kernel                                             #
+# ------------------------------------------------------------------ #
+
+_EPS = np.finfo(float).eps
+
+
+def _mp_sincos(values):
+    with mpmath.workprec(120):
+        pts = [mpmath.mpc(complex(v)) for v in values]
+        return ([complex(mpmath.sin(p)) for p in pts], [complex(mpmath.cos(p)) for p in pts])
+
+
+@settings(max_examples=60)
+@given(x=st.lists(st.floats(-1.0e8, 1.0e8), min_size=1, max_size=40),
+       k=st.lists(st.integers(-60_000_000, 60_000_000), min_size=1, max_size=20),
+       off=st.floats(-1.0e-6, 1.0e-6))
+def test_sincos_real_within_4_eps_absolute(x, k, off):
+    # uniform draws, and draws at and near the multiples of pi/2, where
+    # one of the pair passes through zero and tan(x/2) through 0, +-1 or inf
+    near = np.asarray(k) * (0.5 * np.pi)
+    x = np.concatenate((x, near, near + off, np.nextafter(near, np.inf)))
+    sin, cos = _sincos(x)
+    sin_ref, cos_ref = _mp_sincos(x)
+    assert np.max(np.abs(sin - np.real(sin_ref))) <= 4.0 * _EPS
+    assert np.max(np.abs(cos - np.real(cos_ref))) <= 4.0 * _EPS
+
+
+@settings(max_examples=60)
+@given(mag=st.lists(st.floats(-300.0, -3.0), min_size=1, max_size=40),
+       sign=st.sampled_from((-1.0, 1.0)))
+def test_sincos_small_sin_within_4_eps_relative(mag, sign):
+    # sinc and overlap quotients divide sin x by x, so small x needs
+    # relative accuracy
+    x = sign * 10.0 ** np.asarray(mag)
+    sin, _ = _sincos(x)
+    sin_ref = np.real(_mp_sincos(x)[0])
+    assert np.max(np.abs(sin / sin_ref - 1.0)) <= 4.0 * _EPS
+
+
+@settings(max_examples=60)
+@given(x=st.lists(st.floats(-1.0e8, 1.0e8) | st.floats(-1.0e-300, 1.0e-300),
+                  min_size=1, max_size=40))
+def test_sincos_exact_at_zero_odd_and_even(x):
+    x = np.asarray(x)
+    sin, cos = _sincos(x)
+    sin_neg, cos_neg = _sincos(-x)
+    assert np.array_equal(sin_neg, -sin) and np.array_equal(cos_neg, cos)
+    sin0, cos0 = _sincos(np.array([0.0, -0.0]))
+    assert list(sin0) == [0.0, 0.0] and list(cos0) == [1.0, 1.0]
+    assert math.copysign(1.0, sin0[1]) == -1.0
+
+
+@settings(max_examples=60)
+@given(a=st.lists(st.floats(-1.0e3, 1.0e3), min_size=1, max_size=30),
+       b=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30))
+def test_sincos_complex_within_4_eps_of_cosh_scale(a, b):
+    n = min(len(a), len(b))
+    z = np.asarray(a[:n]) + 1j * np.asarray(b[:n])
+    sin, cos = _sincos(z)
+    sin_ref, cos_ref = _mp_sincos(z)
+    scale = 4.0 * _EPS * np.maximum(1.0, np.cosh(z.imag))
+    assert np.all(np.abs(sin - sin_ref) <= scale)
+    assert np.all(np.abs(cos - cos_ref) <= scale)
