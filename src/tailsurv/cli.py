@@ -185,6 +185,8 @@ def cmd_density(cfg: dict, args: argparse.Namespace) -> int:
     path = _out_path(cfg, "density.csv")
     write_table(path, ["E", "omega"], [e, om])
     norm = spectral_mass(density)
+    write_json(path.with_suffix(".meta.json"), {"points": e.size, "e_min": e[0], "e_max": e[-1],
+                                                "spectral_mass": norm, "mass_error": abs(norm - 1.0)})
     print(f"density: {e.size} points -> {path} (integral over continuum: {norm:.9f})")
     return 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,15 +272,23 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
         return vals[0], vals[-1], np.exp(-1j * times * e[0])[:, None] * (
             cos_sin[:times.size] - 1j * cos_sin[times.size:])
 
-    starts = range(0, n_fine, chunk)
+    starts, ahead = range(0, n_fine, chunk), 2 * _BRUTE_WORKERS
     acc = np.zeros((times.size, width), dtype=complex)
-    # map yields in chunk order, so the sums are the serial ones for any
-    # worker count; an exception cancels the chunks not yet started
+    # chunks are added in chunk order, so the sums are the serial ones for
+    # any worker count; at most `ahead` are submitted and not yet added,
+    # and an exception cancels those not yet started
     with ThreadPoolExecutor(_BRUTE_WORKERS) as pool:
-        for a, (first, last, part) in zip(starts, pool.map(chunk_sum, starts)):
-            if a == 0:
-                g_lo = first * np.exp(-1j * times * lo)
-            acc += part
+        queued = deque(pool.submit(chunk_sum, a) for a in starts[:ahead])
+        try:
+            for i in range(len(starts)):
+                first, last, part = queued.popleft().result()
+                if i + ahead < len(starts):
+                    queued.append(pool.submit(chunk_sum, starts[i + ahead]))
+                if i == 0:
+                    g_lo = first * np.exp(-1j * times * lo)
+                acc += part
+        finally:
+            pool.shutdown(cancel_futures=True)
     if counts is not None:
         counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
     g_hi = last * np.exp(-1j * times * hi)

@@ -7,9 +7,9 @@ The exact amplitude is the oscillatory integral
 evaluated by a panel table built once per time grid: the density is
 interpolated on each panel by a degree-15 polynomial at fixed
 Gauss-Legendre nodes, and each panel contributes either the plain
-Gauss sum (when the phase turn t * half_width is small) or exact
-polynomial-times-exponential moments via a stable integration-by-parts
-recursion (when it is large); all times are evaluated together, in
+Gauss sum (when the phase turn t * half_width is small) or, when it is
+large, the exact integral of its polynomial times the exponential, by
+parts in closed form (16 terms); all times are evaluated together, in
 blocks, in real arithmetic.  The panels start as geometrically
 shrinking ones down to E ~ 1e-13, for the threshold power law, and
 uniform ones in k = sqrt(E) above; one refinement loop then bisects,
@@ -45,8 +45,9 @@ from .model import _sincos
 from .spectral import SpectralDensity, ThresholdCoeffs
 
 # Phase turn t * half_width above which a panel switches from the
-# direct Gauss sum to polynomial moments.  Gauss-Legendre with 16
-# nodes integrates e^{-i theta s} to ~1e-15 relative for theta <= 10.
+# direct Gauss sum to the closed form.  Gauss-Legendre with 16 nodes
+# integrates e^{-i theta s} to ~1e-15 relative for theta <= 10; below
+# it the closed form's terms cancel (a switch at 4-8 moved A by 2e-13).
 _PHASE_SWITCH = 10.0
 
 # Relative interpolation residual target per panel, and bisection limits.
@@ -87,12 +88,12 @@ def _gauss_basis():
 
 _GL_X, _GL_W, _MONO_FROM_VALS, _CHEB_FROM_VALS = _gauss_basis()
 
-# Factorial-style derivative extraction at s = 1: row n holds
-# d^n/ds^n s^j | s=1 = j!/(j-n)!  for j >= n.
-_END_DERIV = np.zeros((_DERIV_TERMS, 16))
-for _n in range(_DERIV_TERMS):
-    for _j in range(_n, 16):
-        _END_DERIV[_n, _j] = math.perm(_j, _n)
+# Derivatives of the monomials at s = 1 and s = -1: row n holds
+# d^n/ds^n s^j = j!/(j-n)! (+-1)^(j-n) for j >= n.
+_DERIV_HI = np.array([[math.perm(j, n) for j in range(16)] for n in range(16)], float)
+_DERIV_LO = _DERIV_HI * (-1.0) ** np.subtract.outer(np.arange(16), np.arange(16))
+# Powers n + 1 of 1/t in the closed form, even n then odd n: (2, 1, 1, 8).
+_POWERS = np.arange(1.0, 17.0).reshape(8, 1, 1, 2).T
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
 
     # end derivatives from the last panel's interpolant:
     # d^n omega / dE^n = (d^n p / ds^n at s=1) / half^n
-    end = (_END_DERIV @ mono[-1]) / half[-1] ** np.arange(_DERIV_TERMS)
+    end = (_DERIV_HI[:_DERIV_TERMS] @ mono[-1]) / half[-1] ** np.arange(_DERIV_TERMS)
 
     # mass below the lowest edge from the local power law, with the
     # density there from the first panel's interpolant at s = -1
@@ -247,19 +248,24 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray):
 
     Panel p adds half e^{-i t mid} S_p(theta), theta = t half.  Below
     the phase switch S_p is the Gauss sum over the node pairs +-x, as
-    cosines and sines; above it S_p = sum_j mono_j m_j with moments
-    m_j = int_{-1}^{1} s^j e^{-i theta s} ds, real for even j and
-    imaginary for odd j, from the upward integration-by-parts recursion
-    in real arithmetic (stable there: j/theta stays near one).  With
+    cosines and sines; above it S_p is the panel interpolant q by parts,
+    sum_{n<16} [q^(n)(-1) e^{i theta} - q^(n)(1) e^{-i theta}] / (i theta)^(n+1),
+    whose four real sums over n are one matrix product per block.  With
     panels sorted by half-width and times ascending, the small-phase
-    panels of each block of _TIME_BLOCK times are a prefix.
+    panels of each block of _TIME_BLOCK times are a prefix.  Also
+    returns the number of (time, panel) pairs summed by the Gauss rule.
     """
     order = np.argsort(table.half, kind="stable")
     half, mid, mono = table.half[order], table.mid[order], table.mono[order]
     vw = table.vals[order] * _GL_W
     vsum, vdif = vw[:, 8:] + vw[:, 7::-1], vw[:, 7::-1] - vw[:, 8:]
     resid = table.resid[order] * half
-    t_order = np.argsort(t)
+    # q^(n)(-1) + q^(n)(1) and q^(n)(-1) - q^(n)(1), over half^(n+1) and
+    # signed (-1)^(n//2), as (parity of n, sum/difference, n // 2, panel)
+    ends = mono @ np.stack((_DERIV_LO + _DERIV_HI, _DERIV_LO - _DERIV_HI)).transpose(0, 2, 1)
+    ends *= (-1.0) ** (np.arange(16) // 2) / half[:, None] ** np.arange(1.0, 17.0)
+    ends = np.ascontiguousarray(ends.reshape(2, -1, 8, 2).transpose(3, 0, 2, 1))
+    t_order, n_small = np.argsort(t), 0
     amps = np.empty(t.shape, dtype=complex)
     parts = np.empty(t.shape + (3,))
     for a in range(0, t.size, _TIME_BLOCK):
@@ -267,29 +273,19 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray):
         theta = t[idx, None] * half
         small = theta <= _PHASE_SWITCH
         n_hi, n_lo = int(small[0].sum()), int(small[-1].sum())
+        n_small += int(small.sum())
         s_re, s_im = np.zeros(theta.shape), np.zeros(theta.shape)
         sin_a, cos_a = _sincos(theta[:, :n_hi, None], _GL_X[8:])
         s_re[:, :n_hi] = np.einsum("bpk,pk->bp", cos_a, vsum[:n_hi]) * small[:, :n_hi]
         s_im[:, :n_hi] = np.einsum("bpk,pk->bp", sin_a, vdif[:n_hi]) * small[:, :n_hi]
         del sin_a, cos_a
-        # moments; small-phase entries are clamped to stay finite, then masked
-        th = np.maximum(theta[:, n_lo:], _PHASE_SWITCH)
-        inv = 1.0 / th
-        sin2, cos2 = _sincos(th)
-        sin2 *= 2.0
-        cos2 *= 2.0
-        r = sin2 * inv
-        m_re, m_im = mono[n_lo:, 0] * r, np.zeros(th.shape)
-        for j in range(1, 16):
-            if j % 2:  # m_j = -i r_j
-                r = (j * r - cos2) * inv
-                m_im -= mono[n_lo:, j] * r
-            else:
-                r = (sin2 - j * r) * inv
-                m_re += mono[n_lo:, j] * r
-        big = ~small[:, n_lo:]
-        s_re[:, n_lo:] += m_re * big
-        s_im[:, n_lo:] += m_im * big
+        # closed form; masked small-phase pairs may overflow in wide blocks
+        with np.errstate(over="ignore", invalid="ignore"):
+            (e_sum, e_dif), (o_sum, o_dif) = t[idx, None] ** -_POWERS @ ends[..., n_lo:]
+            sin2, cos2 = _sincos(theta[:, n_lo:])
+            big = ~small[:, n_lo:]
+            s_re[:, n_lo:] += np.where(big, sin2 * e_sum - cos2 * o_dif, 0.0)
+            s_im[:, n_lo:] -= np.where(big, cos2 * e_dif + sin2 * o_sum, 0.0)
         sp, cp = _sincos(t[idx, None], mid)
         # pairwise sums over panels: a BLAS dot here loses ~2 ulp at t ~ 0.1
         amps[idx] = (np.sum((cp * s_re + sp * s_im) * half, axis=1)
@@ -302,7 +298,7 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray):
     amps += tail * np.exp(-1j * table.e_max * t)
     parts[:, 1] = abs(table.end_derivs[-1]) / t ** _DERIV_TERMS
     parts[:, 2] = table.sub_mass
-    return amps, parts
+    return amps, parts, n_small
 
 
 def _envelope_tail(k_a: float, r_a: float, e_max: float) -> float:
@@ -342,9 +338,11 @@ def survival_exact(density: SpectralDensity, times, *,
     next-order truncation correction and the sub-threshold mass) is
     checked against abs_tol per time; failure raises with the worst
     offender reported.  meta gives the estimate per time (error_estimate),
-    the worst one, its three parts at that time (error_parts) and the
-    table and amplitude stage seconds.  P(0) includes the analytic
-    estimate of mass beyond e_max so the normalization limit is reproduced.
+    the worst one, its three parts at that time (error_parts), the
+    (time > 0, panel) pairs summed by Gauss rule and in closed form
+    (small_phase_pairs, large_phase_pairs) and the table and amplitude
+    stage seconds.  P(0) includes the analytic estimate of mass beyond
+    e_max so the normalization limit is reproduced.
     """
     t_arr = np.atleast_1d(np.asarray(times, dtype=float)).copy()
     if np.any(t_arr < 0.0):
@@ -358,7 +356,7 @@ def survival_exact(density: SpectralDensity, times, *,
     amps = np.empty(t_arr.shape, dtype=complex)
     parts = np.empty(t_arr.shape + (3,))
     pos = t_arr > 0.0
-    amps[pos], parts[pos] = _table_amplitudes(table, t_arr[pos])
+    amps[pos], parts[pos], n_small = _table_amplitudes(table, t_arr[pos])
     if not pos.all():
         # t = 0: the whole mass, with the envelope of the density beyond e_max
         amps[~pos] = _table_mass(table) + _envelope_tail(
@@ -383,7 +381,8 @@ def survival_exact(density: SpectralDensity, times, *,
     meta = {"e_max": table.e_max, "panels": int(table.mid.size),
             "density_evals": table.n_evals,
             "error_estimate": ests, "max_error_estimate": worst,
-            "error_parts": error_parts,
+            "error_parts": error_parts, "small_phase_pairs": n_small,
+            "large_phase_pairs": int(pos.sum()) * table.mid.size - n_small,
             "table_s": table_s, "amplitude_s": amplitude_s}
     return SurvivalSeries(times=t_arr, probability=prob, amplitudes=amps,
                           method="exact", meta=meta)

@@ -14,6 +14,7 @@ from hypothesis import settings
 
 from tailsurv import (InitialState, SpectralDensity, WBPotential, beta_sweep,
                       fit_power_law, survival_exact)
+from tailsurv.survival import _DERIV_TERMS, _GL_W, _GL_X, _PHASE_SWITCH
 
 SESSION_T0 = time.time()
 
@@ -41,6 +42,54 @@ def make_potential(beta: float, **overrides) -> WBPotential:
 def make_density(beta: float, **overrides) -> SpectralDensity:
     pot = make_potential(beta, **overrides)
     return SpectralDensity(pot, InitialState.from_potential(pot))
+
+
+def reference_amplitude(table, t: float):
+    """A(t) and its error estimate from a panel table, for one time,
+    panel by panel.
+
+    A plain reference for the batched `_table_amplitudes`: complex Gauss
+    sums below the phase switch and complex moments from the upward
+    integration-by-parts recursion above it.
+    """
+    if t == 0.0:
+        total = float(np.sum((table.vals @ _GL_W) * table.half)) + table.sub_mass
+        est = float(np.sum(table.resid * table.half)) + abs(table.sub_mass) * 0.5
+        return complex(total, 0.0), est
+    theta = t * table.half
+    phase = np.exp(-1j * t * table.mid)
+    small = theta <= _PHASE_SWITCH
+    acc = 0.0 + 0.0j
+    if np.any(small):
+        osc = np.exp(-1j * (theta[small, None] * _GL_X[None, :]))
+        sums = ((table.vals[small] * osc) @ _GL_W)
+        acc += np.sum(table.half[small] * phase[small] * sums)
+    if np.any(~small):
+        th = theta[~small]
+        mom = np.empty((16,) + th.shape, dtype=complex)
+        em = np.exp(-1j * th)
+        ep = np.conj(em)
+        inv = 1.0 / th
+        mom[0] = 2.0 * np.sin(th) * inv
+        sign = 1.0
+        for j in range(1, 16):
+            sign = -sign
+            mom[j] = (em - sign * ep) * (1j * inv) - 1j * j * inv * mom[j - 1]
+        sums = np.einsum("pj,jp->p", table.mono[~small], mom)
+        acc += np.sum(table.half[~small] * phase[~small] * sums)
+
+    it = 1j * t
+    tail = 0.0 + 0.0j
+    for n in range(_DERIV_TERMS):
+        tail += table.end_derivs[n] / it ** (n + 1)
+    tail *= np.exp(-1j * table.e_max * t)
+    acc += tail
+
+    damp = np.minimum(1.0, 4.0 / theta)
+    est = float(np.sum(table.resid * table.half * damp))
+    est += abs(table.end_derivs[-1]) / t ** _DERIV_TERMS
+    est += table.sub_mass
+    return complex(acc), est
 
 
 @pytest.fixture(scope="session")

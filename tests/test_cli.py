@@ -85,6 +85,15 @@ def test_density_emission(workdir, capsys):
     assert np.all(data["omega"] >= 0.0)
 
 
+def test_density_writes_meta(workdir, capsys):
+    assert main(["density", "--e_points", "40", "--e_min", "0.01", "--e_max", "4.0"]) == 0
+    capsys.readouterr()
+    meta = json.loads((workdir / "density.meta.json").read_text())
+    assert meta["points"] == 40
+    assert (meta["e_min"], meta["e_max"]) == pytest.approx((0.01, 4.0), rel=1.0e-15)
+    assert meta["mass_error"] == abs(meta["spectral_mass"] - 1.0) <= 1.0e-10
+
+
 def test_outdir_relocates_relative_paths(workdir, monkeypatch, capsys):
     outdir = workdir / "elsewhere"
     monkeypatch.setenv("TAILSURV_OUTDIR", str(outdir))
@@ -125,6 +134,7 @@ def test_survive_writes_exact_meta(workdir, capsys):
     assert len(meta["error_estimate"]) == data["t"].size
     assert max(meta["error_estimate"]) == meta["max_error_estimate"]
     assert set(meta["error_parts"]) == {"interpolation", "truncation", "sub_threshold"}
+    assert meta["small_phase_pairs"] + meta["large_phase_pairs"] == data["t"].size * meta["panels"]
 
 
 def test_survive_warns_below_pole_crossover(workdir, capsys):

@@ -8,13 +8,17 @@ by the profile in conftest.py, so every run checks the same potentials.
 
 import math
 
+import mpmath
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from tailsurv import InitialState, SpectralDensity, WBPotential, survival_exact
 from tailsurv.errors import ConfigError
 from tailsurv.oracle import oracle_match_coefficients, oracle_survival_bruteforce
+from tailsurv.survival import _DERIV_TERMS, _PanelTable, _build_table, _table_amplitudes
+
+from conftest import reference_amplitude
 
 
 @st.composite
@@ -61,3 +65,44 @@ def test_density_and_jost_modulus_match_the_ode_oracle(pot):
         want = 2.0 * k_a ** 2 / (math.pi * pot.r_a) * overlap ** 2 / (kk_i ** 2 * k * c_sq)
         assert abs(density.omega(energy) / want - 1.0) <= 1.0e-8
         assert abs(density.jost_modulus_sq(k) / (k * k * c_sq) - 1.0) <= 1.0e-8
+
+
+# no shrinking: each example costs ~0.1 s of mpmath quadrature, and a
+# shrink of a failing one ran for minutes
+@settings(max_examples=10, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(coef=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+       log_theta=st.floats(1.0, 4.0, exclude_min=True), log2_half=st.integers(-10, 6))
+def test_closed_form_panel_matches_mpmath_quadrature(coef, log_theta, log2_half):
+    # one panel [-half, half] holding a degree-15 polynomial, at times
+    # with t half = theta in (10, 1e4] (exact, as half is a power of 2);
+    # just above the switch the high-order terms weigh most
+    half = 2.0 ** log2_half
+    table = _PanelTable(mid=np.zeros(1), half=np.array([half]), vals=np.zeros((1, 16)),
+                        mono=np.array([coef]), resid=np.zeros(1), e_max=1.0,
+                        end_derivs=np.zeros(_DERIV_TERMS), sub_mass=0.0, n_evals=0)
+    theta = np.array([10.25, 10.0 ** log_theta])
+    amps, _, n_small = _table_amplitudes(table, theta / half)
+    assert n_small == 0
+    # the integrand is entire, so [-1, 1] is deformed onto the legs
+    # s = +-1 - i y, where it decays like e^{-theta y} instead of oscillating
+    poly = coef[::-1]
+    with mpmath.workdps(20):
+        for amp, th in zip(amps, theta):
+            def leg(end, th=th):
+                return mpmath.quad(lambda y: mpmath.polyval(poly, end - 1j * y)
+                                   * mpmath.exp(-th * y), [0, 100 / th])
+            ref = 1j * half * (mpmath.expj(-th) * leg(1) - mpmath.expj(th) * leg(-1))
+            assert abs(amp - complex(ref)) <= 16 * np.finfo(float).eps * half * np.sum(np.abs(coef))
+
+
+@settings(max_examples=10)
+@given(pot=valid_potentials(),
+       log_t=st.lists(st.floats(-1.0, math.log10(2000.0)), min_size=1, max_size=40))
+def test_batched_amplitudes_match_per_time_reference(pot, log_t):
+    density = SpectralDensity(pot, InitialState.from_potential(pot))
+    table = _build_table(density.omega, pot.r_a, 2500.0)
+    t = 10.0 ** np.array(log_t)
+    amps, parts, _ = _table_amplitudes(table, t)
+    ref = [reference_amplitude(table, x) for x in t]
+    assert np.max(np.abs(amps - [a for a, _ in ref])) <= 1.0e-14
+    assert np.allclose(parts.sum(axis=1), [e for _, e in ref], rtol=1.0e-12, atol=0.0)

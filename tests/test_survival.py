@@ -16,11 +16,10 @@ from tailsurv.oracle import oracle_survival_bruteforce
 from tailsurv.survival import (SurvivalSeries, asymptote_one_term,
                                asymptote_series, spectral_mass,
                                survival_exact, survival_laplace_axis)
-from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _MIN_WIDTH, _PANEL_RTOL,
-                               _PHASE_SWITCH, _build_table, _envelope_tail,
-                               _table_amplitudes)
+from tailsurv.survival import (_MIN_WIDTH, _PANEL_RTOL, _PHASE_SWITCH, _build_table,
+                               _envelope_tail, _table_amplitudes)
 
-from conftest import REFERENCE_BETAS, WINDOW, make_density
+from conftest import REFERENCE_BETAS, WINDOW, make_density, reference_amplitude
 
 
 # ------------------------------------------------------------------ #
@@ -166,53 +165,6 @@ def test_exact_holds_tolerance_when_e_max_just_passes_a_grid_edge(density_for, e
     assert s.meta["max_error_estimate"] <= 1.0e-8
 
 
-def _reference_amplitude(table, t: float):
-    """A(t) and its error estimate for one time, panel by panel.
-
-    The per-time evaluation the batched route replaced, kept as a plain
-    reference: complex Gauss sums below the phase switch and complex
-    moments from the integration-by-parts recursion above it.
-    """
-    if t == 0.0:
-        total = float(np.sum((table.vals @ _GL_W) * table.half)) + table.sub_mass
-        est = float(np.sum(table.resid * table.half)) + abs(table.sub_mass) * 0.5
-        return complex(total, 0.0), est
-    theta = t * table.half
-    phase = np.exp(-1j * t * table.mid)
-    small = theta <= _PHASE_SWITCH
-    acc = 0.0 + 0.0j
-    if np.any(small):
-        osc = np.exp(-1j * (theta[small, None] * _GL_X[None, :]))
-        sums = ((table.vals[small] * osc) @ _GL_W)
-        acc += np.sum(table.half[small] * phase[small] * sums)
-    if np.any(~small):
-        th = theta[~small]
-        mom = np.empty((16,) + th.shape, dtype=complex)
-        em = np.exp(-1j * th)
-        ep = np.conj(em)
-        inv = 1.0 / th
-        mom[0] = 2.0 * np.sin(th) * inv
-        sign = 1.0
-        for j in range(1, 16):
-            sign = -sign
-            mom[j] = (em - sign * ep) * (1j * inv) - 1j * j * inv * mom[j - 1]
-        sums = np.einsum("pj,jp->p", table.mono[~small], mom)
-        acc += np.sum(table.half[~small] * phase[~small] * sums)
-
-    it = 1j * t
-    tail = 0.0 + 0.0j
-    for n in range(_DERIV_TERMS):
-        tail += table.end_derivs[n] / it ** (n + 1)
-    tail *= np.exp(-1j * table.e_max * t)
-    acc += tail
-
-    damp = np.minimum(1.0, 4.0 / theta)
-    est = float(np.sum(table.resid * table.half * damp))
-    est += abs(table.end_derivs[-1]) / t ** _DERIV_TERMS
-    est += table.sub_mass
-    return complex(acc), est
-
-
 def _switch_straddling_times(table):
     """Unsorted times with repeats and t = 0 that put every panel on both
     sides of the phase switch, some exactly at it."""
@@ -229,7 +181,7 @@ def test_batched_amplitudes_match_per_time_reference(density_for, monkeypatch, b
     den = density_for(beta)
     table = _build_table(den.omega, den.pot.r_a, 2500.0)
     t = _switch_straddling_times(table)
-    ref = [_reference_amplitude(table, float(x)) for x in t]
+    ref = [reference_amplitude(table, float(x)) for x in t]
     ref_amp = np.array([a for a, _ in ref])
     ref_est = np.array([e for _, e in ref])
     ref_amp[t == 0.0] += _envelope_tail(den.init.k_a, den.pot.r_a, table.e_max)
@@ -240,22 +192,22 @@ def test_batched_amplitudes_match_per_time_reference(density_for, monkeypatch, b
     assert s.meta["max_error_estimate"] == pytest.approx(np.max(ref_est), rel=1.0e-12)
     pos = t > 0.0
     monkeypatch.setattr(tailsurv.survival, "_TIME_BLOCK", t.size)  # one block
-    amps, parts = _table_amplitudes(table, t[pos])
+    amps, parts, _ = _table_amplitudes(table, t[pos])
     assert np.max(np.abs(amps - ref_amp[pos])) <= 1.0e-14
     assert np.max(np.abs(parts.sum(axis=1) / ref_est[pos] - 1.0)) <= 1.0e-12
 
 
 def test_batched_moments_stay_finite_in_wide_blocks(density_for):
     # at t = 1e-12 every panel is below the switch, theta down to ~3e-26,
-    # where the moment recursion run for the block's t = 1e16 overflows
-    # unless it is clamped
+    # where the closed form run for the block's t = 1e16 overflows
+    # (t^-16 half^-16) unless its masked pairs are kept out
     den = density_for(0.3)
     table = _build_table(den.omega, den.pot.r_a, 2500.0)
     t = np.array([1.0e-12, 1.0e16])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        amps, _ = _table_amplitudes(table, t)
-    ref = np.array([_reference_amplitude(table, x)[0] for x in t])
+        amps, _, _ = _table_amplitudes(table, t)
+    ref = np.array([reference_amplitude(table, x)[0] for x in t])
     assert np.max(np.abs(amps / ref - 1.0)) <= 1.0e-12
 
 
@@ -280,6 +232,20 @@ def test_exact_meta_splits_error_and_times_stages(density_for):
         assert sum(parts.values()) == pytest.approx(meta["max_error_estimate"],
                                                     rel=1.0e-15)
         assert meta["table_s"] > 0.0 and meta["amplitude_s"] > 0.0
+
+
+def test_exact_meta_counts_pairs_per_route(density_for):
+    # t = 0 is the table's mass and goes to neither route; each t > 0
+    # sends every panel to the Gauss sum or to the closed form
+    den = density_for(0.3)
+    t = np.concatenate(([0.0], np.geomspace(0.1, 2000.0, 45)))
+    meta = survival_exact(den, t).meta
+    assert (meta["panels"], meta["small_phase_pairs"], meta["large_phase_pairs"]) == (
+        229, 3701, 6604)
+    assert meta["small_phase_pairs"] + meta["large_phase_pairs"] == 45 * 229
+    table = _build_table(den.omega, den.pot.r_a, meta["e_max"])
+    assert meta["small_phase_pairs"] == np.count_nonzero(
+        t[1:, None] * table.half <= _PHASE_SWITCH)
 
 
 def test_exact_meta_has_an_error_estimate_per_time(density_for):
