@@ -16,8 +16,7 @@ from .analysis import (FitResult, SweepRow, beta_sweep, fit_exponential,
 from .errors import (ConfigError, ConvergenceError, DomainError,
                      ResourceLimitError, TailsurvError, ToleranceError)
 from .model import InitialState, WBPotential, regular_boundary_sq
-from .spectral import (SpectralDensity, ThresholdCoeffs,
-                       arc_density_magnitude, threshold_coeffs)
+from .spectral import SpectralDensity, ThresholdCoeffs, arc_density_magnitude
 from .specfun import (BesselOrder, riccati_combos, riccati_large_x_combos,
                       riccati_pair_with_derivatives)
 from .survival import (AsymptoticModel, SurvivalSeries, asymptote_one_term,
@@ -56,5 +55,4 @@ __all__ = [
     "spectral_mass",
     "survival_exact",
     "survival_laplace_axis",
-    "threshold_coeffs",
 ]

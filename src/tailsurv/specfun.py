@@ -1,24 +1,25 @@
 """Special functions for inverse-square-tail scattering problems.
 
 Provides the Riccati-Bessel pair (j_hat, n_hat) of real order
-beta > -1/2 together with their first derivatives, evaluated by
-ascending power series with term-wise differentiation.  Two evaluation routes cover the full order range:
+beta > -1/2 with its first derivatives, by one of two routes:
 
-* non-negative integer beta: closed trigonometric forms via stable
-  low-order recurrences (exact, and accurate beyond the series' reach);
-* every other order: Temme's split nu = n + mu of nu = beta + 1/2, which
-  sums the 1/sin(mu pi) cancellation of the reflection form analytically
-  and so stays accurate as nu passes through an integer.
+* integer beta: closed trigonometric forms via stable low-order
+  recurrences (exact, and accurate beyond the series' reach);
+* every other order: ascending series with term-wise differentiation and
+  Temme's split nu = n + mu of nu = beta + 1/2, which sums the
+  1/sin(mu pi) cancellation of the reflection form analytically and so
+  stays accurate as nu passes through an integer.  On the real axis its
+  alternating terms lose about e^{|x|} eps; past _SERIES_LOSS_BUDGET it
+  raises ConvergenceError instead.
 
-Series evaluation targets relative accuracy 1e-15 per term cutoff.  On
-the real axis the alternating series loses roughly e^{|x|} * eps to
-cancellation, so from |x| = SERIES_COMBO_SWITCH on the quadratic
-combinations come from the asymptotic Hankel-product series instead
-(`riccati_large_x_combos`).
+`riccati_combos` gives the quadratic combinations at any z != 0: from
+the pair below |z| = SERIES_COMBO_SWITCH, from the asymptotic
+Hankel-product series (`riccati_large_x_combos`) from there on.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,17 +30,17 @@ from .errors import ConvergenceError, DomainError
 from .model import _sincos
 
 SQRT_PI = math.sqrt(math.pi)
+_EPS = float(np.finfo(float).eps)
 
-# Series controls: relative term cutoff and hard term cap.
+# Series controls: relative term cutoff, and the largest loss to
+# cancellation (eps times the peak term) allowed; 1e-7 admits x ~ 22.5.
 SERIES_RTOL = 1.0e-15
-SERIES_MAX_TERMS = 200
+_SERIES_LOSS_BUDGET = 1.0e-7
 
-# |x| from which the quadratic combinations come from the Hankel-product
-# series; both routes carry a few parts in 1e11 there (e^x eps, e^{-2x}).
+# |z| from which the quadratic combinations come from the Hankel-product
+# series; on the real axis both routes carry a few parts in 1e11 there
+# (e^x eps, e^{-2x}), off it the series up to 6.5e-10 (arg z = -0.3).
 SERIES_COMBO_SWITCH = 12.5
-
-# Orders closer than this to an integer beta >= 0 take the closed forms.
-ORDER_DEGENERACY_TOL = 1.0e-9
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ class BesselOrder:
 
     @property
     def is_integer_beta(self) -> bool:
-        return abs(self.beta - round(self.beta)) < ORDER_DEGENERACY_TOL and round(self.beta) >= 0
+        # beta > -1/2, so an integer beta is a non-negative one
+        return self.beta.is_integer()
 
 
 class RiccatiPair(NamedTuple):
@@ -110,11 +112,7 @@ def _coerce_argument(x) -> tuple[np.ndarray, bool]:
 
 
 def _unpack(scalar: bool, *vals):
-    if scalar:
-        out = tuple(v[0] if isinstance(v, np.ndarray) else v for v in vals)
-    else:
-        out = vals
-    return out if len(out) > 1 else out[0]
+    return tuple(v[0] for v in vals) if scalar else vals
 
 
 # Taylor coefficients of 1/Gamma(1 + x) about x = 0 (DLMF 5.7.1); 21
@@ -194,23 +192,24 @@ def _series_tables(beta: float, n_terms: int) -> _SeriesTables:
     return cached
 
 
-def _series_term_count(w_max: float, ratio_shift: float) -> int:
+def _series_term_count(w_max: float) -> int:
     """Terms needed so the last one is below SERIES_RTOL of the running peak.
 
-    Scalar dry run of the term-ratio recursion at the largest argument;
-    the count is rounded up to a multiple of 8 to keep the coefficient
-    cache small.
+    Scalar dry run of the term ratio w / ((p + 1)(p + 1/2)) at the largest
+    argument (1/2 < min(nu + 1, 1 - mu) bounds a_m and b_m alike), raising
+    once eps times the peak term passes _SERIES_LOSS_BUDGET.  The count is
+    rounded up to a multiple of 8 to keep the coefficient cache small.
     """
-    term = 1.0
-    peak = 1.0
-    for p in range(SERIES_MAX_TERMS):
-        term *= w_max / ((p + 1.0) * abs(p + ratio_shift))
+    term = peak = 1.0
+    for p in itertools.count():
+        term *= w_max / ((p + 1.0) * (p + 0.5))
         peak = max(peak, term)
+        if peak * _EPS > _SERIES_LOSS_BUDGET:
+            raise ConvergenceError(
+                f"Riccati series would lose {peak * _EPS:.2g} to "
+                f"cancellation at max (x/2)^2 = {w_max:.3g}")
         if term <= SERIES_RTOL * peak:
-            return min(SERIES_MAX_TERMS, 8 * ((p + 8) // 8))
-    raise ConvergenceError(
-        f"Riccati series did not converge within {SERIES_MAX_TERMS} terms "
-        f"(max (x/2)^2 = {w_max:.3g})")
+            return 8 * ((p + 8) // 8)
 
 
 def _pair_series(beta: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -224,8 +223,7 @@ def _pair_series(beta: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
     one loop, and the arithmetic runs in place to keep peak memory down.
     """
     w = np.square(0.5 * x)
-    # 1/2 < min(nu + 1, 1 - mu): a term-ratio shift for a_m and b_m alike
-    tab = _series_tables(beta, _series_term_count(float(np.max(np.abs(w))), 0.5))
+    tab = _series_tables(beta, _series_term_count(float(np.max(np.abs(w)))))
     j = np.full_like(x, tab.j[-1])
     jp = np.full_like(x, tab.jd[-1])
     n = np.full_like(x, tab.n[-1])
@@ -283,24 +281,47 @@ def _pair_integer_beta(ell: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
     return j0, jp, n0, np_
 
 
+def _pair(order: BesselOrder, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    if order.is_integer_beta:
+        return _pair_integer_beta(int(order.beta), x)
+    return _pair_series(order.beta, x)
+
+
 def riccati_pair_with_derivatives(order: BesselOrder, x) -> RiccatiPair:
     """(j_hat, j_hat', n_hat, n_hat') at argument x (scalar or array).
 
     Real positive input yields real output; complex or negative input
-    promotes to the principal complex branch.
+    promotes to the principal complex branch.  Off integer beta the
+    series raises ConvergenceError from |x| ~ 22.5 on.
     """
     arr, scalar = _coerce_argument(x)
-    if order.is_integer_beta:
-        vals = _pair_integer_beta(int(round(order.beta)), arr)
+    return RiccatiPair(*_unpack(scalar, *_pair(order, arr)))
+
+
+def _pair_combos(order: BesselOrder, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    j, jp, n, np_ = _pair(order, x)
+    return n * n + j * j, n * np_ + j * jp, np_ * np_ + jp * jp
+
+
+def riccati_combos(order: BesselOrder, z) -> RiccatiCombos:
+    """Quadratic combinations (n^2+j^2, nn'+jj', n'^2+j'^2) at any z != 0.
+
+    Formed from the pair below |z| = SERIES_COMBO_SWITCH, the
+    Hankel-product sums of `riccati_large_x_combos` from there on.  Real
+    positive z gives real output, other z the principal complex branch.
+    """
+    arr, scalar = _coerce_argument(z)
+    near = np.abs(arr) < SERIES_COMBO_SWITCH
+    if near.all():
+        out = _pair_combos(order, arr)
+    elif not near.any():
+        out = _hankel_combos(order.beta, arr)
     else:
-        vals = _pair_series(order.beta, arr)
-    return RiccatiPair(*_unpack(scalar, *vals))
-
-
-def riccati_combos(order: BesselOrder, x) -> RiccatiCombos:
-    """Quadratic combinations (n^2+j^2, nn'+jj', n'^2+j'^2) by direct series."""
-    j, jp, n, np_ = riccati_pair_with_derivatives(order, x)
-    return RiccatiCombos(n * n + j * j, n * np_ + j * jp, np_ * np_ + jp * jp)
+        out = tuple(np.empty_like(arr) for _ in range(3))  # not one (3, n) block: peak RSS
+        for full, lo, hi in zip(out, _pair_combos(order, arr[near]),
+                                _hankel_combos(order.beta, arr[~near])):
+            full[near], full[~near] = lo, hi
+    return RiccatiCombos(*_unpack(scalar, *out))
 
 
 _LARGE_X_COEF_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -325,31 +346,32 @@ def _large_x_coefficients(beta: float) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def riccati_large_x_combos(order: BesselOrder, z) -> RiccatiCombos:
-    """Quadratic combinations from the asymptotic Hankel-product series.
-
-    n^2 + j^2 = sum_k a_k z^{-2k} (DLMF 10.18.17), n n' + j j' is half
+def _hankel_combos(beta: float, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """n^2 + j^2 = sum_k a_k z^{-2k} (DLMF 10.18.17), n n' + j j' is half
     its derivative, and n'^2 + j'^2 = (1 + (n n' + j j')^2) / (n^2 + j^2)
-    by the Wronskian; Horner sums in z^-2.  Valid for |z| >= 10, real or
-    complex.  Error relative to n^2 + j^2: ~1e-9 at |z| = 10, ~4e-12 at
-    12.5, ~4e-14 at 15, rounding from 20 on, none at integer beta.
-    """
-    arr, scalar = _coerce_argument(z)
-    if np.any(np.abs(arr) < 10.0):
-        raise DomainError(
-            f"large-argument combos need |z| >= 10, got min |z| = {np.min(np.abs(arr)):.3g}")
-    coef, coef_k = _large_x_coefficients(order.beta)
-    # in place throughout: fewer temporaries keep peak memory down
-    inv_sq = np.reciprocal(arr * arr)
-    sum_sq = np.full_like(arr, coef[-1])
-    slope = np.full_like(arr, coef_k[-1])
+    by the Wronskian.  In place throughout to keep peak memory down."""
+    coef, coef_k = _large_x_coefficients(beta)
+    inv_sq = np.reciprocal(z * z)
+    sum_sq = np.full_like(z, coef[-1])
+    slope = np.full_like(z, coef_k[-1])
     for k in range(coef.size - 2, -1, -1):
         sum_sq *= inv_sq
         sum_sq += coef[k]
         slope *= inv_sq
         slope += coef_k[k]
     cross = np.negative(slope, out=slope)
-    cross /= arr
+    cross /= z
     sum_sq_deriv = 1.0 + cross * cross
     sum_sq_deriv /= sum_sq
-    return RiccatiCombos(*_unpack(scalar, sum_sq, cross, sum_sq_deriv))
+    return sum_sq, cross, sum_sq_deriv
+
+
+def riccati_large_x_combos(order: BesselOrder, z) -> RiccatiCombos:
+    """Quadratic combinations from the asymptotic Hankel-product series,
+    for |z| >= 10.  Error relative to n^2 + j^2: ~1e-9 at |z| = 10, ~4e-12
+    at 12.5, ~4e-14 at 15, rounding from 20 on, none at integer beta."""
+    arr, scalar = _coerce_argument(z)
+    if np.any(np.abs(arr) < 10.0):
+        raise DomainError(
+            f"large-argument combos need |z| >= 10, got min |z| = {np.min(np.abs(arr)):.3g}")
+    return RiccatiCombos(*_unpack(scalar, *_hankel_combos(order.beta, arr)))

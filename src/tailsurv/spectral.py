@@ -20,11 +20,10 @@ integrates to one over the continuum when no bound state exists.
 
 Near threshold the density follows omega ~ zeta k^{2 beta + 1}; the
 coefficients of that law and of its three-term refinement for
-attractive tails are provided by `threshold_coeffs`.
+attractive tails are provided by `SpectralDensity.threshold`.
 
-The quadratic combinations come from the ascending series of the
-Riccati pair below |k r_d| = SERIES_COMBO_SWITCH (12.5) and from the
-asymptotic Hankel-product series above it.  `omega` makes one pass per
+The quadratic combinations at k r_d come from `specfun.riccati_combos`,
+one call per evaluation at any argument.  `omega` makes one pass per
 energy: three square roots (k, k_I and the barrier momentum) and, above
 the barrier, four circular functions.  The well's sine and cosine come
 from the shifted phase d = (k_I - k_a) r_a, and sin d also gives the
@@ -42,9 +41,8 @@ import numpy as np
 from .errors import DomainError
 from .model import (InitialState, WBPotential, _assemble_boundary, _sincos,
                     _well_boundary, regular_boundary_sq)
-from .specfun import (SERIES_COMBO_SWITCH, SQRT_PI, BesselOrder, RiccatiCombos,
-                      riccati_combos, riccati_large_x_combos,
-                      riccati_pair_with_derivatives)
+from .specfun import (SQRT_PI, BesselOrder, RiccatiCombos, riccati_combos,
+                      riccati_large_x_combos, riccati_pair_with_derivatives)
 
 # Orders this close to an integer nu degenerate the three-term
 # threshold refinement (its reflection coefficients blow up).
@@ -143,22 +141,6 @@ class SpectralDensity:
 
     # -- Jost modulus ------------------------------------------------
 
-    def _combos(self, z):
-        """Quadratic Riccati combinations at z = k r_d, split at SERIES_COMBO_SWITCH."""
-        near = np.abs(z) < SERIES_COMBO_SWITCH
-        if near.all():
-            return riccati_combos(self.order, z)
-        if not near.any():
-            return riccati_large_x_combos(self.order, z)
-        lo = riccati_combos(self.order, z[near])
-        hi = riccati_large_x_combos(self.order, z[~near])
-        fields = []
-        for a, b in zip(lo, hi):
-            full = np.empty(z.shape, dtype=z.dtype)  # a (3, n) block raised peak RSS
-            full[near], full[~near] = a, b
-            fields.append(full)
-        return RiccatiCombos(*fields)
-
     def jost_modulus_sq(self, k):
         """Squared Jost modulus k^2 C^2(k); scalar or array, k != 0.
 
@@ -167,7 +149,7 @@ class SpectralDensity:
         """
         arr, scalar = _off_threshold(k, "k")
         w = arr * arr
-        out = w * _c_sq(self._combos(arr * self.pot.r_d), arr, w,
+        out = w * _c_sq(riccati_combos(self.order, arr * self.pot.r_d), arr, w,
                         *regular_boundary_sq(self.pot, w))
         return (out[0] if scalar else out)
 
@@ -215,7 +197,7 @@ class SpectralDensity:
         # (sin d / k_I, cos d) is (-1)^n_a times the well pair; C^2 is even in it
         u, du = _well_boundary(self.pot, arr, sin_d, cos_d)
         del sin_d
-        out /= _c_sq(self._combos(k * self.pot.r_d), k, arr, u, du)
+        out /= _c_sq(riccati_combos(self.order, k * self.pot.r_d), k, arr, u, du)
         return (out[0] if scalar else out)
 
     def threshold_pade_omega(self, e):
@@ -239,63 +221,60 @@ class SpectralDensity:
 
     @cached_property
     def threshold(self) -> ThresholdCoeffs:
-        return threshold_coeffs(self.pot, self.init)
+        """Threshold expansion coefficients from zero-energy boundary data.
 
+        Raises a domain error when the leading coefficient degenerates
+        (the decaying state then couples to the tail at higher order than
+        this expansion covers).
+        """
+        pot, init = self.pot, self.init
+        beta = pot.beta
+        nu = beta + 0.5
+        u0, du0 = map(float, regular_boundary_sq(pot, 0.0))
+        r_d = pot.r_d
+        bracket_minus = beta * u0 / r_d + du0
+        bracket_plus = (beta + 1.0) * u0 / r_d - du0
+        if abs(bracket_minus) < 1.0e-12:
+            raise DomainError(
+                "degenerate threshold: the zero-energy solution matches the "
+                "decaying tail branch, so |f| ~ k^{-beta} fails")
+        jost_scale = (2.0 ** beta * math.gamma(beta + 0.5) / (SQRT_PI * r_d ** beta)
+                      * abs(bracket_minus))
 
-def threshold_coeffs(pot: WBPotential, init: InitialState) -> ThresholdCoeffs:
-    """Threshold expansion coefficients from zero-energy boundary data.
+        k_a = init.k_a
+        # sin(k_I0 r_a) / (k_I0 (k_a^2 - v0)) with both removable points covered
+        if pot.v0 < 1e-28:
+            g0 = pot.r_a / (k_a * k_a - pot.v0)
+        else:
+            k_i0 = math.sqrt(pot.v0)
+            g0 = float(_shifted_well(np.asarray([k_i0]), k_a, init.n_a)[2][0]) / k_i0
+        density_scale = (2.0 * k_a ** 2 / (math.pi * pot.r_a)) * g0 * g0 / jost_scale ** 2
 
-    Raises a domain error when the leading coefficient degenerates
-    (the decaying state then couples to the tail at higher order than
-    this expansion covers).
-    """
-    beta = pot.beta
-    nu = beta + 0.5
-    u0, du0 = map(float, regular_boundary_sq(pot, 0.0))
-    r_d = pot.r_d
-    bracket_minus = beta * u0 / r_d + du0
-    bracket_plus = (beta + 1.0) * u0 / r_d - du0
-    if abs(bracket_minus) < 1.0e-12:
-        raise DomainError(
-            "degenerate threshold: the zero-energy solution matches the "
-            "decaying tail branch, so |f| ~ k^{-beta} fails")
-    jost_scale = (2.0 ** beta * math.gamma(beta + 0.5) / (SQRT_PI * r_d ** beta)
-                  * abs(bracket_minus))
+        if abs(nu - round(nu)) < _NU_INTEGER_CUT:
+            return ThresholdCoeffs(beta=beta, nu=nu, jost_scale=jost_scale,
+                                   density_scale=density_scale, coeff_down=None,
+                                   coeff_mid=None, coeff_up=None, density_series=None)
 
-    k_a = init.k_a
-    # sin(k_I0 r_a) / (k_I0 (k_a^2 - v0)) with both removable points covered
-    if pot.v0 < 1e-28:
-        g0 = pot.r_a / (k_a * k_a - pot.v0)
-    else:
-        k_i0 = math.sqrt(pot.v0)
-        g0 = float(_shifted_well(np.asarray([k_i0]), k_a, init.n_a)[2][0]) / k_i0
-    density_scale = (2.0 * k_a ** 2 / (math.pi * pot.r_a)) * g0 * g0 / jost_scale ** 2
+        g_nu = math.gamma(nu)
+        coeff_down = g_nu ** 2 * 2.0 ** (2.0 * nu - 1.0) / (math.pi * r_d ** (2.0 * nu - 1.0)) \
+            * bracket_minus ** 2
+        coeff_mid = (r_d / (nu * math.tan(nu * math.pi))) * bracket_minus * bracket_plus
+        coeff_up = r_d ** (2.0 * nu + 1.0) * math.gamma(1.0 - nu) ** 2 \
+            / (math.pi * 2.0 ** (2.0 * nu + 1.0) * nu ** 2) * bracket_plus ** 2
 
-    if abs(nu - round(nu)) < _NU_INTEGER_CUT:
+        # geometric expansion of density_scale k^{2 nu} / (1 + a k^{2 nu} + b k^{4 nu})
+        a = coeff_mid / coeff_down
+        b = coeff_up / coeff_down
+        cs = [1.0]
+        for m in range(1, _DENSITY_SERIES_TERMS):
+            nxt = -a * cs[m - 1] - (b * cs[m - 2] if m >= 2 else 0.0)
+            cs.append(nxt)
+        series = tuple(density_scale * c for c in cs)
+
         return ThresholdCoeffs(beta=beta, nu=nu, jost_scale=jost_scale,
-                               density_scale=density_scale, coeff_down=None,
-                               coeff_mid=None, coeff_up=None, density_series=None)
-
-    g_nu = math.gamma(nu)
-    coeff_down = g_nu ** 2 * 2.0 ** (2.0 * nu - 1.0) / (math.pi * r_d ** (2.0 * nu - 1.0)) \
-        * bracket_minus ** 2
-    coeff_mid = (r_d / (nu * math.tan(nu * math.pi))) * bracket_minus * bracket_plus
-    coeff_up = r_d ** (2.0 * nu + 1.0) * math.gamma(1.0 - nu) ** 2 \
-        / (math.pi * 2.0 ** (2.0 * nu + 1.0) * nu ** 2) * bracket_plus ** 2
-
-    # geometric expansion of density_scale k^{2 nu} / (1 + a k^{2 nu} + b k^{4 nu})
-    a = coeff_mid / coeff_down
-    b = coeff_up / coeff_down
-    cs = [1.0]
-    for m in range(1, _DENSITY_SERIES_TERMS):
-        nxt = -a * cs[m - 1] - (b * cs[m - 2] if m >= 2 else 0.0)
-        cs.append(nxt)
-    series = tuple(density_scale * c for c in cs)
-
-    return ThresholdCoeffs(beta=beta, nu=nu, jost_scale=jost_scale,
-                           density_scale=density_scale, coeff_down=coeff_down,
-                           coeff_mid=coeff_mid, coeff_up=coeff_up,
-                           density_series=series)
+                               density_scale=density_scale, coeff_down=coeff_down,
+                               coeff_mid=coeff_mid, coeff_up=coeff_up,
+                               density_series=series)
 
 
 def arc_density_magnitude(pot: WBPotential, init: InitialState,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tailsurv.errors import DomainError
+from tailsurv.errors import ConvergenceError, DomainError
 from tailsurv.model import InitialState, WBPotential
 from tailsurv.spectral import (SpectralDensity, _shifted_well,
                                arc_density_magnitude)
@@ -287,6 +287,13 @@ def test_phase_shift_diagnostic_is_finite(density_for):
     for k in (0.3, 1.0, 2.5):
         delta = den.phase_shift(k)
         assert isinstance(delta, float) and math.isfinite(delta)
+
+
+def test_phase_shift_refuses_past_the_series_reach(density_for):
+    # k r_d = 68, where the summed series pair is ~1e12 off and the phase
+    # it gave read -1.83
+    with pytest.raises(ConvergenceError):
+        density_for(0.3).phase_shift(20.0)
 
 
 # ------------------------------------------------------------------ #
