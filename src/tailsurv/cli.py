@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -229,8 +230,9 @@ def cmd_survive(cfg: dict, args: argparse.Namespace) -> int:
             write_model_json(_out_path(cfg, "survival.csv").with_suffix(".model.json"),
                              model)
     path = _out_path(cfg, "survival.csv")
+    start = time.perf_counter()
     write_table(path, header, [times] + columns)
-    write_json(path.with_suffix(".meta.json"), exact.meta)
+    write_json(path.with_suffix(".meta.json"), dict(exact.meta, write_s=time.perf_counter() - start))
     print(f"survival: {times.size} times, methods {','.join(methods)} -> {path} "
           f"(exact error estimate {exact.meta['max_error_estimate']:.2e})")
     return 0

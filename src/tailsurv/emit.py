@@ -29,7 +29,7 @@ def write_table(path, header: list[str], columns: list) -> Path:
     row = ",".join(["%.17g"] * len(cols)) + "\r\n"   # csv.writer's terminator
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(row % tuple(r) for r in np.column_stack(cols).tolist())
+        fh.write(row * n % tuple(np.column_stack(cols).ravel().tolist()))
     return path
 
 

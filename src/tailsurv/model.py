@@ -153,6 +153,12 @@ class InitialState:
         return float(out[0]) if scalar else out
 
 
+def _tan_half(x, scale=1.0):
+    """tan(y/2) at real y = x scale (scale broadcasts), as a new array."""
+    u = np.multiply(x, np.multiply(scale, 0.5))   # exact: (x scale)/2
+    return np.tan(u, out=u)
+
+
 def _sincos(x, scale=1.0):
     """(sin y, cos y) at y = x scale (scale broadcasts), real or complex.
 
@@ -170,8 +176,7 @@ def _sincos(x, scale=1.0):
         s, c = _sincos(x.real)
         ch, sh = np.cosh(x.imag), np.sinh(x.imag)
         return s * ch + 1j * (c * sh), c * ch - 1j * (s * sh)
-    u = np.multiply(x, np.multiply(scale, 0.5))   # exact: (x scale)/2
-    np.tan(u, out=u)
+    u = _tan_half(x, scale)
     den = np.square(u)
     cos = np.subtract(1.0, den)
     den += 1.0

@@ -101,14 +101,8 @@ def _coerce_argument(x) -> tuple[np.ndarray, bool]:
         raise DomainError("Riccati argument must be finite (no NaN/inf)")
     if np.any(arr == 0):
         raise DomainError("Riccati functions are not evaluated at x = 0")
-    if np.issubdtype(arr.dtype, np.complexfloating):
-        arr = arr.astype(np.complex128)
-    else:
-        arr = arr.astype(np.float64)
-        if np.any(arr < 0):
-            # Negative real arguments need the principal complex branch.
-            arr = arr.astype(np.complex128)
-    return arr, scalar
+    real = not np.iscomplexobj(arr) and not np.any(arr < 0)  # else principal branch
+    return arr.astype(np.float64 if real else np.complex128, copy=False), scalar
 
 
 def _unpack(scalar: bool, *vals):
@@ -311,17 +305,21 @@ def riccati_combos(order: BesselOrder, z) -> RiccatiCombos:
     positive z gives real output, other z the principal complex branch.
     """
     arr, scalar = _coerce_argument(z)
-    near = np.abs(arr) < SERIES_COMBO_SWITCH
+    return RiccatiCombos(*_unpack(scalar, *_combos(order, arr)))
+
+
+def _combos(order: BesselOrder, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`riccati_combos` on a validated 1-d float64 (z > 0) or complex128 array."""
+    near = np.abs(z) < SERIES_COMBO_SWITCH
     if near.all():
-        out = _pair_combos(order, arr)
-    elif not near.any():
-        out = _hankel_combos(order.beta, arr)
-    else:
-        out = tuple(np.empty_like(arr) for _ in range(3))  # not one (3, n) block: peak RSS
-        for full, lo, hi in zip(out, _pair_combos(order, arr[near]),
-                                _hankel_combos(order.beta, arr[~near])):
-            full[near], full[~near] = lo, hi
-    return RiccatiCombos(*_unpack(scalar, *out))
+        return _pair_combos(order, z)
+    if not near.any():
+        return _hankel_combos(order.beta, z)
+    out = tuple(np.empty_like(z) for _ in range(3))  # not one (3, n) block: peak RSS
+    for full, lo, hi in zip(out, _pair_combos(order, z[near]),
+                            _hankel_combos(order.beta, z[~near])):
+        full[near], full[~near] = lo, hi
+    return out
 
 
 _LARGE_X_COEF_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}

@@ -6,11 +6,11 @@ The exact amplitude is the oscillatory integral
 
 evaluated by a panel table built once per time grid: the density is
 interpolated on each panel by a degree-15 polynomial at fixed
-Gauss-Legendre nodes, and each panel contributes either the plain
-Gauss sum (when the phase turn t * half_width is small) or, when it is
-large, the exact integral of its polynomial times the exponential, by
-parts in closed form (16 terms); all times are evaluated together, in
-blocks, in real arithmetic.  The panels start as geometrically
+Gauss-Legendre nodes, and each panel contributes either its Gauss sum,
+from one half-angle tangent per node pair (when the phase turn
+t * half_width is small), or the exact integral of its polynomial times
+the exponential, by parts in closed form (16 terms); all times are
+evaluated together, in blocks, in real arithmetic.  The panels start as geometrically
 shrinking ones down to E ~ 1e-13, for the threshold power law, and
 uniform ones in k = sqrt(E) above; one refinement loop then bisects,
 level by level, every panel whose interpolant misses its target (the
@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ToleranceError
-from .model import _sincos
+from .model import _sincos, _tan_half
 from .spectral import SpectralDensity, ThresholdCoeffs
 
 # Phase turn t * half_width above which a panel switches from the
@@ -246,9 +246,10 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray):
     """A(t) for times t > 0, and the (T, 3) interpolation, truncation
     and sub-threshold parts of its error estimate.
 
-    Panel p adds half e^{-i t mid} S_p(theta), theta = t half.  Below
-    the phase switch S_p is the Gauss sum over the node pairs +-x, as
-    cosines and sines; above it S_p is the panel interpolant q by parts,
+    Panel p adds half e^{-i t mid} S_p(theta), theta = t half (half is in
+    the tables).  Below the switch S_p is the Gauss sum over the node
+    pairs +-x, cos = c - 1 and sin = u c by u = tan(theta x/2) and
+    c = 2/(1+u^2); above it S_p is the panel interpolant q by parts,
     sum_{n<16} [q^(n)(-1) e^{i theta} - q^(n)(1) e^{-i theta}] / (i theta)^(n+1),
     whose four real sums over n are one matrix product per block.  With
     panels sorted by half-width and times ascending, the small-phase
@@ -257,13 +258,14 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray):
     """
     order = np.argsort(table.half, kind="stable")
     half, mid, mono = table.half[order], table.mid[order], table.mono[order]
-    vw = table.vals[order] * _GL_W
+    vw = table.vals[order] * _GL_W * half[:, None]
     vsum, vdif = vw[:, 8:] + vw[:, 7::-1], vw[:, 7::-1] - vw[:, 8:]
+    vsum_tot = vsum.sum(axis=1)   # sum v cos = sum v c - sum v
     resid = table.resid[order] * half
-    # q^(n)(-1) + q^(n)(1) and q^(n)(-1) - q^(n)(1), over half^(n+1) and
+    # q^(n)(-1) + q^(n)(1) and q^(n)(-1) - q^(n)(1), over half^n and
     # signed (-1)^(n//2), as (parity of n, sum/difference, n // 2, panel)
     ends = mono @ np.stack((_DERIV_LO + _DERIV_HI, _DERIV_LO - _DERIV_HI)).transpose(0, 2, 1)
-    ends *= (-1.0) ** (np.arange(16) // 2) / half[:, None] ** np.arange(1.0, 17.0)
+    ends *= (-1.0) ** (np.arange(16) // 2) / half[:, None] ** np.arange(16.0)
     ends = np.ascontiguousarray(ends.reshape(2, -1, 8, 2).transpose(3, 0, 2, 1))
     t_order, n_small = np.argsort(t), 0
     amps = np.empty(t.shape, dtype=complex)
@@ -275,10 +277,14 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray):
         n_hi, n_lo = int(small[0].sum()), int(small[-1].sum())
         n_small += int(small.sum())
         s_re, s_im = np.zeros(theta.shape), np.zeros(theta.shape)
-        sin_a, cos_a = _sincos(theta[:, :n_hi, None], _GL_X[8:])
-        s_re[:, :n_hi] = np.einsum("bpk,pk->bp", cos_a, vsum[:n_hi]) * small[:, :n_hi]
-        s_im[:, :n_hi] = np.einsum("bpk,pk->bp", sin_a, vdif[:n_hi]) * small[:, :n_hi]
-        del sin_a, cos_a
+        u = _tan_half(theta[:, :n_hi, None], _GL_X[8:])
+        c = np.square(u)
+        np.divide(2.0, np.add(c, 1.0, out=c), out=c)
+        s_re[:, :n_hi] = np.einsum("bpk,pk->bp", c, vsum[:n_hi]) - vsum_tot[:n_hi]
+        s_re[:, :n_hi] *= small[:, :n_hi]
+        u *= c
+        s_im[:, :n_hi] = np.einsum("bpk,pk->bp", u, vdif[:n_hi]) * small[:, :n_hi]
+        del u, c
         # closed form; masked small-phase pairs may overflow in wide blocks
         with np.errstate(over="ignore", invalid="ignore"):
             (e_sum, e_dif), (o_sum, o_dif) = t[idx, None] ** -_POWERS @ ends[..., n_lo:]
@@ -288,8 +294,8 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray):
             s_im[:, n_lo:] -= np.where(big, cos2 * e_dif + sin2 * o_sum, 0.0)
         sp, cp = _sincos(t[idx, None], mid)
         # pairwise sums over panels: a BLAS dot here loses ~2 ulp at t ~ 0.1
-        amps[idx] = (np.sum((cp * s_re + sp * s_im) * half, axis=1)
-                     + 1j * np.sum((cp * s_im - sp * s_re) * half, axis=1))
+        amps[idx] = (np.sum(cp * s_re + sp * s_im, axis=1)
+                     + 1j * np.sum(cp * s_im - sp * s_re, axis=1))
         parts[idx, 0] = np.minimum(1.0, 4.0 / theta) @ resid
 
     # truncated tail by parts: e^{-iEt} sum_n d_n / (it)^{n+1}

@@ -130,7 +130,8 @@ def test_survive_writes_exact_meta(workdir, capsys):
     _, data = read_table(workdir / "survival.csv")
     meta = json.loads((workdir / "survival.meta.json").read_text())
     assert {"e_max", "panels", "density_evals", "error_estimate", "error_parts",
-            "table_s", "amplitude_s"} <= meta.keys()
+            "table_s", "amplitude_s", "write_s"} <= meta.keys()
+    assert 0.0 < meta["write_s"] < 60.0
     assert len(meta["error_estimate"]) == data["t"].size
     assert max(meta["error_estimate"]) == meta["max_error_estimate"]
     assert set(meta["error_parts"]) == {"interpolation", "truncation", "sub_threshold"}

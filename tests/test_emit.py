@@ -94,3 +94,27 @@ def test_write_table_bytes_frozen(tmp_path):
         b"nan,1e+22,4\r\n"
         b"4.9406564584124654e-324,-2.4999999999999998e-308,5\r\n"
         b"1e-300,123456789,6\r\n")
+
+
+def test_write_table_header_only(tmp_path):
+    path = tmp_path / "empty_rows.csv"
+    write_table(path, ["t", "P exact"], [np.array([]), np.array([])])
+    assert path.read_bytes() == b"t,P exact\r\n"
+    header, data = read_table(path)
+    assert header == ["t", "P exact"]
+    assert data["t"].size == data["P exact"].size == 0
+
+
+def test_write_table_matches_per_row_formatter(tmp_path):
+    # the one-string body against the per-row '%' formatter it replaced
+    rng = np.random.default_rng(7)
+    cols = [rng.standard_normal(2000) * 10.0 ** rng.uniform(-300, 300, 2000)
+            for _ in range(3)] + [rng.integers(-10**6, 10**6, 2000)]
+    cols[0][::97] = np.nan
+    cols[1][::89] = -np.inf
+    cols[2][::83] = -0.0
+    path = tmp_path / "random.csv"
+    write_table(path, ["a", "b c", "d", "n"], cols)
+    row = ",".join(["%.17g"] * 4) + "\r\n"
+    want = "a,b c,d,n\r\n" + "".join(row % tuple(r) for r in np.column_stack(cols).tolist())
+    assert path.read_bytes() == want.encode()

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from tailsurv import InitialState, SpectralDensity, WBPotential, survival_exact
 from tailsurv.errors import ConfigError
 from tailsurv.oracle import oracle_match_coefficients, oracle_survival_bruteforce
-from tailsurv.survival import _DERIV_TERMS, _PanelTable, _build_table, _table_amplitudes
+from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _PHASE_SWITCH, _PanelTable,
+                               _build_table, _table_amplitudes)
 
 from conftest import reference_amplitude
 
@@ -65,6 +66,31 @@ def test_density_and_jost_modulus_match_the_ode_oracle(pot):
         want = 2.0 * k_a ** 2 / (math.pi * pot.r_a) * overlap ** 2 / (kk_i ** 2 * k * c_sq)
         assert abs(density.omega(energy) / want - 1.0) <= 1.0e-8
         assert abs(density.jost_modulus_sq(k) / (k * k * c_sq) - 1.0) <= 1.0e-8
+
+
+@settings(max_examples=50)
+@given(vals=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+       theta=st.lists(st.floats(1.0e-6, _PHASE_SWITCH), min_size=1, max_size=40),
+       log2_half=st.integers(-10, 6))
+def test_half_angle_gauss_sums_match_mpmath(vals, theta, log2_half):
+    # one panel [-half, half] with random node values, at phase turns
+    # t half = theta up to the switch (exact, as half is a power of 2):
+    # every pair takes the half-angle Gauss sum, against the same sum in
+    # mpmath (theta >= 1e-6 keeps the zero tail term's 1/t powers finite)
+    half = 2.0 ** log2_half
+    vals = np.array(vals)
+    table = _PanelTable(mid=np.zeros(1), half=np.array([half]), vals=vals[None, :],
+                        mono=np.zeros((1, 16)), resid=np.zeros(1), e_max=1.0,
+                        end_derivs=np.zeros(_DERIV_TERMS), sub_mass=0.0, n_evals=0)
+    theta = np.array(theta)
+    amps, _, n_small = _table_amplitudes(table, theta / half)
+    assert n_small == theta.size
+    bound = 4.0 * np.finfo(float).eps * half * np.sum(np.abs(_GL_W * vals))
+    with mpmath.workdps(30):
+        for amp, th in zip(amps, theta):
+            ref = half * mpmath.fsum(mpmath.mpf(w) * v * mpmath.expj(-mpmath.mpf(th) * x)
+                                     for w, v, x in zip(_GL_W, vals, _GL_X))
+            assert abs(amp - complex(ref)) <= bound
 
 
 # no shrinking: each example costs ~0.1 s of mpmath quadrature, and a

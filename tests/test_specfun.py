@@ -727,3 +727,20 @@ def test_combos_take_the_pair_below_the_switch_and_hankel_from_it(beta, z):
         want = riccati_large_x_combos(order, arg)
     for got, ref in zip(riccati_combos(order, arg), want):
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0])
+def test_riccati_calls_leave_their_input_unchanged(beta):
+    # validation converts without copying where the dtype already fits,
+    # so no kernel may write into the array it was given
+    order = BesselOrder(beta)
+    x = np.array([0.5, 3.0, 11.0, 13.0, 20.0])
+    z = x * np.exp(-0.3j)
+    for arg in (x, z, x[:3], z[3:]):
+        keep = arg.copy()
+        riccati_combos(order, arg)
+        assert np.array_equal(arg, keep)
+    for arg in (x[:4], z[:4]):
+        keep = arg.copy()
+        riccati_pair_with_derivatives(order, arg)
+        assert np.array_equal(arg, keep)

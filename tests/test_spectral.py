@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from tailsurv import spectral
 from tailsurv.errors import ConvergenceError, DomainError
 from tailsurv.model import InitialState, WBPotential
+from tailsurv.specfun import riccati_combos
 from tailsurv.spectral import (SpectralDensity, _shifted_well,
                                arc_density_magnitude)
 from tailsurv.survival import spectral_mass
@@ -58,6 +60,20 @@ def test_density_above_switch_is_independent_of_call_split(beta, density_for):
         assert np.array_equal(den.omega(e[::-1]), whole[::-1])
         # one energy below the switch in the call leaves the others alone
         assert np.array_equal(den.omega(np.concatenate((e[:1] / 4.0, e)))[1:], whole)
+
+
+@pytest.mark.parametrize("beta", (-0.4, 0.0, 0.3, 0.7, 1.0))
+def test_density_kernel_call_matches_validated_combos(beta, monkeypatch):
+    # omega and the Jost modulus validate k once and call the combinations'
+    # kernel directly; the public, validating riccati_combos gives the same bits
+    den = make_density(beta)
+    rng = np.random.default_rng(3)
+    e_real = np.concatenate((np.geomspace(1.0e-12, 4.0e4, 400), rng.uniform(0.01, 60.0, 400)))
+    e_cplx = rng.uniform(0.01, 60.0, 400) * np.exp(-1j * rng.uniform(0.0, 0.5 * np.pi, 400))
+    direct = [f(x) for x in (e_real, e_cplx) for f in (den.omega, den.jost_modulus_sq)]
+    monkeypatch.setattr(spectral, "_combos", lambda order, z: tuple(riccati_combos(order, z)))
+    routed = [f(x) for x in (e_real, e_cplx) for f in (den.omega, den.jost_modulus_sq)]
+    assert all(np.array_equal(a, b) for a, b in zip(direct, routed))
 
 
 @pytest.mark.parametrize("beta", (0.3, 0.7))
