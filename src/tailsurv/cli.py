@@ -317,6 +317,8 @@ def cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
     report = run_verification(density)
     for line in report.lines():
         print(line)
+    write_json(_out_path(dict(cfg, out=""), "verify.meta.json"),  # verify reads no out key
+               {"checks": [dict(vars(c), passed=c.passed) for c in report.checks], **report.meta})
     print("cost: " + ", ".join(f"{key} {val:.3g}" if isinstance(val, float)
                                else f"{key} {val}" for key, val in report.meta.items()))
     if not report.all_passed:

@@ -8,7 +8,8 @@ production modules through a deliberately different numerical scheme:
 * a direct 2x2 linear solve for the exterior matching coefficients
   instead of the assembled quadratic-combination formula;
 * uniform ultra-fine trapezoidal quadrature with one Richardson step
-  instead of the panel/moment oscillatory integrator, on two threads.
+  instead of the panel/moment oscillatory integrator, on two threads,
+  each chunk of the grid summed by one batched matrix-vector product.
 
 None of the production results are reused internally beyond the shared
 special-function evaluations that define the problem itself.
@@ -20,6 +21,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -32,11 +34,13 @@ from .survival import _envelope_tail
 # this guards runtime, not memory.
 _MAX_BRUTE_POINTS = 40_000_000
 # Grid points per density call, times max(2, number of times summed);
-# ~32 bytes per point and time.  16 384-point calls lost most of the
-# threads' gain to per-call Python work, which holds the GIL.
+# ~32 bytes per point and time.  At t = (60, 200), 16 384-point calls
+# made the brute force 1.5x slower (per-call Python work holds the GIL),
+# and 65 536-point calls saved no time for 12 MB more peak memory.
 _BRUTE_CHUNK = 65_536
-# numpy releases the GIL in its loops: two threads ran `omega` on 1.6 M
-# energies in 0.23 s, one in 0.39 s (2-vCPU x86-64 host).
+# numpy and BLAS release the GIL in their loops: the brute force at
+# t = (60, 200) took 0.20-0.31 s on two threads, 0.30-0.37 s on one and
+# 0.33-0.45 s on three or four (2-vCPU x86-64 host).
 _BRUTE_WORKERS = min(2, os.cpu_count() or 1)
 # RK4 steps relative to r_d: the default and largest one, and the finer
 # one of the matching checks (the Jost modulus by linear solve then
@@ -238,12 +242,13 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
     2^(n_levels-1)); coarser sums use every 2nd, 4th, ... point.  The
     grid is streamed on `_BRUTE_WORKERS` threads in chunks of
     `_BRUTE_CHUNK / max(2, len(times))` points (a multiple of the
-    coarsest stride), one density call each (counted in counts), and
-    each time keeps one running sum per residue of the grid index modulo
-    that stride, plus the two end points.  Within a chunk starting at e0
-    the phase is e^{-i t e0} times one row e^{-i t h j} per time,
-    computed once.  Returns the sums, shape (n_levels, len(times)),
-    finest first.
+    coarsest stride), one density call each (counted, with its seconds,
+    in counts), and each time keeps one running sum per residue of the
+    grid index modulo that stride, plus the two end points.  Within a
+    chunk starting at e0 the phase is e^{-i t e0} times one row
+    e^{-i t h j} per time, computed once; one batched matrix-vector
+    product of the rows with the chunk's values gives its residue sums.
+    Returns the sums, shape (n_levels, len(times)), finest first.
     """
     from concurrent.futures import ThreadPoolExecutor  # imports logging: not at load
 
@@ -251,11 +256,12 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
     width = 2 ** (n_levels - 1)
     chunk = max(width, _BRUTE_CHUNK // max(2, times.size) // width * width)
     h = (hi - lo) / n_fine
-    # rows[:, p, j] holds cos, then sin, of t h (j width + p): the sums
-    # run along the last, contiguous axis, where numpy sums pairwise
-    sin, cos = _sincos(times[:, None, None], (h * np.arange(chunk)).reshape(-1, width).T)
-    rows = np.concatenate((cos, sin))
-    del sin, cos
+    # rows[p, i, j] holds cos (i < len(times)), then sin, of t_i h (j width + p):
+    # a C-contiguous matrix per residue p, for BLAS to multiply by its values
+    offsets = np.ascontiguousarray((h * np.arange(chunk)).reshape(-1, width).T)
+    sin, cos = _sincos(times[:, None], offsets[:, None, :])
+    rows = np.concatenate((cos, sin), axis=1)
+    del sin, cos, offsets
 
     def chunk_sum(a):
         b = min(a + chunk, n_fine)
@@ -264,16 +270,17 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
         e = np.arange(a, b + (b == n_fine)) * h + lo
         if b == n_fine:
             e[-1] = hi
-        vals = np.zeros(e.size)
-        start = 1 if e[0] == 0.0 else 0  # the density's limit at threshold
-        vals[start:] = density.omega(e[start:])
+        start = perf_counter()  # E = 0 takes 0, the density's limit at threshold
+        vals = np.r_[0.0, density.omega(e[1:])] if e[0] == 0.0 else density.omega(e)
+        seconds = perf_counter() - start
         q = (b - a) // width
-        cos_sin = np.sum(rows[:, :, :q] * vals[:b - a].reshape(q, width).T, axis=-1)
+        cos_sin = (rows[:, :, :q] @ vals[:q * width].reshape(q, width).T[:, :, None])[..., 0].T
         return vals[0], vals[-1], np.exp(-1j * times * e[0])[:, None] * (
-            cos_sin[:times.size] - 1j * cos_sin[times.size:])
+            cos_sin[:times.size] - 1j * cos_sin[times.size:]), seconds
 
     starts, ahead = range(0, n_fine, chunk), 2 * _BRUTE_WORKERS
     acc = np.zeros((times.size, width), dtype=complex)
+    density_s = 0.0
     # chunks are added in chunk order, so the sums are the serial ones for
     # any worker count; at most `ahead` are submitted and not yet added,
     # and an exception cancels those not yet started
@@ -281,16 +288,18 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
         queued = deque(pool.submit(chunk_sum, a) for a in starts[:ahead])
         try:
             for i in range(len(starts)):
-                first, last, part = queued.popleft().result()
+                first, last, part, seconds = queued.popleft().result()
                 if i + ahead < len(starts):
                     queued.append(pool.submit(chunk_sum, starts[i + ahead]))
                 if i == 0:
                     g_lo = first * np.exp(-1j * times * lo)
                 acc += part
+                density_s += seconds
         finally:
             pool.shutdown(cancel_futures=True)
     if counts is not None:
         counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
+        counts["density_s"] = counts.get("density_s", 0.0) + density_s
     g_hi = last * np.exp(-1j * times * hi)
     sums = [h * 2 ** lev * (acc[:, ::2 ** lev].sum(axis=1) - 0.5 * g_lo + 0.5 * g_hi)
             for lev in range(n_levels)]
@@ -358,9 +367,10 @@ def oracle_survival_bruteforce(density, t, e_max: float = 400.0, *,
     `t` is a scalar (returns a float) or an array (returns an array of
     its shape).  All positive times share one density pass on the grid
     the largest of them needs; t = 0 has its own grid.  If `counts` is
-    given, the density evaluations of the threshold and bulk pieces and
-    the density calls are added to its "threshold_evals", "bulk_evals"
-    and "density_calls" entries.
+    given, the density evaluations of the threshold and bulk pieces, the
+    density calls and the seconds inside them are added to its
+    "threshold_evals", "bulk_evals", "density_calls" and "density_s"
+    entries.
     """
     times = np.asarray(t, dtype=float)
     flat = times.ravel()
@@ -393,9 +403,9 @@ class OracleCheck:
 class OracleReport:
     """Bundle of verification rows with an overall verdict.
 
-    `meta` records what the checks cost: density evaluations and calls,
-    brute-force worker threads, RK4 steps and stage seconds.  It takes
-    no part in comparing reports.
+    `meta` records what the checks cost: density evaluations, calls and
+    seconds, brute-force worker threads, RK4 steps and stage seconds.
+    It takes no part in comparing reports.
     """
 
     checks: tuple[OracleCheck, ...] = field(default_factory=tuple)
@@ -417,8 +427,6 @@ def run_verification(density, times=(100.0, 500.0)) -> OracleReport:
     Covers: closed-form boundary vs integration, Jost modulus vs linear
     solve, and exact survival vs brute-force quadrature at spot times.
     """
-    from time import perf_counter
-
     from .model import regular_boundary_sq
     from .survival import survival_exact
 

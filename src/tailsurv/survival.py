@@ -320,16 +320,18 @@ def _envelope_tail(k_a: float, r_a: float, e_max: float) -> float:
                    + math.sin(2.0 * r_a * k) / (2.0 * r_a * k ** 4))
 
 
-def _pick_e_max(r_a: float, times: np.ndarray) -> float:
+def _pick_e_max(r_a: float, times: np.ndarray) -> tuple[float, bool]:
+    """e_max for `times`, and whether a cap holds it below the (3 r_a / t)^2
+    that their smallest positive time asks for."""
     pos = times[times > 0.0]
     t_min = float(np.min(pos)) if pos.size else 1.0
-    t_min = max(t_min, 0.05)
-    e_max = max(64.0, (3.0 * r_a / t_min) ** 2)
+    e_max = max(64.0, (3.0 * r_a / max(t_min, 0.05)) ** 2)
     if np.any(times == 0.0):
         # t = 0 leans on the envelope estimate of the truncated mass,
         # whose own error only drops fast enough beyond this scale
         e_max = max(e_max, 2500.0)
-    return min(e_max, 4.0e4)
+    e_max = min(e_max, 4.0e4)
+    return e_max, e_max < (3.0 * r_a / t_min) ** 2
 
 
 def survival_exact(density: SpectralDensity, times, *,
@@ -353,8 +355,9 @@ def survival_exact(density: SpectralDensity, times, *,
     t_arr = np.atleast_1d(np.asarray(times, dtype=float)).copy()
     if np.any(t_arr < 0.0):
         raise DomainError("survival times must be >= 0")
+    capped = False
     if e_max is None:
-        e_max = _pick_e_max(density.pot.r_a, t_arr)
+        e_max, capped = _pick_e_max(density.pot.r_a, t_arr)
     start = time.perf_counter()
     table = _build_table(density.omega, density.pot.r_a, e_max)
     table_s = time.perf_counter() - start
@@ -381,7 +384,9 @@ def survival_exact(density: SpectralDensity, times, *,
             f"amplitude stage: error estimate {worst:.3e} at t = {t_arr[i_bad]:g} exceeds "
             f"abs_tol = {abs_tol:.3e}; largest part {max(error_parts, key=error_parts.get)} ("
             + ", ".join(f"{key} {val:.3e}" for key, val in error_parts.items())
-            + "); increase e_max or abs_tol")
+            + (f"); e_max is capped at {e_max:g}: raise the smallest time or abs_tol, "
+               "or pass survival_exact a larger e_max" if capped
+               else "); increase e_max or abs_tol"))
 
     prob = np.abs(amps) ** 2
     meta = {"e_max": table.e_max, "panels": int(table.mid.size),

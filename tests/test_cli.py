@@ -151,6 +151,17 @@ def test_survive_from_t_1_1_exits_zero(workdir, capsys):
     assert "exact error estimate" in capsys.readouterr().out
 
 
+def test_survive_names_the_e_max_cap_it_cannot_pass(workdir, capsys):
+    # t = 0.001 asks for e_max = (3 r_a / t)^2 = 8.1e7, but the exact
+    # route caps the e_max it picks (at 32400 for r_a = 3), and survive
+    # has no e_max setting to raise it
+    assert main(["survive", "--t_min", "0.001", "--t_max", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "error-class: ToleranceError" in err
+    assert "e_max is capped at 32400: raise the smallest time or abs_tol" in err
+    assert "increase e_max" not in err
+
+
 def test_survive_rejects_unknown_method(workdir, capsys):
     assert main(["survive", "--methods", "magic"]) == 2
     assert "error-class: ConfigError" in capsys.readouterr().err
@@ -296,6 +307,11 @@ def test_verify_command(workdir, capsys):
     assert cost.startswith("cost: rk4_steps ")
     assert re.search(r"\bdensity_calls [1-9]\d*,", cost)
     assert re.search(rf"\bworkers {_BRUTE_WORKERS},", cost)
+    meta = json.loads((workdir / "verify.meta.json").read_text())
+    assert [row["name"] for row in meta["checks"]] == [
+        line.split(":")[0].split(None, 1)[1] for line in out.splitlines()[:3]]
+    assert all(row["passed"] and row["measured"] <= row["tolerance"] for row in meta["checks"])
+    assert meta["workers"] == _BRUTE_WORKERS and meta["density_s"] > 0.0
 
 
 def test_verify_is_listed_in_help(workdir, capsys):

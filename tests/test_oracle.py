@@ -18,7 +18,7 @@ from tailsurv.oracle import (OracleCheck, ode_oracle_boundary_many,
                              oracle_match_coefficients,
                              oracle_survival_bruteforce, rk4_radial,
                              run_verification)
-from tailsurv.oracle import _match_boundary, _rk4_grid, _rk4_steps
+from tailsurv.oracle import _match_boundary, _nested_trapezoid, _rk4_grid, _rk4_steps
 from tailsurv.survival import survival_exact
 
 from conftest import REFERENCE_BETAS, make_density, make_potential
@@ -188,6 +188,31 @@ def test_batched_times_match_one_call_per_time(density_for, beta):
         assert abs(p - single) <= 1.0e-12
 
 
+@pytest.mark.parametrize("lo", [0.0, 1.0])
+@pytest.mark.parametrize("times", [[30.0], [1.0, 7.0, 30.0]])
+@pytest.mark.parametrize("n_levels", [2, 4])
+def test_nested_trapezoid_matches_whole_grid_sums(monkeypatch, lo, times, n_levels):
+    # chunks of 2000 // max(2, len(times)) points, rounded down to the
+    # coarsest stride: 4096 panels leave a partial last chunk
+    den = make_density(0.3)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 1000)
+    counts = {}
+    n_fine, hi = 4096, lo + 1.0
+    got = _nested_trapezoid(den, times, lo, hi, n_fine, n_levels, counts)
+    e = np.linspace(lo, hi, n_fine + 1)
+    vals = np.zeros(e.size)
+    vals[e > 0.0] = den.omega(e[e > 0.0])
+    g = vals * np.exp(-1j * np.outer(times, e))
+    for lev in range(n_levels):
+        stride = 2 ** lev
+        sub = g[:, ::stride]
+        ref = (hi - lo) / n_fine * stride * (sub.sum(axis=1) - 0.5 * (sub[:, 0] + sub[:, -1]))
+        assert np.max(np.abs(got[lev] - ref)) <= 1.0e-14 * np.max(np.abs(ref))
+    chunk = 2000 // max(2, len(times)) // 2 ** (n_levels - 1) * 2 ** (n_levels - 1)
+    assert n_fine % chunk and counts["density_calls"] == -(-n_fine // chunk)
+    assert counts["density_s"] > 0.0
+
+
 def test_brute_force_does_not_depend_on_chunk_length(density_for, monkeypatch):
     den = density_for(0.3)
     times = np.array([60.0, 200.0])
@@ -285,3 +310,5 @@ def test_verification_report(density_for):
         / (tailsurv.oracle._BRUTE_CHUNK // 2)
     assert meta["workers"] == tailsurv.oracle._BRUTE_WORKERS
     assert all(meta[k] >= 0.0 for k in ("boundary_s", "exact_s", "bruteforce_s"))
+    # seconds inside the density calls, summed over the workers' chunks
+    assert 0.0 < meta["density_s"] <= meta["workers"] * meta["bruteforce_s"]

@@ -71,6 +71,8 @@ def test_tolerance_error_names_stage_time_and_largest_part(times, abs_tol, e_max
     assert msg.startswith("amplitude stage: ") and f"at t = {t_bad} " in msg
     assert f"largest part {largest} (" in msg
     assert all(f"{part} " in msg for part in ("interpolation", "truncation", "sub_threshold"))
+    # the caller passed e_max, or the one picked is below its cap
+    assert msg.endswith("); increase e_max or abs_tol")
 
 
 def test_survival_reports_accuracy_metadata(density_for):
