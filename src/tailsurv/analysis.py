@@ -13,7 +13,7 @@ resonance width serving as the independent scale for the decay rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,16 @@ class FitResult:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One tail strength in a sweep: fitted vs predicted exponent."""
+    """One tail strength in a sweep: fitted vs predicted exponent.  `meta`
+    (not compared) holds the exact series' cost and error meta and the
+    fit's rms residual."""
 
     beta: float
     mu_f: float
     prefactor: float
     mu_predicted: float
     residual: float
+    meta: dict = field(default_factory=dict, compare=False)
 
 
 def _window_samples(series: SurvivalSeries, t_lo: float, t_hi: float):
@@ -155,8 +158,10 @@ def beta_sweep(base: WBPotential, betas,
         density = SpectralDensity(pot, InitialState.from_potential(pot))
         series = survival_exact(density, times)
         fit = fit_power_law(series, window[0], window[1])
+        meta = {key: series.meta[key] for key in ("panels", "density_evals", "max_error_estimate",
+                                                  "error_parts", "table_s", "amplitude_s")}
         rows.append(SweepRow(beta=b, mu_f=fit.mu_f, prefactor=fit.prefactor,
-                             mu_predicted=2.0 * b + 3.0,
-                             residual=fit.rms_residual))
+                             mu_predicted=2.0 * b + 3.0, residual=fit.rms_residual,
+                             meta=dict(meta, rms_residual=fit.rms_residual)))
     return rows
 

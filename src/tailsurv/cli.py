@@ -253,6 +253,8 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
                 [[r.beta for r in rows], [r.mu_f for r in rows],
                  [r.prefactor for r in rows], [r.mu_predicted for r in rows],
                  [r.residual for r in rows]])
+    write_json(path.with_suffix(".meta.json"),
+               {"rows": [dict(beta=r.beta, **r.meta) for r in rows]})
     print(f"sweep: {len(rows)} tail strengths -> {path}")
     return 0
 

@@ -14,6 +14,10 @@ k^2 = vb need no special casing by the caller.  Each region's pair
 (cos(q L), sin(q L)/q) comes from one square root of q^2, and one
 assembly of (u, u') serves this module and the density in `spectral`.
 
+The private kernels take `out`, target arrays for their results and
+intermediates in the order each names, as numpy's `out` does; a None
+target is a new array.  The density passes rows of its work block.
+
 The initial state is the lowest modes of the well region with an
 infinite-wall cutoff at r_a: u_i(r) = sqrt(2/r_a) sin(n_a pi r / r_a)
 for r <= r_a, zero outside.
@@ -153,13 +157,33 @@ class InitialState:
         return float(out[0]) if scalar else out
 
 
-def _tan_half(x, scale=1.0):
-    """tan(y/2) at real y = x scale (scale broadcasts), as a new array."""
-    u = np.multiply(x, np.multiply(scale, 0.5))   # exact: (x scale)/2
+def _tan_half(x, scale=1.0, out=None):
+    """tan(y/2) at real y = x scale (scale broadcasts), in out (may be x)."""
+    u = np.multiply(x, np.multiply(scale, 0.5), out=out)   # exact: (x scale)/2
     return np.tan(u, out=u)
 
 
-def _sincos(x, scale=1.0):
+def _mul(a, b, out=None):
+    """a * b in out; with no out the operator, whose scalar arithmetic can
+    differ in the last bit from the array loop on complex scalars."""
+    return a * b if out is None else np.multiply(a, b, out=out)
+
+
+def _halves(row):
+    """A complex row's memory as two rows of len(row) floats (a real row is
+    its own first half); None gives Nones."""
+    if row is None:
+        return None, None
+    flat = row.view(np.float64)
+    return flat[:row.size], flat[row.size:]
+
+
+def _head(out, m):
+    """The first m entries of each target."""
+    return [None if o is None else o[:m] for o in out]
+
+
+def _sincos(x, scale=1.0, out=(None,) * 5):
     """(sin y, cos y) at y = x scale (scale broadcasts), real or complex.
 
     Real y: with u = tan(y/2), the one vectorized circular function on
@@ -169,16 +193,22 @@ def _sincos(x, scale=1.0):
     that relative for small |y|.  y = 0 gives exactly (0, 1), sin is odd
     and cos even, inf or nan gives nan.  A subnormal y loses its last
     bit to y/2: sin(5e-324) is 0.  Complex a + ib takes sin a cosh b +
-    i cos a sinh b and cos a cosh b - i sin a sinh b.
+    i cos a sinh b and cos a cosh b - i sin a sinh b.  out: sin, cos
+    and three scratch (real x uses one); the first scratch may be x.
     """
     if np.iscomplexobj(x):
-        x = np.multiply(x, scale)
-        s, c = _sincos(x.real)
-        ch, sh = np.cosh(x.imag), np.sinh(x.imag)
-        return s * ch + 1j * (c * sh), c * ch - 1j * (s * sh)
-    u = _tan_half(x, scale)
-    den = np.square(u)
-    cos = np.subtract(1.0, den)
+        x = np.multiply(x, scale, out=out[2])
+        (a0, a1), (b0, b1) = _halves(out[3]), _halves(out[4])
+        s, c = _sincos(x.real, out=(a0, b0, a1))
+        ch, sh = np.cosh(x.imag, out=a1), np.sinh(x.imag, out=b1)
+        re, im = _halves(x)                   # x is spent: its memory takes the products
+        sin = np.multiply(1j, np.multiply(c, sh, out=im), out=out[0])
+        sin += np.multiply(s, ch, out=re)
+        cos = np.multiply(1j, np.multiply(s, sh, out=im), out=out[1])
+        return sin, np.subtract(np.multiply(c, ch, out=re), cos, out=cos)
+    u = _tan_half(x, scale, out[0])
+    den = np.square(u, out=out[2])
+    cos = np.subtract(1.0, den, out=out[1])
     den += 1.0
     cos /= den
     u += u
@@ -186,57 +216,62 @@ def _sincos(x, scale=1.0):
     return u, cos
 
 
-def _trig_sqrt(z, length):
+def _trig_sqrt(z, length, out=(None,) * 8):
     """(cos(sqrt(z) L), sin(sqrt(z) L)/sqrt(z)), entire in z, from one square root.
 
     Negative real z gives (cosh, sinh/kappa), kappa = sqrt(-z).  A real
     call whose z are all >= 0 or all <= 0 takes no masks; a mixed-sign
     call splits once, so each branch runs only on its own elements.  The
     quotient is exact to rounding for z != 0; z = 0 takes the limit (1, L).
+    out: the quotient, the cosine and six scratch (a mixed-sign call uses all).
     """
     if np.iscomplexobj(z) or z.min(initial=np.inf) >= 0.0:
-        return _trig_pair(np.sqrt(z), length, _sincos)
+        return _trig_pair(np.sqrt(z, out=out[5]), length, _sincos, out[:5])
     if z.max(initial=-np.inf) <= 0.0:
-        return _trig_pair(np.sqrt(-z), length, _sinh_cosh)
+        s = np.sqrt(np.negative(z, out=out[5]), out=out[5])
+        return _trig_pair(s, length, _sinh_cosh, out[:5])
+    cos_out, sinc_out = (np.empty_like(z) if o is None else o for o in (out[1], out[0]))
     pos = z >= 0.0
-    cos_out, sinc_out = np.empty_like(z), np.empty_like(z)
-    cos_out[pos], sinc_out[pos] = _trig_pair(np.sqrt(z[pos]), length, _sincos)
-    neg = ~pos
-    cos_out[neg], sinc_out[neg] = _trig_pair(np.sqrt(-z[neg]), length, _sinh_cosh)
+    for part, sin_cos in ((pos, _sincos), (~pos, _sinh_cosh)):
+        sub = _head(out[2:], np.count_nonzero(part))
+        s = np.sqrt(np.abs(z[part], out=sub[5]), out=sub[5])     # |z|: -z on ~pos
+        cos_out[part], sinc_out[part] = _trig_pair(s, length, sin_cos, sub[:5])
     return cos_out, sinc_out
 
 
-def _sinh_cosh(x):
-    return np.sinh(x), np.cosh(x)
+def _sinh_cosh(x, out=(None,) * 2):
+    return np.sinh(x, out=out[0]), np.cosh(x, out=out[1])
 
 
-def _trig_pair(s, length, sin_cos):
+def _trig_pair(s, length, sin_cos, out=(None,) * 5):
     """(cos(s L), sin(s L)/s), limit L at s = 0; sin_cos is `_sincos` or
-    `_sinh_cosh`."""
-    sin, cos = sin_cos(s * length)
+    `_sinh_cosh`, whose out this is (s L goes to out[2])."""
+    sin, cos = sin_cos(np.multiply(s, length, out=out[2]), out=out)
     zero = s == 0.0
     np.divide(sin, s, out=sin, where=~zero)
     sin[zero] = length
     return cos, sin
 
 
-def _well_boundary(pot: WBPotential, k_sq, sinc_a, cos_a):
-    """(u, u') at r_d from k_sq and the well pair; see `_assemble_boundary`."""
-    z_b = k_sq - pot.vb                     # minus the barrier's kappa^2
-    return _assemble_boundary(sinc_a, cos_a, *_trig_sqrt(z_b, pot.r_b), z_b)
+def _well_boundary(pot: WBPotential, k_sq, sinc_a, cos_a, out=(None,) * 9):
+    """(u, u') at r_d from k_sq and the well pair; see `_assemble_boundary`.
+    out: k_sq - vb, then the targets of `_trig_sqrt`; u' is cos_a."""
+    z_b = np.subtract(k_sq, pot.vb, out=out[0])    # minus the barrier's kappa^2
+    cos_b, sinc_b = _trig_sqrt(z_b, pot.r_b, out[1:])
+    return _assemble_boundary(sinc_a, cos_a, cos_b, sinc_b, z_b, out[3:])
 
 
-def _assemble_boundary(sinc_a, cos_a, cos_b, sinc_b, z_b):
+def _assemble_boundary(sinc_a, cos_a, cos_b, sinc_b, z_b, out=(None,) * 2):
     """(u, u') at r_d from the well and barrier pairs.
 
     The well pair is (sin(k_I r_a)/k_I, cos(k_I r_a)), the barrier pair
     (cos(q r_b), sin(q r_b)/q) with q^2 = z_b = k^2 - vb, and u = sinc_a
     cos_b + cos_a sinc_b, u' = cos_a cos_b - z_b sinc_a sinc_b.  A factor
     common to either pair carries over to (u, u').  Works in place,
-    overwriting sinc_a and cos_a.
+    overwriting sinc_a and cos_a; out: u and one scratch.
     """
-    u = sinc_a * cos_b
-    u += cos_a * sinc_b
+    u = _mul(sinc_a, cos_b, out[0])
+    u += _mul(cos_a, sinc_b, out[1])
     cos_a *= cos_b
     sinc_a *= sinc_b
     sinc_a *= z_b

@@ -10,6 +10,8 @@ production modules through a deliberately different numerical scheme:
 * uniform ultra-fine trapezoidal quadrature with one Richardson step
   instead of the panel/moment oscillatory integrator, on two threads,
   each chunk of the grid summed by one batched matrix-vector product.
+  Each thread evaluates the density for all its chunks into one work
+  block, which it allocates once and which also holds the chunk's grid.
 
 None of the production results are reused internally beyond the shared
 special-function evaluations that define the problem itself.
@@ -28,15 +30,23 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .model import _sincos
 from .specfun import BesselOrder, riccati_pair_with_derivatives
+from .spectral import _work_block
 from .survival import _envelope_tail
+
+try:
+    from resource import RUSAGE_SELF, getrusage
+except ImportError:  # not on every platform
+    getrusage = None
 
 # Hard cap on brute-force grid size.  The grid is streamed in chunks, so
 # this guards runtime, not memory.
 _MAX_BRUTE_POINTS = 40_000_000
-# Grid points per density call, times max(2, number of times summed);
-# ~32 bytes per point and time.  At t = (60, 200), 16 384-point calls
-# made the brute force 1.5x slower (per-call Python work holds the GIL),
-# and 65 536-point calls saved no time for 12 MB more peak memory.
+# Grid points per density call, times max(2, number of times summed).
+# Each worker's work block takes 104 bytes per point of a call (3.4 MB
+# at 32 768 points), the phase rows 16 per point and time.  At t = (60,
+# 200) the brute force peaks at 8.6 MB (tracemalloc); 16 384-point calls
+# made it 2.2x slower (per-call Python work holds the GIL), and 65 536-point
+# calls were no faster and peaked at 17 MB.
 _BRUTE_CHUNK = 65_536
 # numpy and BLAS release the GIL in their loops: the brute force at
 # t = (60, 200) took 0.20-0.31 s on two threads, 0.30-0.37 s on one and
@@ -244,12 +254,16 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
     `_BRUTE_CHUNK / max(2, len(times))` points (a multiple of the
     coarsest stride), one density call each (counted, with its seconds,
     in counts), and each time keeps one running sum per residue of the
-    grid index modulo that stride, plus the two end points.  Within a
-    chunk starting at e0 the phase is e^{-i t e0} times one row
-    e^{-i t h j} per time, computed once; one batched matrix-vector
-    product of the rows with the chunk's values gives its residue sums.
+    grid index modulo that stride, plus the two end points.  Each worker
+    allocates one `_work_block` (its bytes go to counts) and reuses it
+    for all its chunks: row 0 holds the chunk's grid and the density's
+    intermediates the rest.  Within a chunk starting at e0 the phase is
+    e^{-i t e0} times one row e^{-i t h j} per time, computed once; one
+    batched matrix-vector product of the rows with the chunk's values
+    gives its residue sums.
     Returns the sums, shape (n_levels, len(times)), finest first.
     """
+    import threading
     from concurrent.futures import ThreadPoolExecutor  # imports logging: not at load
 
     times = np.asarray(times, dtype=float)
@@ -262,16 +276,24 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
     sin, cos = _sincos(times[:, None], offsets[:, None, :])
     rows = np.concatenate((cos, sin), axis=1)
     del sin, cos, offsets
+    index = np.arange(chunk + 1, dtype=float)
+    local, blocks = threading.local(), []
 
     def chunk_sum(a):
+        if not hasattr(local, "block"):  # one per worker, reused for its chunks
+            local.block = _work_block(chunk + 1)
+            blocks.append(local.block.nbytes)
         b = min(a + chunk, n_fine)
-        # the same points as np.linspace(lo, hi, n_fine + 1); the last
-        # chunk also carries the end point hi
-        e = np.arange(a, b + (b == n_fine)) * h + lo
+        # the same points as np.linspace(lo, hi, n_fine + 1), in the block's
+        # row 0; the last chunk also carries the end point hi
+        e = local.block[0, :b + (b == n_fine) - a]
+        np.multiply(np.add(index[:e.size], a, out=e), h, out=e)
+        e += lo
         if b == n_fine:
             e[-1] = hi
         start = perf_counter()  # E = 0 takes 0, the density's limit at threshold
-        vals = np.r_[0.0, density.omega(e[1:])] if e[0] == 0.0 else density.omega(e)
+        vals = (np.r_[0.0, density.omega(e[1:], work=local.block)] if e[0] == 0.0
+                else density.omega(e, work=local.block))
         seconds = perf_counter() - start
         q = (b - a) // width
         cos_sin = (rows[:, :, :q] @ vals[:q * width].reshape(q, width).T[:, :, None])[..., 0].T
@@ -300,6 +322,7 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
     if counts is not None:
         counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
         counts["density_s"] = counts.get("density_s", 0.0) + density_s
+        counts["work_bytes"] = max(counts.get("work_bytes", 0), sum(blocks))
     g_hi = last * np.exp(-1j * times * hi)
     sums = [h * 2 ** lev * (acc[:, ::2 ** lev].sum(axis=1) - 0.5 * g_lo + 0.5 * g_hi)
             for lev in range(n_levels)]
@@ -370,7 +393,8 @@ def oracle_survival_bruteforce(density, t, e_max: float = 400.0, *,
     given, the density evaluations of the threshold and bulk pieces, the
     density calls and the seconds inside them are added to its
     "threshold_evals", "bulk_evals", "density_calls" and "density_s"
-    entries.
+    entries, and "work_bytes" holds the most bytes the workers' blocks
+    took in one pass.
     """
     times = np.asarray(t, dtype=float)
     flat = times.ravel()
@@ -404,8 +428,10 @@ class OracleReport:
     """Bundle of verification rows with an overall verdict.
 
     `meta` records what the checks cost: density evaluations, calls and
-    seconds, brute-force worker threads, RK4 steps and stage seconds.
-    It takes no part in comparing reports.
+    seconds, brute-force worker threads and the bytes of their work
+    blocks, the brute force's minor page faults (None where `resource`
+    is missing), RK4 steps and stage seconds.  It takes no part in
+    comparing reports.
     """
 
     checks: tuple[OracleCheck, ...] = field(default_factory=tuple)
@@ -457,10 +483,12 @@ def run_verification(density, times=(100.0, 500.0)) -> OracleReport:
 
     times = np.asarray(times, dtype=float)
     series = survival_exact(density, times)
+    faults = getrusage(RUSAGE_SELF).ru_minflt if getrusage else None
     t2 = perf_counter()
     brute = oracle_survival_bruteforce(density, times, counts=meta)
+    faults = getrusage(RUSAGE_SELF).ru_minflt - faults if getrusage else None
     worst = float(np.max(np.abs(series.probability - brute)))
     checks.append(OracleCheck("survival exact vs brute force", worst, 1.0e-8))
     meta.update(workers=_BRUTE_WORKERS, boundary_s=t1 - t0, exact_s=t2 - t1,
-                bruteforce_s=perf_counter() - t2)
+                bruteforce_s=perf_counter() - t2, minor_faults=faults)
     return OracleReport(checks=tuple(checks), meta=meta)

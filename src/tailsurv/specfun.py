@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import _sincos
+from .model import _halves, _head, _sincos
 
 SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(float).eps)
@@ -38,8 +38,11 @@ SERIES_RTOL = 1.0e-15
 _SERIES_LOSS_BUDGET = 1.0e-7
 
 # |z| from which the quadratic combinations come from the Hankel-product
-# series; on the real axis both routes carry a few parts in 1e11 there
-# (e^x eps, e^{-2x}), off it the series up to 6.5e-10 (arg z = -0.3).
+# series.  On the real axis the Hankel sums carry ~4e-12 there (e^{-2x})
+# and the series up to 1.2e-10 of n^2 + j^2 at x = 12.49 (e^x eps, worst
+# for mu = nu - n near -1/2: beta = 0.001, 2.02, 1 + 9e-10), below the
+# panel table's _PANEL_RTOL = 5e-10; off it the series reaches 6.5e-10
+# (arg z = -0.3).
 SERIES_COMBO_SWITCH = 12.5
 
 
@@ -206,7 +209,7 @@ def _series_term_count(w_max: float) -> int:
             return 8 * ((p + 8) // 8)
 
 
-def _pair_series(beta: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
+def _pair_series(beta: float, x: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
     """Ascending series for every order but integer beta (see _series_tables).
 
     n_hat = K j_hat + P sum_i c_i w^{i-n}, with P = sqrt(pi) (x/2)^{-beta},
@@ -215,28 +218,30 @@ def _pair_series(beta: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
     exponentials per element give every power: (x/2)^{beta+1}, (x/2)^{-2 mu}
     and their product over w^n, (x/2)^{-beta}.  All four Horner sums share
     one loop, and the arithmetic runs in place to keep peak memory down.
+    out: n_hat, w (spent), n_hat', j_hat, j_hat' and three scratch.
     """
-    w = np.square(0.5 * x)
-    tab = _series_tables(beta, _series_term_count(float(np.max(np.abs(w)))))
-    j = np.full_like(x, tab.j[-1])
-    jp = np.full_like(x, tab.jd[-1])
-    n = np.full_like(x, tab.n[-1])
-    np_ = np.full_like(x, tab.nd[-1])
+    w = np.square(np.multiply(0.5, x, out=out[5]), out=out[1])
+    peak = np.max(np.abs(w, out=_halves(out[0])[0]))
+    tab = _series_tables(beta, _series_term_count(float(peak)))
+    j, jp, n, np_ = (np.multiply(w, c[-1], out=o) for c, o in    # Horner's first step
+                     ((tab.j, out[3]), (tab.jd, out[4]), (tab.n, out[0]), (tab.nd, out[2])))
     for i in range(tab.j.size - 2, -1, -1):
-        j *= w
         j += tab.j[i]
-        jp *= w
         jp += tab.jd[i]
-        n *= w
         n += tab.n[i]
-        np_ *= w
         np_ += tab.nd[i]
-    log_half = np.log(0.5 * x)
-    scale = np.exp((beta + 1.0) * log_half)
+        if i:
+            j *= w
+            jp *= w
+            n *= w
+            np_ *= w
+    log_half = np.log(np.multiply(0.5, x, out=out[5]), out=out[5])
+    scale = np.exp(np.multiply(beta + 1.0, log_half, out=out[6]), out=out[6])
     j *= scale
     jp *= scale
     jp /= x
-    power = np.expm1(-2.0 * tab.mu * log_half)     # (x/2)^{-2 mu} - 1
+    # (x/2)^{-2 mu} - 1
+    power = np.expm1(np.multiply(-2.0 * tab.mu, log_half, out=out[7]), out=out[7])
     if tab.mu == 0.0:
         k_fac = np.multiply(log_half, 2.0 / math.pi, out=log_half)
     else:
@@ -252,33 +257,37 @@ def _pair_series(beta: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
     np_ /= x
     kp_fac = np.multiply(power, 2.0 * tab.ratio, out=power)
     kp_fac /= x
-    n += k_fac * j
-    np_ += kp_fac * j
-    np_ += k_fac * jp
+    n += np.multiply(k_fac, j, out=out[1])
+    np_ += np.multiply(kp_fac, j, out=out[1])
+    np_ += np.multiply(k_fac, jp, out=out[1])
     return j, jp, n, np_
 
 
-def _pair_integer_beta(ell: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
+def _pair_integer_beta(ell: int, x: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
     """Closed trigonometric forms, upward recurrence from order 0.
 
     Stable only for ell not much larger than |x|; the physical range here
-    keeps ell at a handful at most.
+    keeps ell at a handful at most.  out as in _pair_series.
     """
-    sin_x, cos_x = _sincos(x)
+    sin_x, cos_x = _sincos(x, out=out[:5])
     jm1, j0 = cos_x, sin_x          # orders -1, 0
-    nm1, n0 = sin_x, -cos_x
-    for i in range(ell):
-        jm1, j0 = j0, (2 * i + 1) / x * j0 - jm1
-        nm1, n0 = n0, (2 * i + 1) / x * n0 - nm1
-    jp = jm1 - ell / x * j0
-    np_ = nm1 - ell / x * n0
+    nm1, n0 = np.positive(sin_x, out=out[5]), np.negative(cos_x, out=out[6])
+
+    def times_over_x(c, v):         # c / x * v, in scratch
+        return np.multiply(np.divide(c, x, out=out[2]), v, out=out[3])
+
+    for i in range(ell):            # each new order overwrites the one below the last
+        jm1, j0 = j0, np.subtract(times_over_x(2 * i + 1, j0), jm1, out=jm1)
+        nm1, n0 = n0, np.subtract(times_over_x(2 * i + 1, n0), nm1, out=nm1)
+    jp = np.subtract(jm1, times_over_x(ell, j0), out=jm1)
+    np_ = np.subtract(nm1, times_over_x(ell, n0), out=nm1)
     return j0, jp, n0, np_
 
 
-def _pair(order: BesselOrder, x: np.ndarray) -> tuple[np.ndarray, ...]:
+def _pair(order: BesselOrder, x: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
     if order.is_integer_beta:
-        return _pair_integer_beta(int(order.beta), x)
-    return _pair_series(order.beta, x)
+        return _pair_integer_beta(int(order.beta), x, out)
+    return _pair_series(order.beta, x, out)
 
 
 def riccati_pair_with_derivatives(order: BesselOrder, x) -> RiccatiPair:
@@ -292,9 +301,20 @@ def riccati_pair_with_derivatives(order: BesselOrder, x) -> RiccatiPair:
     return RiccatiPair(*_unpack(scalar, *_pair(order, arr)))
 
 
-def _pair_combos(order: BesselOrder, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    j, jp, n, np_ = _pair(order, x)
-    return n * n + j * j, n * np_ + j * jp, np_ * np_ + jp * jp
+def _pair_combos(order: BesselOrder, x: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
+    """The combinations, in three targets the pair left free and its spent
+    n_hat, j_hat.  No product overwrites an operand: a one-element complex
+    product does so with a last-bit difference (numpy 2.4, x86-64)."""
+    j, jp, n, np_ = pair = _pair(order, x, out)
+    taken = {id(p) for p in pair}
+    cross, sum_sq, tmp = [o for o in out if id(o) not in taken][:3]
+    cross = np.multiply(n, np_, out=cross)
+    cross += np.multiply(j, jp, out=tmp)
+    sum_sq = np.multiply(n, n, out=sum_sq)
+    sum_sq += np.multiply(j, j, out=tmp)
+    sum_sq_deriv = np.multiply(np_, np_, out=n)
+    sum_sq_deriv += np.multiply(jp, jp, out=j)
+    return sum_sq, cross, sum_sq_deriv
 
 
 def riccati_combos(order: BesselOrder, z) -> RiccatiCombos:
@@ -308,18 +328,31 @@ def riccati_combos(order: BesselOrder, z) -> RiccatiCombos:
     return RiccatiCombos(*_unpack(scalar, *_combos(order, arr)))
 
 
-def _combos(order: BesselOrder, z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`riccati_combos` on a validated 1-d float64 (z > 0) or complex128 array."""
-    near = np.abs(z) < SERIES_COMBO_SWITCH
+def _combos(order: BesselOrder, z: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
+    """`riccati_combos` on a validated 1-d float64 (z > 0) or complex128 array.
+
+    out: eight targets.  A mixed call runs the pair on the near part,
+    moves its values to three targets it left free, then runs the Hankel
+    sums on the far part in the others.
+    """
+    near = np.abs(z, out=_halves(out[0])[0]) < SERIES_COMBO_SWITCH
     if near.all():
-        return _pair_combos(order, z)
+        return _pair_combos(order, z, out)
     if not near.any():
-        return _hankel_combos(order.beta, z)
-    out = tuple(np.empty_like(z) for _ in range(3))  # not one (3, n) block: peak RSS
-    for full, lo, hi in zip(out, _pair_combos(order, z[near]),
-                            _hankel_combos(order.beta, z[~near])):
-        full[near], full[~near] = lo, hi
-    return out
+        return _hankel_combos(order.beta, z, out)
+    m = np.count_nonzero(near)
+    heads = _head(out, m)
+    lo = _pair_combos(order, z[near], heads)
+    taken = {id(v) for v in lo}
+    full = [np.empty_like(z) if o is None else o
+            for o in [o for o, h in zip(out, heads) if id(h) not in taken][:3]]
+    taken = {id(f) for f in full}
+    rest = _head([o for o in out if id(o) not in taken], z.size - m)
+    for dst, src in zip(full, lo):
+        dst[near] = src
+    for dst, src in zip(full, _hankel_combos(order.beta, z[~near], rest)):
+        dst[~near] = src
+    return tuple(full)
 
 
 _LARGE_X_COEF_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -344,22 +377,24 @@ def _large_x_coefficients(beta: float) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _hankel_combos(beta: float, z: np.ndarray) -> tuple[np.ndarray, ...]:
+def _hankel_combos(beta: float, z: np.ndarray, out=(None,) * 4) -> tuple[np.ndarray, ...]:
     """n^2 + j^2 = sum_k a_k z^{-2k} (DLMF 10.18.17), n n' + j j' is half
     its derivative, and n'^2 + j'^2 = (1 + (n n' + j j')^2) / (n^2 + j^2)
-    by the Wronskian.  In place throughout to keep peak memory down."""
+    by the Wronskian.  In place throughout, in out's four targets, to keep
+    peak memory down."""
     coef, coef_k = _large_x_coefficients(beta)
-    inv_sq = np.reciprocal(z * z)
-    sum_sq = np.full_like(z, coef[-1])
-    slope = np.full_like(z, coef_k[-1])
+    inv_sq = np.reciprocal(np.multiply(z, z, out=out[0]), out=out[0])
+    sum_sq = np.multiply(inv_sq, coef[-1], out=out[1])     # Horner's first step
+    slope = np.multiply(inv_sq, coef_k[-1], out=out[2])
     for k in range(coef.size - 2, -1, -1):
-        sum_sq *= inv_sq
         sum_sq += coef[k]
-        slope *= inv_sq
         slope += coef_k[k]
+        if k:
+            sum_sq *= inv_sq
+            slope *= inv_sq
     cross = np.negative(slope, out=slope)
     cross /= z
-    sum_sq_deriv = 1.0 + cross * cross
+    sum_sq_deriv = np.add(1.0, np.multiply(cross, cross, out=out[3]), out=out[3])
     sum_sq_deriv /= sum_sq
     return sum_sq, cross, sum_sq_deriv
 

@@ -187,8 +187,9 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     sin^2(k_I r_a).  Each level evaluates all its pending panels in one
     density call, keeps those whose interpolation residual is within
     _PANEL_RTOL of their largest value (or that reached _MIN_WIDTH or
-    _MAX_DEPTH) and bisects the rest; the density's evaluation error (a
-    few parts in 1e11) stays below that target.
+    _MAX_DEPTH) and bisects the rest; the density's evaluation error (up
+    to 1.2e-10 relative, from the series at |k r_d| just below 12.5 for
+    orders with nu - n near -1/2) stays below that 5e-10 target.
     """
     if e_max <= 4.0:
         raise DomainError(f"e_max = {e_max:g} too small; need > 4")

@@ -222,6 +222,24 @@ def test_sweep_single_row(workdir, capsys):
     assert data["beta"].tolist() == [0.3]
     assert data["mu_predicted"][0] == pytest.approx(3.6, rel=1.0e-14)
     assert data["mu_f"][0] == pytest.approx(3.6, abs=0.05)
+    # sweep.meta.json: per beta, how the exact series was obtained and the fit's residual
+    (row,) = json.loads((workdir / "sweep.meta.json").read_text())["rows"]
+    assert row["beta"] == 0.3 and row["rms_residual"] == data["residual"][0]
+    assert row["panels"] > 0 and row["density_evals"] > row["panels"]
+    assert 0.0 < row["max_error_estimate"] < 1.0e-8
+    assert set(row["error_parts"]) == {"interpolation", "truncation", "sub_threshold"}
+    assert row["table_s"] > 0.0 and row["amplitude_s"] > 0.0
+
+
+def test_sweep_meta_follows_the_csv(workdir, monkeypatch, capsys):
+    outdir = workdir / "out"
+    outdir.mkdir()
+    monkeypatch.setenv("TAILSURV_OUTDIR", str(outdir))
+    assert main(["sweep", "--beta_start", "0.3", "--beta_stop", "0.35", "--fit_samples", "12",
+                 "--out", "s.csv"]) == 0
+    capsys.readouterr()
+    rows = json.loads((outdir / "s.meta.json").read_text())["rows"]
+    assert [row["beta"] for row in rows] == read_table(outdir / "s.csv")[1]["beta"].tolist()
 
 
 def test_sweep_ignores_config_beta(workdir, capsys):

@@ -19,6 +19,7 @@ from tailsurv.oracle import (OracleCheck, ode_oracle_boundary_many,
                              oracle_survival_bruteforce, rk4_radial,
                              run_verification)
 from tailsurv.oracle import _match_boundary, _nested_trapezoid, _rk4_grid, _rk4_steps
+from tailsurv.spectral import _work_block
 from tailsurv.survival import survival_exact
 
 from conftest import REFERENCE_BETAS, make_density, make_potential
@@ -235,8 +236,8 @@ def test_brute_force_is_bit_identical_for_any_worker_count(monkeypatch, t):
     for workers in (1, 2, 4):
         calls = itertools.count()
 
-        def first_returns_last(e):
-            out = omega(e)
+        def first_returns_last(e, *, work=None):
+            out = omega(e, work=work)
             if next(calls) == 0:
                 time.sleep(0.05)
             return out
@@ -259,10 +260,10 @@ def test_density_error_in_a_chunk_reaches_the_caller(monkeypatch):
     den = make_density(0.3)
     calls, omega = itertools.count(), den.omega
 
-    def failing(e):
+    def failing(e, *, work=None):
         if next(calls) == 2:
             raise DomainError("third chunk")
-        return omega(e)
+        return omega(e, work=work)
 
     monkeypatch.setattr(den, "omega", failing)
     threads = threading.active_count()
@@ -271,6 +272,29 @@ def test_density_error_in_a_chunk_reaches_the_caller(monkeypatch):
     assert threading.active_count() == threads
     # the seven chunks of the threshold piece are not all evaluated
     assert next(calls) < 7
+
+
+def test_brute_force_workers_each_reuse_one_block(monkeypatch):
+    # every chunk's energies sit in row 0 of its worker's block, and a pass
+    # sees no more blocks than workers
+    den = make_density(0.3)
+    omega, blocks, calls = den.omega, set(), []
+
+    def recording(e, *, work=None):
+        assert work is not None and np.shares_memory(e, work[0])
+        blocks.add(id(work))
+        calls.append(e.size)
+        return omega(e, work=work)
+
+    monkeypatch.setattr(den, "omega", recording)
+    counts = {}
+    oracle_survival_bruteforce(den, [60.0, 200.0], e_max=100.0, counts=counts)
+    # two passes (threshold and bulk), each with its own blocks
+    assert len(blocks) <= 2 * tailsurv.oracle._BRUTE_WORKERS
+    assert len(calls) == counts["density_calls"] > len(blocks)
+    per_block = _work_block(tailsurv.oracle._BRUTE_CHUNK // 2 + 1).nbytes
+    assert counts["work_bytes"] in [per_block * w
+                                    for w in range(1, tailsurv.oracle._BRUTE_WORKERS + 1)]
 
 
 def test_brute_force_memory_does_not_grow_with_grid(density_for):
@@ -312,3 +336,13 @@ def test_verification_report(density_for):
     assert all(meta[k] >= 0.0 for k in ("boundary_s", "exact_s", "bruteforce_s"))
     # seconds inside the density calls, summed over the workers' chunks
     assert 0.0 < meta["density_s"] <= meta["workers"] * meta["bruteforce_s"]
+    # one block per worker that took a chunk, of 13 rows of a chunk's points
+    per_block = _work_block(tailsurv.oracle._BRUTE_CHUNK // 2 + 1).nbytes
+    assert meta["work_bytes"] in [per_block * w for w in range(1, meta["workers"] + 1)]
+    # minor page faults of the brute force, where `resource` exists
+    try:
+        import resource  # noqa: F401
+    except ImportError:
+        assert meta["minor_faults"] is None
+    else:
+        assert isinstance(meta["minor_faults"], int) and meta["minor_faults"] >= 0

@@ -1,6 +1,7 @@
 """Energy-density construction, threshold expansion, and arc diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from tailsurv import spectral
 from tailsurv.errors import ConvergenceError, DomainError
 from tailsurv.model import InitialState, WBPotential
 from tailsurv.specfun import riccati_combos
-from tailsurv.spectral import (SpectralDensity, _shifted_well,
+from tailsurv.spectral import (SpectralDensity, _shifted_well, _work_block,
                                arc_density_magnitude)
 from tailsurv.survival import spectral_mass
 
@@ -71,9 +72,67 @@ def test_density_kernel_call_matches_validated_combos(beta, monkeypatch):
     e_real = np.concatenate((np.geomspace(1.0e-12, 4.0e4, 400), rng.uniform(0.01, 60.0, 400)))
     e_cplx = rng.uniform(0.01, 60.0, 400) * np.exp(-1j * rng.uniform(0.0, 0.5 * np.pi, 400))
     direct = [f(x) for x in (e_real, e_cplx) for f in (den.omega, den.jost_modulus_sq)]
-    monkeypatch.setattr(spectral, "_combos", lambda order, z: tuple(riccati_combos(order, z)))
+    monkeypatch.setattr(spectral, "_combos",
+                        lambda order, z, out=None: tuple(riccati_combos(order, z)))
     routed = [f(x) for x in (e_real, e_cplx) for f in (den.omega, den.jost_modulus_sq)]
     assert all(np.array_equal(a, b) for a, b in zip(direct, routed))
+
+
+def _work_block_inputs(den):
+    """Energies by route: series only (below vb), Hankel only, mixed across
+    |k r_d| = 12.5, straddling E = vb, and the rotated axis E = -iu/t."""
+    rng = np.random.default_rng(5)
+    switch = (12.5 / den.pot.r_d) ** 2
+    return {"series": rng.uniform(1.0e-8, 1.0, 700),
+            "hankel": rng.uniform(20.0, 400.0, 700),
+            "switch": rng.uniform(0.5 * switch, 2.0 * switch, 700),
+            "barrier": rng.uniform(0.5 * den.pot.vb, 2.0 * den.pot.vb, 700),
+            "rotated": -1j * np.geomspace(1.0e-9, 40.0, 912) / 50.0}
+
+
+@pytest.mark.parametrize("beta", (-0.4, 0.0, 0.3, 1.0, 1.4999))
+def test_density_work_block_gives_the_same_bits(beta):
+    den = make_density(beta)
+    blocks = {float: _work_block(1000), complex: _work_block(1000, complex)}
+    for name, e in _work_block_inputs(den).items():
+        block = blocks[complex if np.iscomplexobj(e) else float]
+        # a block wider than the call, dirty from the previous call
+        block.fill(np.nan)
+        for _ in range(2):
+            got = den.omega(e, work=block)
+            assert np.array_equal(got, den.omega(e)), name
+            assert not np.shares_memory(got, block), name
+    # the energies may sit in the block's row 0
+    e = blocks[float][0, :700]
+    e[:] = _work_block_inputs(den)["switch"]
+    assert np.array_equal(den.omega(e, work=blocks[float]), den.omega(e.copy()))
+
+
+def test_density_rejects_a_work_block_that_does_not_fit():
+    den = make_density(0.3)
+    e = np.linspace(1.0, 30.0, 50)
+    for block in (_work_block(49), _work_block(50, complex), _work_block(50)[1:]):
+        with pytest.raises(DomainError, match="work"):
+            den.omega(e, work=block)
+
+
+@pytest.mark.parametrize("beta", (0.3, 1.0))
+@pytest.mark.parametrize("lo, hi", ((1.0e-6, 1.0), (20.0, 85.0)))
+def test_density_with_a_work_block_allocates_only_its_result(beta, lo, hi):
+    # a chunk of the brute force: all series below vb, or all Hankel above
+    # it; beyond its 256 KB result the call allocates only boolean masks
+    # (a call split at the switch or at vb also copies out its two parts)
+    den = make_density(beta)
+    e = np.linspace(lo, hi, 32768)
+    block = _work_block(e.size)
+    den.omega(e, work=block)
+    tracemalloc.start()
+    try:
+        got = den.omega(e, work=block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + 3 * e.size
 
 
 @pytest.mark.parametrize("beta", (0.3, 0.7))
