@@ -14,9 +14,12 @@ evaluated together, in blocks, in real arithmetic.  The panels start as geometri
 shrinking ones down to E ~ 1e-13, for the threshold power law, and
 uniform ones in k = sqrt(E) above; one refinement loop then bisects,
 level by level, every panel whose interpolant misses its target (the
-resonance peak chiefly).  The truncated high-energy tail is summed by
-integration by parts using end-point derivatives of the last panel's
-interpolant.
+resonance peak chiefly).  Each time sums only the panels of its own
+energy window this way.  The panels wholly below E = 1/t enter as one
+Taylor series in -it over the table's cumulative energy moments.  The
+density above the window's top e_cut, the table end that t / 2 would
+need (at most e_max), is summed by integration by parts using the
+derivatives of the interpolant of the panel below e_cut.
 
 The long-time representation rotates the contour onto the negative
 imaginary energy axis,
@@ -68,13 +71,19 @@ _GEOM_EDGE = 0.25
 _GEOM_FLOOR = 1.0e-13
 
 _DERIV_TERMS = 6  # integration-by-parts tail depth
+_MOMENT_TERMS = 20  # Taylor terms for the panels below E t = 1 (even)
+# E^m / m! is built up one factor E / m at a time
+_MOMENT_STEPS = 1.0 / np.arange(1.0, _MOMENT_TERMS)[:, None, None]
 
 # Upper end of the table that `spectral_mass` integrates.
 _MASS_E_HI = 4.0e4
 
-# Times per block of the batched amplitude; a block's temporaries are
-# a few (block, panels, 8) float arrays, ~2 MB each at 900 panels.
-_TIME_BLOCK = 32
+# Times per block of the batched amplitude.  The largest temporaries are
+# two (block, window panels, 8) float arrays for the Gauss sums, ~0.8 MB
+# each at the CLI grid's shortest times (229 panels); its amplitude stage
+# peaks at 3.1 MB.  64 keeps a sweep's 50 times in one block (32 cost it
+# 1.3x); on the CLI grid 32 to 64 time the same within noise, 96 is slower.
+_TIME_BLOCK = 64
 
 
 def _gauss_basis():
@@ -94,6 +103,10 @@ _DERIV_HI = np.array([[math.perm(j, n) for j in range(16)] for n in range(16)], 
 _DERIV_LO = _DERIV_HI * (-1.0) ** np.subtract.outer(np.arange(16), np.arange(16))
 # Powers n + 1 of 1/t in the closed form, even n then odd n: (2, 1, 1, 8).
 _POWERS = np.arange(1.0, 17.0).reshape(8, 1, 1, 2).T
+# q^(n)(-1) + q^(n)(1) and q^(n)(-1) - q^(n)(1) from the monomial
+# coefficients of q, signed (-1)^(n//2): (sum/difference, j, n)
+_END_COMBOS = (np.stack((_DERIV_LO + _DERIV_HI, _DERIV_LO - _DERIV_HI)).transpose(0, 2, 1)
+               * (-1.0) ** (np.arange(16) // 2))
 
 
 @dataclass(frozen=True)
@@ -158,8 +171,10 @@ class _PanelTable:
     vals: np.ndarray         # (P, 16) density at Gauss nodes
     mono: np.ndarray         # (P, 16) monomial coefficients, scaled coord
     resid: np.ndarray        # (P,) absolute interpolation-residual scale
+    depth: np.ndarray        # (P,) bisection level; 0 for an initial panel
+    derivs: np.ndarray       # (P, D) density derivatives at each upper edge
+    r_a: float
     e_max: float
-    end_derivs: np.ndarray   # (D,) density derivatives at e_max
     sub_mass: float          # estimated integral below the lowest edge
     n_evals: int
 
@@ -221,10 +236,11 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
 
     order = np.argsort(np.concatenate([level[0] for level in kept]))
     mid, half, vals, mono, resid = (np.concatenate(c)[order] for c in zip(*kept))
+    depth = np.repeat(np.arange(len(kept)), [level[0].size for level in kept])[order]
 
-    # end derivatives from the last panel's interpolant:
+    # derivatives at every upper edge from that panel's interpolant:
     # d^n omega / dE^n = (d^n p / ds^n at s=1) / half^n
-    end = (_DERIV_HI[:_DERIV_TERMS] @ mono[-1]) / half[-1] ** np.arange(_DERIV_TERMS)
+    derivs = (mono @ _DERIV_HI[:_DERIV_TERMS].T) / half[:, None] ** np.arange(_DERIV_TERMS)
 
     # mass below the lowest edge from the local power law, with the
     # density there from the first panel's interpolant at s = -1
@@ -234,8 +250,8 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     sub_mass = float(mono[0] @ (-1.0) ** np.arange(16)) * cut / (local_p + 1.0)
 
     return _PanelTable(mid=mid, half=half, vals=vals, mono=mono, resid=resid,
-                       e_max=float(e_max), end_derivs=end, sub_mass=sub_mass,
-                       n_evals=n_evals)
+                       depth=depth, derivs=derivs, r_a=float(r_a), e_max=float(e_max),
+                       sub_mass=sub_mass, n_evals=n_evals)
 
 
 def _table_mass(table: _PanelTable) -> float:
@@ -243,67 +259,147 @@ def _table_mass(table: _PanelTable) -> float:
     return float(np.sum((table.vals @ _GL_W) * table.half)) + table.sub_mass
 
 
-def _table_amplitudes(table: _PanelTable, t: np.ndarray):
+def _e_needed(r_a: float, t):
+    """Energy a table must reach for time t, and at least 64: the density
+    oscillates in E at a rate ~r_a / sqrt(E), so beyond this each by-parts
+    term of the truncated tail is ~1/3 of the one before."""
+    return np.maximum(64.0, (3.0 * r_a / t) ** 2)
+
+
+def _windows(table: _PanelTable, t: np.ndarray):
+    """Each time's window [lo, hi) of panels, in energy order, and its top
+    edge e_cut.
+
+    The panels below lo lie wholly at E <= 1/t.  Those from hi up lie
+    above e_cut, the lowest edge at or above _e_needed(r_a, t / 2) (at
+    most e_max) that tops an unbisected panel or the table.  Those panels
+    are uniform in k, ~k pi / r_a wide in E, never a bisection sliver, so
+    the derivatives at a cut below e_max are not divided by a sliver's
+    half-width to high powers.
+    """
+    edge = table.mid + table.half
+    tops = np.append(np.flatnonzero(table.depth[:-1] == 0), edge.size - 1)
+    k = np.searchsorted(edge[tops], np.minimum(_e_needed(table.r_a, 0.5 * t), table.e_max))
+    hi = tops[np.minimum(k, tops.size - 1)] + 1
+    lo = np.minimum(np.searchsorted(edge, 1.0 / t, side="right"), hi)
+    return lo, hi, np.where(hi == edge.size, table.e_max, edge[hi - 1])
+
+
+def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
     """A(t) for times t > 0, and the (T, 3) interpolation, truncation
     and sub-threshold parts of its error estimate.
 
-    Panel p adds half e^{-i t mid} S_p(theta), theta = t half (half is in
-    the tables).  Below the switch S_p is the Gauss sum over the node
+    Each time sums the panels of its own window one by one (`_windows`,
+    whose result a caller that has it passes as windows).  Panel p adds
+    half e^{-i t mid} S_p(theta), theta = t half (half is in the
+    tables).  Below the switch S_p is the Gauss sum over the node
     pairs +-x, cos = c - 1 and sin = u c by u = tan(theta x/2) and
     c = 2/(1+u^2); above it S_p is the panel interpolant q by parts,
     sum_{n<16} [q^(n)(-1) e^{i theta} - q^(n)(1) e^{-i theta}] / (i theta)^(n+1),
-    whose four real sums over n are one matrix product per block.  With
-    panels sorted by half-width and times ascending, the small-phase
-    panels of each block of _TIME_BLOCK times are a prefix.  Also
-    returns the number of (time, panel) pairs summed by the Gauss rule.
+    whose four real sums over n are one matrix product per block of
+    _TIME_BLOCK times; each time masks the panels outside its window.
+    The panels below the window, where E t <= 1, are one Taylor series
+    sum_{m<20} (-it)^m M_m / m! in the cumulative energy moments M_m of
+    the Gauss node values, whose truncation is <= 1/20! ~ 4e-19 of their
+    mass.  Those above it are the by-parts tail at e_cut,
+    e^{-i e_cut t} sum_n d_n / (it)^(n+1), from the derivatives d_n of
+    the panel below e_cut.  The interpolation part sums the residuals of
+    the panels below e_cut (damped by phase mixing in the window), and
+    the truncation part is |d_5| / t^6, below e_max the larger of d_5 at
+    e_cut and at its panel's middle.  Also returns the number of (time,
+    panel) pairs summed by the Gauss rule.
     """
-    order = np.argsort(table.half, kind="stable")
-    half, mid, mono = table.half[order], table.mid[order], table.mono[order]
-    vw = table.vals[order] * _GL_W * half[:, None]
-    vsum, vdif = vw[:, 8:] + vw[:, 7::-1], vw[:, 7::-1] - vw[:, 8:]
+    lo, hi, e_cut = _windows(table, t) if windows is None else windows
+    half, mid = table.half, table.mid
+    vw = table.vals * _GL_W * half[:, None]
+    resid = table.resid * half
+
+    # below the windows: cumulative moments of the panels up to the lowest
+    # window, v w half E^m / m! summed over each panel's nodes
+    n_low = int(lo.max(initial=0))
+    step = (mid[:n_low, None] + half[:n_low, None] * _GL_X) * _MOMENT_STEPS
+    terms = np.empty((_MOMENT_TERMS, n_low, 16))
+    terms[0] = vw[:n_low]
+    for m in range(1, _MOMENT_TERMS):
+        np.multiply(terms[m - 1], step[m - 1], out=terms[m])
+    mom = np.zeros((n_low + 1, _MOMENT_TERMS))
+    np.cumsum((terms @ np.ones(16)).T, axis=0, out=mom[1:])
+    mom = mom[lo]
+    # Horner in -t^2 over even and odd m: (-it)^(2j) = (-t^2)^j
+    w, even, odd = -t * t, mom[:, -2], mom[:, -1]
+    for m in range(_MOMENT_TERMS - 4, -1, -2):
+        even, odd = even * w + mom[:, m], odd * w + mom[:, m + 1]
+    amps = even - 1j * t * odd
+    parts = np.empty(t.shape + (3,))
+    parts[:, 0] = np.concatenate(([0.0], np.cumsum(resid[:n_low])))[lo]
+
+    # the panels in some window, [p0, p1)
+    p0, p1 = int(lo.min(initial=mid.size)), int(hi.max(initial=0))
+    vsum, vdif = vw[p0:p1, 8:] + vw[p0:p1, 7::-1], vw[p0:p1, 7::-1] - vw[p0:p1, 8:]
     vsum_tot = vsum.sum(axis=1)   # sum v cos = sum v c - sum v
-    resid = table.resid[order] * half
-    # q^(n)(-1) + q^(n)(1) and q^(n)(-1) - q^(n)(1), over half^n and
-    # signed (-1)^(n//2), as (parity of n, sum/difference, n // 2, panel)
-    ends = mono @ np.stack((_DERIV_LO + _DERIV_HI, _DERIV_LO - _DERIV_HI)).transpose(0, 2, 1)
-    ends *= (-1.0) ** (np.arange(16) // 2) / half[:, None] ** np.arange(16.0)
+    # the end combinations over half^n, as (parity of n, sum/difference,
+    # n // 2, panel)
+    ends = table.mono[p0:p1] @ _END_COMBOS
+    ends /= half[p0:p1, None] ** np.arange(16.0)
     ends = np.ascontiguousarray(ends.reshape(2, -1, 8, 2).transpose(3, 0, 2, 1))
     t_order, n_small = np.argsort(t), 0
-    amps = np.empty(t.shape, dtype=complex)
-    parts = np.empty(t.shape + (3,))
+    cols = np.arange(mid.size)
     for a in range(0, t.size, _TIME_BLOCK):
         idx = t_order[a:a + _TIME_BLOCK]
-        theta = t[idx, None] * half
-        small = theta <= _PHASE_SWITCH
-        n_hi, n_lo = int(small[0].sum()), int(small[-1].sum())
-        n_small += int(small.sum())
+        tb = t[idx, None]
+        # lo and hi fall as t rises: the block's windows span [b0, b1)
+        b0, b1 = lo[idx[-1]], hi[idx[0]]
+        win = (cols[b0:b1] >= lo[idx, None]) & (cols[b0:b1] < hi[idx, None])
+        theta = tb * half[b0:b1]
+        # Gauss sums where the block's smallest t is below the switch,
+        # closed form where its largest is above; each time masks the rest
+        g, c = np.flatnonzero(theta[0] <= _PHASE_SWITCH), np.flatnonzero(theta[-1] > _PHASE_SWITCH)
         s_re, s_im = np.zeros(theta.shape), np.zeros(theta.shape)
-        u = _tan_half(theta[:, :n_hi, None], _GL_X[8:])
-        c = np.square(u)
-        np.divide(2.0, np.add(c, 1.0, out=c), out=c)
-        s_re[:, :n_hi] = np.einsum("bpk,pk->bp", c, vsum[:n_hi]) - vsum_tot[:n_hi]
-        s_re[:, :n_hi] *= small[:, :n_hi]
-        u *= c
-        s_im[:, :n_hi] = np.einsum("bpk,pk->bp", u, vdif[:n_hi]) * small[:, :n_hi]
-        del u, c
+        th = theta[:, g]
+        on = (th <= _PHASE_SWITCH) & win[:, g]
+        n_small += int(np.count_nonzero(on))
+        u = _tan_half(th[..., None], _GL_X[8:])
+        cc = np.square(u)
+        np.divide(2.0, np.add(cc, 1.0, out=cc), out=cc)
+        g_tab = g + (b0 - p0)
+        s_re[:, g] = (np.einsum("bpk,pk->bp", cc, vsum[g_tab]) - vsum_tot[g_tab]) * on
+        u *= cc
+        s_im[:, g] = np.einsum("bpk,pk->bp", u, vdif[g_tab]) * on
+        del u, cc
         # closed form; masked small-phase pairs may overflow in wide blocks
+        th = theta[:, c]
+        on = (th > _PHASE_SWITCH) & win[:, c]
         with np.errstate(over="ignore", invalid="ignore"):
-            (e_sum, e_dif), (o_sum, o_dif) = t[idx, None] ** -_POWERS @ ends[..., n_lo:]
-            sin2, cos2 = _sincos(theta[:, n_lo:])
-            big = ~small[:, n_lo:]
-            s_re[:, n_lo:] += np.where(big, sin2 * e_sum - cos2 * o_dif, 0.0)
-            s_im[:, n_lo:] -= np.where(big, cos2 * e_dif + sin2 * o_sum, 0.0)
-        sp, cp = _sincos(t[idx, None], mid)
-        # pairwise sums over panels: a BLAS dot here loses ~2 ulp at t ~ 0.1
-        amps[idx] = (np.sum(cp * s_re + sp * s_im, axis=1)
-                     + 1j * np.sum(cp * s_im - sp * s_re, axis=1))
-        parts[idx, 0] = np.minimum(1.0, 4.0 / theta) @ resid
+            (e_sum, e_dif), (o_sum, o_dif) = tb ** -_POWERS @ ends[..., c + (b0 - p0)]
+            sin2, cos2 = _sincos(th)
+            s_re[:, c] += np.where(on, sin2 * e_sum - cos2 * o_dif, 0.0)
+            s_im[:, c] -= np.where(on, cos2 * e_dif + sin2 * o_sum, 0.0)
+        sp, cp = _sincos(tb, mid[b0:b1])
+        # pairwise sums over the whole table, zero outside each window, so
+        # no sum depends on the block (a BLAS dot loses ~2 ulp at t ~ 0.1)
+        z = np.zeros((2, idx.size, mid.size))
+        z[0, :, b0:b1] = cp * s_re + sp * s_im
+        z[1, :, b0:b1] = cp * s_im - sp * s_re
+        re, im = z.sum(axis=2)
+        amps[idx] += re + 1j * im
+        parts[idx, 0] += (np.minimum(1.0, 4.0 / theta) * win) @ resid[b0:b1]
 
-    # truncated tail by parts: e^{-iEt} sum_n d_n / (it)^{n+1}
-    it = 1j * t
-    tail = sum(table.end_derivs[n] / it ** (n + 1) for n in range(_DERIV_TERMS))
-    amps += tail * np.exp(-1j * table.e_max * t)
-    parts[:, 1] = abs(table.end_derivs[-1]) / t ** _DERIV_TERMS
+    # above the windows, by parts: e^{-iEt} sum_n d_n / (it)^{n+1} at e_cut
+    d = table.derivs[hi - 1]
+    x = -1j / t   # 1 / (it), Horner in x
+    tail = d[:, -1] * x
+    for n in range(_DERIV_TERMS - 2, -1, -1):
+        tail = (tail + d[:, n]) * x
+    amps += tail * np.exp(-1j * e_cut * t)
+    # below e_max the last derivative may nearly vanish at e_cut as the
+    # density oscillates, so its value mid-panel, a quarter period of the
+    # well factor away, bounds it too: on the narrow-resonance well at
+    # t = 1.59 (e_cut = 118) the tail is off by 2.2e-11, the edge value
+    # gives 2.2e-12 and the mid-panel one 4.7e-11
+    n = _DERIV_TERMS - 1
+    last = np.abs(d[:, n])
+    mid_last = math.factorial(n) * np.abs(table.mono[hi - 1, n]) / table.half[hi - 1] ** n
+    parts[:, 1] = np.where(hi < mid.size, np.maximum(last, mid_last), last) / t ** _DERIV_TERMS
     parts[:, 2] = table.sub_mass
     return amps, parts, n_small
 
@@ -326,13 +422,13 @@ def _pick_e_max(r_a: float, times: np.ndarray) -> tuple[float, bool]:
     that their smallest positive time asks for."""
     pos = times[times > 0.0]
     t_min = float(np.min(pos)) if pos.size else 1.0
-    e_max = max(64.0, (3.0 * r_a / max(t_min, 0.05)) ** 2)
+    e_max = float(_e_needed(r_a, max(t_min, 0.05)))
     if np.any(times == 0.0):
         # t = 0 leans on the envelope estimate of the truncated mass,
         # whose own error only drops fast enough beyond this scale
         e_max = max(e_max, 2500.0)
     e_max = min(e_max, 4.0e4)
-    return e_max, e_max < (3.0 * r_a / t_min) ** 2
+    return e_max, bool(e_max < _e_needed(r_a, t_min))
 
 
 def survival_exact(density: SpectralDensity, times, *,
@@ -342,14 +438,19 @@ def survival_exact(density: SpectralDensity, times, *,
 
     The density is tabulated once on adaptive panels covering
     [~1e-13, e_max], and all requested times are evaluated together
-    from the table, in blocks of _TIME_BLOCK times.  The achieved-error
-    estimate (interpolation residuals, damped by phase mixing, plus the
-    next-order truncation correction and the sub-threshold mass) is
-    checked against abs_tol per time; failure raises with the worst
-    offender reported.  meta gives the estimate per time (error_estimate),
-    the worst one, its three parts at that time (error_parts), the
-    (time > 0, panel) pairs summed by Gauss rule and in closed form
-    (small_phase_pairs, large_phase_pairs) and the table and amplitude
+    from the table, in blocks of _TIME_BLOCK times.  Each time t > 0
+    sums its own energy window panel by panel: below E = 1/t one moment
+    series stands for the panels, and above e_cut, the table end that
+    t / 2 would ask for (at most e_max), the by-parts tail does.  The
+    achieved-error estimate (interpolation residuals below e_cut, damped
+    by phase mixing, plus the next-order truncation correction at e_cut
+    and the sub-threshold mass) is checked against abs_tol per time;
+    failure raises with the worst offender reported.  meta gives the
+    estimate per time (error_estimate), the worst one, its three parts
+    at that time (error_parts), e_cut per time (e_max at t = 0), the
+    (time > 0, panel) pairs summed by Gauss rule, in closed form, by the
+    moment series and by the tail (small_phase_pairs, large_phase_pairs,
+    low_energy_pairs, beyond_cut_pairs) and the table and amplitude
     stage seconds.  P(0) includes the analytic estimate of mass beyond
     e_max so the normalization limit is reproduced.
     """
@@ -366,7 +467,9 @@ def survival_exact(density: SpectralDensity, times, *,
     amps = np.empty(t_arr.shape, dtype=complex)
     parts = np.empty(t_arr.shape + (3,))
     pos = t_arr > 0.0
-    amps[pos], parts[pos], n_small = _table_amplitudes(table, t_arr[pos])
+    e_cut = np.full(t_arr.shape, table.e_max)
+    lo, hi, e_cut[pos] = windows = _windows(table, t_arr[pos])
+    amps[pos], parts[pos], n_small = _table_amplitudes(table, t_arr[pos], windows)
     if not pos.all():
         # t = 0: the whole mass, with the envelope of the density beyond e_max
         amps[~pos] = _table_mass(table) + _envelope_tail(
@@ -390,11 +493,14 @@ def survival_exact(density: SpectralDensity, times, *,
                else "); increase e_max or abs_tol"))
 
     prob = np.abs(amps) ** 2
-    meta = {"e_max": table.e_max, "panels": int(table.mid.size),
+    n_panels = int(table.mid.size)
+    n_low, n_beyond = int(lo.sum()), int((n_panels - hi).sum())
+    meta = {"e_max": table.e_max, "panels": n_panels,
             "density_evals": table.n_evals,
             "error_estimate": ests, "max_error_estimate": worst,
-            "error_parts": error_parts, "small_phase_pairs": n_small,
-            "large_phase_pairs": int(pos.sum()) * table.mid.size - n_small,
+            "error_parts": error_parts, "e_cut": e_cut, "small_phase_pairs": n_small,
+            "large_phase_pairs": int(pos.sum()) * n_panels - n_small - n_low - n_beyond,
+            "low_energy_pairs": n_low, "beyond_cut_pairs": n_beyond,
             "table_s": table_s, "amplitude_s": amplitude_s}
     return SurvivalSeries(times=t_arr, probability=prob, amplitudes=amps,
                           method="exact", meta=meta)

@@ -6,6 +6,7 @@ module tests and the acceptance tests share one computation.
 """
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -44,28 +45,41 @@ def make_density(beta: float, **overrides) -> SpectralDensity:
     return SpectralDensity(pot, InitialState.from_potential(pot))
 
 
-def reference_amplitude(table, t: float):
+def reference_amplitude(table, t: float, e_top: float | None = None):
     """A(t) and its error estimate from a panel table, for one time,
     panel by panel.
 
-    A plain reference for the batched `_table_amplitudes`: complex Gauss
-    sums below the phase switch and complex moments from the upward
-    integration-by-parts recursion above it.
+    A plain reference for the batched `_table_amplitudes`: every panel
+    up to the time's window top e_cut, the moment block below E t = 1
+    included, takes its complex Gauss sum below the phase switch and its
+    complex moments from the upward integration-by-parts recursion above
+    it, and the tail by parts starts at e_cut.  e_cut is the lowest edge
+    at or above e_top (by default max(64, (6 r_a / t)^2), at most e_max)
+    that tops an unbisected panel or the table.
     """
     if t == 0.0:
         total = float(np.sum((table.vals @ _GL_W) * table.half)) + table.sub_mass
         est = float(np.sum(table.resid * table.half)) + abs(table.sub_mass) * 0.5
         return complex(total, 0.0), est
+    if e_top is None:
+        e_top = min(max(64.0, (6.0 * table.r_a / t) ** 2), table.e_max)
+    edge = table.mid + table.half
+    tops = [p for p in range(edge.size) if table.depth[p] == 0 and edge[p] >= e_top]
+    top = tops[0] if tops else edge.size - 1
+    e_cut = table.e_max if top == edge.size - 1 else edge[top]
+    keep = np.arange(edge.size) <= top
+
     theta = t * table.half
     phase = np.exp(-1j * t * table.mid)
-    small = theta <= _PHASE_SWITCH
+    small = (theta <= _PHASE_SWITCH) & keep
+    large = (theta > _PHASE_SWITCH) & keep
     acc = 0.0 + 0.0j
     if np.any(small):
         osc = np.exp(-1j * (theta[small, None] * _GL_X[None, :]))
         sums = ((table.vals[small] * osc) @ _GL_W)
         acc += np.sum(table.half[small] * phase[small] * sums)
-    if np.any(~small):
-        th = theta[~small]
+    if np.any(large):
+        th = theta[large]
         mom = np.empty((16,) + th.shape, dtype=complex)
         em = np.exp(-1j * th)
         ep = np.conj(em)
@@ -75,19 +89,23 @@ def reference_amplitude(table, t: float):
         for j in range(1, 16):
             sign = -sign
             mom[j] = (em - sign * ep) * (1j * inv) - 1j * j * inv * mom[j - 1]
-        sums = np.einsum("pj,jp->p", table.mono[~small], mom)
-        acc += np.sum(table.half[~small] * phase[~small] * sums)
+        sums = np.einsum("pj,jp->p", table.mono[large], mom)
+        acc += np.sum(table.half[large] * phase[large] * sums)
 
     it = 1j * t
     tail = 0.0 + 0.0j
     for n in range(_DERIV_TERMS):
-        tail += table.end_derivs[n] / it ** (n + 1)
-    tail *= np.exp(-1j * table.e_max * t)
+        tail += table.derivs[top, n] / it ** (n + 1)
+    tail *= np.exp(-1j * e_cut * t)
     acc += tail
 
     damp = np.minimum(1.0, 4.0 / theta)
-    est = float(np.sum(table.resid * table.half * damp))
-    est += abs(table.end_derivs[-1]) / t ** _DERIV_TERMS
+    est = float(np.sum((table.resid * table.half * damp)[keep]))
+    last = abs(table.derivs[top, -1])
+    if top < edge.size - 1:   # below e_max, also the last derivative mid-panel
+        n = _DERIV_TERMS - 1
+        last = max(last, math.factorial(n) * abs(table.mono[top, n]) / table.half[top] ** n)
+    est += last / t ** _DERIV_TERMS
     est += table.sub_mass
     return complex(acc), est
 

@@ -135,7 +135,9 @@ def test_survive_writes_exact_meta(workdir, capsys):
     assert len(meta["error_estimate"]) == data["t"].size
     assert max(meta["error_estimate"]) == meta["max_error_estimate"]
     assert set(meta["error_parts"]) == {"interpolation", "truncation", "sub_threshold"}
-    assert meta["small_phase_pairs"] + meta["large_phase_pairs"] == data["t"].size * meta["panels"]
+    assert len(meta["e_cut"]) == data["t"].size
+    assert (meta["small_phase_pairs"] + meta["large_phase_pairs"] + meta["low_energy_pairs"]
+            + meta["beyond_cut_pairs"]) == data["t"].size * meta["panels"]
 
 
 def test_survive_warns_below_pole_crossover(workdir, capsys):

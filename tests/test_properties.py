@@ -10,6 +10,7 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
@@ -80,11 +81,13 @@ def test_half_angle_gauss_sums_match_mpmath(vals, theta, log2_half):
     half = 2.0 ** log2_half
     vals = np.array(vals)
     table = _PanelTable(mid=np.zeros(1), half=np.array([half]), vals=vals[None, :],
-                        mono=np.zeros((1, 16)), resid=np.zeros(1), e_max=1.0,
-                        end_derivs=np.zeros(_DERIV_TERMS), sub_mass=0.0, n_evals=0)
+                        mono=np.zeros((1, 16)), resid=np.zeros(1), depth=np.zeros(1, int),
+                        derivs=np.zeros((1, _DERIV_TERMS)), r_a=1.0, e_max=1.0,
+                        sub_mass=0.0, n_evals=0)
     theta = np.array(theta)
     amps, _, n_small = _table_amplitudes(table, theta / half)
-    assert n_small == theta.size
+    # up to theta = 1 the whole panel has |E t| <= 1: the moment series sums it
+    assert n_small == np.count_nonzero(theta > 1.0)
     bound = 4.0 * np.finfo(float).eps * half * np.sum(np.abs(_GL_W * vals))
     with mpmath.workdps(30):
         for amp, th in zip(amps, theta):
@@ -104,8 +107,9 @@ def test_closed_form_panel_matches_mpmath_quadrature(coef, log_theta, log2_half)
     # just above the switch the high-order terms weigh most
     half = 2.0 ** log2_half
     table = _PanelTable(mid=np.zeros(1), half=np.array([half]), vals=np.zeros((1, 16)),
-                        mono=np.array([coef]), resid=np.zeros(1), e_max=1.0,
-                        end_derivs=np.zeros(_DERIV_TERMS), sub_mass=0.0, n_evals=0)
+                        mono=np.array([coef]), resid=np.zeros(1), depth=np.zeros(1, int),
+                        derivs=np.zeros((1, _DERIV_TERMS)), r_a=1.0, e_max=1.0,
+                        sub_mass=0.0, n_evals=0)
     theta = np.array([10.25, 10.0 ** log_theta])
     amps, _, n_small = _table_amplitudes(table, theta / half)
     assert n_small == 0
@@ -132,3 +136,48 @@ def test_batched_amplitudes_match_per_time_reference(pot, log_t):
     ref = [reference_amplitude(table, x) for x in t]
     assert np.max(np.abs(amps - [a for a, _ in ref])) <= 1.0e-14
     assert np.allclose(parts.sum(axis=1), [e for _, e in ref], rtol=1.0e-12, atol=0.0)
+
+
+# `tailsurv survive`'s default grid: t from 0.1 to 2000, 200 per decade
+CLI_GRID = np.geomspace(0.1, 2000.0, round(200 * math.log10(2000.0 / 0.1)))
+
+
+def _full_table_amplitude(table, t: float) -> complex:
+    """A(t) from every panel of the table and the tail at e_max, the sum
+    before each time got its own energy window."""
+    return reference_amplitude(table, t, e_top=table.e_max)[0]
+
+
+@settings(max_examples=10)
+@given(pot=valid_potentials(),
+       picks=st.lists(st.integers(0, CLI_GRID.size - 1), min_size=1, max_size=12))
+def test_windowed_amplitude_is_within_its_estimate_of_the_full_table(pot, picks):
+    # each time sums its own window of the table: the moment series below
+    # E t = 1 and the tail above e_cut stand for the rest, so the stated
+    # estimate must cover the difference
+    density = SpectralDensity(pot, InitialState.from_potential(pot))
+    batched = survival_exact(density, CLI_GRID, abs_tol=1.0)
+    table = _build_table(density.omega, pot.r_a, batched.meta["e_max"])
+    for i in picks:
+        full = _full_table_amplitude(table, float(CLI_GRID[i]))
+        assert abs(batched.amplitudes[i] - full) <= batched.meta["error_estimate"][i]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at e_max the truncation estimate is |d_5| / t^6 at one edge, where the "
+    "oscillating fifth derivative can nearly vanish: v0 = vb = 0, r_a = 1, "
+    "r_d = 2, beta = 0 at t = 0.1135 differ by 3.69e-9 against estimates "
+    "1.21e-9 (alone, e_max 698.4) + 2.18e-9 (grid, e_max 900); both sum to "
+    "their own e_max, so no window is involved, and the parent gives the "
+    "same numbers"))
+@settings(max_examples=10, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(pot=valid_potentials(),
+       picks=st.lists(st.integers(0, CLI_GRID.size - 1), min_size=1, max_size=12))
+def test_one_time_alone_agrees_with_the_grid_within_both_estimates(pot, picks):
+    # one time alone tabulates to its own e_max and sums the whole table
+    density = SpectralDensity(pot, InitialState.from_potential(pot))
+    batched = survival_exact(density, CLI_GRID, abs_tol=1.0)
+    for i in picks:
+        alone = survival_exact(density, [float(CLI_GRID[i])], abs_tol=1.0)
+        assert abs(alone.amplitudes[0] - batched.amplitudes[i]) <= (
+            alone.meta["max_error_estimate"] + batched.meta["error_estimate"][i])

@@ -237,17 +237,24 @@ def test_exact_meta_splits_error_and_times_stages(density_for):
 
 
 def test_exact_meta_counts_pairs_per_route(density_for):
-    # t = 0 is the table's mass and goes to neither route; each t > 0
-    # sends every panel to the Gauss sum or to the closed form
+    # t = 0 is the table's mass and goes to no route; each t > 0 sends
+    # every panel to the moment series (E t <= 1 on all of it), the Gauss
+    # sum, the closed form, or the tail beyond its window's top e_cut
     den = density_for(0.3)
     t = np.concatenate(([0.0], np.geomspace(0.1, 2000.0, 45)))
     meta = survival_exact(den, t).meta
-    assert (meta["panels"], meta["small_phase_pairs"], meta["large_phase_pairs"]) == (
-        229, 3701, 6604)
-    assert meta["small_phase_pairs"] + meta["large_phase_pairs"] == 45 * 229
+    routes = ("small_phase_pairs", "large_phase_pairs", "low_energy_pairs", "beyond_cut_pairs")
+    assert (meta["panels"],) + tuple(meta[key] for key in routes) == (229, 1806, 708, 1861, 5930)
+    assert sum(meta[key] for key in routes) == 45 * 229
+    assert meta["e_cut"].shape == t.shape and meta["e_cut"][0] == meta["e_max"]
     table = _build_table(den.omega, den.pot.r_a, meta["e_max"])
+    tt = t[1:, None]
+    below = table.mid < meta["e_cut"][1:, None]
+    low = (table.mid + table.half) * tt <= 1.0
+    assert meta["low_energy_pairs"] == np.count_nonzero(low & below)
+    assert meta["beyond_cut_pairs"] == np.count_nonzero(~below)
     assert meta["small_phase_pairs"] == np.count_nonzero(
-        t[1:, None] * table.half <= _PHASE_SWITCH)
+        below & ~low & (tt * table.half <= _PHASE_SWITCH))
 
 
 def test_exact_meta_has_an_error_estimate_per_time(density_for):
