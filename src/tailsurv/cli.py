@@ -25,8 +25,8 @@ from .emit import read_table, write_json, write_model_json, write_table
 from .errors import ConfigError, TailsurvError, ToleranceError
 from .model import InitialState, WBPotential
 from .spectral import SpectralDensity, arc_density_magnitude
-from .survival import (asymptote_one_term, asymptote_series, spectral_mass,
-                       survival_exact, survival_laplace_axis)
+from .survival import (SurvivalSeries, asymptote_one_term, asymptote_series,
+                       spectral_mass, survival_exact, survival_laplace_axis)
 
 DEFAULTS: dict[str, object] = {
     # reference potential and initial state
@@ -260,8 +260,8 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_arc_check(cfg: dict, args: argparse.Namespace) -> int:
-    pot = _potential_from_cfg(cfg)
-    init = InitialState.from_potential(pot, n_a=int(cfg["n_a"]))
+    density = _build_density(cfg)
+    pot, init = density.pot, density.init
     radii = _parse_floats(cfg["arc_radii"])
     angles = _parse_angles(cfg["arc_angles"])
     if len(radii) < 2:
@@ -293,8 +293,6 @@ def cmd_fit(cfg: dict, args: argparse.Namespace) -> int:
         column = candidates[0]
     if column not in data:
         raise ConfigError(f"{path}: no column {column!r} (found {header})")
-    from .survival import SurvivalSeries
-
     series = SurvivalSeries(times=data["t"], probability=data[column],
                             amplitudes=None, method=f"file:{column}")
     fit = fit_power_law(series, float(cfg["fit_lo"]), float(cfg["fit_hi"]))

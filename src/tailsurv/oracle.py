@@ -28,10 +28,10 @@ from time import perf_counter
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .model import _sincos
+from .model import _sincos, regular_boundary_sq
 from .specfun import BesselOrder, riccati_pair_with_derivatives
 from .spectral import _work_block
-from .survival import _envelope_tail
+from .survival import _envelope_tail, survival_exact
 
 try:
     from resource import RUSAGE_SELF, getrusage
@@ -52,8 +52,8 @@ _BRUTE_CHUNK = 65_536
 # t = (60, 200) took 0.20-0.31 s on two threads, 0.30-0.37 s on one and
 # 0.33-0.45 s on three or four (2-vCPU x86-64 host).
 _BRUTE_WORKERS = min(2, os.cpu_count() or 1)
-# RK4 steps relative to r_d: the default and largest one, and the finer
-# one of the matching checks (the Jost modulus by linear solve then
+# RK4 steps relative to r_d: the node count's, and the finer one of the
+# boundary and matching checks (the Jost modulus by linear solve then
 # agrees with the closed form to ~1e-12).
 _RK4_STEP = 1.0e-3
 _MATCH_STEP = 1.0e-4
@@ -166,20 +166,14 @@ def count_nodes_zero_energy(pot) -> int:
     return changes
 
 
-def ode_oracle_boundary_many(pot, ks, step: float | None = None):
+def ode_oracle_boundary_many(pot, ks):
     """Vectorized regular-solution boundary data at r_d for real k values.
 
-    One integration pass carries all momenta simultaneously; `step`
-    defaults to 1e-3 * r_d and must not exceed it.  Returns (u, du)
-    arrays aligned with ks.
+    One integration pass carries all momenta simultaneously.  Returns
+    (u, du) arrays aligned with ks.
     """
-    cap = _RK4_STEP * pot.r_d
-    if step is None:
-        step = cap
-    if step > cap:
-        raise DomainError(f"oracle step must be <= 1e-3 * r_d = {cap:g}, got {step:g}")
     ks = np.asarray(ks, dtype=float)
-    return rk4_radial(pot.v, ks * ks, (pot.r_a, pot.r_d), step)
+    return rk4_radial(pot.v, ks * ks, (pot.r_a, pot.r_d), _MATCH_STEP * pot.r_d)
 
 
 def oracle_match_coefficients(pot, k: float):
@@ -192,7 +186,7 @@ def oracle_match_coefficients(pot, k: float):
     k = float(k)
     if k <= 0.0:
         raise DomainError(f"matching requires k > 0, got {k:g}")
-    u, du = ode_oracle_boundary_many(pot, [k], step=_MATCH_STEP * pot.r_d)
+    u, du = ode_oracle_boundary_many(pot, [k])
     return _match_boundary(pot, k, float(u[0]), float(du[0]))
 
 
@@ -207,6 +201,7 @@ def _match_boundary(pot, k: float, u: float, du: float):
 _BRUTE_THRESHOLD_EDGE = 1.0     # end of the fractional-power segment
 _BRUTE_THRESHOLD_STEP = 4.0e-5  # base step there (<= pi/(64 t) for t <= 1000)
 _BRUTE_BULK_STEP = 2.0e-3       # bulk step cap; resolves the resonance peak
+_BRUTE_E_MAX = 400.0            # the grid ends at the first snap point past it
 
 
 def _richardson_weights(exponents: tuple[float, ...]) -> np.ndarray:
@@ -245,7 +240,7 @@ def _threshold_error_exponents(nu: float) -> tuple[float, ...]:
 
 
 def _nested_trapezoid(density, times, lo: float, hi: float,
-                      n_fine: int, n_levels: int, counts: dict | None) -> np.ndarray:
+                      n_fine: int, n_levels: int, counts: dict) -> np.ndarray:
     """Trapezoid sums of omega(E) e^{-iEt} on nested uniform grids.
 
     The finest grid has n_fine panels (n_fine divisible by
@@ -319,18 +314,16 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
                 density_s += seconds
         finally:
             pool.shutdown(cancel_futures=True)
-    if counts is not None:
-        counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
-        counts["density_s"] = counts.get("density_s", 0.0) + density_s
-        counts["work_bytes"] = max(counts.get("work_bytes", 0), sum(blocks))
+    counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
+    counts["density_s"] = counts.get("density_s", 0.0) + density_s
+    counts["work_bytes"] = max(counts.get("work_bytes", 0), sum(blocks))
     g_hi = last * np.exp(-1j * times * hi)
     sums = [h * 2 ** lev * (acc[:, ::2 ** lev].sum(axis=1) - 0.5 * g_lo + 0.5 * g_hi)
             for lev in range(n_levels)]
     return np.array(sums)
 
 
-def _bruteforce_on_one_grid(density, times: np.ndarray, e_max: float,
-                            counts: dict | None):
+def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
     """Survival at `times` (all zero, or all positive) from one grid.
 
     The grid is the one the largest time needs, so every step stays at
@@ -339,7 +332,7 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, e_max: float,
     t = float(times.max())
     bound = math.pi / (_STEPS_PER_PI * max(t, 1.0))
     r_a = density.pot.r_a
-    k_req = math.sqrt(max(e_max, 2500.0 if t == 0.0 else e_max))
+    k_req = math.sqrt(max(_BRUTE_E_MAX, 2500.0) if t == 0.0 else _BRUTE_E_MAX)
     if t == 0.0:
         m = math.ceil(2.0 * r_a * k_req / math.pi - 0.5)
         k_out = (m + 0.5) * math.pi / (2.0 * r_a)
@@ -366,14 +359,13 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, e_max: float,
     amp += (4.0 * sums_bulk[0] - sums_bulk[1]) / 3.0
     if t == 0.0:
         amp += _envelope_tail(density.init.k_a, density.pot.r_a, e_out)
-    if counts is not None:  # every grid point but the threshold E = 0
-        counts["threshold_evals"] = counts.get("threshold_evals", 0) + 8 * n_thr
-        counts["bulk_evals"] = counts.get("bulk_evals", 0) + 2 * n_bulk + 1
+    # every grid point but the threshold E = 0
+    counts["threshold_evals"] = counts.get("threshold_evals", 0) + 8 * n_thr
+    counts["bulk_evals"] = counts.get("bulk_evals", 0) + 2 * n_bulk + 1
     return np.abs(amp) ** 2
 
 
-def oracle_survival_bruteforce(density, t, e_max: float = 400.0, *,
-                               counts: dict | None = None):
+def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     """Survival probability by trapezoid sums with Richardson extrapolation.
 
     Deliberately independent of the panel integrator: plain uniform
@@ -381,11 +373,12 @@ def oracle_survival_bruteforce(density, t, e_max: float = 400.0, *,
     two pieces.  On [0, 1] the density rises with a fractional power,
     so three coarsened companions remove the three slowest error powers
     with exponent-matched weights; the bulk piece uses the classical
-    one-halving h^2 extrapolation.  The upper end is snapped to a zero
-    of the density's high-energy oscillation (a double zero for t > 0,
-    making the remainder's boundary terms vanish; for t = 0 a point
-    where the envelope estimate of the remaining mass is most accurate,
-    and at least 2500 so that estimate is small to begin with).
+    one-halving h^2 extrapolation.  The upper end is snapped, at or past
+    _BRUTE_E_MAX, to a zero of the density's high-energy oscillation (a
+    double zero for t > 0, making the remainder's boundary terms vanish;
+    for t = 0 a point where the envelope estimate of the remaining mass
+    is most accurate, and at least 2500 so that estimate is small to
+    begin with).
 
     `t` is a scalar (returns a float) or an array (returns an array of
     its shape).  All positive times share one density pass on the grid
@@ -403,10 +396,10 @@ def oracle_survival_bruteforce(density, t, e_max: float = 400.0, *,
     if np.any(flat > 1000.0):
         raise ResourceLimitError(
             f"brute-force quadrature is capped at t <= 1000, got {flat.max():g}")
-    out = np.empty(flat.shape)
+    out, counts = np.empty(flat.shape), {} if counts is None else counts
     for group in (flat == 0.0, flat > 0.0):
         if group.any():
-            out[group] = _bruteforce_on_one_grid(density, flat[group], e_max, counts)
+            out[group] = _bruteforce_on_one_grid(density, flat[group], counts)
     return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
 
 
@@ -453,9 +446,6 @@ def run_verification(density, times=(100.0, 500.0)) -> OracleReport:
     Covers: closed-form boundary vs integration, Jost modulus vs linear
     solve, and exact survival vs brute-force quadrature at spot times.
     """
-    from .model import regular_boundary_sq
-    from .survival import survival_exact
-
     pot = density.pot
     checks = []
     meta: dict = {}
@@ -463,9 +453,8 @@ def run_verification(density, times=(100.0, 500.0)) -> OracleReport:
     t0 = perf_counter()
     ks = np.linspace(0.05, 3.0, 30)
     match_ks = (0.5, 1.0, 2.5)  # integrated in the same RK4 pass as ks
-    step = _MATCH_STEP * pot.r_d
-    u_ode, du_ode = ode_oracle_boundary_many(pot, np.r_[ks, match_ks], step=step)
-    meta["rk4_steps"] = _rk4_grid((pot.r_a, pot.r_d), step)[0].size
+    u_ode, du_ode = ode_oracle_boundary_many(pot, np.r_[ks, match_ks])
+    meta["rk4_steps"] = _rk4_grid((pot.r_a, pot.r_d), _MATCH_STEP * pot.r_d)[0].size
     u, du = regular_boundary_sq(pot, ks ** 2)
     scale = np.maximum(np.maximum(np.abs(u), np.abs(du)), 1e-30)
     rel = float(np.max(np.maximum(np.abs(u - u_ode[:ks.size]),

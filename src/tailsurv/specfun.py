@@ -19,6 +19,7 @@ Hankel-product series (`riccati_large_x_combos`) from there on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -137,9 +138,7 @@ class _SeriesTables(NamedTuple):
     nd: np.ndarray       # (2i - beta) times n
 
 
-_SERIES_COEF_CACHE: dict[tuple[float, int], _SeriesTables] = {}
-
-
+@functools.cache
 def _series_tables(beta: float, n_terms: int) -> _SeriesTables:
     """Coefficients of j_hat = sqrt(pi) (x/2)^{beta+1} sum_i (-1)^i a_i w^i
     and n_hat = K j_hat + sqrt(pi) (x/2)^{-beta} sum_i c_i w^{i-n}.
@@ -153,40 +152,35 @@ def _series_tables(beta: float, n_terms: int) -> _SeriesTables:
     ((1+mu)_n - n!)/mu, d_m from a recurrence with no difference of nearly
     equal terms.  Both tables hold n_terms + n + 1 entries.
     """
-    key = (beta, n_terms)
-    cached = _SERIES_COEF_CACHE.get(key)
-    if cached is None:
-        nu = beta + 0.5
-        n = math.floor(nu + 0.5)
-        mu = nu - n
-        gamma2 = sum(c * mu ** (2 * k) for k, c in enumerate(_RGAMMA_TAYLOR[0::2]))
-        gamma1 = -sum(c * mu ** (2 * k) for k, c in enumerate(_RGAMMA_TAYLOR[1::2]))
-        # (1+mu)_k for k = 0 .. n, and ((1+mu)_n - n!)/mu
-        poch, poch_diff = [1.0], 0.0
-        for k in range(1, n + 1):
-            poch_diff = k * poch_diff + poch[-1]
-            poch.append(poch[-1] * (k + mu))
-        ratio = mu / math.sin(mu * math.pi) if mu else 1.0 / math.pi
-        rgamma_1p_mu = gamma2 - mu * gamma1     # 1/Gamma(1+mu)
-        size = n_terms + n + 1
-        a = np.empty(size)                        # (-1)^m a_m
-        d = np.empty(size - n)                    # (-1)^m d_m
-        a[0] = rgamma_1p_mu / poch[n]
-        b = (gamma2 + mu * gamma1) / math.factorial(n)
-        d[0] = -(2.0 * gamma1 + poch_diff * b) / poch[n]
-        for m in range(1, size):
-            a[m] = -a[m - 1] / (m * (m + nu))
-        for m in range(1, size - n):
-            d[m] = (b * (2 * m + n) / ((m + n) * (m - mu)) - d[m - 1]) / (m * (m + nu))
-            b /= -(m + n) * (m - mu)              # (-1)^m b_m
-        head = [-poch[n - k - 1] / (math.pi * math.factorial(k) * rgamma_1p_mu) for k in range(n)]
-        a *= SQRT_PI
-        c = SQRT_PI * np.concatenate((head, ratio * d))
-        i = np.arange(size)
-        cached = _SeriesTables(mu, ratio, n, a, (beta + 1.0 + 2.0 * i) * a,
-                               c, (2.0 * i - beta) * c)
-        _SERIES_COEF_CACHE[key] = cached
-    return cached
+    nu = beta + 0.5
+    n = math.floor(nu + 0.5)
+    mu = nu - n
+    gamma2 = sum(c * mu ** (2 * k) for k, c in enumerate(_RGAMMA_TAYLOR[0::2]))
+    gamma1 = -sum(c * mu ** (2 * k) for k, c in enumerate(_RGAMMA_TAYLOR[1::2]))
+    # (1+mu)_k for k = 0 .. n, and ((1+mu)_n - n!)/mu
+    poch, poch_diff = [1.0], 0.0
+    for k in range(1, n + 1):
+        poch_diff = k * poch_diff + poch[-1]
+        poch.append(poch[-1] * (k + mu))
+    ratio = mu / math.sin(mu * math.pi) if mu else 1.0 / math.pi
+    rgamma_1p_mu = gamma2 - mu * gamma1     # 1/Gamma(1+mu)
+    size = n_terms + n + 1
+    a = np.empty(size)                        # (-1)^m a_m
+    d = np.empty(size - n)                    # (-1)^m d_m
+    a[0] = rgamma_1p_mu / poch[n]
+    b = (gamma2 + mu * gamma1) / math.factorial(n)
+    d[0] = -(2.0 * gamma1 + poch_diff * b) / poch[n]
+    for m in range(1, size):
+        a[m] = -a[m - 1] / (m * (m + nu))
+    for m in range(1, size - n):
+        d[m] = (b * (2 * m + n) / ((m + n) * (m - mu)) - d[m - 1]) / (m * (m + nu))
+        b /= -(m + n) * (m - mu)              # (-1)^m b_m
+    head = [-poch[n - k - 1] / (math.pi * math.factorial(k) * rgamma_1p_mu) for k in range(n)]
+    a *= SQRT_PI
+    c = SQRT_PI * np.concatenate((head, ratio * d))
+    i = np.arange(size)
+    return _SeriesTables(mu, ratio, n, a, (beta + 1.0 + 2.0 * i) * a,
+                         c, (2.0 * i - beta) * c)
 
 
 def _series_term_count(w_max: float) -> int:
@@ -355,9 +349,7 @@ def _combos(order: BesselOrder, z: np.ndarray, out=(None,) * 8) -> tuple[np.ndar
     return tuple(full)
 
 
-_LARGE_X_COEF_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _large_x_coefficients(beta: float) -> tuple[np.ndarray, np.ndarray]:
     """a_k of n^2 + j^2 = sum_k a_k z^{-2k}, and k a_k: a_0 = 1,
     a_k = a_{k-1} (2k-1)/(2k) (mu - (2k-1)^2)/4 with mu = (2 beta + 1)^2.
@@ -366,15 +358,12 @@ def _large_x_coefficients(beta: float) -> tuple[np.ndarray, np.ndarray]:
     switch radius R (k ~ 12; a zero term at integer beta): the count
     depends on the order alone, not on the other arguments in a call.
     """
-    cached = _LARGE_X_COEF_CACHE.get(beta)
-    if cached is None:
-        k = np.arange(1.0, 41.0)
-        a = np.cumprod((2.0 * k - 1.0) / (2.0 * k)
-                       * ((2.0 * beta + 1.0) ** 2 - (2.0 * k - 1.0) ** 2) / 4.0)
-        n_keep = 1 + int(np.argmin(k * np.abs(a) / SERIES_COMBO_SWITCH ** (2.0 * k)))
-        coef = np.concatenate(([1.0], a[:n_keep]))
-        _LARGE_X_COEF_CACHE[beta] = cached = (coef, coef * np.arange(n_keep + 1))
-    return cached
+    k = np.arange(1.0, 41.0)
+    a = np.cumprod((2.0 * k - 1.0) / (2.0 * k)
+                   * ((2.0 * beta + 1.0) ** 2 - (2.0 * k - 1.0) ** 2) / 4.0)
+    n_keep = 1 + int(np.argmin(k * np.abs(a) / SERIES_COMBO_SWITCH ** (2.0 * k)))
+    coef = np.concatenate(([1.0], a[:n_keep]))
+    return coef, coef * np.arange(n_keep + 1)
 
 
 def _hankel_combos(beta: float, z: np.ndarray, out=(None,) * 4) -> tuple[np.ndarray, ...]:

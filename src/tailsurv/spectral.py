@@ -41,7 +41,8 @@ import numpy as np
 from .errors import DomainError
 from .model import (InitialState, WBPotential, _assemble_boundary, _mul, _sincos,
                     _well_boundary, regular_boundary_sq)
-# riccati_combos stays importable here: perfbench's tracer hooks it by this name
+# riccati_combos and riccati_pair_with_derivatives stay importable here only
+# because perfbench's tracer hooks them by these names
 from .specfun import (SQRT_PI, BesselOrder, _combos, riccati_combos,
                       riccati_large_x_combos, riccati_pair_with_derivatives)
 
@@ -167,22 +168,6 @@ class SpectralDensity:
         out = w * _c_sq(_combos(self.order, arr * self.pot.r_d), arr, w,
                         *regular_boundary_sq(self.pot, w))
         return (out[0] if scalar else out)
-
-    def phase_shift(self, k: float) -> float:
-        """Tail-referenced scattering phase, a diagnostic only.
-
-        atan2 of the matching coefficients; modulo pi ambiguities are
-        not resolved across resonances.
-        """
-        k = float(k)
-        if k <= 0.0:
-            raise DomainError("phase shift needs real k > 0")
-        u, du = regular_boundary_sq(self.pot, k * k)
-        j, jp, n, np_ = riccati_pair_with_derivatives(self.order, k * self.pot.r_d)
-        # solve u = a j + b n, du = k (a j' + b n'); Wronskian j n' - j' n = 1
-        a = u * np_ - du * n / k
-        b = du * j / k - u * jp
-        return math.atan2(-b, a)
 
     # -- density -----------------------------------------------------
 

@@ -37,9 +37,10 @@ def test_integration_reproduces_free_trig():
 
 
 def test_default_step_matches_closed_form_on_grid():
+    # the node count's step, 1e-3 r_d, ten times the boundary oracle's
     pot = make_potential(0.3)
     ks = np.linspace(0.05, 3.0, 30)
-    u, du = ode_oracle_boundary_many(pot, ks)
+    u, du = rk4_radial(pot.v, ks ** 2, (pot.r_a, pot.r_d), 1.0e-3 * pot.r_d)
     worst = 0.0
     for i, (cu, cdu) in enumerate(zip(*regular_boundary_sq(pot, ks ** 2))):
         scale = max(abs(cu), abs(cdu))
@@ -50,7 +51,8 @@ def test_default_step_matches_closed_form_on_grid():
 def test_finer_step_tightens_agreement():
     pot = make_potential(0.7)
     ks = np.linspace(0.3, 2.7, 5)
-    u, du = ode_oracle_boundary_many(pot, ks, step=1.0e-4 * pot.r_d)
+    u, du = rk4_radial(pot.v, ks ** 2, (pot.r_a, pot.r_d), 1.0e-4 * pot.r_d)
+    assert np.array_equal(u, ode_oracle_boundary_many(pot, ks)[0])
     for i, (cu, cdu) in enumerate(zip(*regular_boundary_sq(pot, ks ** 2))):
         scale = max(abs(cu), abs(cdu))
         assert abs(cu - u[i]) / scale < 1.0e-11
@@ -97,12 +99,6 @@ def test_rk4_needs_a_constant_potential_per_segment():
         rk4_radial(pot.v, 1.0, (pot.r_a, pot.r_d, 2.0 * pot.r_d), 1.0e-3 * pot.r_d)
 
 
-def test_step_cap_enforced():
-    pot = make_potential(0.3)
-    with pytest.raises(DomainError):
-        ode_oracle_boundary_many(pot, [1.0], step=4.0e-3)
-
-
 # ------------------------------------------------------------------ #
 # exterior matching                                                  #
 # ------------------------------------------------------------------ #
@@ -111,10 +107,9 @@ def test_matching_from_one_batched_pass_is_bit_identical():
     # run_verification takes its matching data from the boundary-check pass
     pot = make_potential(0.3)
     ks = np.concatenate((np.linspace(0.05, 3.0, 30), (0.5, 1.0, 2.5)))
-    step = 1.0e-4 * pot.r_d
-    u, du = ode_oracle_boundary_many(pot, ks, step=step)
+    u, du = ode_oracle_boundary_many(pot, ks)
     for i, k in enumerate((0.5, 1.0, 2.5), start=30):
-        (su,), (sdu,) = ode_oracle_boundary_many(pot, [k], step=step)
+        (su,), (sdu,) = ode_oracle_boundary_many(pot, [k])
         assert (su, sdu) == (u[i], du[i])
         assert _match_boundary(pot, k, float(u[i]), float(du[i])) \
             == oracle_match_coefficients(pot, k)
@@ -167,24 +162,26 @@ def test_brute_force_validation(density_for):
             oracle_survival_bruteforce(den, t)
 
 
-def test_brute_force_grid_cap_names_stage_size_and_cap(density_for):
+def test_brute_force_grid_cap_names_stage_size_and_cap(density_for, monkeypatch):
     # the bulk grid of t = 1000 up to e_max = 2000 trips the cap
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 2000.0)
     with pytest.raises(ResourceLimitError, match=(
             r"^brute-force oracle: grid of 82573373 points at t = 1000 "
             r"exceeds _MAX_BRUTE_POINTS = 40000000$")):
-        oracle_survival_bruteforce(density_for(0.3), 1000.0, e_max=2000.0)
+        oracle_survival_bruteforce(density_for(0.3), 1000.0)
 
 
 @pytest.mark.parametrize("beta", REFERENCE_BETAS)
-def test_batched_times_match_one_call_per_time(density_for, beta):
+def test_batched_times_match_one_call_per_time(density_for, monkeypatch, beta):
     # the positive times share the t = 500 grid; e_max = 100 keeps every
     # grid but t = 0's (which starts from e = 2500) four times smaller
     den = density_for(beta)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 100.0)
     times = np.array([0.0, 1.0, 60.0, 200.0, 500.0])
-    batched = oracle_survival_bruteforce(den, times, e_max=100.0)
+    batched = oracle_survival_bruteforce(den, times)
     assert batched.shape == times.shape
     for t, p in zip(times, batched):
-        single = oracle_survival_bruteforce(den, t, e_max=100.0)
+        single = oracle_survival_bruteforce(den, t)
         assert isinstance(single, float)
         assert abs(p - single) <= 1.0e-12
 
@@ -232,6 +229,7 @@ def test_brute_force_is_bit_identical_for_any_worker_count(monkeypatch, t):
     # and four workers on a short switch interval interleave the most
     den = make_density(0.4137)
     omega = den.omega
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 100.0)
     runs = []
     for workers in (1, 2, 4):
         calls = itertools.count()
@@ -244,12 +242,12 @@ def test_brute_force_is_bit_identical_for_any_worker_count(monkeypatch, t):
 
         monkeypatch.setattr(den, "omega", first_returns_last)
         monkeypatch.setattr(tailsurv.oracle, "_BRUTE_WORKERS", workers)
-        specfun._SERIES_COEF_CACHE.clear()
-        specfun._LARGE_X_COEF_CACHE.clear()
+        specfun._series_tables.cache_clear()
+        specfun._large_x_coefficients.cache_clear()
         threads, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1.0e-6)
         try:
-            runs.append(oracle_survival_bruteforce(den, t, e_max=100.0))
+            runs.append(oracle_survival_bruteforce(den, t))
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
@@ -287,8 +285,9 @@ def test_brute_force_workers_each_reuse_one_block(monkeypatch):
         return omega(e, work=work)
 
     monkeypatch.setattr(den, "omega", recording)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 100.0)
     counts = {}
-    oracle_survival_bruteforce(den, [60.0, 200.0], e_max=100.0, counts=counts)
+    oracle_survival_bruteforce(den, [60.0, 200.0], counts=counts)
     # two passes (threshold and bulk), each with its own blocks
     assert len(blocks) <= 2 * tailsurv.oracle._BRUTE_WORKERS
     assert len(calls) == counts["density_calls"] > len(blocks)

@@ -11,10 +11,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from tailsurv import InitialState, SpectralDensity, WBPotential, survival_exact
+from tailsurv import InitialState, SpectralDensity, WBPotential, spectral_mass, survival_exact
 from tailsurv.errors import ConfigError
 from tailsurv.oracle import oracle_match_coefficients, oracle_survival_bruteforce
 from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _PHASE_SWITCH, _PanelTable,
@@ -46,6 +46,21 @@ def test_exact_survival_matches_brute_force(pot):
     brute = oracle_survival_bruteforce(density, times)
     assert np.all(np.abs(exact - brute) <= 1.0e-8)
     assert np.all(exact <= 1.0) and np.all(brute <= 1.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "spectral_mass misses 1 by up to 2.5e-9 on narrow wells: in 300 valid "
+    "uniform draws of this strategy's ranges (numpy seed 7) 77 missed 1e-10, "
+    "all with r_a <= 0.914, and every pass had r_a >= 0.900; the explicit "
+    "example reads mass - 1 = -2.38e-9"))
+@settings(max_examples=10, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@example(pot=WBPotential(v0=0.6018201719609856, vb=1.1086089318066201,
+                         r_a=0.5130698471822659, r_d=2.1901605338055825,
+                         beta=-0.1826224486877347))
+@given(pot=valid_potentials())
+def test_density_is_normalized(pot):
+    density = SpectralDensity(pot, InitialState.from_potential(pot))
+    assert abs(spectral_mass(density) - 1.0) <= 1.0e-10
 
 
 @settings(max_examples=10)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tailsurv import spectral
-from tailsurv.errors import ConvergenceError, DomainError
+from tailsurv.errors import DomainError
 from tailsurv.model import InitialState, WBPotential
 from tailsurv.specfun import riccati_combos
 from tailsurv.spectral import (SpectralDensity, _shifted_well, _work_block,
@@ -355,20 +355,6 @@ def test_integer_order_degeneracy_blocks_series():
     assert th.density_scale > 0.0 and th.jost_scale > 0.0
     with pytest.raises(DomainError):
         th.require_series()
-
-
-def test_phase_shift_diagnostic_is_finite(density_for):
-    den = density_for(0.3)
-    for k in (0.3, 1.0, 2.5):
-        delta = den.phase_shift(k)
-        assert isinstance(delta, float) and math.isfinite(delta)
-
-
-def test_phase_shift_refuses_past_the_series_reach(density_for):
-    # k r_d = 68, where the summed series pair is ~1e12 off and the phase
-    # it gave read -1.83
-    with pytest.raises(ConvergenceError):
-        density_for(0.3).phase_shift(20.0)
 
 
 # ------------------------------------------------------------------ #
