@@ -63,6 +63,13 @@ def _window_samples(series: SurvivalSeries, t_lo: float, t_hi: float):
     return t, p
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): slope, intercept and rms residual."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    return float(slope), float(intercept), float(np.sqrt(np.mean(resid ** 2)))
+
+
 def fit_power_law(series: SurvivalSeries, t_lo: float, t_hi: float) -> FitResult:
     """Least-squares line through ln P vs ln t on [t_lo, t_hi].
 
@@ -70,13 +77,9 @@ def fit_power_law(series: SurvivalSeries, t_lo: float, t_hi: float) -> FitResult
     ln P units.  Deterministic: equal inputs give identical results.
     """
     t, p = _window_samples(series, t_lo, t_hi)
-    x = np.log(t)
-    y = np.log(p)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return FitResult(mu_f=float(-slope), prefactor=float(math.exp(intercept)),
-                     window=(float(t_lo), float(t_hi)),
-                     rms_residual=float(np.sqrt(np.mean(resid ** 2))),
+    slope, intercept, rms = _line_fit(np.log(t), np.log(p))
+    return FitResult(mu_f=-slope, prefactor=math.exp(intercept),
+                     window=(float(t_lo), float(t_hi)), rms_residual=rms,
                      n_points=int(t.size))
 
 
@@ -88,10 +91,8 @@ def fit_exponential(series: SurvivalSeries, t_lo: float, t_hi: float
     exponential regime for the rate to be meaningful.
     """
     t, p = _window_samples(series, t_lo, t_hi)
-    y = np.log(p)
-    slope, intercept = np.polyfit(t, y, 1)
-    resid = y - (slope * t + intercept)
-    return float(-slope), float(np.sqrt(np.mean(resid ** 2)))
+    slope, _, rms = _line_fit(t, np.log(p))
+    return -slope, rms
 
 
 def resonance_width(density: SpectralDensity) -> tuple[float, float]:

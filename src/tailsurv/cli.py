@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import beta_sweep, fit_power_law
-from .emit import read_table, write_json, write_model_json, write_table
+from .emit import _read_text, read_table, write_json, write_model_json, write_table
 from .errors import ConfigError, TailsurvError, ToleranceError
 from .model import InitialState, WBPotential
 from .spectral import SpectralDensity, arc_density_magnitude
@@ -85,7 +85,7 @@ def _parse_value(key: str, text: str):
 def load_config(path) -> dict:
     """Flat key=value file; # starts a comment; unknown keys rejected."""
     cfg = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(_read_text(path, "config file").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -131,22 +131,20 @@ def _build_density(cfg: dict) -> SpectralDensity:
 
 def _time_grid(cfg: dict) -> np.ndarray:
     t_min, t_max = float(cfg["t_min"]), float(cfg["t_max"])
-    if not 0 < t_min < t_max:
-        raise ConfigError(f"need 0 < t_min < t_max, got [{t_min:g}, {t_max:g}]")
+    if not 0 < t_min < t_max < math.inf:
+        raise ConfigError(f"need 0 < t_min < t_max < inf, got [{t_min:g}, {t_max:g}]")
     n = max(2, round(float(cfg["t_per_decade"]) * math.log10(t_max / t_min)))
     return np.geomspace(t_min, t_max, n)
 
 
-def _parse_angles(text: str) -> list[float]:
+def _parse_list(text: str, parse, what: str) -> list[float]:
+    """The comma-separated entries of text through parse; blanks are skipped."""
     out = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (p.strip() for p in str(text).split(","))):
         try:
-            out.append(_simple_ratio(part))
+            out.append(parse(part))
         except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"bad angle {part!r}")
+            raise ConfigError(f"bad {what} {part!r}") from None
     return out
 
 
@@ -167,21 +165,17 @@ def _simple_ratio(text: str) -> float:
     return num / den
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(p) for p in str(text).split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"bad numeric list {text!r}")
-
-
 # ----------------------------------------------------------------- #
 # subcommands                                                       #
 # ----------------------------------------------------------------- #
 
 def cmd_density(cfg: dict, args: argparse.Namespace) -> int:
     density = _build_density(cfg)
-    e = np.geomspace(float(cfg["e_min"]), float(cfg["e_max"]),
-                     int(cfg["e_points"]))
+    e_min, e_max, n = float(cfg["e_min"]), float(cfg["e_max"]), int(cfg["e_points"])
+    if not (0 < e_min < e_max < math.inf and n >= 1):
+        raise ConfigError(f"need 0 < e_min < e_max < inf and e_points >= 1, got [{e_min:g}, "
+                          f"{e_max:g}] and {n}")
+    e = np.geomspace(e_min, e_max, n)
     om = density.omega(e)
     path = _out_path(cfg, "density.csv")
     write_table(path, ["E", "omega"], [e, om])
@@ -262,8 +256,8 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_arc_check(cfg: dict, args: argparse.Namespace) -> int:
     density = _build_density(cfg)
     pot, init = density.pot, density.init
-    radii = _parse_floats(cfg["arc_radii"])
-    angles = _parse_angles(cfg["arc_angles"])
+    radii = _parse_list(cfg["arc_radii"], float, "radius")
+    angles = _parse_list(cfg["arc_angles"], _simple_ratio, "angle")
     if len(radii) < 2:
         raise ConfigError("arc check needs at least two radii")
     all_ok = True

@@ -8,6 +8,7 @@ reproduce in-memory results to the last bit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -33,16 +34,23 @@ def write_table(path, header: list[str], columns: list) -> Path:
     return path
 
 
+def _read_text(path, what: str) -> str:
+    """The text of the file at path; a ConfigError naming it if it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read {what}: {exc.strerror}") from None
+
+
 def read_table(path) -> tuple[list[str], dict[str, np.ndarray]]:
     """Read a CSV written by write_table back into named columns."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        rows = list(reader)
+    reader = csv.reader(io.StringIO(_read_text(path, "table"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty file") from None
+    rows = list(reader)
     data = {}
     for j, name in enumerate(header):
         try:

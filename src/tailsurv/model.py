@@ -83,9 +83,7 @@ class WBPotential:
 
     def v(self, r):
         """Potential profile; scalar or array radius, r > 0."""
-        arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, scalar = _vector(r, "radius", float)
         if np.any(arr <= 0.0):
             raise DomainError("potential profile requires r > 0")
         out = np.where(arr < self.r_a, -self.v0, self.vb)
@@ -149,12 +147,32 @@ class InitialState:
 
     def wavefunction(self, r):
         """u_i(r); vanishes beyond r_a."""
-        arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, scalar = _vector(r, "radius", float)
         amp = math.sqrt(2.0 / self.r_a)
         out = np.where(arr <= self.r_a, amp * _sincos(arr, self.k_a)[0], 0.0)
         return float(out[0]) if scalar else out
+
+
+def _vector(x, name: str, dtype=None):
+    """x as a 1-d array (of dtype, if given), and whether it was a scalar.
+    Raises unless x holds one or more finite numbers; each caller checks
+    its own domain and converts to its own dtype."""
+    arr = np.asarray(x, dtype=dtype)
+    if not (arr.size and np.issubdtype(arr.dtype, np.number) and np.isfinite(arr).all()):
+        raise DomainError(f"{name} must be one or more finite numbers")
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
+def _horner(coef, x, out=None):
+    """sum_i coef[i] x^i, in out (not x): x coef[-1], then for each lower
+    coefficient but the last, add it and multiply by x in place; coef[0]
+    is added last.  coef[i] may be a scalar or an array like x."""
+    acc = np.multiply(x, coef[-1], out=out)
+    for c in coef[-2:0:-1]:
+        acc += c
+        acc *= x
+    acc += coef[0]
+    return acc
 
 
 def _tan_half(x, scale=1.0, out=None):
@@ -286,10 +304,7 @@ def regular_boundary_sq(pot: WBPotential, k_sq):
     entire in k^2; all square roots appear only through even
     combinations, so no branch choice is involved.
     """
-    w = np.atleast_1d(np.asarray(k_sq))
-    scalar = np.asarray(k_sq).ndim == 0
-    if not np.all(np.isfinite(w)):
-        raise DomainError("k^2 must be finite")
+    w, scalar = _vector(k_sq, "k^2")
     cos_a, sinc_a = _trig_sqrt(w + pot.v0, pot.r_a)
     u, du = _well_boundary(pot, w, sinc_a, cos_a)
     return (u[0], du[0]) if scalar else (u, du)

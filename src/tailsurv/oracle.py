@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -295,25 +294,17 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
         return vals[0], vals[-1], np.exp(-1j * times * e[0])[:, None] * (
             cos_sin[:times.size] - 1j * cos_sin[times.size:]), seconds
 
-    starts, ahead = range(0, n_fine, chunk), 2 * _BRUTE_WORKERS
+    starts = range(0, n_fine, chunk)
     acc = np.zeros((times.size, width), dtype=complex)
     density_s = 0.0
-    # chunks are added in chunk order, so the sums are the serial ones for
-    # any worker count; at most `ahead` are submitted and not yet added,
-    # and an exception cancels those not yet started
+    # Executor.map yields in chunk order, so the sums are the serial ones
+    # for any worker count, and an exception cancels the chunks not started
     with ThreadPoolExecutor(_BRUTE_WORKERS) as pool:
-        queued = deque(pool.submit(chunk_sum, a) for a in starts[:ahead])
-        try:
-            for i in range(len(starts)):
-                first, last, part, seconds = queued.popleft().result()
-                if i + ahead < len(starts):
-                    queued.append(pool.submit(chunk_sum, starts[i + ahead]))
-                if i == 0:
-                    g_lo = first * np.exp(-1j * times * lo)
-                acc += part
-                density_s += seconds
-        finally:
-            pool.shutdown(cancel_futures=True)
+        for i, (first, last, part, seconds) in enumerate(pool.map(chunk_sum, starts)):
+            if i == 0:
+                g_lo = first * np.exp(-1j * times * lo)
+            acc += part
+            density_s += seconds
     counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
     counts["density_s"] = counts.get("density_s", 0.0) + density_s
     counts["work_bytes"] = max(counts.get("work_bytes", 0), sum(blocks))

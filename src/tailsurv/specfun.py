@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import _halves, _head, _sincos
+from .model import _halves, _head, _horner, _sincos, _vector
 
 SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(float).eps)
@@ -96,13 +96,7 @@ class RiccatiCombos(NamedTuple):
 
 
 def _coerce_argument(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.issubdtype(arr.dtype, np.number):
-        raise DomainError("Riccati argument must be numeric")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("Riccati argument must be finite (no NaN/inf)")
+    arr, scalar = _vector(x, "Riccati argument")
     if np.any(arr == 0):
         raise DomainError("Riccati functions are not evaluated at x = 0")
     real = not np.iscomplexobj(arr) and not np.any(arr < 0)  # else principal branch
@@ -210,25 +204,15 @@ def _pair_series(beta: float, x: np.ndarray, out=(None,) * 8) -> tuple[np.ndarra
     K = (cos mu pi - (x/2)^{-2 mu}) / sin mu pi -> 2 ln(x/2) / pi at mu = 0,
     and K' = 2 (mu / sin mu pi) (x/2)^{-2 mu} / x.  One log and two
     exponentials per element give every power: (x/2)^{beta+1}, (x/2)^{-2 mu}
-    and their product over w^n, (x/2)^{-beta}.  All four Horner sums share
-    one loop, and the arithmetic runs in place to keep peak memory down.
+    and their product over w^n, (x/2)^{-beta}.  The four sums are Horner's,
+    and the arithmetic runs in place to keep peak memory down.
     out: n_hat, w (spent), n_hat', j_hat, j_hat' and three scratch.
     """
     w = np.square(np.multiply(0.5, x, out=out[5]), out=out[1])
     peak = np.max(np.abs(w, out=_halves(out[0])[0]))
     tab = _series_tables(beta, _series_term_count(float(peak)))
-    j, jp, n, np_ = (np.multiply(w, c[-1], out=o) for c, o in    # Horner's first step
+    j, jp, n, np_ = (_horner(c, w, o) for c, o in
                      ((tab.j, out[3]), (tab.jd, out[4]), (tab.n, out[0]), (tab.nd, out[2])))
-    for i in range(tab.j.size - 2, -1, -1):
-        j += tab.j[i]
-        jp += tab.jd[i]
-        n += tab.n[i]
-        np_ += tab.nd[i]
-        if i:
-            j *= w
-            jp *= w
-            n *= w
-            np_ *= w
     log_half = np.log(np.multiply(0.5, x, out=out[5]), out=out[5])
     scale = np.exp(np.multiply(beta + 1.0, log_half, out=out[6]), out=out[6])
     j *= scale
@@ -261,14 +245,17 @@ def _pair_integer_beta(ell: int, x: np.ndarray, out=(None,) * 8) -> tuple[np.nda
     """Closed trigonometric forms, upward recurrence from order 0.
 
     Stable only for ell not much larger than |x|; the physical range here
-    keeps ell at a handful at most.  out as in _pair_series.
+    keeps ell at a handful at most.  out as in _pair_series: orders 0 and
+    -1 start in the rows that leave order ell where the series leaves it.
     """
-    sin_x, cos_x = _sincos(x, out=out[:5])
+    odd = ell % 2
+    j_rows, n_rows = (out[3], out[4]), (out[0], out[2])
+    sin_x, cos_x = _sincos(x, out=(j_rows[odd], j_rows[1 - odd], out[1], out[5], out[6]))
     jm1, j0 = cos_x, sin_x          # orders -1, 0
-    nm1, n0 = np.positive(sin_x, out=out[5]), np.negative(cos_x, out=out[6])
+    nm1, n0 = np.positive(sin_x, out=n_rows[1 - odd]), np.negative(cos_x, out=n_rows[odd])
 
     def times_over_x(c, v):         # c / x * v, in scratch
-        return np.multiply(np.divide(c, x, out=out[2]), v, out=out[3])
+        return np.multiply(np.divide(c, x, out=out[1]), v, out=out[5])
 
     for i in range(ell):            # each new order overwrites the one below the last
         jm1, j0 = j0, np.subtract(times_over_x(2 * i + 1, j0), jm1, out=jm1)
@@ -296,16 +283,15 @@ def riccati_pair_with_derivatives(order: BesselOrder, x) -> RiccatiPair:
 
 
 def _pair_combos(order: BesselOrder, x: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
-    """The combinations, in three targets the pair left free and its spent
-    n_hat, j_hat.  No product overwrites an operand: a one-element complex
-    product does so with a last-bit difference (numpy 2.4, x86-64)."""
-    j, jp, n, np_ = pair = _pair(order, x, out)
-    taken = {id(p) for p in pair}
-    cross, sum_sq, tmp = [o for o in out if id(o) not in taken][:3]
-    cross = np.multiply(n, np_, out=cross)
-    cross += np.multiply(j, jp, out=tmp)
-    sum_sq = np.multiply(n, n, out=sum_sq)
-    sum_sq += np.multiply(j, j, out=tmp)
+    """The combinations, in out[5], out[1] and the pair's spent n_hat (out[0]),
+    with out[6] and j_hat as scratch.  No product overwrites an operand: a
+    one-element complex product does so with a last-bit difference (numpy
+    2.4, x86-64)."""
+    j, jp, n, np_ = _pair(order, x, out)
+    cross = np.multiply(n, np_, out=out[1])
+    cross += np.multiply(j, jp, out=out[6])
+    sum_sq = np.multiply(n, n, out=out[5])
+    sum_sq += np.multiply(j, j, out=out[6])
     sum_sq_deriv = np.multiply(np_, np_, out=n)
     sum_sq_deriv += np.multiply(jp, jp, out=j)
     return sum_sq, cross, sum_sq_deriv
@@ -325,9 +311,9 @@ def riccati_combos(order: BesselOrder, z) -> RiccatiCombos:
 def _combos(order: BesselOrder, z: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
     """`riccati_combos` on a validated 1-d float64 (z > 0) or complex128 array.
 
-    out: eight targets.  A mixed call runs the pair on the near part,
-    moves its values to three targets it left free, then runs the Hankel
-    sums on the far part in the others.
+    out: eight targets.  A mixed call runs the pair on the near part in
+    the heads of out, moves its values to out[2:5], then runs the Hankel
+    sums on the far part in the heads of out[0], out[1], out[5] and out[6].
     """
     near = np.abs(z, out=_halves(out[0])[0]) < SERIES_COMBO_SWITCH
     if near.all():
@@ -335,15 +321,10 @@ def _combos(order: BesselOrder, z: np.ndarray, out=(None,) * 8) -> tuple[np.ndar
     if not near.any():
         return _hankel_combos(order.beta, z, out)
     m = np.count_nonzero(near)
-    heads = _head(out, m)
-    lo = _pair_combos(order, z[near], heads)
-    taken = {id(v) for v in lo}
-    full = [np.empty_like(z) if o is None else o
-            for o in [o for o, h in zip(out, heads) if id(h) not in taken][:3]]
-    taken = {id(f) for f in full}
-    rest = _head([o for o in out if id(o) not in taken], z.size - m)
-    for dst, src in zip(full, lo):
+    full = [np.empty_like(z) if o is None else o for o in out[2:5]]
+    for dst, src in zip(full, _pair_combos(order, z[near], _head(out, m))):
         dst[near] = src
+    rest = _head([out[0], out[1], out[5], out[6]], z.size - m)
     for dst, src in zip(full, _hankel_combos(order.beta, z[~near], rest)):
         dst[~near] = src
     return tuple(full)
@@ -373,14 +354,7 @@ def _hankel_combos(beta: float, z: np.ndarray, out=(None,) * 4) -> tuple[np.ndar
     peak memory down."""
     coef, coef_k = _large_x_coefficients(beta)
     inv_sq = np.reciprocal(np.multiply(z, z, out=out[0]), out=out[0])
-    sum_sq = np.multiply(inv_sq, coef[-1], out=out[1])     # Horner's first step
-    slope = np.multiply(inv_sq, coef_k[-1], out=out[2])
-    for k in range(coef.size - 2, -1, -1):
-        sum_sq += coef[k]
-        slope += coef_k[k]
-        if k:
-            sum_sq *= inv_sq
-            slope *= inv_sq
+    sum_sq, slope = _horner(coef, inv_sq, out[1]), _horner(coef_k, inv_sq, out[2])
     cross = np.negative(slope, out=slope)
     cross /= z
     sum_sq_deriv = np.add(1.0, np.multiply(cross, cross, out=out[3]), out=out[3])

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (InitialState, WBPotential, _assemble_boundary, _mul, _sincos,
-                    _well_boundary, regular_boundary_sq)
+                    _vector, _well_boundary, regular_boundary_sq)
 # riccati_combos and riccati_pair_with_derivatives stay importable here only
 # because perfbench's tracer hooks them by these names
 from .specfun import (SQRT_PI, BesselOrder, _combos, riccati_combos,
@@ -107,10 +107,8 @@ def _shifted_well(k_i, k_a: float, n_a: int, out=(None,) * 6):
 def _off_threshold(x, name: str):
     """x as a 1-d float or complex array, and whether it was a scalar.
     Raises unless x is finite, off the branch point 0 and, if real, positive."""
-    arr, scalar = np.atleast_1d(np.asarray(x)), np.ndim(x) == 0
+    arr, scalar = _vector(x, name)
     arr = arr.astype(complex if np.iscomplexobj(arr) else float, copy=False)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
     if np.any(arr == 0 if np.iscomplexobj(arr) else arr <= 0.0):
         raise DomainError(f"{name} must be nonzero, and positive when real: "
                           "threshold and the continuation cut are excluded")

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ToleranceError
-from .model import _sincos, _tan_half
+from .model import _horner, _sincos, _tan_half, _vector
 from .spectral import SpectralDensity, ThresholdCoeffs
 
 # Phase turn t * half_width above which a panel switches from the
@@ -147,7 +147,7 @@ class AsymptoticModel:
             raise DomainError("coefficient/exponent length mismatch")
 
     def evaluate(self, times) -> SurvivalSeries:
-        t = np.asarray(times, dtype=float)
+        t = _vector(times, "times", float)[0]
         if np.any(t <= 0.0):
             raise DomainError("asymptotic models need t > 0")
         amp = np.zeros(t.shape, dtype=complex)
@@ -326,10 +326,8 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
     np.cumsum((terms @ np.ones(16)).T, axis=0, out=mom[1:])
     mom = mom[lo]
     # Horner in -t^2 over even and odd m: (-it)^(2j) = (-t^2)^j
-    w, even, odd = -t * t, mom[:, -2], mom[:, -1]
-    for m in range(_MOMENT_TERMS - 4, -1, -2):
-        even, odd = even * w + mom[:, m], odd * w + mom[:, m + 1]
-    amps = even - 1j * t * odd
+    w = -t * t
+    amps = _horner(mom.T[0::2], w) - 1j * t * _horner(mom.T[1::2], w)
     parts = np.empty(t.shape + (3,))
     parts[:, 0] = np.concatenate(([0.0], np.cumsum(resid[:n_low])))[lo]
 
@@ -454,7 +452,7 @@ def survival_exact(density: SpectralDensity, times, *,
     stage seconds.  P(0) includes the analytic estimate of mass beyond
     e_max so the normalization limit is reproduced.
     """
-    t_arr = np.atleast_1d(np.asarray(times, dtype=float)).copy()
+    t_arr = _vector(times, "survival times", float)[0].copy()
     if np.any(t_arr < 0.0):
         raise DomainError("survival times must be >= 0")
     capped = False
@@ -559,7 +557,7 @@ def survival_laplace_axis(density: SpectralDensity, times, *,
     if form not in ("continued", "threshold"):
         raise DomainError(f"unknown laplace-axis form {form!r}")
     fn = density.omega if form == "continued" else density.threshold_pade_omega
-    t_arr = np.atleast_1d(np.asarray(times, dtype=float)).copy()
+    t_arr = _vector(times, "survival times", float)[0].copy()
     if np.any(t_arr <= 0.0):
         raise DomainError("laplace-axis evaluation needs t > 0")
 

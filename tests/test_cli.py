@@ -174,6 +174,34 @@ def test_survive_rejects_bad_time_grid(workdir, capsys):
     assert "error-class: ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", (
+    ["density", "--e_min", "0"], ["density", "--e_min", "-1"], ["density", "--e_points", "0"],
+    ["density", "--e_min", "20"], ["density", "--e_max", "inf"], ["survive", "--t_max", "inf"]))
+def test_grid_bounds_are_checked_before_the_grid_is_built(workdir, capsys, argv):
+    # a ConfigError naming the bounds before np.geomspace runs: it would raise
+    # ValueError on a zero end or count, and an infinite end overflows the
+    # time grid's point count
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error-class: ConfigError" in err and "need 0 < " in err
+
+
+def test_missing_config_file_exits_two_naming_it(workdir, capsys):
+    with pytest.raises(ConfigError, match="absent.cfg"):
+        load_config(workdir / "absent.cfg")
+    assert main(["show-config", "--config", "absent.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert "error-class: ConfigError" in err and "absent.cfg" in err
+
+
+def test_missing_table_exits_two_naming_it(workdir, capsys):
+    with pytest.raises(ConfigError, match="absent.csv"):
+        read_table(workdir / "absent.csv")
+    assert main(["fit", "absent.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "error-class: ConfigError" in err and "absent.csv" in err
+
+
 # ------------------------------------------------------------------ #
 # fit round trip                                                     #
 # ------------------------------------------------------------------ #

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -17,8 +18,11 @@ from tailsurv.errors import ConfigError, DomainError
 from tailsurv.model import (InitialState, WBPotential, _sincos, _trig_sqrt,
                             regular_boundary_sq)
 from tailsurv.oracle import count_nodes_zero_energy
+from tailsurv.specfun import (BesselOrder, riccati_combos, riccati_large_x_combos,
+                              riccati_pair_with_derivatives)
+from tailsurv.survival import asymptote_one_term, survival_exact, survival_laplace_axis
 
-from conftest import REFERENCE, make_potential
+from conftest import REFERENCE, make_density, make_potential
 
 
 # ------------------------------------------------------------------ #
@@ -380,6 +384,46 @@ def test_boundary_sq_conjugate_symmetry():
 def test_boundary_sq_rejects_nonfinite():
     with pytest.raises(DomainError):
         regular_boundary_sq(make_potential(0.3), float("nan"))
+
+
+# ------------------------------------------------------------------ #
+# input boundary: every public entry point takes one or more finite  #
+# numbers (model._vector) before its own domain check                #
+# ------------------------------------------------------------------ #
+
+@pytest.fixture(scope="module")
+def entry_points():
+    den = make_density(0.3)
+    order = BesselOrder(0.3)
+    return {
+        "omega": den.omega,
+        "jost_modulus_sq": den.jost_modulus_sq,
+        "threshold_pade_omega": den.threshold_pade_omega,
+        "riccati_pair_with_derivatives": partial(riccati_pair_with_derivatives, order),
+        "riccati_combos": partial(riccati_combos, order),
+        "riccati_large_x_combos": partial(riccati_large_x_combos, order),
+        "regular_boundary_sq": partial(regular_boundary_sq, den.pot),
+        "v": den.pot.v,
+        "wavefunction": den.init.wavefunction,
+        "survival_exact": partial(survival_exact, den),
+        "survival_laplace_axis": partial(survival_laplace_axis, den),
+        "evaluate": asymptote_one_term(den.threshold).evaluate,
+    }
+
+
+# 10.0 is a valid argument of each entry point.  A NaN time must not pass
+# the t >= 0 check and come back as P(0) with a small stated error.
+@pytest.mark.parametrize("bad", (
+    math.nan, math.inf, -math.inf, [math.nan, 10.0], [10.0, math.inf],
+    [-math.inf, 10.0], np.array([]), []),
+    ids=("nan", "+inf", "-inf", "nan,10", "10,+inf", "-inf,10", "empty", "empty-list"))
+@pytest.mark.parametrize("name", (
+    "omega", "jost_modulus_sq", "threshold_pade_omega", "riccati_pair_with_derivatives",
+    "riccati_combos", "riccati_large_x_combos", "regular_boundary_sq", "v",
+    "wavefunction", "survival_exact", "survival_laplace_axis", "evaluate"))
+def test_entry_points_reject_nonfinite_or_empty_input(entry_points, name, bad):
+    with pytest.raises(DomainError, match="must be one or more finite numbers"):
+        entry_points[name](bad)
 
 
 # ------------------------------------------------------------------ #
