@@ -133,7 +133,10 @@ def _time_grid(cfg: dict) -> np.ndarray:
     t_min, t_max = float(cfg["t_min"]), float(cfg["t_max"])
     if not 0 < t_min < t_max < math.inf:
         raise ConfigError(f"need 0 < t_min < t_max < inf, got [{t_min:g}, {t_max:g}]")
-    n = max(2, round(float(cfg["t_per_decade"]) * math.log10(t_max / t_min)))
+    per_decade = float(cfg["t_per_decade"])
+    if per_decade < 1:
+        raise ConfigError(f"need t_per_decade >= 1, got {per_decade:g}")
+    n = max(2, round(per_decade * math.log10(t_max / t_min)))
     return np.geomspace(t_min, t_max, n)
 
 
@@ -232,11 +235,20 @@ def cmd_survive(cfg: dict, args: argparse.Namespace) -> int:
     return 0
 
 
+# Tail strengths per sweep, each a potential validation and a panel table
+# (~3 ms): a bound that keeps a mistyped step from asking for an unbounded grid.
+_MAX_SWEEP_BETAS = 10_000
+
+
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     start, stop, step = (float(cfg["beta_start"]), float(cfg["beta_stop"]),
                          float(cfg["beta_step"]))
     if step <= 0 or stop < start:
         raise ConfigError("need beta_step > 0 and beta_stop >= beta_start")
+    count = (stop - start) / step + 1.0
+    if not count <= _MAX_SWEEP_BETAS:
+        raise ConfigError(f"the sweep grid holds {count:.4g} tail strengths; "
+                          f"at most {_MAX_SWEEP_BETAS} are allowed")
     betas = np.round(np.arange(start, stop + step / 2, step), 10)
     base = _potential_from_cfg(dict(cfg, beta=betas[0]))  # the sweep sets beta
     rows = beta_sweep(base, betas,

@@ -234,27 +234,31 @@ def _sincos(x, scale=1.0, out=(None,) * 5):
     return u, cos
 
 
-def _trig_sqrt(z, length, out=(None,) * 8):
+def _trig_sqrt(z, length, out=(None,) * 6):
     """(cos(sqrt(z) L), sin(sqrt(z) L)/sqrt(z)), entire in z, from one square root.
 
     Negative real z gives (cosh, sinh/kappa), kappa = sqrt(-z).  A real
-    call whose z are all >= 0 or all <= 0 takes no masks; a mixed-sign
-    call splits once, so each branch runs only on its own elements.  The
+    call whose z are all >= 0 or all <= 0 takes one branch; a mixed-sign
+    call runs both on sqrt(|z|) for every element and keeps the
+    hyperbolic values where z < 0, so each kept element sees the same
+    operations as on its own branch.  (The hyperbolic branch overflows
+    only on long barriers at large z > 0, whose values it discards.)  The
     quotient is exact to rounding for z != 0; z = 0 takes the limit (1, L).
-    out: the quotient, the cosine and six scratch (a mixed-sign call uses all).
+    out: the quotient, the cosine and four scratch.
     """
     if np.iscomplexobj(z) or z.min(initial=np.inf) >= 0.0:
         return _trig_pair(np.sqrt(z, out=out[5]), length, _sincos, out[:5])
     if z.max(initial=-np.inf) <= 0.0:
         s = np.sqrt(np.negative(z, out=out[5]), out=out[5])
         return _trig_pair(s, length, _sinh_cosh, out[:5])
-    cos_out, sinc_out = (np.empty_like(z) if o is None else o for o in (out[1], out[0]))
-    pos = z >= 0.0
-    for part, sin_cos in ((pos, _sincos), (~pos, _sinh_cosh)):
-        sub = _head(out[2:], np.count_nonzero(part))
-        s = np.sqrt(np.abs(z[part], out=sub[5]), out=sub[5])     # |z|: -z on ~pos
-        cos_out[part], sinc_out[part] = _trig_pair(s, length, sin_cos, sub[:5])
-    return cos_out, sinc_out
+    s = np.sqrt(np.abs(z, out=out[5]), out=out[5])
+    cos, sinc = _trig_pair(s, length, _sincos, out[:3])
+    with np.errstate(over="ignore"):
+        cosh, sinh = _trig_pair(s, length, _sinh_cosh, (out[3], out[4], out[2]))
+    neg = z < 0.0
+    np.copyto(cos, cosh, where=neg)
+    np.copyto(sinc, sinh, where=neg)
+    return cos, sinc
 
 
 def _sinh_cosh(x, out=(None,) * 2):
@@ -265,9 +269,12 @@ def _trig_pair(s, length, sin_cos, out=(None,) * 5):
     """(cos(s L), sin(s L)/s), limit L at s = 0; sin_cos is `_sincos` or
     `_sinh_cosh`, whose out this is (s L goes to out[2])."""
     sin, cos = sin_cos(np.multiply(s, length, out=out[2]), out=out)
-    zero = s == 0.0
-    np.divide(sin, s, out=sin, where=~zero)
-    sin[zero] = length
+    if s.all():
+        sin /= s
+    else:
+        zero = s == 0.0
+        np.divide(sin, s, out=sin, where=~zero)
+        sin[zero] = length
     return cos, sin
 
 

@@ -98,7 +98,10 @@ def _shifted_well(k_i, k_a: float, n_a: int, out=(None,) * 6):
     r_a = n_a * math.pi / k_a
     d = np.multiply(np.subtract(k_i, k_a, out=out[0]), r_a, out=out[0])
     sin_d, cos_d = _sincos(d, out=out[1:])
-    overlap = np.divide(sin_d, d, out=np.ones_like(d), where=d != 0.0)
+    if d.all():
+        overlap = np.divide(sin_d, d)
+    else:
+        overlap = np.divide(sin_d, d, out=np.ones_like(d), where=d != 0.0)
     overlap *= r_a if n_a % 2 else -r_a
     overlap /= np.add(k_a, k_i, out=out[3])
     return sin_d, cos_d, overlap

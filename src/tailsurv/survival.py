@@ -14,12 +14,13 @@ evaluated together, in blocks, in real arithmetic.  The panels start as geometri
 shrinking ones down to E ~ 1e-13, for the threshold power law, and
 uniform ones in k = sqrt(E) above; one refinement loop then bisects,
 level by level, every panel whose interpolant misses its target (the
-resonance peak chiefly).  Each time sums only the panels of its own
-energy window this way.  The panels wholly below E = 1/t enter as one
-Taylor series in -it over the table's cumulative energy moments.  The
-density above the window's top e_cut, the table end that t / 2 would
-need (at most e_max), is summed by integration by parts using the
-derivatives of the interpolant of the panel below e_cut.
+resonance peak chiefly), evaluating two levels per density call.  Each
+time sums only the panels of its own energy window this way.  The
+panels wholly below E = 1/t enter as one Taylor series in -it over the
+table's cumulative energy moments.  The density above the window's top
+e_cut, the table end that t / 2 would need (at most e_max), is summed
+by integration by parts using the derivatives of the interpolant of
+the panel below e_cut.
 
 The long-time representation rotates the contour onto the negative
 imaginary energy axis,
@@ -59,7 +60,7 @@ _MAX_DEPTH = 48
 _MIN_WIDTH = 1.0e-8
 
 # Cap on density evaluations per panel table.  The largest tables in
-# use take 7232-7392 (e_max = 4e4, the sweep's tail strengths); without
+# use take 7936-8128 (e_max = 4e4, the sweep's tail strengths); without
 # a cap, a density whose evaluation error exceeds _PANEL_RTOL would
 # bisect toward _MAX_DEPTH for minutes and gigabytes.
 _MAX_TABLE_EVALS = 200_000
@@ -185,6 +186,12 @@ def _eval_panels(omega: Callable, mid: np.ndarray, half: np.ndarray):
     return omega(nodes.ravel()).reshape(nodes.shape)
 
 
+def _bisect(mid: np.ndarray, half: np.ndarray):
+    """Both halves of every panel, left then right, in panel order."""
+    half = 0.5 * half
+    return np.stack((mid - half, mid + half), axis=1).ravel(), np.repeat(half, 2)
+
+
 def _interp(vals: np.ndarray):
     """Monomial coefficients and residual scale for panel node values."""
     mono = vals @ _MONO_FROM_VALS.T
@@ -193,19 +200,8 @@ def _interp(vals: np.ndarray):
     return mono, resid
 
 
-def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
-    """Adaptive panel table for int omega(E) e^{-iEt} dE on [0, e_max].
-
-    The initial panels halve geometrically from _GEOM_EDGE toward
-    _GEOM_FLOOR and are uniform in k = sqrt(E) from _GEOM_EDGE to e_max,
-    at most pi / (2 r_a) wide: half a period of the well factor
-    sin^2(k_I r_a).  Each level evaluates all its pending panels in one
-    density call, keeps those whose interpolation residual is within
-    _PANEL_RTOL of their largest value (or that reached _MIN_WIDTH or
-    _MAX_DEPTH) and bisects the rest; the density's evaluation error (up
-    to 1.2e-10 relative, from the series at |k r_d| just below 12.5 for
-    orders with nu - n near -1/2) stays below that 5e-10 target.
-    """
+def _initial_panels(r_a: float, e_max: float):
+    """Middles and half-widths of the initial panels of `_build_table`."""
     if e_max <= 4.0:
         raise DomainError(f"e_max = {e_max:g} too small; need > 4")
     n_geo = math.ceil(math.log2(_GEOM_EDGE / _GEOM_FLOOR))
@@ -213,27 +209,65 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     ks = np.linspace(k_lo, k_hi, math.ceil((k_hi - k_lo) * 2.0 * r_a / math.pi) + 1)
     edges = np.concatenate((_GEOM_EDGE * 2.0 ** -np.arange(n_geo, 0, -1.0), ks * ks))
     edges[-1] = e_max
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
 
-    kept, n_evals = [], 0
+
+def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
+    """Adaptive panel table for int omega(E) e^{-iEt} dE on [0, e_max].
+
+    The initial panels halve geometrically from _GEOM_EDGE toward
+    _GEOM_FLOOR and are uniform in k = sqrt(E) from _GEOM_EDGE to e_max,
+    at most pi / (2 r_a) wide: half a period of the well factor
+    sin^2(k_I r_a).  Each bisection level keeps the panels whose
+    interpolation residual is within _PANEL_RTOL of their largest value
+    (or that reached _MIN_WIDTH or _MAX_DEPTH) and bisects the rest; the
+    density's evaluation error (up to 1.2e-10 relative, from the series
+    at |k r_d| just below 12.5 for orders with nu - n near -1/2) stays
+    below that 5e-10 target.  Level 0 evaluates the initial panels in
+    one density call; each later call evaluates the pending panels
+    together with both halves of each (16 + 32 nodes per panel, below
+    _MAX_DEPTH), so the halves of a rejected panel are judged at the next
+    level without a call of their own.  That saves one call per two
+    levels past the first at the price of the halves of accepted panels,
+    evaluated and dropped (n_evals counts them); nearly every table
+    bisects at least twice, at the resonance peak.
+    """
+    mid, half = _initial_panels(r_a, e_max)
+    kept, n_evals, vals = [], 0, None
     for depth in range(_MAX_DEPTH + 1):
-        if n_evals + mid.size * _GL_X.size > _MAX_TABLE_EVALS:
-            raise ResourceLimitError(
-                f"panel table: {n_evals} density evaluations used, bisection "
-                f"level {depth} ({mid.size} panels from E = {mid[0] - half[0]:.6g}) "
-                f"would exceed the budget of {_MAX_TABLE_EVALS}")
-        vals = _eval_panels(omega, mid, half)
-        n_evals += vals.size
+        kids = None
+        if vals is None:
+            ahead = 0 < depth < _MAX_DEPTH
+            n_call = (3 if ahead else 1) * mid.size * _GL_X.size
+            if n_evals + n_call > _MAX_TABLE_EVALS:
+                raise ResourceLimitError(
+                    f"panel table: {n_evals} density evaluations used, bisection "
+                    f"level {depth} ({mid.size} panels from E = {mid[0] - half[0]:.6g}) "
+                    f"would exceed the budget of {_MAX_TABLE_EVALS}")
+            if ahead:
+                kids = _bisect(mid, half)
+                vals = _eval_panels(omega, np.concatenate((mid, kids[0])),
+                                    np.concatenate((half, kids[1])))
+                vals, kids = vals[:mid.size], (*kids, vals[mid.size:])
+            else:
+                vals = _eval_panels(omega, mid, half)
+            n_evals += n_call
         mono, resid = _interp(vals)
         done = ((resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1))
                 | (half <= _MIN_WIDTH) | (depth == _MAX_DEPTH))
         kept.append((mid[done], half[done], vals[done], mono[done], resid[done]))
         if done.all():
             break
-        half = 0.5 * half[~done]
-        mid = np.stack((mid[~done] - half, mid[~done] + half), axis=1).ravel()
-        half = np.repeat(half, 2)
+        if kids is None:
+            (mid, half), vals = _bisect(mid[~done], half[~done]), None
+        else:   # the halves of the rejected panels, already evaluated
+            mid, half, vals = (a[np.repeat(~done, 2)] for a in kids)
+    return _table_from_levels(kept, r_a, e_max, n_evals)
 
+
+def _table_from_levels(kept: list, r_a: float, e_max: float, n_evals: int) -> _PanelTable:
+    """The table from the accepted panels of each bisection level, a list
+    of (mid, half, vals, mono, resid) tuples from level 0 on."""
     order = np.argsort(np.concatenate([level[0] for level in kept]))
     mid, half, vals, mono, resid = (np.concatenate(c)[order] for c in zip(*kept))
     depth = np.repeat(np.arange(len(kept)), [level[0].size for level in kept])[order]

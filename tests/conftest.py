@@ -15,7 +15,9 @@ from hypothesis import settings
 
 from tailsurv import (InitialState, SpectralDensity, WBPotential, beta_sweep,
                       fit_power_law, survival_exact)
-from tailsurv.survival import _DERIV_TERMS, _GL_W, _GL_X, _PHASE_SWITCH
+from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _MAX_DEPTH, _MIN_WIDTH,
+                               _PANEL_RTOL, _PHASE_SWITCH, _eval_panels, _initial_panels,
+                               _interp, _table_from_levels)
 
 SESSION_T0 = time.time()
 
@@ -108,6 +110,30 @@ def reference_amplitude(table, t: float, e_top: float | None = None):
     est += last / t ** _DERIV_TERMS
     est += table.sub_mass
     return complex(acc), est
+
+
+def reference_table(omega, r_a: float, e_max: float):
+    """A panel table built with one density call per bisection level.
+
+    A plain reference for `_build_table`, which evaluates two levels per
+    call: the same initial panels, acceptance rule and bisection, with
+    each level's pending panels evaluated on their own.
+    """
+    mid, half = _initial_panels(r_a, e_max)
+    kept, n_evals = [], 0
+    for depth in range(_MAX_DEPTH + 1):
+        vals = _eval_panels(omega, mid, half)
+        n_evals += vals.size
+        mono, resid = _interp(vals)
+        done = ((resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1))
+                | (half <= _MIN_WIDTH) | (depth == _MAX_DEPTH))
+        kept.append((mid[done], half[done], vals[done], mono[done], resid[done]))
+        if done.all():
+            break
+        half = 0.5 * half[~done]
+        mid = np.stack((mid[~done] - half, mid[~done] + half), axis=1).ravel()
+        half = np.repeat(half, 2)
+    return _table_from_levels(kept, r_a, e_max, n_evals)
 
 
 @pytest.fixture(scope="session")

@@ -174,6 +174,15 @@ def test_survive_rejects_bad_time_grid(workdir, capsys):
     assert "error-class: ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ("0", "-5"))
+def test_survive_rejects_fewer_than_one_time_per_decade(workdir, capsys, value):
+    # before, max(2, ...) turned these into a silent 2-point grid
+    assert main(["survive", "--t_per_decade", value]) == 2
+    err = capsys.readouterr().err
+    assert "error-class: ConfigError" in err and f"got {float(value):g}" in err
+    assert not (workdir / "survival.csv").exists()
+
+
 @pytest.mark.parametrize("argv", (
     ["density", "--e_min", "0"], ["density", "--e_min", "-1"], ["density", "--e_points", "0"],
     ["density", "--e_min", "20"], ["density", "--e_max", "inf"], ["survive", "--t_max", "inf"]))
@@ -294,6 +303,15 @@ def test_sweep_default_grid(workdir, capsys):
 
 def test_sweep_rejects_bad_grid(workdir, capsys):
     assert main(["sweep", "--beta_step", "0"]) == 2
+
+
+@pytest.mark.parametrize("step", ("1e-300", "1e-4", "nan"))
+def test_sweep_rejects_a_grid_past_its_cap_naming_the_count(workdir, capsys, step):
+    # counted before np.arange, which fails on 1e-300 with a ValueError
+    assert main(["sweep", "--beta_step", step]) == 2
+    err = capsys.readouterr().err
+    assert "error-class: ConfigError" in err and "at most 10000 are allowed" in err
+    assert {"1e-300": "1.45e+300", "1e-4": "1.45e+04", "nan": "nan"}[step] in err
 
 
 # ------------------------------------------------------------------ #

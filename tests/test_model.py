@@ -342,6 +342,22 @@ def test_sinc_sqrt_matches_mpmath_near_zero(length):
     assert _trig_sqrt(z[real].real, length)[1].dtype == float
 
 
+@pytest.mark.parametrize("length", (0.4, 3.0, 20.0))
+@pytest.mark.parametrize("with_out", (False, True))
+def test_mixed_sign_call_is_bit_identical_to_the_per_sign_split(length, with_out):
+    # z = E - vb over a table's energies, E = vb exactly among them; a
+    # mixed-sign call must give each element what its own sign's call gives
+    z = np.concatenate((np.geomspace(1.0e-6, 4.0e4, 400), [1.8])) - 1.8
+    out = list(np.empty((6, z.size))) if with_out else (None,) * 6
+    cos, sinc = _trig_sqrt(z, length, out)
+    assert (z == 0.0).any() and (z < 0.0).any()
+    pos = z >= 0.0
+    for part in (pos, ~pos):
+        part_cos, part_sinc = _trig_sqrt(z[part], length)
+        assert part_cos.tobytes() == cos[part].tobytes()
+        assert part_sinc.tobytes() == sinc[part].tobytes()
+
+
 def test_boundary_at_removable_points_matches_mpmath():
     # k^2 = vb and k^2 = -v0 exactly: zero barrier and zero well momentum
     u, du = regular_boundary_sq(make_potential(0.3),

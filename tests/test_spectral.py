@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,30 @@ def test_density_is_smooth_through_its_removable_points(ray, density_for):
         vals = den.omega(e0 + np.array([-1.0e-7, 0.0, 1.0e-7]) * ray)
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals[[0, 2]] / vals[1] - 1.0)) <= 1.0e-6
+
+
+def test_density_at_its_removable_points_equals_the_limit(density_for):
+    # E = vb (zero barrier momentum) and E = k_a^2 - v0 (zero shifted well
+    # phase) take the masked quotients, alone or among other energies; the
+    # mean of the neighbours at +-1e-6 is the limit to O(1e-12)
+    den = density_for(0.3)
+    k_a = den.init.k_a
+    for e0 in (den.pot.vb, k_a * k_a - den.pot.v0):
+        vals = den.omega(e0 + np.array([-1.0e-6, 0.0, 1.0e-6]))
+        limit = 0.5 * (vals[0] + vals[2])
+        for got in (vals[1], den.omega(e0)):
+            assert abs(got / limit - 1.0) <= 1.0e-10
+
+
+def test_long_barrier_straddling_vb_warns_nothing():
+    # the mixed-sign barrier pair evaluates cosh and sinh at every energy,
+    # and they overflow above vb on a long barrier, where they are discarded
+    pot = WBPotential(v0=0.5, vb=1.8, r_a=0.5, r_d=20.0, beta=0.3)
+    den = SpectralDensity(pot, InitialState.from_potential(pot))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = den.omega(np.geomspace(1.0e-3, 4.0e4, 2000))
+    assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
 
 
 @pytest.mark.parametrize("n_a", (1, 2))

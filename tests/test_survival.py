@@ -19,7 +19,8 @@ from tailsurv.survival import (SurvivalSeries, asymptote_one_term,
 from tailsurv.survival import (_MIN_WIDTH, _PANEL_RTOL, _PHASE_SWITCH, _build_table,
                                _envelope_tail, _table_amplitudes)
 
-from conftest import REFERENCE_BETAS, WINDOW, make_density, reference_amplitude
+from conftest import (REFERENCE_BETAS, WINDOW, make_density, reference_amplitude,
+                      reference_table)
 
 
 # ------------------------------------------------------------------ #
@@ -96,8 +97,8 @@ def test_panel_table_budget_names_stage_and_count(density_for, monkeypatch):
 @pytest.mark.parametrize("beta", (0.498, 0.499, 0.501, 0.4995, 0.5005,
                                   0.4999999, 1.4999, 1.5001))
 def test_exact_near_half_integer_order(beta):
-    # nu = beta + 1/2 near an integer: 1328 density evaluations up to
-    # beta = 0.5005 and 1488 at 1.4999 and 1.5001, as at beta = 0.49 (1328)
+    # nu = beta + 1/2 near an integer: 1968 density evaluations up to
+    # beta = 0.5005 and 2256 at 1.4999 and 1.5001, as at beta = 0.49 (1968)
     s = survival_exact(make_density(beta), np.linspace(*WINDOW, 50))
     assert s.meta["density_evals"] <= 3000
     assert s.meta["max_error_estimate"] <= 1.0e-8
@@ -121,22 +122,51 @@ def test_geometric_panels_bisect_near_narrow_resonance():
         assert abs(p - oracle_survival_bruteforce(density, t)) <= 1.0e-10
 
 
-def test_table_evaluates_one_density_call_per_bisection_level():
+def _counted(density):
+    """density.omega, and the list of element counts of its calls."""
+    calls, inner = [], density.omega
+
+    def omega(e, **kwargs):
+        calls.append(np.size(e))
+        return inner(e, **kwargs)
+
+    return omega, calls
+
+
+def test_table_evaluates_two_bisection_levels_per_density_call():
     density = _narrow_resonance_density()
-    calls = []
-
-    def omega(e):
-        calls.append(e.size)
-        return density.omega(e)
-
+    omega, calls = _counted(density)
     table = _build_table(omega, density.pot.r_a, 64.0)
-    # the first call holds the initial panels, each later one the halves
-    # of the panels rejected by the level before: 8 calls here, and no
-    # one-point call for the sub-threshold density
-    assert len(calls) <= 10
-    assert calls[0] % 16 == 0 and all(n % 32 == 0 for n in calls[1:])
+    levels = int(table.depth.max())
+    # the first call holds the initial panels, each later one the pending
+    # panels and both halves of each: 5 calls for 7 levels here (8 with a
+    # call per level), and no one-point call for the sub-threshold density
+    assert levels == 7 and len(calls) <= 1 + math.ceil(levels / 2)
+    assert calls[0] % 16 == 0 and all(n % 48 == 0 for n in calls[1:])
+    assert min(calls) >= 16
     assert sum(calls) == table.n_evals
-    assert table.mid.size == calls[0] // 16 + sum(calls[1:]) // 32
+
+
+@pytest.mark.parametrize("times", (np.linspace(*WINDOW, 50),
+                                   np.geomspace(0.1, 2000.0, 860)), ids=("sweep", "cli"))
+def test_exact_makes_two_density_calls_on_the_reference_geometry(times):
+    # levels 0 to 2: the initial panels, then level 1 with its halves
+    density = make_density(0.3)
+    density.omega, calls = _counted(density)
+    s = survival_exact(density, times)
+    assert len(calls) == 2 and sum(calls) == s.meta["density_evals"]
+
+
+@pytest.mark.parametrize("e_max", (64.0, 8100.0, 4.0e4))
+@pytest.mark.parametrize("beta", (-0.45, 0.3, 0.498, 1.4))
+def test_table_equals_one_call_per_level_on_the_reference_geometry(beta, e_max, density_for):
+    den = density_for(beta)
+    table = _build_table(den.omega, den.pot.r_a, e_max)
+    ref = reference_table(den.omega, den.pot.r_a, e_max)
+    for name in ("mid", "half", "vals", "mono", "resid", "depth", "derivs",
+                 "r_a", "e_max", "sub_mass"):
+        assert np.array_equal(getattr(table, name), getattr(ref, name)), name
+    assert table.n_evals > ref.n_evals
 
 
 @pytest.mark.parametrize("e_max", (64.0, 64.0000001, 2500.0, 8061.5644))
