@@ -58,16 +58,31 @@ def _window_samples(series: SurvivalSeries, t_lo: float, t_hi: float):
         raise DomainError(
             f"window [{t_lo:g}, {t_hi:g}] covers only {t.size} samples; "
             "need at least 10")
-    if np.any(p <= 0.0):
-        raise DomainError("survival probabilities must be positive to fit logs")
+    if not (np.isfinite(p).all() and (p > 0.0).all()):
+        raise DomainError("survival probabilities must be positive and finite to fit logs")
     return t, p
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line through (x, y): slope, intercept and rms residual."""
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return float(slope), float(intercept), float(np.sqrt(np.mean(resid ** 2)))
+def _line_fit(x: np.ndarray, y: np.ndarray, window: tuple[float, float]
+              ) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): slope, intercept and rms residual.
+
+    The centred closed form: slope = sum(xc yc) / sum(xc^2) with xc, yc
+    the deviations from the means, and residuals yc - slope xc.  Raises
+    DomainError naming the window when x holds fewer than two distinct
+    values, where no line is determined.
+    """
+    if x.min() == x.max():
+        raise DomainError(
+            f"window [{window[0]:g}, {window[1]:g}]: all {x.size} samples sit at "
+            f"one abscissa ({x[0]:g}); a line needs two distinct ones")
+    n = x.size
+    x_mean, y_mean = float(x.sum()) / n, float(y.sum()) / n
+    xc, yc = x - x_mean, y - y_mean
+    slope = float(xc @ yc) / float(xc @ xc)
+    xc *= slope
+    yc -= xc
+    return slope, y_mean - slope * x_mean, math.sqrt(float(yc @ yc) / n)
 
 
 def fit_power_law(series: SurvivalSeries, t_lo: float, t_hi: float) -> FitResult:
@@ -77,7 +92,7 @@ def fit_power_law(series: SurvivalSeries, t_lo: float, t_hi: float) -> FitResult
     ln P units.  Deterministic: equal inputs give identical results.
     """
     t, p = _window_samples(series, t_lo, t_hi)
-    slope, intercept, rms = _line_fit(np.log(t), np.log(p))
+    slope, intercept, rms = _line_fit(np.log(t), np.log(p), (t_lo, t_hi))
     return FitResult(mu_f=-slope, prefactor=math.exp(intercept),
                      window=(float(t_lo), float(t_hi)), rms_residual=rms,
                      n_points=int(t.size))
@@ -91,7 +106,7 @@ def fit_exponential(series: SurvivalSeries, t_lo: float, t_hi: float
     exponential regime for the rate to be meaningful.
     """
     t, p = _window_samples(series, t_lo, t_hi)
-    slope, _, rms = _line_fit(t, np.log(p))
+    slope, _, rms = _line_fit(t, np.log(p), (t_lo, t_hi))
     return -slope, rms
 
 

@@ -12,7 +12,8 @@ evaluates its value and slope at the matching radius as analytic
 functions of k^2, so complex momenta and the barrier-top crossing
 k^2 = vb need no special casing by the caller.  Each region's pair
 (cos(q L), sin(q L)/q) comes from one square root of q^2, and one
-assembly of (u, u') serves this module and the density in `spectral`.
+assembly of (u, u') serves `regular_boundary_sq` and the density in
+`spectral`; validation uses its scalar form at k = 0.
 
 The private kernels take `out`, target arrays for their results and
 intermediates in the order each names, as numpy's `out` does; a None
@@ -109,17 +110,41 @@ class WBPotential:
           sign(A) = sign(r_d u'(r_d) + beta u(r_d)).
         """
         k = math.sqrt(self.v0)
-        if k > 0.0:
-            nodes = math.ceil(k * self.r_a / math.pi) - 1
-            u_a = math.sin(k * self.r_a) / k
-        else:
-            nodes, u_a = 0, self.r_a
-        u, du = regular_boundary_sq(self, 0.0)
+        nodes = math.ceil(k * self.r_a / math.pi) - 1 if k > 0.0 else 0
+        u_a, u, du = self._zero_energy_boundary()
         if u_a * u <= 0.0:
             nodes += 1
         if u * (self.r_d * du + self.beta * u) < 0.0:
             nodes += 1
         return nodes
+
+    def _zero_energy_boundary(self) -> tuple[float, float, float]:
+        """u(r_a), u(r_d) and u'(r_d) of the zero-energy regular solution.
+
+        The scalar form of `regular_boundary_sq(self, 0.0)`: the well pair
+        (sin(k r_a)/k, cos(k r_a)) with k = sqrt(v0), the barrier pair
+        (cosh(kappa r_b), sinh(kappa r_b)/kappa) with kappa = sqrt(vb),
+        each with its limit (r_a, 1) or (1, r_b) at a zero root, assembled
+        as in `_assemble_boundary`.  Where cosh overflows (kappa r_b > 710)
+        the barrier pair is divided by cosh(kappa r_b), a positive factor
+        that keeps every sign the node count reads.
+        """
+        k, kappa = math.sqrt(self.v0), math.sqrt(self.vb)
+        if k > 0.0:
+            x = k * self.r_a
+            sinc_a, cos_a = math.sin(x) / k, math.cos(x)
+        else:
+            sinc_a, cos_a = self.r_a, 1.0
+        if kappa > 0.0:
+            x = kappa * self.r_b
+            try:
+                cos_b, sinc_b = math.cosh(x), math.sinh(x) / kappa
+            except OverflowError:                  # tanh(x) = 1 to the last bit
+                cos_b, sinc_b = 1.0, 1.0 / kappa
+        else:
+            cos_b, sinc_b = 1.0, self.r_b
+        u = sinc_a * cos_b + cos_a * sinc_b
+        return sinc_a, u, cos_a * cos_b + sinc_a * sinc_b * self.vb
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from hypothesis import settings
 
 from tailsurv import (InitialState, SpectralDensity, WBPotential, beta_sweep,
                       fit_power_law, survival_exact)
+from tailsurv.model import regular_boundary_sq
 from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _MAX_DEPTH, _MIN_WIDTH,
                                _PANEL_RTOL, _PHASE_SWITCH, _eval_panels, _initial_panels,
                                _interp, _table_from_levels)
@@ -134,6 +135,25 @@ def reference_table(omega, r_a: float, e_max: float):
         mid = np.stack((mid[~done] - half, mid[~done] + half), axis=1).ravel()
         half = np.repeat(half, 2)
     return _table_from_levels(kept, r_a, e_max, n_evals)
+
+
+def zero_energy_boundary_gap(pot) -> tuple[float, float]:
+    """How far validation's scalar (u, u') at r_d and zero energy sits from
+    `regular_boundary_sq(pot, 0.0)`, each gap over the terms it sums.
+
+    u = sinc_a cos_b + cos_a sinc_b is scaled by |sinc_a cos_b| + |cos_a
+    sinc_b|, and u' = cos_a cos_b + vb sinc_a sinc_b by |cos_b| + |vb
+    sinc_a sinc_b|: the kernel's half-angle cosine is accurate to ~1 eps
+    absolute, so cos_a near zero (k r_a near pi/2) counts at unit size.
+    """
+    sinc_a, u, du = pot._zero_energy_boundary()
+    u_ref, du_ref = regular_boundary_sq(pot, 0.0)
+    k, kappa = math.sqrt(pot.v0), math.sqrt(pot.vb)
+    cos_a = math.cos(k * pot.r_a)
+    cos_b = math.cosh(kappa * pot.r_b)
+    sinc_b = math.sinh(kappa * pot.r_b) / kappa if kappa > 0.0 else pot.r_b
+    return (abs(u - u_ref) / (abs(sinc_a * cos_b) + abs(cos_a * sinc_b)),
+            abs(du - du_ref) / (abs(cos_b) + abs(pot.vb * sinc_a * sinc_b)))
 
 
 @pytest.fixture(scope="session")

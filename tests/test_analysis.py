@@ -1,5 +1,7 @@
 """Window fits, resonance width, and the tail-exponent sweep."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,50 @@ def test_power_fit_window_validation():
     bad = synthetic_series(t, np.where(t > 600.0, 0.0, t**-3.0))
     with pytest.raises(DomainError):
         fit_power_law(bad, 400.0, 800.0)
+
+
+@pytest.mark.parametrize("fit", (fit_power_law, fit_exponential))
+@pytest.mark.parametrize("value", (float("nan"), float("inf")))
+def test_fit_rejects_a_probability_that_is_not_finite(fit, value):
+    # one NaN sample used to make every output NaN, printed with exit 0
+    t = np.linspace(400.0, 800.0, 50)
+    series = synthetic_series(t, np.where(t == t[3], value, t**-3.0))
+    with pytest.raises(DomainError, match="positive and finite"):
+        fit(series, 400.0, 800.0)
+
+
+@pytest.mark.parametrize("fit", (fit_power_law, fit_exponential))
+def test_fit_rejects_a_window_whose_samples_share_one_time(fit):
+    # 12 samples at t = 500 determine no line (a least-squares solver
+    # returned mu_f = 1.667 here)
+    series = synthetic_series(np.full(12, 500.0), np.full(12, 1.0e-9))
+    with pytest.raises(DomainError, match=r"window \[400, 800\].*two distinct"):
+        fit(series, 400.0, 800.0)
+
+
+def _exact_line_fit(x, y):
+    """Slope, intercept and rms residual of the least-squares line, in
+    rational arithmetic on the given doubles, rounded once at the end."""
+    xs, ys = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    n = len(xs)
+    x_mean, y_mean = sum(xs) / n, sum(ys) / n
+    slope = (sum((a - x_mean) * (b - y_mean) for a, b in zip(xs, ys))
+             / sum((a - x_mean) ** 2 for a in xs))
+    ms = sum((b - y_mean - slope * (a - x_mean)) ** 2 for a, b in zip(xs, ys)) / n
+    return float(slope), float(y_mean - slope * x_mean), float(ms) ** 0.5
+
+
+def test_power_fit_matches_exact_least_squares_at_a_small_residual():
+    # ln P near -22 with residuals near 7e-6: a residual formed as
+    # y - (slope x + intercept) cancels ~6 digits and put the rms 1.2e-11
+    # off; the centred one keeps it within 4.5e-13
+    t = np.linspace(400.0, 800.0, 50)
+    series = synthetic_series(t, 7.0 * t ** -3.6 * (1.0 + 1.0e-5 * np.sin(t)))
+    fit = fit_power_law(series, 400.0, 800.0)
+    slope, intercept, rms = _exact_line_fit(np.log(t), np.log(series.probability))
+    assert abs(fit.mu_f + slope) <= 1.0e-14 * abs(slope)
+    assert abs(np.log(fit.prefactor) - intercept) <= 1.0e-13 * abs(intercept)
+    assert abs(fit.rms_residual - rms) <= 2.0e-12 * rms
 
 
 # ------------------------------------------------------------------ #

@@ -248,6 +248,18 @@ def test_fit_column_selection_errors(workdir, capsys):
     assert main(["fit", "short.csv", "--column", "missing"]) == 2
 
 
+def test_fit_on_a_degenerate_table_exits_with_a_domain_error(workdir, capsys):
+    (workdir / "one_time.csv").write_text("t,P\n" + "500,1e-9\n" * 12)
+    assert main(["fit", "one_time.csv"]) == 4
+    captured = capsys.readouterr()
+    assert "error-class: DomainError" in captured.err and "[400, 800]" in captured.err
+    assert "mu_f" not in captured.out
+    (workdir / "nan.csv").write_text("t,P\n" + "".join(f"{t},1e-9\n" for t in range(400, 412))
+                                     + "412,nan\n")
+    assert main(["fit", "nan.csv"]) == 4
+    assert "positive and finite" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ #
 # sweep                                                              #
 # ------------------------------------------------------------------ #

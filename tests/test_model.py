@@ -22,7 +22,7 @@ from tailsurv.specfun import (BesselOrder, riccati_combos, riccati_large_x_combo
                               riccati_pair_with_derivatives)
 from tailsurv.survival import asymptote_one_term, survival_exact, survival_laplace_axis
 
-from conftest import REFERENCE, make_density, make_potential
+from conftest import REFERENCE, make_density, make_potential, zero_energy_boundary_gap
 
 
 # ------------------------------------------------------------------ #
@@ -119,6 +119,54 @@ def test_no_well_never_binds(beta, vb):
 def test_node_count_edge_cases_match_oracle(params):
     pot = _unvalidated(r_a=3.0, r_d=3.4, **params)
     assert pot._count_zero_energy_nodes() == count_nodes_zero_energy(pot)
+
+
+@pytest.mark.parametrize("params, nodes", (
+    (dict(v0=0.0, vb=1.8, r_a=3.0, r_d=3.4, beta=0.3), 0),     # no well
+    (dict(v0=0.2, vb=0.0, r_a=3.0, r_d=3.4, beta=0.3), 0),     # no barrier
+    (dict(v0=0.0, vb=0.0, r_a=3.0, r_d=3.4, beta=0.3), 0),     # neither
+    (dict(v0=0.5, vb=0.0, r_a=3.0, r_d=6.0, beta=0.3), 1),     # node inside the barrier
+    (dict(v0=0.58, vb=1.8, r_a=3.0, r_d=3.4, beta=-0.1), 1),   # exterior node at r ~ 48.6
+), ids=("v0=0", "vb=0", "v0=vb=0", "barrier-node", "exterior-node"))
+def test_zero_energy_boundary_matches_the_array_kernel(params, nodes):
+    pot = _unvalidated(**params)
+    assert pot._count_zero_energy_nodes() == nodes
+    assert max(zero_energy_boundary_gap(pot)) <= 1.0e-14
+    u_a, u, _ = pot._zero_energy_boundary()
+    assert (u_a * u < 0.0) == (params["r_d"] == 6.0)   # the barrier case's node is in the barrier
+
+
+def test_node_count_equals_the_array_kernel_count_on_uniform_draws():
+    # 300 draws over the property strategy's ranges, valid and invalid alike,
+    # against the count read off regular_boundary_sq(pot, 0.0)
+    rng = np.random.default_rng(24)
+    seen = set()
+    for _ in range(300):
+        v0, vb, r_a = rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(0.5, 4.0)
+        pot = _unvalidated(v0=v0, vb=vb, r_a=r_a, r_d=r_a + rng.uniform(0.1, 2.0),
+                           beta=rng.uniform(-0.49, 1.5))
+        k = math.sqrt(v0)
+        nodes = math.ceil(k * r_a / math.pi) - 1 if k > 0.0 else 0
+        u_a = math.sin(k * r_a) / k if k > 0.0 else r_a
+        u, du = regular_boundary_sq(pot, 0.0)
+        nodes += (u_a * u <= 0.0) + (u * (pot.r_d * du + pot.beta * u) < 0.0)
+        assert pot._count_zero_energy_nodes() == nodes
+        seen.add(nodes)
+    assert seen == {0, 1, 2}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v0, nodes", ((0.5, 0), (2.0, 1)))
+def test_impenetrable_barrier_counts_without_overflow(v0, nodes):
+    # kappa r_b = 1000: cosh overflows a double, and the count reads the
+    # signs of the barrier pair divided by it
+    params = dict(v0=v0, vb=1.0e6, r_a=3.0, r_d=4.0, beta=0.3)
+    assert _unvalidated(**params)._count_zero_energy_nodes() == nodes
+    if nodes:
+        with pytest.raises(ConfigError, match="1 bound state"):
+            WBPotential(**params)
+    else:
+        WBPotential(**params)
 
 
 def test_model_does_not_import_oracle():

@@ -20,7 +20,7 @@ from tailsurv.oracle import oracle_match_coefficients, oracle_survival_bruteforc
 from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _PHASE_SWITCH, _PanelTable,
                                _build_table, _table_amplitudes)
 
-from conftest import reference_amplitude, reference_table
+from conftest import reference_amplitude, reference_table, zero_energy_boundary_gap
 
 
 @st.composite
@@ -35,6 +35,13 @@ def valid_potentials(draw) -> WBPotential:
         return WBPotential(v0=v0, vb=vb, r_a=r_a, r_d=r_a + width, beta=beta)
     except ConfigError:
         assume(False)
+
+
+@settings(max_examples=50)
+@given(pot=valid_potentials())
+def test_zero_energy_boundary_matches_the_array_kernel(pot):
+    # validation's scalar closed form against regular_boundary_sq(pot, 0.0)
+    assert max(zero_energy_boundary_gap(pot)) <= 1.0e-14
 
 
 @settings(max_examples=10)

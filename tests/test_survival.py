@@ -197,6 +197,19 @@ def test_exact_holds_tolerance_when_e_max_just_passes_a_grid_edge(density_for, e
     assert s.meta["max_error_estimate"] <= 1.0e-8
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the truncation part at e_max understates the error at small t: "
+    "v0 0.2, vb 3.0, r_a 0.6, r_d 1.5, beta 0.2 at t = 0.1 takes e_max = 324 "
+    "and states 2.19e-9 (truncation 2.11e-9), but A is 1.48e-6 from its value "
+    "at e_max = 4e4 (P off by 3.2e-7); e_max 5000, 4e4 and 1.5e5 agree to "
+    "1e-13, and 1296 is 1.151e-10 off, just over its own 1.149e-10 estimate"))
+def test_exact_states_a_bound_on_its_truncation_at_a_small_time():
+    density = make_density(0.2, v0=0.2, vb=3.0, r_a=0.6, r_d=1.5)
+    s = survival_exact(density, [0.1])
+    deep = survival_exact(density, [0.1], e_max=4.0e4)
+    assert abs(s.amplitudes[0] - deep.amplitudes[0]) <= s.meta["max_error_estimate"]
+
+
 def _switch_straddling_times(table):
     """Unsorted times with repeats and t = 0 that put every panel on both
     sides of the phase switch, some exactly at it."""
