@@ -71,6 +71,13 @@ class WBPotential:
             raise ConfigError(
                 f"potential supports {n_bound} bound state(s); "
                 "the survival formalism requires none")
+        opacity = math.sqrt(self.vb) * self.r_b
+        try:
+            math.cosh(opacity)
+        except OverflowError:  # the density would read NaN below the barrier top
+            raise ConfigError(
+                f"barrier opacity sqrt(vb) (r_d - r_a) = {opacity:g} is past "
+                "cosh's double range (710.48)") from None
 
     @property
     def r_b(self) -> float:

@@ -7,11 +7,16 @@ production modules through a deliberately different numerical scheme:
   the closed piecewise forms, squaring one step map per segment;
 * a direct 2x2 linear solve for the exterior matching coefficients
   instead of the assembled quadratic-combination formula;
-* uniform ultra-fine trapezoidal quadrature with one Richardson step
-  instead of the panel/moment oscillatory integrator, on two threads,
-  each chunk of the grid summed by one batched matrix-vector product.
-  Each thread evaluates the density for all its chunks into one work
-  block, which it allocates once and which also holds the chunk's grid.
+* uniform trapezoid sums instead of the panel/moment oscillatory
+  integrator, in two pieces joined by a C-infinity partition of unity
+  at E ~ 1: fractional-power Richardson extrapolation at threshold, and
+  a bulk smooth at both ends of the junction, whose sums converge
+  geometrically at 8 samples per period of e^{-iEt}.  Each piece's
+  nested estimates must agree before a result is returned.  The sums
+  run on two threads, each chunk of the grid summed by one batched
+  matrix-vector product; each thread evaluates the density for all its
+  chunks into one work block, which it allocates once and which also
+  holds the chunk's grid.
 
 None of the production results are reused internally beyond the shared
 special-function evaluations that define the problem itself.
@@ -26,7 +31,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, ToleranceError
 from .model import _sincos, regular_boundary_sq
 from .specfun import BesselOrder, riccati_pair_with_derivatives
 from .spectral import _work_block
@@ -58,8 +63,6 @@ _RK4_STEP = 1.0e-3
 _MATCH_STEP = 1.0e-4
 # The zero-energy node count integrates out to this multiple of r_d.
 _NODE_R_MAX = 10.0
-# Brute-force steps stay at or below pi/(_STEPS_PER_PI * t).
-_STEPS_PER_PI = 64.0
 
 
 def _rk4_grid(breakpoints, step: float):
@@ -197,9 +200,19 @@ def _match_boundary(pot, k: float, u: float, du: float):
     return float(a), float(b)
 
 
-_BRUTE_THRESHOLD_EDGE = 1.0     # end of the fractional-power segment
-_BRUTE_THRESHOLD_STEP = 4.0e-5  # base step there (<= pi/(64 t) for t <= 1000)
+# The threshold piece sums psi omega on [0, b], the bulk (1 - psi) omega
+# from a up, where psi is a C-infinity step from 1 at E <= a to 0 at E >= b
+# over the junction (a, b): neither piece has an end point there.
+_BRUTE_JUNCTION = (0.5, 1.0)
+_BRUTE_THRESHOLD_STEP = 4.0e-5  # coarsest threshold step: 0.04 rad of e^{-iEt} at t = 1000
 _BRUTE_BULK_STEP = 2.0e-3       # bulk step cap; resolves the resonance peak
+# The bulk step is at most pi/(_BRUTE_BULK_STEPS_PER_PI t): 8 samples per
+# period of e^{-iEt}, enough for a smooth integrand's geometric convergence.
+_BRUTE_BULK_STEPS_PER_PI = 4.0
+# Amplitude tolerance on each piece's nested estimates, the bulk's sums at
+# steps h and h/2 and the threshold's two finest Richardson estimates: half
+# the 1e-8 at which `run_verification` compares P = |A|^2.
+_BRUTE_NESTED_TOL = 5.0e-9
 _BRUTE_E_MAX = 400.0            # the grid ends at the first snap point past it
 
 
@@ -222,12 +235,18 @@ def _richardson_weights(exponents: tuple[float, ...]) -> np.ndarray:
 
 
 def _threshold_error_exponents(nu: float) -> tuple[float, ...]:
-    """Three slowest trapezoid error powers for a density rising like E^nu.
+    """Slowest trapezoid error powers for a density rising like E^nu.
 
     The fractional rise contributes h^(1+nu), h^(1+2nu), ... on top of
-    the smooth h^2, h^4 family; near-coincident candidates are merged so
-    the extrapolation weights stay modest.
+    the smooth h^2, h^4 family.  Three powers are removed, near-coincident
+    candidates merged so the extrapolation weights stay modest; but for
+    nu <= 0.15 that would merge the rungs 1+2nu and 1+3nu into 1+nu, whose
+    terms then shrink only ~2.2x per halving.  There the three rungs and
+    h^2 are removed, with one more level: the weights' sum of moduli
+    stays below 45 for every nu > 0.
     """
+    if nu <= 0.15:
+        return (1.0 + nu, 1.0 + 2.0 * nu, 1.0 + 3.0 * nu, 2.0)
     cands = sorted([1.0 + nu, 1.0 + 2.0 * nu, 1.0 + 3.0 * nu, 2.0, 3.0])
     kept: list[float] = []
     for s in cands:
@@ -238,8 +257,35 @@ def _threshold_error_exponents(nu: float) -> tuple[float, ...]:
     return tuple(kept)
 
 
-def _nested_trapezoid(density, times, lo: float, hi: float,
-                      n_fine: int, n_levels: int, counts: dict) -> np.ndarray:
+def _taper(e, vals, scratch, keep: str) -> None:
+    """Multiply `vals` in place by psi(e) (`keep` "below") or 1 - psi(e) ("above").
+
+    psi = f(1 - x)/(f(x) + f(1 - x)) with f(s) = e^{-1/s} and x = (e - a)/(b - a)
+    across the junction (a, b): 1 at e <= a, 0 at e >= b.  `e` is sorted;
+    psi is computed only on its slice inside (a, b), in the heads of the
+    two `scratch` rows.
+    """
+    a, b = _BRUTE_JUNCTION
+    i, j = np.searchsorted(e, a, side="right"), np.searchsorted(e, b, side="left")
+    if keep == "below":
+        vals[j:] = 0.0
+    else:
+        vals[:i] = 0.0
+    x, y = (row[:j - i] for row in scratch)
+    np.multiply(np.subtract(e[i:j], a, out=x), 1.0 / (b - a), out=x)
+    np.multiply(np.subtract(1.0, x, out=y), x, out=y)
+    np.divide(np.add(np.multiply(x, -2.0, out=x), 1.0, out=x), y, out=x)
+    # x is now d = 1/x - 1/(1 - x): psi = 1/(1 + e^{-d}), 1 - psi = 1/(1 + e^{d});
+    # e^{|d|} overflows to inf only where the factor rounds to 0 anyway
+    if keep == "below":
+        np.negative(x, out=x)
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
+    vals[i:j] /= np.add(x, 1.0, out=x)
+
+
+def _nested_trapezoid(density, times, lo: float, hi: float, n_fine: int,
+                      n_levels: int, counts: dict, keep: str | None = None) -> np.ndarray:
     """Trapezoid sums of omega(E) e^{-iEt} on nested uniform grids.
 
     The finest grid has n_fine panels (n_fine divisible by
@@ -251,10 +297,12 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
     grid index modulo that stride, plus the two end points.  Each worker
     allocates one `_work_block` (its bytes go to counts) and reuses it
     for all its chunks: row 0 holds the chunk's grid and the density's
-    intermediates the rest.  Within a chunk starting at e0 the phase is
-    e^{-i t e0} times one row e^{-i t h j} per time, computed once; one
-    batched matrix-vector product of the rows with the chunk's values
-    gives its residue sums.
+    intermediates the rest.  With `keep` "below" ("above") the density
+    values are multiplied in place by psi (1 - psi), see `_taper`, which
+    works in the block's rows 1 and 2 once the density call is done.
+    Within a chunk starting at e0 the phase is e^{-i t e0} times one row
+    e^{-i t h j} per time, computed once; one batched matrix-vector
+    product of the rows with the chunk's values gives its residue sums.
     Returns the sums, shape (n_levels, len(times)), finest first.
     """
     import threading
@@ -271,9 +319,11 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
     rows = np.concatenate((cos, sin), axis=1)
     del sin, cos, offsets
     index = np.arange(chunk + 1, dtype=float)
-    local, blocks = threading.local(), []
+    local, blocks, failed = threading.local(), [], threading.Event()
 
     def chunk_sum(a):
+        if failed.is_set():  # a chunk has raised: its error reaches the caller
+            return None
         if not hasattr(local, "block"):  # one per worker, reused for its chunks
             local.block = _work_block(chunk + 1)
             blocks.append(local.block.nbytes)
@@ -286,9 +336,15 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
         if b == n_fine:
             e[-1] = hi
         start = perf_counter()  # E = 0 takes 0, the density's limit at threshold
-        vals = (np.r_[0.0, density.omega(e[1:], work=local.block)] if e[0] == 0.0
-                else density.omega(e, work=local.block))
+        try:
+            vals = (np.r_[0.0, density.omega(e[1:], work=local.block)] if e[0] == 0.0
+                    else density.omega(e, work=local.block))
+        except BaseException:
+            failed.set()
+            raise
         seconds = perf_counter() - start
+        if keep is not None:
+            _taper(e, vals, local.block[1:3], keep)
         q = (b - a) // width
         cos_sin = (rows[:, :, :q] @ vals[:q * width].reshape(q, width).T[:, :, None])[..., 0].T
         return vals[0], vals[-1], np.exp(-1j * times * e[0])[:, None] * (
@@ -298,7 +354,8 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
     acc = np.zeros((times.size, width), dtype=complex)
     density_s = 0.0
     # Executor.map yields in chunk order, so the sums are the serial ones
-    # for any worker count, and an exception cancels the chunks not started
+    # for any worker count; an exception cancels the chunks not started,
+    # and those a worker starts before that skip their density call
     with ThreadPoolExecutor(_BRUTE_WORKERS) as pool:
         for i, (first, last, part, seconds) in enumerate(pool.map(chunk_sum, starts)):
             if i == 0:
@@ -315,13 +372,21 @@ def _nested_trapezoid(density, times, lo: float, hi: float,
 
 
 def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
-    """Survival at `times` (all zero, or all positive) from one grid.
+    """Survival at `times` (all zero, or all positive) from one pass.
 
-    The grid is the one the largest time needs, so every step stays at
-    or below pi/(_STEPS_PER_PI * t) for each time.
+    The threshold piece is the Richardson combination of its nested sums
+    of psi omega on [0, b], at coarsest step _BRUTE_THRESHOLD_STEP.  The
+    bulk is the finer of two nested sums of (1 - psi) omega from a to the
+    snapped e_out, at steps h and h/2, h = min(_BRUTE_BULK_STEP,
+    pi/(_BRUTE_BULK_STEPS_PER_PI t)) for the largest time t.  Both
+    integrands are smooth where the pieces meet, and the bulk's vanishes
+    to all orders at a, so its sums converge geometrically in h.  The
+    threshold piece's two finest Richardson estimates must agree within
+    _BRUTE_NESTED_TOL (ToleranceError otherwise); while the bulk's two
+    sums do not, its step halves, up to _MAX_BRUTE_POINTS
+    (ResourceLimitError naming the disagreement).
     """
     t = float(times.max())
-    bound = math.pi / (_STEPS_PER_PI * max(t, 1.0))
     r_a = density.pot.r_a
     k_req = math.sqrt(max(_BRUTE_E_MAX, 2500.0) if t == 0.0 else _BRUTE_E_MAX)
     if t == 0.0:
@@ -331,28 +396,49 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
         k_out = math.ceil(r_a * k_req / math.pi) * math.pi / r_a
     e_out = k_out * k_out
 
-    edge = _BRUTE_THRESHOLD_EDGE
-    h_thr = min(_BRUTE_THRESHOLD_STEP, bound)
-    n_thr = -8 * (-math.ceil(edge / h_thr) // 8)   # multiple of 8
-    h_bulk = min(_BRUTE_BULK_STEP, bound)
-    n_bulk = 2 * math.ceil((e_out - edge) / (2.0 * h_bulk))
-    n_points = max(8 * n_thr, 2 * n_bulk) + 1
+    a, b = _BRUTE_JUNCTION
+    exponents = _threshold_error_exponents(density.pot.beta + 0.5)
+    levels = len(exponents) + 1  # the finest has 2^(levels - 1) panels per coarsest one
+    n_thr = 2 ** (levels - 1) * math.ceil(b / _BRUTE_THRESHOLD_STEP)
+    h_bulk = _BRUTE_BULK_STEP
+    if t > 0.0:
+        h_bulk = min(h_bulk, math.pi / (_BRUTE_BULK_STEPS_PER_PI * t))
+    n_bulk = 2 * math.ceil((e_out - a) / h_bulk)   # the finer level's panels
+    n_points = max(n_thr, n_bulk) + 1
     if n_points > _MAX_BRUTE_POINTS:
         raise ResourceLimitError(
             f"brute-force oracle: grid of {n_points} points at t = {t:g} "
             f"exceeds _MAX_BRUTE_POINTS = {_MAX_BRUTE_POINTS}")
 
-    nu = density.pot.beta + 0.5
-    weights = _richardson_weights(_threshold_error_exponents(nu))
-    amp = weights @ _nested_trapezoid(density, times, 0.0, edge, 8 * n_thr,
-                                      len(weights), counts)
-    sums_bulk = _nested_trapezoid(density, times, edge, e_out, 2 * n_bulk, 2, counts)
-    amp += (4.0 * sums_bulk[0] - sums_bulk[1]) / 3.0
+    sums = _nested_trapezoid(density, times, 0.0, b, n_thr, levels, counts, keep="below")
+    counts["threshold_evals"] = counts.get("threshold_evals", 0) + n_thr  # all but E = 0
+    # the two finest estimates: every level, and all but the coarsest
+    amp = _richardson_weights(exponents) @ sums
+    gap = float(np.max(np.abs(amp - _richardson_weights(exponents[:-1]) @ sums[:-1])))
+    counts["threshold_gap"] = max(counts.get("threshold_gap", 0.0), gap)
+    if not gap <= _BRUTE_NESTED_TOL:
+        raise ToleranceError(
+            f"brute-force oracle: threshold Richardson estimates at t = {t:g} "
+            f"differ by {gap:.3g} > _BRUTE_NESTED_TOL = {_BRUTE_NESTED_TOL:g}")
+    while True:
+        fine, coarse = _nested_trapezoid(density, times, a, e_out, n_bulk, 2, counts,
+                                         keep="above")
+        counts["bulk_evals"] = counts.get("bulk_evals", 0) + n_bulk + 1
+        gap = float(np.max(np.abs(fine - coarse)))
+        if gap <= _BRUTE_NESTED_TOL:
+            break
+        if 2 * n_bulk + 1 > _MAX_BRUTE_POINTS:
+            h = (e_out - a) / n_bulk
+            raise ResourceLimitError(
+                f"brute-force oracle: grid of {2 * n_bulk + 1} points at t = {t:g} "
+                f"exceeds _MAX_BRUTE_POINTS = {_MAX_BRUTE_POINTS}: the bulk sums at "
+                f"steps {2.0 * h:.3g} and {h:.3g} differ by {gap:.3g} > "
+                f"_BRUTE_NESTED_TOL = {_BRUTE_NESTED_TOL:g}")
+        n_bulk *= 2
+    counts["bulk_gap"] = max(counts.get("bulk_gap", 0.0), gap)
+    amp += fine
     if t == 0.0:
         amp += _envelope_tail(density.init.k_a, density.pot.r_a, e_out)
-    # every grid point but the threshold E = 0
-    counts["threshold_evals"] = counts.get("threshold_evals", 0) + 8 * n_thr
-    counts["bulk_evals"] = counts.get("bulk_evals", 0) + 2 * n_bulk + 1
     return np.abs(amp) ** 2
 
 
@@ -360,16 +446,22 @@ def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     """Survival probability by trapezoid sums with Richardson extrapolation.
 
     Deliberately independent of the panel integrator: plain uniform
-    trapezoid sums, every step at or below pi/(_STEPS_PER_PI * t), in
-    two pieces.  On [0, 1] the density rises with a fractional power,
-    so three coarsened companions remove the three slowest error powers
-    with exponent-matched weights; the bulk piece uses the classical
-    one-halving h^2 extrapolation.  The upper end is snapped, at or past
-    _BRUTE_E_MAX, to a zero of the density's high-energy oscillation (a
-    double zero for t > 0, making the remainder's boundary terms vanish;
-    for t = 0 a point where the envelope estimate of the remaining mass
-    is most accurate, and at least 2500 so that estimate is small to
-    begin with).
+    trapezoid sums in two pieces, split by psi, a C-infinity step from 1
+    below E = 0.5 to 0 above E = 1 (`_BRUTE_JUNCTION`).  The threshold
+    piece psi omega rises with a fractional power at E = 0, so coarsened
+    companions remove its slowest error powers with exponent-matched
+    weights.  The bulk (1 - psi) omega vanishes to all orders at E = 0.5,
+    so its sums converge geometrically once the step resolves e^{-iEt}:
+    at most pi/(4 t), halved for the sum returned.  The upper end is
+    snapped, at or past _BRUTE_E_MAX, to a zero of the density's
+    high-energy oscillation (a double zero for t > 0, making the
+    remainder's boundary terms vanish; for t = 0 a point where the
+    envelope estimate of the remaining mass is most accurate, and at
+    least 2500 so that estimate is small to begin with).  Rather than
+    return an aliased sum it raises: ToleranceError where the threshold
+    piece's two finest estimates differ by more than _BRUTE_NESTED_TOL,
+    ResourceLimitError where the bulk's would need more than
+    _MAX_BRUTE_POINTS points to agree that well.
 
     `t` is a scalar (returns a float) or an array (returns an array of
     its shape).  All positive times share one density pass on the grid
@@ -377,8 +469,9 @@ def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     given, the density evaluations of the threshold and bulk pieces, the
     density calls and the seconds inside them are added to its
     "threshold_evals", "bulk_evals", "density_calls" and "density_s"
-    entries, and "work_bytes" holds the most bytes the workers' blocks
-    took in one pass.
+    entries, "work_bytes" holds the most bytes the workers' blocks took
+    in one pass, and "threshold_gap" and "bulk_gap" the largest
+    disagreement of each piece's nested estimates that was accepted.
     """
     times = np.asarray(t, dtype=float)
     flat = times.ravel()

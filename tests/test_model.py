@@ -159,14 +159,24 @@ def test_node_count_equals_the_array_kernel_count_on_uniform_draws():
 @pytest.mark.parametrize("v0, nodes", ((0.5, 0), (2.0, 1)))
 def test_impenetrable_barrier_counts_without_overflow(v0, nodes):
     # kappa r_b = 1000: cosh overflows a double, and the count reads the
-    # signs of the barrier pair divided by it
+    # signs of the barrier pair divided by it; a barrier that opaque is
+    # refused after the bound-state check
     params = dict(v0=v0, vb=1.0e6, r_a=3.0, r_d=4.0, beta=0.3)
     assert _unvalidated(**params)._count_zero_energy_nodes() == nodes
-    if nodes:
-        with pytest.raises(ConfigError, match="1 bound state"):
-            WBPotential(**params)
-    else:
+    with pytest.raises(ConfigError, match="1 bound state" if nodes else
+                       r"sqrt\(vb\) \(r_d - r_a\) = 1000 is past cosh's double range"):
         WBPotential(**params)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_barrier_opacity_is_capped_at_cosh_range():
+    # sqrt(vb) r_b = 710.4 is accepted: its density is finite (0 below the
+    # barrier top, where it underflows); at 711 cosh overflows and the
+    # density would read NaN there
+    density = make_density(0.3, vb=1.0e6, r_d=3.7104)
+    assert np.all(np.isfinite(density.omega(np.array([1.0e-6, 0.5, 10.0]))))
+    with pytest.raises(ConfigError, match="= 711 is past"):
+        WBPotential(v0=0.5, vb=1.0e6, r_a=3.0, r_d=3.711, beta=0.3)
 
 
 def test_model_does_not_import_oracle():

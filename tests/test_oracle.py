@@ -12,13 +12,14 @@ import pytest
 
 import tailsurv.oracle
 from tailsurv import specfun
-from tailsurv.errors import DomainError, ResourceLimitError
+from tailsurv.errors import DomainError, ResourceLimitError, ToleranceError
 from tailsurv.model import regular_boundary_sq
 from tailsurv.oracle import (OracleCheck, ode_oracle_boundary_many,
                              oracle_match_coefficients,
                              oracle_survival_bruteforce, rk4_radial,
                              run_verification)
-from tailsurv.oracle import _match_boundary, _nested_trapezoid, _rk4_grid, _rk4_steps
+from tailsurv.oracle import (_match_boundary, _nested_trapezoid, _richardson_weights,
+                             _rk4_grid, _rk4_steps, _taper, _threshold_error_exponents)
 from tailsurv.spectral import _work_block
 from tailsurv.survival import survival_exact
 
@@ -163,12 +164,146 @@ def test_brute_force_validation(density_for):
 
 
 def test_brute_force_grid_cap_names_stage_size_and_cap(density_for, monkeypatch):
-    # the bulk grid of t = 1000 up to e_max = 2000 trips the cap
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 2000.0)
+    # the bulk grid of t = 1000 (step pi/4000 and its half) up to
+    # e_max = 20 000 trips the cap before any density call
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 20000.0)
     with pytest.raises(ResourceLimitError, match=(
-            r"^brute-force oracle: grid of 82573373 points at t = 1000 "
+            r"^brute-force oracle: grid of 51649305 points at t = 1000 "
             r"exceeds _MAX_BRUTE_POINTS = 40000000$")):
         oracle_survival_bruteforce(density_for(0.3), 1000.0)
+
+
+def _bulk_resonance_density():
+    # a resonance ~1e-3 wide that the 2e-3 bulk step aliases and its half
+    # resolves: the two sums differ by 7.4e-6
+    return make_density(1.0, v0=1.5, vb=3.0, r_a=1.5, r_d=3.5)
+
+
+def test_bulk_step_halves_until_its_nested_sums_agree():
+    den = _bulk_resonance_density()
+    counts = {}
+    brute = oracle_survival_bruteforce(den, 60.0, counts=counts)
+    one_pass = 2 * math.ceil(((10 * math.pi / 1.5) ** 2 - 0.5) / 2.0e-3)
+    assert counts["bulk_evals"] == (one_pass + 1) + (2 * one_pass + 1)
+    assert counts["bulk_gap"] <= tailsurv.oracle._BRUTE_NESTED_TOL
+    assert abs(brute - survival_exact(den, [60.0]).probability[0]) <= 1.0e-10
+
+
+def test_bulk_refinement_cap_names_the_disagreement(monkeypatch):
+    monkeypatch.setattr(tailsurv.oracle, "_MAX_BRUTE_POINTS", 800_000)
+    with pytest.raises(ResourceLimitError, match=(
+            r"^brute-force oracle: grid of 876301 points at t = 60 exceeds "
+            r"_MAX_BRUTE_POINTS = 800000: the bulk sums at steps 0.002 and 0.001 "
+            r"differ by 7.36e-06 > _BRUTE_NESTED_TOL = 5e-09$")):
+        oracle_survival_bruteforce(_bulk_resonance_density(), 60.0)
+
+
+def test_brute_force_refuses_an_aliased_threshold():
+    # a resonance below E = 1 too narrow for the threshold steps: without
+    # the agreement check the brute force returned P = 1.4457 at t = 5,
+    # where exact gives 0.9572 with a stated error of 1.1e-11
+    den = make_density(0.3, vb=5.0, r_d=5.5)
+    exact = survival_exact(den, [5.0])
+    assert abs(exact.probability[0] - 0.95716) <= 1.0e-5
+    assert exact.meta["max_error_estimate"] <= 1.0e-10
+    with pytest.raises(ToleranceError, match=(
+            r"^brute-force oracle: threshold Richardson estimates at t = 5 differ "
+            r"by 0\.0552 > _BRUTE_NESTED_TOL = 5e-09$")):
+        oracle_survival_bruteforce(den, 5.0)
+
+
+@pytest.mark.parametrize("kw", [dict(beta=-0.2), dict(beta=0.3), dict(beta=1.0),
+                                dict(beta=0.7629, v0=0.753, vb=2.418, r_a=2.868, r_d=4.33)],
+                         ids=["beta-0.2", "beta0.3", "beta1.0", "narrow-resonance"])
+def test_bulk_step_pi_over_4t_matches_the_64_per_pi_rule(monkeypatch, kw):
+    # the bulk step of pi/(64 t) and its half, the rule the unsmoothed split
+    # at E = 1 needed, against pi/(4 t) and its half; the positive times share the
+    # t = 1000 grid, and t = 0 (bulk step 2e-3 under both rules) is only
+    # checked for its nested sums.  e_max = 100 keeps the fine rule's grid at
+    # 4 M points; at 400 the largest difference is 8.1e-14
+    den = make_density(**kw)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 100.0)
+    times = np.array([0.0, 1.0, 5.0, 60.0, 200.0, 1000.0])
+    counts = {}
+    coarse = oracle_survival_bruteforce(den, times, counts=counts)
+    # one pass each: the nested sums agree far inside the tolerance (their
+    # gap is the end point's h^4 term at e_out ~ 100, <= 7.1e-15 at ~400)
+    assert counts["bulk_gap"] <= 1.0e-12
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_BULK_STEPS_PER_PI", 64.0)
+    fine = oracle_survival_bruteforce(den, times[1:])
+    assert np.max(np.abs(coarse[1:] - fine)) <= 1.0e-13
+
+
+def test_small_nu_threshold_keeps_its_fractional_rungs():
+    # at nu <= 0.15 the rungs 1 + 2 nu and 1 + 3 nu are removed, not merged
+    # into 1 + nu, with one more level; the weights stay modest
+    for nu in (1.0e-6, 0.01, 0.05, 0.15):
+        exponents = _threshold_error_exponents(nu)
+        assert exponents == (1.0 + nu, 1.0 + 2.0 * nu, 1.0 + 3.0 * nu, 2.0)
+        assert np.sum(np.abs(_richardson_weights(exponents))) < 45.0
+    assert len(_threshold_error_exponents(0.16)) == 3
+
+
+def test_small_nu_brute_force_holds_1e_8():
+    # beta = -0.45 (nu = 0.05): with the rungs merged the brute force was off
+    # by 2.9e-8 at t = 5 and 1.2e-8 at t = 10, shrinking ~2.3x per halving of
+    # its threshold step, and the verification row failed
+    report = run_verification(make_density(-0.45), (5.0, 10.0))
+    assert report.all_passed, list(report.lines())
+    assert report.meta["threshold_gap"] <= tailsurv.oracle._BRUTE_NESTED_TOL
+
+
+def test_taper_is_a_smooth_partition_of_unity():
+    a, b = tailsurv.oracle._BRUTE_JUNCTION
+    e = np.linspace(0.0, 1.5, 3001)
+    below, above, scratch = np.ones(e.size), np.ones(e.size), np.empty((2, e.size))
+    _taper(e, below, scratch, "below")
+    _taper(e, above, scratch, "above")
+    assert np.all(below[e <= a] == 1.0) and np.all(below[e >= b] == 0.0)
+    assert np.all(above[e <= a] == 0.0) and np.all(above[e >= b] == 1.0)
+    assert np.max(np.abs(below + above - 1.0)) <= 4.0e-16
+    assert np.all(np.diff(below) <= 0.0)
+    inside = (e > a) & (e < b)
+    x = (e[inside] - a) / (b - a)
+    f = lambda s: np.exp(-1.0 / s)  # noqa: E731
+    assert np.allclose(below[inside], f(1.0 - x) / (f(x) + f(1.0 - x)), rtol=1.0e-13, atol=0.0)
+
+
+def test_taper_allocates_no_chunk_sized_array():
+    e = np.linspace(0.0, 1.5, 65537)
+    vals, scratch = np.ones(e.size), np.empty((2, e.size))
+    tracemalloc.start()
+    try:
+        _taper(e, vals, scratch, "above")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+
+
+@pytest.mark.parametrize("keep", ["below", "above"])
+def test_tapered_nested_sums_match_whole_grid_sums(monkeypatch, keep):
+    den = make_density(0.3)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 1000)
+    times, n_fine, lo, hi = [1.0, 30.0], 4096, 0.0, 1.25
+    got = _nested_trapezoid(den, times, lo, hi, n_fine, 3, {}, keep=keep)
+    e = np.linspace(lo, hi, n_fine + 1)
+    vals = np.zeros(e.size)
+    vals[1:] = den.omega(e[1:])
+    _taper(e, vals, np.empty((2, e.size)), keep)
+    g = vals * np.exp(-1j * np.outer(times, e))
+    for lev in range(3):
+        sub = g[:, ::2 ** lev]
+        ref = (hi - lo) / n_fine * 2 ** lev * (sub.sum(axis=1) - 0.5 * (sub[:, 0] + sub[:, -1]))
+        assert np.max(np.abs(got[lev] - ref)) <= 1.0e-14 * np.max(np.abs(ref))
+
+
+def test_verification_at_verify_times_stays_under_a_million_evaluations(density_for):
+    # 200 000 threshold and ~400 000 bulk points, where the 64-per-pi rule
+    # took 3.77 M
+    report = run_verification(density_for(0.3), (60.0, 200.0))
+    assert report.all_passed
+    assert report.meta["threshold_evals"] + report.meta["bulk_evals"] < 1_000_000
 
 
 @pytest.mark.parametrize("beta", REFERENCE_BETAS)
@@ -270,6 +405,30 @@ def test_density_error_in_a_chunk_reaches_the_caller(monkeypatch):
     assert threading.active_count() == threads
     # the seven chunks of the threshold piece are not all evaluated
     assert next(calls) < 7
+
+
+def test_chunks_started_after_an_error_skip_the_density(monkeypatch):
+    # the first chunk holds its worker for 0.2 s, so the other worker runs
+    # the second, the failing third and then reaches the later chunks before
+    # the caller sees the error: those skip their density call
+    den = make_density(0.3)
+    omega, chunks = den.omega, []
+    step = 32768 * 5.0e-6  # threshold chunk length for one time
+
+    def slow_first_third_fails(e, *, work=None):
+        k = round(e[0] / step)
+        chunks.append(k)
+        if k == 0:
+            time.sleep(0.2)
+        if k == 2:
+            raise DomainError("third chunk")
+        return omega(e, work=work)
+
+    monkeypatch.setattr(den, "omega", slow_first_third_fails)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_WORKERS", 2)
+    with pytest.raises(DomainError, match="third chunk"):
+        oracle_survival_bruteforce(den, 1.0)
+    assert sorted(chunks) == [0, 1, 2]
 
 
 def test_brute_force_workers_each_reuse_one_block(monkeypatch):
