@@ -11,12 +11,11 @@ production modules through a deliberately different numerical scheme:
   integrator, in two pieces joined by a C-infinity partition of unity
   at E ~ 1: fractional-power Richardson extrapolation at threshold, and
   a bulk smooth at both ends of the junction, whose sums converge
-  geometrically at 8 samples per period of e^{-iEt}.  Each piece's
-  nested estimates must agree before a result is returned.  The sums
-  run on two threads, each chunk of the grid summed by one batched
-  matrix-vector product; each thread evaluates the density for all its
-  chunks into one work block, which it allocates once and which also
-  holds the chunk's grid.
+  geometrically from 8 samples per period of e^{-iEt}, at most 8e-3
+  apart, and are refined by adding midpoints.  Each piece's nested
+  estimates must agree before a result is returned.  The sums run in
+  chunks on two threads, each evaluating the density into one work
+  block that it allocates once.
 
 None of the production results are reused internally beyond the shared
 special-function evaluations that define the problem itself.
@@ -205,9 +204,11 @@ def _match_boundary(pot, k: float, u: float, du: float):
 # over the junction (a, b): neither piece has an end point there.
 _BRUTE_JUNCTION = (0.5, 1.0)
 _BRUTE_THRESHOLD_STEP = 4.0e-5  # coarsest threshold step: 0.04 rad of e^{-iEt} at t = 1000
-_BRUTE_BULK_STEP = 2.0e-3       # bulk step cap; resolves the resonance peak
-# The bulk step is at most pi/(_BRUTE_BULK_STEPS_PER_PI t): 8 samples per
-# period of e^{-iEt}, enough for a smooth integrand's geometric convergence.
+# The bulk step starts at min(_BRUTE_BULK_STEP, pi/(_BRUTE_BULK_STEPS_PER_PI t)):
+# under 1/60 of the taper's width of 0.5, (1 - psi) omega's sharpest smooth
+# feature, and 8 samples per period of e^{-iEt}.  A narrower resonance halves
+# the step: from 8e-3 one ~1e-3 wide stops at 5e-4, from 1e-2 at 3.1e-4.
+_BRUTE_BULK_STEP = 8.0e-3
 _BRUTE_BULK_STEPS_PER_PI = 4.0
 # Amplitude tolerance on each piece's nested estimates, the bulk's sums at
 # steps h and h/2 and the threshold's two finest Richardson estimates: half
@@ -284,8 +285,9 @@ def _taper(e, vals, scratch, keep: str) -> None:
     vals[i:j] /= np.add(x, 1.0, out=x)
 
 
-def _nested_trapezoid(density, times, lo: float, hi: float, n_fine: int,
-                      n_levels: int, counts: dict, keep: str | None = None) -> np.ndarray:
+def _nested_trapezoid(density, times, lo: float, hi: float, n_fine: int, n_levels: int,
+                      counts: dict, keep: str | None = None,
+                      midpoints: bool = False) -> np.ndarray:
     """Trapezoid sums of omega(E) e^{-iEt} on nested uniform grids.
 
     The finest grid has n_fine panels (n_fine divisible by
@@ -300,10 +302,13 @@ def _nested_trapezoid(density, times, lo: float, hi: float, n_fine: int,
     intermediates the rest.  With `keep` "below" ("above") the density
     values are multiplied in place by psi (1 - psi), see `_taper`, which
     works in the block's rows 1 and 2 once the density call is done.
-    Within a chunk starting at e0 the phase is e^{-i t e0} times one row
-    e^{-i t h j} per time, computed once; one batched matrix-vector
-    product of the rows with the chunk's values gives its residue sums.
-    Returns the sums, shape (n_levels, len(times)), finest first.
+    With `midpoints` the points are the n_fine panels' midpoints and the
+    sum (n_levels 1) is their midpoint rule M(h): T(h/2) = (T(h) +
+    M(h))/2 evaluates only the new points.  Within a chunk starting at
+    e0 the phase is e^{-i t e0} times one row e^{-i t h j} per time,
+    computed once; one batched matrix-vector product of the rows with
+    the chunk's values gives its residue sums.  Returns the sums, shape
+    (n_levels, len(times)), finest first.
     """
     import threading
     from concurrent.futures import ThreadPoolExecutor  # imports logging: not at load
@@ -328,12 +333,13 @@ def _nested_trapezoid(density, times, lo: float, hi: float, n_fine: int,
             local.block = _work_block(chunk + 1)
             blocks.append(local.block.nbytes)
         b = min(a + chunk, n_fine)
-        # the same points as np.linspace(lo, hi, n_fine + 1), in the block's
-        # row 0; the last chunk also carries the end point hi
-        e = local.block[0, :b + (b == n_fine) - a]
-        np.multiply(np.add(index[:e.size], a, out=e), h, out=e)
+        # np.linspace(lo, hi, n_fine + 1)'s points, or their midpoints, in the
+        # block's row 0; the trapezoid grid's last chunk also carries hi
+        closes = b == n_fine and not midpoints
+        e = local.block[0, :b + closes - a]
+        np.multiply(np.add(index[:e.size], a + 0.5 * midpoints, out=e), h, out=e)
         e += lo
-        if b == n_fine:
+        if closes:
             e[-1] = hi
         start = perf_counter()  # E = 0 takes 0, the density's limit at threshold
         try:
@@ -365,9 +371,9 @@ def _nested_trapezoid(density, times, lo: float, hi: float, n_fine: int,
     counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
     counts["density_s"] = counts.get("density_s", 0.0) + density_s
     counts["work_bytes"] = max(counts.get("work_bytes", 0), sum(blocks))
-    g_hi = last * np.exp(-1j * times * hi)
-    sums = [h * 2 ** lev * (acc[:, ::2 ** lev].sum(axis=1) - 0.5 * g_lo + 0.5 * g_hi)
-            for lev in range(n_levels)]
+    # the trapezoid's end points take half weight; the midpoint rule has none
+    ends = 0.0 if midpoints else 0.5 * last * np.exp(-1j * times * hi) - 0.5 * g_lo
+    sums = [h * 2 ** lev * (acc[:, ::2 ** lev].sum(axis=1) + ends) for lev in range(n_levels)]
     return np.array(sums)
 
 
@@ -376,15 +382,10 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
 
     The threshold piece is the Richardson combination of its nested sums
     of psi omega on [0, b], at coarsest step _BRUTE_THRESHOLD_STEP.  The
-    bulk is the finer of two nested sums of (1 - psi) omega from a to the
-    snapped e_out, at steps h and h/2, h = min(_BRUTE_BULK_STEP,
-    pi/(_BRUTE_BULK_STEPS_PER_PI t)) for the largest time t.  Both
-    integrands are smooth where the pieces meet, and the bulk's vanishes
-    to all orders at a, so its sums converge geometrically in h.  The
-    threshold piece's two finest Richardson estimates must agree within
-    _BRUTE_NESTED_TOL (ToleranceError otherwise); while the bulk's two
-    sums do not, its step halves, up to _MAX_BRUTE_POINTS
-    (ResourceLimitError naming the disagreement).
+    bulk sums (1 - psi) omega from a to the snapped e_out at steps h and
+    h/2, h = min(_BRUTE_BULK_STEP, pi/(_BRUTE_BULK_STEPS_PER_PI t)) for
+    the largest time t, adds the finer grid's midpoints while the two
+    differ by more than _BRUTE_NESTED_TOL, and returns the finer sum.
     """
     t = float(times.max())
     r_a = density.pot.r_a
@@ -400,9 +401,7 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
     exponents = _threshold_error_exponents(density.pot.beta + 0.5)
     levels = len(exponents) + 1  # the finest has 2^(levels - 1) panels per coarsest one
     n_thr = 2 ** (levels - 1) * math.ceil(b / _BRUTE_THRESHOLD_STEP)
-    h_bulk = _BRUTE_BULK_STEP
-    if t > 0.0:
-        h_bulk = min(h_bulk, math.pi / (_BRUTE_BULK_STEPS_PER_PI * t))
+    h_bulk = min(_BRUTE_BULK_STEP, math.pi / (_BRUTE_BULK_STEPS_PER_PI * t) if t else math.inf)
     n_bulk = 2 * math.ceil((e_out - a) / h_bulk)   # the finer level's panels
     n_points = max(n_thr, n_bulk) + 1
     if n_points > _MAX_BRUTE_POINTS:
@@ -420,13 +419,9 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
         raise ToleranceError(
             f"brute-force oracle: threshold Richardson estimates at t = {t:g} "
             f"differ by {gap:.3g} > _BRUTE_NESTED_TOL = {_BRUTE_NESTED_TOL:g}")
-    while True:
-        fine, coarse = _nested_trapezoid(density, times, a, e_out, n_bulk, 2, counts,
-                                         keep="above")
-        counts["bulk_evals"] = counts.get("bulk_evals", 0) + n_bulk + 1
-        gap = float(np.max(np.abs(fine - coarse)))
-        if gap <= _BRUTE_NESTED_TOL:
-            break
+    fine, coarse = _nested_trapezoid(density, times, a, e_out, n_bulk, 2, counts, keep="above")
+    counts["bulk_evals"] = counts.get("bulk_evals", 0) + n_bulk + 1
+    while not (gap := float(np.max(np.abs(fine - coarse)))) <= _BRUTE_NESTED_TOL:
         if 2 * n_bulk + 1 > _MAX_BRUTE_POINTS:
             h = (e_out - a) / n_bulk
             raise ResourceLimitError(
@@ -434,6 +429,10 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
                 f"exceeds _MAX_BRUTE_POINTS = {_MAX_BRUTE_POINTS}: the bulk sums at "
                 f"steps {2.0 * h:.3g} and {h:.3g} differ by {gap:.3g} > "
                 f"_BRUTE_NESTED_TOL = {_BRUTE_NESTED_TOL:g}")
+        (mid,) = _nested_trapezoid(density, times, a, e_out, n_bulk, 1, counts,
+                                   keep="above", midpoints=True)
+        counts["bulk_evals"] += n_bulk
+        coarse, fine = fine, 0.5 * (fine + mid)
         n_bulk *= 2
     counts["bulk_gap"] = max(counts.get("bulk_gap", 0.0), gap)
     amp += fine
@@ -451,17 +450,19 @@ def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     piece psi omega rises with a fractional power at E = 0, so coarsened
     companions remove its slowest error powers with exponent-matched
     weights.  The bulk (1 - psi) omega vanishes to all orders at E = 0.5,
-    so its sums converge geometrically once the step resolves e^{-iEt}:
-    at most pi/(4 t), halved for the sum returned.  The upper end is
-    snapped, at or past _BRUTE_E_MAX, to a zero of the density's
-    high-energy oscillation (a double zero for t > 0, making the
-    remainder's boundary terms vanish; for t = 0 a point where the
-    envelope estimate of the remaining mass is most accurate, and at
-    least 2500 so that estimate is small to begin with).  Rather than
-    return an aliased sum it raises: ToleranceError where the threshold
-    piece's two finest estimates differ by more than _BRUTE_NESTED_TOL,
-    ResourceLimitError where the bulk's would need more than
-    _MAX_BRUTE_POINTS points to agree that well.
+    so its sums converge geometrically once the step resolves e^{-iEt}
+    and the taper: at first min(8e-3, pi/(4 t)), halved for the sum
+    returned, then halved again by adding midpoints while the two sums
+    disagree.  The upper end is snapped, at or past _BRUTE_E_MAX, to a
+    zero of the density's high-energy oscillation (a double zero for
+    t > 0, making the remainder's boundary terms vanish; for t = 0 a
+    point where the envelope estimate of the remaining mass is most
+    accurate, and at least 2500 so that estimate is small to begin
+    with).  Rather than return an aliased sum it raises: ToleranceError
+    where the threshold piece's two finest estimates differ by more than
+    _BRUTE_NESTED_TOL, ResourceLimitError (naming the disagreement)
+    where the bulk's would need more than _MAX_BRUTE_POINTS points to
+    agree that well.
 
     `t` is a scalar (returns a float) or an array (returns an array of
     its shape).  All positive times share one density pass on the grid

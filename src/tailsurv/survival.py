@@ -513,12 +513,12 @@ def survival_exact(density: SpectralDensity, times, *,
     ests = parts.sum(axis=1)
     i_bad = int(np.argmax(ests))
     worst = float(ests[i_bad])
-    error_parts = dict(zip(("interpolation", "truncation", "sub_threshold"),
-                           parts[i_bad].tolist()))
-    if worst > abs_tol:
+    names = ("interpolation", "truncation", "sub_threshold")
+    error_parts = dict(zip(names, parts[i_bad].tolist()))
+    if not worst <= abs_tol:  # a NaN estimate is refused too, and named as the largest part
         raise ToleranceError(
             f"amplitude stage: error estimate {worst:.3e} at t = {t_arr[i_bad]:g} exceeds "
-            f"abs_tol = {abs_tol:.3e}; largest part {max(error_parts, key=error_parts.get)} ("
+            f"abs_tol = {abs_tol:.3e}; largest part {names[int(np.argmax(parts[i_bad]))]} ("
             + ", ".join(f"{key} {val:.3e}" for key, val in error_parts.items())
             + (f"); e_max is capped at {e_max:g}: raise the smallest time or abs_tol, "
                "or pass survival_exact a larger e_max" if capped
@@ -541,11 +541,15 @@ def survival_exact(density: SpectralDensity, times, *,
 def spectral_mass(density: SpectralDensity) -> float:
     """Integral of the density over the continuum (1 for a valid state).
 
-    The tabulated integral over [0, _MASS_E_HI] plus the envelope tail.
+    The tabulated integral over [0, _MASS_E_HI] plus the envelope tail;
+    ToleranceError where that is not finite.
     """
     table = _build_table(density.omega, density.pot.r_a, _MASS_E_HI)
-    return _table_mass(table) + _envelope_tail(density.init.k_a, density.pot.r_a,
-                                               table.e_max)
+    mass = _table_mass(table) + _envelope_tail(density.init.k_a, density.pot.r_a, table.e_max)
+    if not math.isfinite(mass):
+        raise ToleranceError(f"mass stage: spectral mass {mass} after {table.n_evals} "
+                             "density evaluations is not finite")
+    return mass
 
 
 # ----------------------------------------------------------------- #

@@ -174,17 +174,36 @@ def test_brute_force_grid_cap_names_stage_size_and_cap(density_for, monkeypatch)
 
 
 def _bulk_resonance_density():
-    # a resonance ~1e-3 wide that the 2e-3 bulk step aliases and its half
-    # resolves: the two sums differ by 7.4e-6
+    # a resonance ~1e-3 wide that bulk steps of 2e-3 and 1e-3 alias, their
+    # sums 7.4e-6 apart, and that 1e-3 and 5e-4 resolve
     return make_density(1.0, v0=1.5, vb=3.0, r_a=1.5, r_d=3.5)
 
 
-def test_bulk_step_halves_until_its_nested_sums_agree():
+def test_bulk_step_halves_until_its_nested_sums_agree(monkeypatch):
     den = _bulk_resonance_density()
+    omega, nested, passes = den.omega, tailsurv.oracle._nested_trapezoid, []
+
+    def recording_omega(e, *, work=None):
+        passes[-1].append(e.copy())
+        return omega(e, work=work)
+
+    def one_pass(*args, **kwargs):
+        passes.append([])
+        return nested(*args, **kwargs)
+
+    monkeypatch.setattr(den, "omega", recording_omega)
+    monkeypatch.setattr(tailsurv.oracle, "_nested_trapezoid", one_pass)
     counts = {}
     brute = oracle_survival_bruteforce(den, 60.0, counts=counts)
-    one_pass = 2 * math.ceil(((10 * math.pi / 1.5) ** 2 - 0.5) / 2.0e-3)
-    assert counts["bulk_evals"] == (one_pass + 1) + (2 * one_pass + 1)
+    # the threshold pass, the bulk at steps 8e-3 and 4e-3, then three
+    # halvings: each evaluates only the midpoints of the grid before it
+    grid, *halvings = [np.sort(np.concatenate(p)) for p in passes[1:]]
+    assert len(halvings) == 3
+    for new in halvings:
+        assert np.allclose(new, 0.5 * (grid[1:] + grid[:-1]), rtol=1.0e-15, atol=0.0)
+        grid = np.sort(np.concatenate((grid, new)))
+    # the final grid's size, where evaluating every level afresh takes 1 643 074
+    assert counts["bulk_evals"] == grid.size == 876_305
     assert counts["bulk_gap"] <= tailsurv.oracle._BRUTE_NESTED_TOL
     assert abs(brute - survival_exact(den, [60.0]).probability[0]) <= 1.0e-10
 
@@ -192,9 +211,9 @@ def test_bulk_step_halves_until_its_nested_sums_agree():
 def test_bulk_refinement_cap_names_the_disagreement(monkeypatch):
     monkeypatch.setattr(tailsurv.oracle, "_MAX_BRUTE_POINTS", 800_000)
     with pytest.raises(ResourceLimitError, match=(
-            r"^brute-force oracle: grid of 876301 points at t = 60 exceeds "
+            r"^brute-force oracle: grid of 876305 points at t = 60 exceeds "
             r"_MAX_BRUTE_POINTS = 800000: the bulk sums at steps 0.002 and 0.001 "
-            r"differ by 7.36e-06 > _BRUTE_NESTED_TOL = 5e-09$")):
+            r"differ by 7.42e-06 > _BRUTE_NESTED_TOL = 5e-09$")):
         oracle_survival_bruteforce(_bulk_resonance_density(), 60.0)
 
 
@@ -218,7 +237,7 @@ def test_brute_force_refuses_an_aliased_threshold():
 def test_bulk_step_pi_over_4t_matches_the_64_per_pi_rule(monkeypatch, kw):
     # the bulk step of pi/(64 t) and its half, the rule the unsmoothed split
     # at E = 1 needed, against pi/(4 t) and its half; the positive times share the
-    # t = 1000 grid, and t = 0 (bulk step 2e-3 under both rules) is only
+    # t = 1000 grid, and t = 0 (bulk step 8e-3 under both rules) is only
     # checked for its nested sums.  e_max = 100 keeps the fine rule's grid at
     # 4 M points; at 400 the largest difference is 8.1e-14
     den = make_density(**kw)
@@ -298,12 +317,25 @@ def test_tapered_nested_sums_match_whole_grid_sums(monkeypatch, keep):
         assert np.max(np.abs(got[lev] - ref)) <= 1.0e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("times", [[30.0], [1.0, 7.0, 30.0]])
+def test_midpoint_sum_halves_the_trapezoid_step(monkeypatch, times):
+    # (T(h) + M(h)) / 2 is T(h/2), across the taper and with a partial last
+    # chunk (1000 or 666 points against 2048)
+    den = make_density(0.3)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 1000)
+    lo, hi, n = 0.5, 1.75, 2048
+    (coarse,) = _nested_trapezoid(den, times, lo, hi, n, 1, {}, keep="above")
+    (mid,) = _nested_trapezoid(den, times, lo, hi, n, 1, {}, keep="above", midpoints=True)
+    (fine,) = _nested_trapezoid(den, times, lo, hi, 2 * n, 1, {}, keep="above")
+    assert np.max(np.abs(0.5 * (coarse + mid) - fine)) <= 1.0e-14 * np.max(np.abs(fine))
+
+
 def test_verification_at_verify_times_stays_under_a_million_evaluations(density_for):
-    # 200 000 threshold and ~400 000 bulk points, where the 64-per-pi rule
+    # 200 000 threshold and 223 149 bulk points, where the 64-per-pi rule
     # took 3.77 M
     report = run_verification(density_for(0.3), (60.0, 200.0))
     assert report.all_passed
-    assert report.meta["threshold_evals"] + report.meta["bulk_evals"] < 1_000_000
+    assert report.meta["threshold_evals"] + report.meta["bulk_evals"] < 450_000
 
 
 @pytest.mark.parametrize("beta", REFERENCE_BETAS)
