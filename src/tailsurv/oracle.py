@@ -7,14 +7,15 @@ production modules through a deliberately different numerical scheme:
   the closed piecewise forms, squaring one step map per segment;
 * a direct 2x2 linear solve for the exterior matching coefficients
   instead of the assembled quadratic-combination formula;
-* uniform trapezoid sums instead of the panel/moment oscillatory
-  integrator, in two pieces joined by a C-infinity partition of unity
-  at E ~ 1: fractional-power Richardson extrapolation at threshold, and
-  a bulk smooth at both ends of the junction, whose sums converge
-  geometrically from 8 samples per period of e^{-iEt}, at most 8e-3
-  apart, and are refined by adding midpoints.  Each piece's nested
-  estimates must agree before a result is returned.  The sums run in
-  chunks on two threads, each evaluating the density into one work
+* trapezoid sums instead of the panel/moment oscillatory integrator,
+  in two pieces joined by a C-infinity partition of unity at E ~ 1:
+  the threshold piece on a uniform grid in s, E = exp(1 + s - e^{-s}),
+  a double-exponential map that makes its sums converge geometrically
+  through the E^nu rise at E = 0, and the bulk, smooth at both ends of
+  the junction, on a uniform grid in E.  Both follow one rule: sums at
+  a step h and h/2, at first min(0.1 in s or 8e-3 in E, pi/(4t)), then
+  the finer grid's midpoints only until the two agree.  The sums run
+  in chunks on two threads, each evaluating the density into one work
   block that it allocates once.
 
 None of the production results are reused internally beyond the shared
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, ToleranceError
+from .errors import DomainError, ResourceLimitError
 from .model import _sincos, regular_boundary_sq
 from .specfun import BesselOrder, riccati_pair_with_derivatives
 from .spectral import _work_block
@@ -46,14 +48,15 @@ except ImportError:  # not on every platform
 _MAX_BRUTE_POINTS = 40_000_000
 # Grid points per density call, times max(2, number of times summed).
 # Each worker's work block takes 104 bytes per point of a call (3.4 MB
-# at 32 768 points), the phase rows 16 per point and time.  At t = (60,
-# 200) the brute force peaks at 8.6 MB (tracemalloc); 16 384-point calls
-# made it 2.2x slower (per-call Python work holds the GIL), and 65 536-point
-# calls were no faster and peaked at 17 MB.
+# at 32 768 points), its weight row 8; the phases of up to four times at
+# once reuse the block.  At t = (60, 200) the brute force peaks at 8.1 MB
+# (tracemalloc); 16 384-point calls made it 2.2x slower (per-call Python
+# work holds the GIL), and 65 536-point calls were no faster and peaked
+# at 17 MB.
 _BRUTE_CHUNK = 65_536
 # numpy and BLAS release the GIL in their loops: the brute force at
-# t = (60, 200) took 0.20-0.31 s on two threads, 0.30-0.37 s on one and
-# 0.33-0.45 s on three or four (2-vCPU x86-64 host).
+# t = (60, 200) took 29 ms on two threads, 36 ms on one and 31 ms on
+# three (medians of 15, 2-vCPU x86-64 host).
 _BRUTE_WORKERS = min(2, os.cpu_count() or 1)
 # RK4 steps relative to r_d: the node count's, and the finer one of the
 # boundary and matching checks (the Jost modulus by linear solve then
@@ -199,63 +202,30 @@ def _match_boundary(pot, k: float, u: float, du: float):
     return float(a), float(b)
 
 
-# The threshold piece sums psi omega on [0, b], the bulk (1 - psi) omega
+# The threshold piece sums psi omega on (0, b], the bulk (1 - psi) omega
 # from a up, where psi is a C-infinity step from 1 at E <= a to 0 at E >= b
 # over the junction (a, b): neither piece has an end point there.
 _BRUTE_JUNCTION = (0.5, 1.0)
-_BRUTE_THRESHOLD_STEP = 4.0e-5  # coarsest threshold step: 0.04 rad of e^{-iEt} at t = 1000
-# The bulk step starts at min(_BRUTE_BULK_STEP, pi/(_BRUTE_BULK_STEPS_PER_PI t)):
-# under 1/60 of the taper's width of 0.5, (1 - psi) omega's sharpest smooth
-# feature, and 8 samples per period of e^{-iEt}.  A narrower resonance halves
-# the step: from 8e-3 one ~1e-3 wide stops at 5e-4, from 1e-2 at 3.1e-4.
+# The threshold piece is summed in s on [_BRUTE_S_START, 0], mapped by
+# E = exp(1 + s - e^{-s}) onto (9.7e-26, 1 = b]: psi omega dE/ds falls like
+# exp(-(nu + 1) e^{-s}) towards s = -inf and, through psi, to all orders at
+# s = 0, so its sums converge geometrically for any nu = beta + 1/2 > 0.
+# The mass left out below E(-4), omega(E) E / (nu + 1) there, is 2.4e-27
+# at beta = -0.499 in the reference geometry.
+_BRUTE_S_START = -4.0
+# Each piece's step starts at min(cap, pi/(_BRUTE_STEPS_PER_PI t)), the cap
+# _BRUTE_S_STEP in s or _BRUTE_BULK_STEP in E.  The bulk's is under 1/60 of
+# the taper's width of 0.5, (1 - psi) omega's sharpest smooth feature, and
+# 8 samples per period of e^{-iEt}; the phase advances by at most 2t per
+# unit s.  A narrower resonance halves the step: from 8e-3 one ~1e-3 wide
+# stops at 5e-4, from 1e-2 at 3.1e-4.
+_BRUTE_S_STEP = 0.1
 _BRUTE_BULK_STEP = 8.0e-3
-_BRUTE_BULK_STEPS_PER_PI = 4.0
-# Amplitude tolerance on each piece's nested estimates, the bulk's sums at
-# steps h and h/2 and the threshold's two finest Richardson estimates: half
-# the 1e-8 at which `run_verification` compares P = |A|^2.
+_BRUTE_STEPS_PER_PI = 4.0
+# Amplitude tolerance on each piece's sums at steps h and h/2: half the
+# 1e-8 at which `run_verification` compares P = |A|^2.
 _BRUTE_NESTED_TOL = 5.0e-9
 _BRUTE_E_MAX = 400.0            # the grid ends at the first snap point past it
-
-
-def _richardson_weights(exponents: tuple[float, ...]) -> np.ndarray:
-    """Combination weights for nested trapezoid sums at steps h/2^i.
-
-    Solves for weights that keep the integral (sum one) while removing
-    every error contribution proportional to h^s for the given
-    exponents; uses one more grid level than exponents killed.
-    """
-    m = len(exponents) + 1
-    mat = np.ones((m, m))
-    for j, s in enumerate(exponents):
-        # level i is 2^i times coarser than the finest grid, so an error
-        # term c h^s enters the level-i sum scaled by 2^(s i)
-        mat[j + 1] = 2.0 ** (s * np.arange(m))
-    rhs = np.zeros(m)
-    rhs[0] = 1.0
-    return np.linalg.solve(mat, rhs)
-
-
-def _threshold_error_exponents(nu: float) -> tuple[float, ...]:
-    """Slowest trapezoid error powers for a density rising like E^nu.
-
-    The fractional rise contributes h^(1+nu), h^(1+2nu), ... on top of
-    the smooth h^2, h^4 family.  Three powers are removed, near-coincident
-    candidates merged so the extrapolation weights stay modest; but for
-    nu <= 0.15 that would merge the rungs 1+2nu and 1+3nu into 1+nu, whose
-    terms then shrink only ~2.2x per halving.  There the three rungs and
-    h^2 are removed, with one more level: the weights' sum of moduli
-    stays below 45 for every nu > 0.
-    """
-    if nu <= 0.15:
-        return (1.0 + nu, 1.0 + 2.0 * nu, 1.0 + 3.0 * nu, 2.0)
-    cands = sorted([1.0 + nu, 1.0 + 2.0 * nu, 1.0 + 3.0 * nu, 2.0, 3.0])
-    kept: list[float] = []
-    for s in cands:
-        if all(abs(s - x) > 0.15 for x in kept):
-            kept.append(s)
-        if len(kept) == 3:
-            break
-    return tuple(kept)
 
 
 def _taper(e, vals, scratch, keep: str) -> None:
@@ -285,108 +255,134 @@ def _taper(e, vals, scratch, keep: str) -> None:
     vals[i:j] /= np.add(x, 1.0, out=x)
 
 
-def _nested_trapezoid(density, times, lo: float, hi: float, n_fine: int, n_levels: int,
-                      counts: dict, keep: str | None = None,
-                      midpoints: bool = False) -> np.ndarray:
-    """Trapezoid sums of omega(E) e^{-iEt} on nested uniform grids.
+def _trapezoid_sums(density, times: np.ndarray, counts: dict, pool):
+    """trapezoid(lo, hi, n, keep, midpoints=False): a piece's trapezoid sums
+    of omega(E) e^{-iEt} at `times` on n panels of [lo, hi].
 
-    The finest grid has n_fine panels (n_fine divisible by
-    2^(n_levels-1)); coarser sums use every 2nd, 4th, ... point.  The
-    grid is streamed on `_BRUTE_WORKERS` threads in chunks of
-    `_BRUTE_CHUNK / max(2, len(times))` points (a multiple of the
-    coarsest stride), one density call each (counted, with its seconds,
-    in counts), and each time keeps one running sum per residue of the
-    grid index modulo that stride, plus the two end points.  Each worker
-    allocates one `_work_block` (its bytes go to counts) and reuses it
-    for all its chunks: row 0 holds the chunk's grid and the density's
-    intermediates the rest.  With `keep` "below" ("above") the density
-    values are multiplied in place by psi (1 - psi), see `_taper`, which
-    works in the block's rows 1 and 2 once the density call is done.
-    With `midpoints` the points are the n_fine panels' midpoints and the
-    sum (n_levels 1) is their midpoint rule M(h): T(h/2) = (T(h) +
-    M(h))/2 evaluates only the new points.  Within a chunk starting at
-    e0 the phase is e^{-i t e0} times one row e^{-i t h j} per time,
-    computed once; one batched matrix-vector product of the rows with
-    the chunk's values gives its residue sums.  Returns the sums, shape
-    (n_levels, len(times)), finest first.
+    `keep` "below" sums psi omega (see `_taper`) on a uniform grid in s,
+    with E = exp(1 + s - e^{-s}) and the weight dE/ds = E (1 + e^{-s});
+    "above" sums (1 - psi) omega on a uniform grid in E.  With `midpoints`
+    the points are the n panels' midpoints and the sum is their midpoint
+    rule M(h): T(h/2) = (T(h) + M(h))/2 evaluates only the new points.
+    The grid is streamed on the threads of `pool` in chunks of
+    `_BRUTE_CHUNK / max(2, len(times))` points, one density call each
+    (counted, with its seconds, in counts).  Each thread allocates one
+    `_work_block` (its bytes go to counts) and one row for the weight on
+    its first chunk and reuses them for every chunk of every sum: row 0
+    of the block holds the chunk's grid, the density's intermediates
+    rows 1 to 12, and once the density call is done `_taper` works in
+    rows 1 and 2, then those 12 rows take sin E t, cos E t and a scratch
+    row for up to four times at once, and matrix-vector products with
+    the chunk's values give its sums.  The chunks' sums are added in
+    chunk order, so they are the serial ones for any worker count.
     """
-    import threading
-    from concurrent.futures import ThreadPoolExecutor  # imports logging: not at load
-
-    times = np.asarray(times, dtype=float)
-    width = 2 ** (n_levels - 1)
-    chunk = max(width, _BRUTE_CHUNK // max(2, times.size) // width * width)
-    h = (hi - lo) / n_fine
-    # rows[p, i, j] holds cos (i < len(times)), then sin, of t_i h (j width + p):
-    # a C-contiguous matrix per residue p, for BLAS to multiply by its values
-    offsets = np.ascontiguousarray((h * np.arange(chunk)).reshape(-1, width).T)
-    sin, cos = _sincos(times[:, None], offsets[:, None, :])
-    rows = np.concatenate((cos, sin), axis=1)
-    del sin, cos, offsets
+    chunk = _BRUTE_CHUNK // max(2, times.size)
     index = np.arange(chunk + 1, dtype=float)
-    local, blocks, failed = threading.local(), [], threading.Event()
+    local, blocks = threading.local(), []
 
-    def chunk_sum(a):
-        if failed.is_set():  # a chunk has raised: its error reaches the caller
-            return None
-        if not hasattr(local, "block"):  # one per worker, reused for its chunks
-            local.block = _work_block(chunk + 1)
-            blocks.append(local.block.nbytes)
-        b = min(a + chunk, n_fine)
-        # np.linspace(lo, hi, n_fine + 1)'s points, or their midpoints, in the
-        # block's row 0; the trapezoid grid's last chunk also carries hi
-        closes = b == n_fine and not midpoints
-        e = local.block[0, :b + closes - a]
-        np.multiply(np.add(index[:e.size], a + 0.5 * midpoints, out=e), h, out=e)
-        e += lo
-        if closes:
-            e[-1] = hi
-        start = perf_counter()  # E = 0 takes 0, the density's limit at threshold
-        try:
-            vals = (np.r_[0.0, density.omega(e[1:], work=local.block)] if e[0] == 0.0
-                    else density.omega(e, work=local.block))
-        except BaseException:
-            failed.set()
-            raise
-        seconds = perf_counter() - start
-        if keep is not None:
-            _taper(e, vals, local.block[1:3], keep)
-        q = (b - a) // width
-        cos_sin = (rows[:, :, :q] @ vals[:q * width].reshape(q, width).T[:, :, None])[..., 0].T
-        return vals[0], vals[-1], np.exp(-1j * times * e[0])[:, None] * (
-            cos_sin[:times.size] - 1j * cos_sin[times.size:]), seconds
+    def trapezoid(lo: float, hi: float, n: int, keep: str, midpoints: bool = False):
+        h, failed = (hi - lo) / n, threading.Event()
 
-    starts = range(0, n_fine, chunk)
-    acc = np.zeros((times.size, width), dtype=complex)
-    density_s = 0.0
-    # Executor.map yields in chunk order, so the sums are the serial ones
-    # for any worker count; an exception cancels the chunks not started,
-    # and those a worker starts before that skip their density call
-    with ThreadPoolExecutor(_BRUTE_WORKERS) as pool:
-        for i, (first, last, part, seconds) in enumerate(pool.map(chunk_sum, starts)):
-            if i == 0:
-                g_lo = first * np.exp(-1j * times * lo)
-            acc += part
+        def chunk_sum(a):
+            if failed.is_set():  # a chunk has raised: its error reaches the caller
+                return None
+            if not hasattr(local, "block"):  # one per worker, reused for its chunks
+                local.block, local.weight = _work_block(chunk + 1), np.empty(chunk + 1)
+                blocks.append(local.block.nbytes)
+            b = min(a + chunk, n)
+            # np.linspace(lo, hi, n + 1)'s points, or their midpoints, in the
+            # block's row 0; the trapezoid grid's last chunk also carries hi
+            closes = b == n and not midpoints
+            x = local.block[0, :b + closes - a]
+            np.multiply(np.add(index[:x.size], a + 0.5 * midpoints, out=x), h, out=x)
+            x += lo
+            if closes:
+                x[-1] = hi
+            if keep == "below":  # x becomes E(s), the weight E (1 + e^{-s})
+                weight = local.weight[:x.size]
+                np.exp(np.negative(x, out=weight), out=weight)
+                np.exp(np.subtract(np.add(x, 1.0, out=x), weight, out=x), out=x)
+                weight += 1.0
+                weight *= x
+            start = perf_counter()
+            try:
+                vals = density.omega(x, work=local.block)
+            except BaseException:
+                failed.set()
+                raise
+            seconds = perf_counter() - start
+            if keep == "below":
+                vals *= weight
+            _taper(x, vals, local.block[1:3], keep)
+            if a == 0 and not midpoints:  # the trapezoid's end points take half weight
+                vals[0] *= 0.5
+            if closes:
+                vals[-1] *= 0.5
+            part, free = np.empty(times.size, dtype=complex), local.block[1:].reshape(-1)
+            for i in range(0, times.size, 4):  # 3 rows per time: 4 times fill 12 rows
+                t = times[i:i + 4, None]
+                sin, cos, scratch = free[:3 * t.size * x.size].reshape(3, t.size, x.size)
+                _sincos(x, t, out=(sin, cos, scratch))
+                part[i:i + 4] = cos @ vals - 1j * (sin @ vals)
+            return part, seconds
+
+        starts = range(0, n, chunk)
+        total, density_s = np.zeros(times.size, dtype=complex), 0.0
+        # Executor.map yields in chunk order; an exception cancels the chunks
+        # not started, and those a worker starts before that skip their density call
+        for part, seconds in pool.map(chunk_sum, starts):
+            total += part
             density_s += seconds
-    counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
-    counts["density_s"] = counts.get("density_s", 0.0) + density_s
-    counts["work_bytes"] = max(counts.get("work_bytes", 0), sum(blocks))
-    # the trapezoid's end points take half weight; the midpoint rule has none
-    ends = 0.0 if midpoints else 0.5 * last * np.exp(-1j * times * hi) - 0.5 * g_lo
-    sums = [h * 2 ** lev * (acc[:, ::2 ** lev].sum(axis=1) + ends) for lev in range(n_levels)]
-    return np.array(sums)
+        counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
+        counts["density_s"] = counts.get("density_s", 0.0) + density_s
+        counts["work_bytes"] = max(counts.get("work_bytes", 0), sum(blocks))
+        return h * total
+
+    return trapezoid
+
+
+def _refined_sum(trapezoid, lo: float, hi: float, n: int, keep: str, t: float,
+                 counts: dict) -> np.ndarray:
+    """A piece's sum T(h/2) from `trapezoid`, h = (hi - lo)/n at first.
+
+    While T(h) and T(h/2) differ by more than _BRUTE_NESTED_TOL it
+    evaluates the midpoints of the finer grid only, so both steps halve
+    and the finer sum becomes the coarser one; once the grid would pass
+    _MAX_BRUTE_POINTS it raises ResourceLimitError naming the piece,
+    both steps and the disagreement.  The piece's evaluations and the
+    largest accepted disagreement go to counts["<piece>_evals"] and
+    counts["<piece>_gap"].
+    """
+    piece = "threshold" if keep == "below" else "bulk"
+    coarse = trapezoid(lo, hi, n, keep)
+    fine = 0.5 * (coarse + trapezoid(lo, hi, n, keep, midpoints=True))
+    evals, n = 2 * n + 1, 2 * n
+    while not (gap := float(np.max(np.abs(fine - coarse)))) <= _BRUTE_NESTED_TOL:
+        if 2 * n + 1 > _MAX_BRUTE_POINTS:
+            h = (hi - lo) / n
+            raise ResourceLimitError(
+                f"brute-force oracle: grid of {2 * n + 1} points at t = {t:g} "
+                f"exceeds _MAX_BRUTE_POINTS = {_MAX_BRUTE_POINTS}: the {piece} sums at "
+                f"steps {2.0 * h:.3g} and {h:.3g} differ by {gap:.3g} > "
+                f"_BRUTE_NESTED_TOL = {_BRUTE_NESTED_TOL:g}")
+        coarse, fine = fine, 0.5 * (fine + trapezoid(lo, hi, n, keep, midpoints=True))
+        evals, n = evals + n, 2 * n
+    counts[f"{piece}_evals"] = counts.get(f"{piece}_evals", 0) + evals
+    counts[f"{piece}_gap"] = max(counts.get(f"{piece}_gap", 0.0), gap)
+    return fine
 
 
 def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
-    """Survival at `times` (all zero, or all positive) from one pass.
+    """Survival at `times` (all zero, or all positive) from one pool of workers.
 
-    The threshold piece is the Richardson combination of its nested sums
-    of psi omega on [0, b], at coarsest step _BRUTE_THRESHOLD_STEP.  The
-    bulk sums (1 - psi) omega from a to the snapped e_out at steps h and
-    h/2, h = min(_BRUTE_BULK_STEP, pi/(_BRUTE_BULK_STEPS_PER_PI t)) for
-    the largest time t, adds the finer grid's midpoints while the two
-    differ by more than _BRUTE_NESTED_TOL, and returns the finer sum.
+    The threshold piece runs over s in [_BRUTE_S_START, 0] from step
+    min(_BRUTE_S_STEP, pi/(_BRUTE_STEPS_PER_PI t)), for the largest time
+    t, and the bulk from a to the snapped e_out from step
+    min(_BRUTE_BULK_STEP, pi/(_BRUTE_STEPS_PER_PI t)); `_refined_sum`
+    refines each.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: not at load
+
     t = float(times.max())
     r_a = density.pot.r_a
     k_req = math.sqrt(max(_BRUTE_E_MAX, 2500.0) if t == 0.0 else _BRUTE_E_MAX)
@@ -397,82 +393,59 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
         k_out = math.ceil(r_a * k_req / math.pi) * math.pi / r_a
     e_out = k_out * k_out
 
-    a, b = _BRUTE_JUNCTION
-    exponents = _threshold_error_exponents(density.pot.beta + 0.5)
-    levels = len(exponents) + 1  # the finest has 2^(levels - 1) panels per coarsest one
-    n_thr = 2 ** (levels - 1) * math.ceil(b / _BRUTE_THRESHOLD_STEP)
-    h_bulk = min(_BRUTE_BULK_STEP, math.pi / (_BRUTE_BULK_STEPS_PER_PI * t) if t else math.inf)
-    n_bulk = 2 * math.ceil((e_out - a) / h_bulk)   # the finer level's panels
-    n_points = max(n_thr, n_bulk) + 1
+    per_t = math.pi / (_BRUTE_STEPS_PER_PI * t) if t else math.inf
+    pieces = [(keep, lo, hi, math.ceil((hi - lo) / min(cap, per_t)))
+              for keep, lo, hi, cap in (("below", _BRUTE_S_START, 0.0, _BRUTE_S_STEP),
+                                        ("above", _BRUTE_JUNCTION[0], e_out, _BRUTE_BULK_STEP))]
+    n_points = 2 * max(n for *_, n in pieces) + 1
     if n_points > _MAX_BRUTE_POINTS:
         raise ResourceLimitError(
             f"brute-force oracle: grid of {n_points} points at t = {t:g} "
             f"exceeds _MAX_BRUTE_POINTS = {_MAX_BRUTE_POINTS}")
-
-    sums = _nested_trapezoid(density, times, 0.0, b, n_thr, levels, counts, keep="below")
-    counts["threshold_evals"] = counts.get("threshold_evals", 0) + n_thr  # all but E = 0
-    # the two finest estimates: every level, and all but the coarsest
-    amp = _richardson_weights(exponents) @ sums
-    gap = float(np.max(np.abs(amp - _richardson_weights(exponents[:-1]) @ sums[:-1])))
-    counts["threshold_gap"] = max(counts.get("threshold_gap", 0.0), gap)
-    if not gap <= _BRUTE_NESTED_TOL:
-        raise ToleranceError(
-            f"brute-force oracle: threshold Richardson estimates at t = {t:g} "
-            f"differ by {gap:.3g} > _BRUTE_NESTED_TOL = {_BRUTE_NESTED_TOL:g}")
-    fine, coarse = _nested_trapezoid(density, times, a, e_out, n_bulk, 2, counts, keep="above")
-    counts["bulk_evals"] = counts.get("bulk_evals", 0) + n_bulk + 1
-    while not (gap := float(np.max(np.abs(fine - coarse)))) <= _BRUTE_NESTED_TOL:
-        if 2 * n_bulk + 1 > _MAX_BRUTE_POINTS:
-            h = (e_out - a) / n_bulk
-            raise ResourceLimitError(
-                f"brute-force oracle: grid of {2 * n_bulk + 1} points at t = {t:g} "
-                f"exceeds _MAX_BRUTE_POINTS = {_MAX_BRUTE_POINTS}: the bulk sums at "
-                f"steps {2.0 * h:.3g} and {h:.3g} differ by {gap:.3g} > "
-                f"_BRUTE_NESTED_TOL = {_BRUTE_NESTED_TOL:g}")
-        (mid,) = _nested_trapezoid(density, times, a, e_out, n_bulk, 1, counts,
-                                   keep="above", midpoints=True)
-        counts["bulk_evals"] += n_bulk
-        coarse, fine = fine, 0.5 * (fine + mid)
-        n_bulk *= 2
-    counts["bulk_gap"] = max(counts.get("bulk_gap", 0.0), gap)
-    amp += fine
+    with ThreadPoolExecutor(_BRUTE_WORKERS) as pool:
+        trapezoid = _trapezoid_sums(density, times, counts, pool)
+        amp = sum(_refined_sum(trapezoid, lo, hi, n, keep, t, counts)
+                  for keep, lo, hi, n in pieces)
     if t == 0.0:
         amp += _envelope_tail(density.init.k_a, density.pot.r_a, e_out)
     return np.abs(amp) ** 2
 
 
 def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
-    """Survival probability by trapezoid sums with Richardson extrapolation.
+    """Survival probability by trapezoid sums refined until they agree.
 
-    Deliberately independent of the panel integrator: plain uniform
-    trapezoid sums in two pieces, split by psi, a C-infinity step from 1
-    below E = 0.5 to 0 above E = 1 (`_BRUTE_JUNCTION`).  The threshold
-    piece psi omega rises with a fractional power at E = 0, so coarsened
-    companions remove its slowest error powers with exponent-matched
-    weights.  The bulk (1 - psi) omega vanishes to all orders at E = 0.5,
-    so its sums converge geometrically once the step resolves e^{-iEt}
-    and the taper: at first min(8e-3, pi/(4 t)), halved for the sum
-    returned, then halved again by adding midpoints while the two sums
-    disagree.  The upper end is snapped, at or past _BRUTE_E_MAX, to a
-    zero of the density's high-energy oscillation (a double zero for
-    t > 0, making the remainder's boundary terms vanish; for t = 0 a
-    point where the envelope estimate of the remaining mass is most
-    accurate, and at least 2500 so that estimate is small to begin
-    with).  Rather than return an aliased sum it raises: ToleranceError
-    where the threshold piece's two finest estimates differ by more than
-    _BRUTE_NESTED_TOL, ResourceLimitError (naming the disagreement)
-    where the bulk's would need more than _MAX_BRUTE_POINTS points to
-    agree that well.
+    Deliberately independent of the panel integrator: plain trapezoid
+    sums in two pieces, split by psi, a C-infinity step from 1 below
+    E = 0.5 to 0 above E = 1 (`_BRUTE_JUNCTION`).  The threshold piece
+    psi omega rises like E^nu at E = 0, so it is summed in s with
+    E = exp(1 + s - e^{-s}), s in [-4, 0]: a double-exponential map,
+    under which the sum converges geometrically whatever nu is and
+    leaves out only the mass below E(-4) = 9.7e-26 (2.4e-27 at
+    beta = -0.499 in the reference geometry).  The bulk
+    (1 - psi) omega vanishes to all orders at E = 0.5, so its sums in E
+    converge geometrically once the step resolves e^{-iEt} and the
+    taper.  Both pieces follow one rule (`_refined_sum`): sums at a
+    step h, at first min(cap, pi/(4 t)) (the cap 0.1 in s, 8e-3 in E),
+    and at h/2, then the finer grid's midpoints only while the two
+    disagree by more than _BRUTE_NESTED_TOL.  The upper end is snapped,
+    at or past _BRUTE_E_MAX, to a zero of the density's high-energy
+    oscillation (a double zero for t > 0, making the remainder's
+    boundary terms vanish; for t = 0 a point where the envelope estimate
+    of the remaining mass is most accurate, and at least 2500 so that
+    estimate is small to begin with).  Rather than return an aliased
+    sum it raises ResourceLimitError, naming the piece and the
+    disagreement, where a piece would need more than _MAX_BRUTE_POINTS
+    points to agree that well.
 
     `t` is a scalar (returns a float) or an array (returns an array of
-    its shape).  All positive times share one density pass on the grid
-    the largest of them needs; t = 0 has its own grid.  If `counts` is
+    its shape).  All positive times share the density evaluations on the
+    grids the largest of them needs; t = 0 has its own.  If `counts` is
     given, the density evaluations of the threshold and bulk pieces, the
     density calls and the seconds inside them are added to its
     "threshold_evals", "bulk_evals", "density_calls" and "density_s"
     entries, "work_bytes" holds the most bytes the workers' blocks took
-    in one pass, and "threshold_gap" and "bulk_gap" the largest
-    disagreement of each piece's nested estimates that was accepted.
+    for one grid, and "threshold_gap" and "bulk_gap" the largest
+    disagreement of each piece's nested sums that was accepted.
     """
     times = np.asarray(t, dtype=float)
     flat = times.ravel()

@@ -277,9 +277,11 @@ def _table_from_levels(kept: list, r_a: float, e_max: float, n_evals: int) -> _P
     derivs = (mono @ _DERIV_HI[:_DERIV_TERMS].T) / half[:, None] ** np.arange(_DERIV_TERMS)
 
     # mass below the lowest edge from the local power law, with the
-    # density there from the first panel's interpolant at s = -1
-    w0, w1 = vals[0].mean(), vals[1].mean()
-    local_p = math.log(w1 / w0) / math.log(mid[1] / mid[0])
+    # density there from the first panel's interpolant at s = -1; NaN
+    # where the density underflowed to 0 there
+    w0, w1 = float(vals[0].mean()), float(vals[1].mean())
+    local_p = (math.log(w1 / w0) / math.log(mid[1] / mid[0]) if w0 > 0.0 and w1 > 0.0
+               else math.nan)
     cut = mid[0] - half[0]
     sub_mass = float(mono[0] @ (-1.0) ** np.arange(16)) * cut / (local_p + 1.0)
 
@@ -520,7 +522,9 @@ def survival_exact(density: SpectralDensity, times, *,
             f"amplitude stage: error estimate {worst:.3e} at t = {t_arr[i_bad]:g} exceeds "
             f"abs_tol = {abs_tol:.3e}; largest part {names[int(np.argmax(parts[i_bad]))]} ("
             + ", ".join(f"{key} {val:.3e}" for key, val in error_parts.items())
-            + (f"); e_max is capped at {e_max:g}: raise the smallest time or abs_tol, "
+            + ("); the estimate is not finite: the density underflowed on the panel "
+               "table, which no e_max or abs_tol mends" if not math.isfinite(worst)
+               else f"); e_max is capped at {e_max:g}: raise the smallest time or abs_tol, "
                "or pass survival_exact a larger e_max" if capped
                else "); increase e_max or abs_tol"))
 

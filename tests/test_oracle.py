@@ -6,20 +6,21 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import tailsurv.oracle
 from tailsurv import specfun
-from tailsurv.errors import DomainError, ResourceLimitError, ToleranceError
+from tailsurv.errors import DomainError, ResourceLimitError
 from tailsurv.model import regular_boundary_sq
 from tailsurv.oracle import (OracleCheck, ode_oracle_boundary_many,
                              oracle_match_coefficients,
                              oracle_survival_bruteforce, rk4_radial,
                              run_verification)
-from tailsurv.oracle import (_match_boundary, _nested_trapezoid, _richardson_weights,
-                             _rk4_grid, _rk4_steps, _taper, _threshold_error_exponents)
+from tailsurv.oracle import (_match_boundary, _rk4_grid, _rk4_steps, _taper,
+                             _trapezoid_sums)
 from tailsurv.spectral import _work_block
 from tailsurv.survival import survival_exact
 
@@ -181,23 +182,30 @@ def _bulk_resonance_density():
 
 def test_bulk_step_halves_until_its_nested_sums_agree(monkeypatch):
     den = _bulk_resonance_density()
-    omega, nested, passes = den.omega, tailsurv.oracle._nested_trapezoid, []
+    omega, sums, passes = den.omega, tailsurv.oracle._trapezoid_sums, []
 
     def recording_omega(e, *, work=None):
-        passes[-1].append(e.copy())
+        passes[-1][1].append(e.copy())
         return omega(e, work=work)
 
-    def one_pass(*args, **kwargs):
-        passes.append([])
-        return nested(*args, **kwargs)
+    def recording_sums(*args):
+        trapezoid = sums(*args)
+
+        def one_pass(lo, hi, n, keep, midpoints=False):
+            passes.append((keep, []))
+            return trapezoid(lo, hi, n, keep, midpoints)
+        return one_pass
 
     monkeypatch.setattr(den, "omega", recording_omega)
-    monkeypatch.setattr(tailsurv.oracle, "_nested_trapezoid", one_pass)
+    monkeypatch.setattr(tailsurv.oracle, "_trapezoid_sums", recording_sums)
     counts = {}
     brute = oracle_survival_bruteforce(den, 60.0, counts=counts)
-    # the threshold pass, the bulk at steps 8e-3 and 4e-3, then three
-    # halvings: each evaluates only the midpoints of the grid before it
-    grid, *halvings = [np.sort(np.concatenate(p)) for p in passes[1:]]
+    # the threshold passes come first; then the bulk at step 8e-3 and its
+    # midpoints, then three halvings: each evaluates only the midpoints of
+    # the grid before it
+    bulk = [np.sort(np.concatenate(e)) for keep, e in passes if keep == "above"]
+    assert [keep for keep, _ in passes[-len(bulk):]] == ["above"] * len(bulk)
+    grid, *halvings = [np.sort(np.concatenate(bulk[:2]))] + bulk[2:]
     assert len(halvings) == 3
     for new in halvings:
         assert np.allclose(new, 0.5 * (grid[1:] + grid[:-1]), rtol=1.0e-15, atol=0.0)
@@ -217,17 +225,21 @@ def test_bulk_refinement_cap_names_the_disagreement(monkeypatch):
         oracle_survival_bruteforce(_bulk_resonance_density(), 60.0)
 
 
-def test_brute_force_refuses_an_aliased_threshold():
-    # a resonance below E = 1 too narrow for the threshold steps: without
-    # the agreement check the brute force returned P = 1.4457 at t = 5,
-    # where exact gives 0.9572 with a stated error of 1.1e-11
+def test_brute_force_refuses_an_aliased_threshold(monkeypatch):
+    # a resonance below E = 1 far narrower than the threshold's first steps:
+    # an unchecked sum returned P = 1.4457 at t = 5, where exact gives 0.9572
+    # with a stated error of 1.1e-11.  The threshold sums agree from
+    # 10.5 M points on (then within 5.3e-12 of exact); under a cap of 1 M
+    # the oracle refuses and names the piece, its steps in s and the gap
     den = make_density(0.3, vb=5.0, r_d=5.5)
     exact = survival_exact(den, [5.0])
     assert abs(exact.probability[0] - 0.95716) <= 1.0e-5
     assert exact.meta["max_error_estimate"] <= 1.0e-10
-    with pytest.raises(ToleranceError, match=(
-            r"^brute-force oracle: threshold Richardson estimates at t = 5 differ "
-            r"by 0\.0552 > _BRUTE_NESTED_TOL = 5e-09$")):
+    monkeypatch.setattr(tailsurv.oracle, "_MAX_BRUTE_POINTS", 1_000_000)
+    with pytest.raises(ResourceLimitError, match=(
+            r"^brute-force oracle: grid of 1310721 points at t = 5 exceeds "
+            r"_MAX_BRUTE_POINTS = 1000000: the threshold sums at steps 1\.22e-05 "
+            r"and 6\.1e-06 differ by 0\.085 > _BRUTE_NESTED_TOL = 5e-09$")):
         oracle_survival_bruteforce(den, 5.0)
 
 
@@ -235,11 +247,12 @@ def test_brute_force_refuses_an_aliased_threshold():
                                 dict(beta=0.7629, v0=0.753, vb=2.418, r_a=2.868, r_d=4.33)],
                          ids=["beta-0.2", "beta0.3", "beta1.0", "narrow-resonance"])
 def test_bulk_step_pi_over_4t_matches_the_64_per_pi_rule(monkeypatch, kw):
-    # the bulk step of pi/(64 t) and its half, the rule the unsmoothed split
-    # at E = 1 needed, against pi/(4 t) and its half; the positive times share the
-    # t = 1000 grid, and t = 0 (bulk step 8e-3 under both rules) is only
-    # checked for its nested sums.  e_max = 100 keeps the fine rule's grid at
-    # 4 M points; at 400 the largest difference is 8.1e-14
+    # the steps of pi/(64 t) and their halves, the bulk rule the unsmoothed
+    # split at E = 1 needed, against pi/(4 t) and their halves, in both pieces;
+    # the positive times share the t = 1000 grid, and t = 0 (steps 0.1 and
+    # 8e-3 under both rules) is only checked for its nested sums.  e_max =
+    # 100 keeps the fine rule's grid at 4 M points; at 400 the largest
+    # difference is 3.8e-15
     den = make_density(**kw)
     monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 100.0)
     times = np.array([0.0, 1.0, 5.0, 60.0, 200.0, 1000.0])
@@ -248,19 +261,9 @@ def test_bulk_step_pi_over_4t_matches_the_64_per_pi_rule(monkeypatch, kw):
     # one pass each: the nested sums agree far inside the tolerance (their
     # gap is the end point's h^4 term at e_out ~ 100, <= 7.1e-15 at ~400)
     assert counts["bulk_gap"] <= 1.0e-12
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_BULK_STEPS_PER_PI", 64.0)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_STEPS_PER_PI", 64.0)
     fine = oracle_survival_bruteforce(den, times[1:])
     assert np.max(np.abs(coarse[1:] - fine)) <= 1.0e-13
-
-
-def test_small_nu_threshold_keeps_its_fractional_rungs():
-    # at nu <= 0.15 the rungs 1 + 2 nu and 1 + 3 nu are removed, not merged
-    # into 1 + nu, with one more level; the weights stay modest
-    for nu in (1.0e-6, 0.01, 0.05, 0.15):
-        exponents = _threshold_error_exponents(nu)
-        assert exponents == (1.0 + nu, 1.0 + 2.0 * nu, 1.0 + 3.0 * nu, 2.0)
-        assert np.sum(np.abs(_richardson_weights(exponents))) < 45.0
-    assert len(_threshold_error_exponents(0.16)) == 3
 
 
 def test_small_nu_brute_force_holds_1e_8():
@@ -270,6 +273,17 @@ def test_small_nu_brute_force_holds_1e_8():
     report = run_verification(make_density(-0.45), (5.0, 10.0))
     assert report.all_passed, list(report.lines())
     assert report.meta["threshold_gap"] <= tailsurv.oracle._BRUTE_NESTED_TOL
+
+
+@pytest.mark.parametrize("beta", [-0.45, -0.499])
+def test_brute_force_at_small_nu_matches_exact_within_1e_11(beta):
+    # nu = 0.05 and 0.001: the mapped threshold sum converges whatever the
+    # power of the rise at E = 0; the fractional Richardson scheme it
+    # replaced was off by 1.45e-10 and 9.1e-10 here
+    den = make_density(beta)
+    times = np.array([10.0, 60.0])
+    exact = survival_exact(den, times).probability
+    assert np.max(np.abs(oracle_survival_bruteforce(den, times) - exact)) <= 1.0e-11
 
 
 def test_taper_is_a_smooth_partition_of_unity():
@@ -300,42 +314,66 @@ def test_taper_allocates_no_chunk_sized_array():
     assert peak < 4096
 
 
+def _one_sum(den, times, lo, hi, n, keep, midpoints=False, counts=None):
+    """One trapezoid (or midpoint) sum on a fresh pool of two workers."""
+    with ThreadPoolExecutor(2) as pool:
+        trapezoid = _trapezoid_sums(den, np.asarray(times, dtype=float),
+                                    {} if counts is None else counts, pool)
+        return trapezoid(lo, hi, n, keep, midpoints)
+
+
+# each piece's grid: the threshold's in s, the bulk's on a stretch of E across the taper
+PIECES = {"below": (-4.0, 0.0), "above": (0.5, 1.75)}
+
+
 @pytest.mark.parametrize("keep", ["below", "above"])
 def test_tapered_nested_sums_match_whole_grid_sums(monkeypatch, keep):
+    # one sum of each piece against numpy's trapezoid on the whole grid: the
+    # threshold's is uniform in s, at E = exp(1 + s - e^{-s}) with weight
+    # dE/ds.  Chunks of 2000 // max(2, len(times)) points: 4096 panels
+    # leave a partial last chunk
     den = make_density(0.3)
     monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 1000)
-    times, n_fine, lo, hi = [1.0, 30.0], 4096, 0.0, 1.25
-    got = _nested_trapezoid(den, times, lo, hi, n_fine, 3, {}, keep=keep)
-    e = np.linspace(lo, hi, n_fine + 1)
-    vals = np.zeros(e.size)
-    vals[1:] = den.omega(e[1:])
+    (lo, hi), n = PIECES[keep], 4096
+    x = np.linspace(lo, hi, n + 1)
+    if keep == "below":
+        e = np.exp(1.0 + x - np.exp(-x))
+        vals = den.omega(e) * e * (1.0 + np.exp(-x))
+    else:
+        e = x
+        vals = den.omega(e)
     _taper(e, vals, np.empty((2, e.size)), keep)
-    g = vals * np.exp(-1j * np.outer(times, e))
-    for lev in range(3):
-        sub = g[:, ::2 ** lev]
-        ref = (hi - lo) / n_fine * 2 ** lev * (sub.sum(axis=1) - 0.5 * (sub[:, 0] + sub[:, -1]))
-        assert np.max(np.abs(got[lev] - ref)) <= 1.0e-14 * np.max(np.abs(ref))
+    for times in ([30.0], [1.0, 7.0, 30.0]):
+        counts = {}
+        got = _one_sum(den, times, lo, hi, n, keep, counts=counts)
+        ref = np.trapezoid(vals * np.exp(-1j * np.outer(times, e)), x, axis=1)
+        assert np.max(np.abs(got - ref)) <= 1.0e-14 * np.max(np.abs(ref))
+        chunk = 2000 // max(2, len(times))
+        assert n % chunk and counts["density_calls"] == -(-n // chunk)
+        assert counts["density_s"] > 0.0
 
 
 @pytest.mark.parametrize("times", [[30.0], [1.0, 7.0, 30.0]])
 def test_midpoint_sum_halves_the_trapezoid_step(monkeypatch, times):
-    # (T(h) + M(h)) / 2 is T(h/2), across the taper and with a partial last
-    # chunk (1000 or 666 points against 2048)
+    # (T(h) + M(h)) / 2 is T(h/2) in both pieces, across the taper and with
+    # a partial last chunk (1000 or 666 points against 2048)
     den = make_density(0.3)
     monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 1000)
-    lo, hi, n = 0.5, 1.75, 2048
-    (coarse,) = _nested_trapezoid(den, times, lo, hi, n, 1, {}, keep="above")
-    (mid,) = _nested_trapezoid(den, times, lo, hi, n, 1, {}, keep="above", midpoints=True)
-    (fine,) = _nested_trapezoid(den, times, lo, hi, 2 * n, 1, {}, keep="above")
-    assert np.max(np.abs(0.5 * (coarse + mid) - fine)) <= 1.0e-14 * np.max(np.abs(fine))
+    n = 2048
+    for keep, (lo, hi) in PIECES.items():
+        coarse = _one_sum(den, times, lo, hi, n, keep)
+        mid = _one_sum(den, times, lo, hi, n, keep, midpoints=True)
+        fine = _one_sum(den, times, lo, hi, 2 * n, keep)
+        assert np.max(np.abs(0.5 * (coarse + mid) - fine)) <= 1.0e-14 * np.max(np.abs(fine))
 
 
 def test_verification_at_verify_times_stays_under_a_million_evaluations(density_for):
-    # 200 000 threshold and 223 149 bulk points, where the 64-per-pi rule
-    # took 3.77 M
+    # 2 039 threshold and 223 149 bulk points, where the fractional
+    # Richardson threshold took 200 000 and the 64-per-pi rule 3.77 M
     report = run_verification(density_for(0.3), (60.0, 200.0))
     assert report.all_passed
-    assert report.meta["threshold_evals"] + report.meta["bulk_evals"] < 450_000
+    assert report.meta["threshold_evals"] <= 2_100
+    assert report.meta["threshold_evals"] + report.meta["bulk_evals"] < 240_000
 
 
 @pytest.mark.parametrize("beta", REFERENCE_BETAS)
@@ -351,31 +389,6 @@ def test_batched_times_match_one_call_per_time(density_for, monkeypatch, beta):
         single = oracle_survival_bruteforce(den, t)
         assert isinstance(single, float)
         assert abs(p - single) <= 1.0e-12
-
-
-@pytest.mark.parametrize("lo", [0.0, 1.0])
-@pytest.mark.parametrize("times", [[30.0], [1.0, 7.0, 30.0]])
-@pytest.mark.parametrize("n_levels", [2, 4])
-def test_nested_trapezoid_matches_whole_grid_sums(monkeypatch, lo, times, n_levels):
-    # chunks of 2000 // max(2, len(times)) points, rounded down to the
-    # coarsest stride: 4096 panels leave a partial last chunk
-    den = make_density(0.3)
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 1000)
-    counts = {}
-    n_fine, hi = 4096, lo + 1.0
-    got = _nested_trapezoid(den, times, lo, hi, n_fine, n_levels, counts)
-    e = np.linspace(lo, hi, n_fine + 1)
-    vals = np.zeros(e.size)
-    vals[e > 0.0] = den.omega(e[e > 0.0])
-    g = vals * np.exp(-1j * np.outer(times, e))
-    for lev in range(n_levels):
-        stride = 2 ** lev
-        sub = g[:, ::stride]
-        ref = (hi - lo) / n_fine * stride * (sub.sum(axis=1) - 0.5 * (sub[:, 0] + sub[:, -1]))
-        assert np.max(np.abs(got[lev] - ref)) <= 1.0e-14 * np.max(np.abs(ref))
-    chunk = 2000 // max(2, len(times)) // 2 ** (n_levels - 1) * 2 ** (n_levels - 1)
-    assert n_fine % chunk and counts["density_calls"] == -(-n_fine // chunk)
-    assert counts["density_s"] > 0.0
 
 
 def test_brute_force_does_not_depend_on_chunk_length(density_for, monkeypatch):
@@ -422,33 +435,39 @@ def test_brute_force_is_bit_identical_for_any_worker_count(monkeypatch, t):
 
 
 def test_density_error_in_a_chunk_reaches_the_caller(monkeypatch):
+    # at t = 1 the bulk's first sum (54 770 points) streams in 14 chunks of 4096
     den = make_density(0.3)
     calls, omega = itertools.count(), den.omega
 
     def failing(e, *, work=None):
-        if next(calls) == 2:
-            raise DomainError("third chunk")
+        if e[0] >= 0.5 and next(calls) == 2:
+            raise DomainError("third bulk chunk")
         return omega(e, work=work)
 
     monkeypatch.setattr(den, "omega", failing)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 4096)
     threads = threading.active_count()
-    with pytest.raises(DomainError, match="third chunk"):
+    with pytest.raises(DomainError, match="third bulk chunk"):
         oracle_survival_bruteforce(den, 1.0)
     assert threading.active_count() == threads
-    # the seven chunks of the threshold piece are not all evaluated
-    assert next(calls) < 7
+    # the 14 chunks of the bulk's first sum are not all evaluated
+    assert next(calls) < 14
 
 
 def test_chunks_started_after_an_error_skip_the_density(monkeypatch):
-    # the first chunk holds its worker for 0.2 s, so the other worker runs
-    # the second, the failing third and then reaches the later chunks before
+    # the first chunk of the bulk's first sum (seven chunks of 8192 points
+    # at t = 1) holds its worker for 0.2 s, so the other worker runs the
+    # second, the failing third and then reaches the later chunks before
     # the caller sees the error: those skip their density call
     den = make_density(0.3)
     omega, chunks = den.omega, []
-    step = 32768 * 5.0e-6  # threshold chunk length for one time
+    step = 8192 * 8.0e-3  # bulk chunk length for one time
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 8192)
 
     def slow_first_third_fails(e, *, work=None):
-        k = round(e[0] / step)
+        if e[0] < 0.5:  # the threshold piece's
+            return omega(e, work=work)
+        k = round((e[0] - 0.5) / step)
         chunks.append(k)
         if k == 0:
             time.sleep(0.2)
