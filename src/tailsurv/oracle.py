@@ -13,10 +13,11 @@ production modules through a deliberately different numerical scheme:
   a double-exponential map that makes its sums converge geometrically
   through the E^nu rise at E = 0, and the bulk, smooth at both ends of
   the junction, on a uniform grid in E.  Both follow one rule: sums at
-  a step h and h/2, at first min(0.1 in s or 8e-3 in E, pi/(4t)), then
-  the finer grid's midpoints only until the two agree.  The sums run
-  in chunks on two threads, each evaluating the density into one work
-  block that it allocates once.
+  a step h and h/2, at first min(0.1, pi/(4t)) in s or min(8e-3,
+  pi/(2t)) in E, 4 samples per period of e^{-iEt} where the grid is
+  sparsest in E, then the finer grid's midpoints only until the two
+  agree.  The sums run in chunks on two threads, each evaluating the
+  density into one work block that it allocates once.
 
 None of the production results are reused internally beyond the shared
 special-function evaluations that define the problem itself.
@@ -32,11 +33,11 @@ from time import perf_counter
 
 import numpy as np
 
+from . import survival
 from .errors import DomainError, ResourceLimitError
 from .model import _sincos, regular_boundary_sq
 from .specfun import BesselOrder, riccati_pair_with_derivatives
 from .spectral import _work_block
-from .survival import _envelope_tail, survival_exact
 
 try:
     from resource import RUSAGE_SELF, getrusage
@@ -67,26 +68,34 @@ _MATCH_STEP = 1.0e-4
 _NODE_R_MAX = 10.0
 
 
-def _rk4_grid(breakpoints, step: float):
-    """Width and sample radii of every RK4 step from r = 0.
+def _segments(breakpoints, step: float):
+    """(r, r_end, n, width) of each segment from r = 0: n RK4 steps of `width`.
 
     `breakpoints` lists radii of potential discontinuities plus the end
     radius, in increasing order; steps are aligned to each segment so
-    the fourth-order accuracy survives the jumps.  Returns (h, radii):
-    radii has shape (3, n_steps), each step's start, midpoint and end.
+    the fourth-order accuracy survives the jumps.
     """
-    h, radii = [], []
     r = 0.0
     for r_end in breakpoints:
-        n = max(1, int(math.ceil((r_end - r) / step)))
-        width = (r_end - r) / n
+        n = max(1, math.ceil((r_end - r) / step))
+        yield r, r_end, n, (r_end - r) / n
+        r = r_end
+
+
+def _rk4_grid(breakpoints, step: float):
+    """Width and sample radii of every RK4 step of `_segments`.
+
+    Returns (h, radii): radii has shape (3, n_steps), each step's start,
+    midpoint and end.
+    """
+    h, radii = [], []
+    for r, r_end, n, width in _segments(breakpoints, step):
         r0 = r + np.arange(n) * width
         # keep sample points strictly inside the segment so boundary
         # steps see the correct side of each discontinuity
         radii.append(np.clip(np.stack((r0, r0 + 0.5 * width, r0 + width)),
                              r + 1e-12, r_end - 1e-12))
         h.append(np.full(n, width))
-        r = r_end
     return np.concatenate(h), np.concatenate(radii, axis=1)
 
 
@@ -131,10 +140,8 @@ def rk4_radial(v_func, k_sq, breakpoints, step: float):
     builds: binary powering raises it to the step count, and segments
     compose, later on the left, by `_compose`.
     """
-    total, r = np.zeros((4,) + np.shape(k_sq)), 0.0  # D = 0: the identity
-    for r_end in breakpoints:
-        n = max(1, int(math.ceil((r_end - r) / step)))
-        width = (r_end - r) / n
+    total = np.zeros((4,) + np.shape(k_sq))  # D = 0: the identity
+    for r, r_end, n, width in _segments(breakpoints, step):
         v_first, v_last = v_func(np.array([r + 1e-12, r_end - 1e-12]))
         if v_first != v_last:
             raise DomainError(f"rk4_radial needs v constant on ({r:g}, {r_end:g})")
@@ -146,7 +153,6 @@ def rk4_radial(v_func, k_sq, breakpoints, step: float):
             n >>= 1
             if n:
                 power = _compose(power, power)
-        r = r_end
     return total[1], 1.0 + total[3]
 
 
@@ -191,15 +197,22 @@ def oracle_match_coefficients(pot, k: float):
     if k <= 0.0:
         raise DomainError(f"matching requires k > 0, got {k:g}")
     u, du = ode_oracle_boundary_many(pot, [k])
-    return _match_boundary(pot, k, float(u[0]), float(du[0]))
-
-
-def _match_boundary(pot, k: float, u: float, du: float):
-    """(a, b) with a j_hat + b n_hat matching (u, u') at r_d."""
-    j, jp, n, np_ = riccati_pair_with_derivatives(BesselOrder(pot.beta), k * pot.r_d)
-    mat = np.array([[j, n], [k * jp, k * np_]], dtype=float)
-    a, b = np.linalg.solve(mat, np.array([u, du], dtype=float))
+    a, b = _match_boundary(pot, k, float(u[0]), float(du[0]))
     return float(a), float(b)
+
+
+def _match_boundary(pot, k, u, du):
+    """(a, b) with a j_hat + b n_hat matching (u, u') at r_d.
+
+    k, u and du are scalars or arrays of one shape: one Riccati call and
+    one stacked 2x2 solve serve every momentum.
+    """
+    k = np.asarray(k, dtype=float)
+    j, jp, n, np_ = riccati_pair_with_derivatives(BesselOrder(pot.beta), k * pot.r_d)
+    mat = np.stack((np.stack((j, n), axis=-1), np.stack((k * jp, k * np_), axis=-1)), axis=-2)
+    rhs = np.stack((u, du), axis=-1)[..., None]
+    a, b = np.moveaxis(np.linalg.solve(mat, rhs)[..., 0], -1, 0)
+    return a, b
 
 
 # The threshold piece sums psi omega on (0, b], the bulk (1 - psi) omega
@@ -213,15 +226,20 @@ _BRUTE_JUNCTION = (0.5, 1.0)
 # The mass left out below E(-4), omega(E) E / (nu + 1) there, is 2.4e-27
 # at beta = -0.499 in the reference geometry.
 _BRUTE_S_START = -4.0
-# Each piece's step starts at min(cap, pi/(_BRUTE_STEPS_PER_PI t)), the cap
-# _BRUTE_S_STEP in s or _BRUTE_BULK_STEP in E.  The bulk's is under 1/60 of
-# the taper's width of 0.5, (1 - psi) omega's sharpest smooth feature, and
-# 8 samples per period of e^{-iEt}; the phase advances by at most 2t per
-# unit s.  A narrower resonance halves the step: from 8e-3 one ~1e-3 wide
-# stops at 5e-4, from 1e-2 at 3.1e-4.
+# Each piece's step starts at min(cap, pi/(_BRUTE_STEPS_PER_PI J t)): the
+# cap is _BRUTE_S_STEP in s or _BRUTE_BULK_STEP in E, and J bounds dE/dx on
+# the piece's grid, 1 for the bulk (uniform in E) and _BRUTE_S_JACOBIAN for
+# the threshold, whose dE/ds = E (1 + e^{-s}) rises to 2 at s = 0.  So
+# e^{-iEt} takes 4 samples per period where each grid is sparsest in E;
+# from there the sums converge geometrically, and at t = (60, 200) the first
+# bulk sums agree within 4.2e-13.  The bulk's cap is under 1/60 of the
+# taper's width of 0.5, (1 - psi) omega's sharpest smooth feature.  A
+# narrower resonance halves the step: from 8e-3 one ~1e-3 wide stops at
+# 5e-4, from 1e-2 at 3.1e-4.
 _BRUTE_S_STEP = 0.1
+_BRUTE_S_JACOBIAN = 2.0
 _BRUTE_BULK_STEP = 8.0e-3
-_BRUTE_STEPS_PER_PI = 4.0
+_BRUTE_STEPS_PER_PI = 2.0
 # Amplitude tolerance on each piece's sums at steps h and h/2: half the
 # 1e-8 at which `run_verification` compares P = |A|^2.
 _BRUTE_NESTED_TOL = 5.0e-9
@@ -375,11 +393,13 @@ def _refined_sum(trapezoid, lo: float, hi: float, n: int, keep: str, t: float,
 def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
     """Survival at `times` (all zero, or all positive) from one pool of workers.
 
-    The threshold piece runs over s in [_BRUTE_S_START, 0] from step
-    min(_BRUTE_S_STEP, pi/(_BRUTE_STEPS_PER_PI t)), for the largest time
-    t, and the bulk from a to the snapped e_out from step
-    min(_BRUTE_BULK_STEP, pi/(_BRUTE_STEPS_PER_PI t)); `_refined_sum`
-    refines each.
+    For the largest time t, the threshold piece runs over s in
+    [_BRUTE_S_START, 0] from step min(_BRUTE_S_STEP, pi/(4 t)), and the
+    bulk from a to the snapped e_out from step min(_BRUTE_BULK_STEP,
+    pi/(2 t)): each first step is pi/(_BRUTE_STEPS_PER_PI J t), with J
+    the largest dE/dx on the piece's grid (_BRUTE_S_JACOBIAN in s, 1 in
+    E), so e^{-iEt} takes 4 samples per period where the grid is
+    sparsest in E.  `_refined_sum` refines each.
     """
     from concurrent.futures import ThreadPoolExecutor  # imports logging: not at load
 
@@ -394,9 +414,10 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
     e_out = k_out * k_out
 
     per_t = math.pi / (_BRUTE_STEPS_PER_PI * t) if t else math.inf
-    pieces = [(keep, lo, hi, math.ceil((hi - lo) / min(cap, per_t)))
-              for keep, lo, hi, cap in (("below", _BRUTE_S_START, 0.0, _BRUTE_S_STEP),
-                                        ("above", _BRUTE_JUNCTION[0], e_out, _BRUTE_BULK_STEP))]
+    pieces = [(keep, lo, hi, math.ceil((hi - lo) / min(cap, per_t / jac)))
+              for keep, lo, hi, cap, jac in (
+                  ("below", _BRUTE_S_START, 0.0, _BRUTE_S_STEP, _BRUTE_S_JACOBIAN),
+                  ("above", _BRUTE_JUNCTION[0], e_out, _BRUTE_BULK_STEP, 1.0))]
     n_points = 2 * max(n for *_, n in pieces) + 1
     if n_points > _MAX_BRUTE_POINTS:
         raise ResourceLimitError(
@@ -407,7 +428,7 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
         amp = sum(_refined_sum(trapezoid, lo, hi, n, keep, t, counts)
                   for keep, lo, hi, n in pieces)
     if t == 0.0:
-        amp += _envelope_tail(density.init.k_a, density.pot.r_a, e_out)
+        amp += survival._envelope_tail(density.init.k_a, density.pot.r_a, e_out)
     return np.abs(amp) ** 2
 
 
@@ -425,7 +446,8 @@ def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     (1 - psi) omega vanishes to all orders at E = 0.5, so its sums in E
     converge geometrically once the step resolves e^{-iEt} and the
     taper.  Both pieces follow one rule (`_refined_sum`): sums at a
-    step h, at first min(cap, pi/(4 t)) (the cap 0.1 in s, 8e-3 in E),
+    step h, at first min(0.1, pi/(4 t)) in s and min(8e-3, pi/(2 t)) in
+    E, 4 samples per period of e^{-iEt} where the grid is sparsest in E,
     and at h/2, then the finer grid's midpoints only while the two
     disagree by more than _BRUTE_NESTED_TOL.  The upper end is snapped,
     at or past _BRUTE_E_MAX, to a zero of the density's high-energy
@@ -510,26 +532,25 @@ def run_verification(density, times=(100.0, 500.0)) -> OracleReport:
 
     t0 = perf_counter()
     ks = np.linspace(0.05, 3.0, 30)
-    match_ks = (0.5, 1.0, 2.5)  # integrated in the same RK4 pass as ks
+    match_ks = np.array([0.5, 1.0, 2.5])  # integrated in the same RK4 pass as ks
     u_ode, du_ode = ode_oracle_boundary_many(pot, np.r_[ks, match_ks])
-    meta["rk4_steps"] = _rk4_grid((pot.r_a, pot.r_d), _MATCH_STEP * pot.r_d)[0].size
+    meta["rk4_steps"] = sum(n for *_, n, _ in _segments((pot.r_a, pot.r_d),
+                                                         _MATCH_STEP * pot.r_d))
     u, du = regular_boundary_sq(pot, ks ** 2)
     scale = np.maximum(np.maximum(np.abs(u), np.abs(du)), 1e-30)
     rel = float(np.max(np.maximum(np.abs(u - u_ode[:ks.size]),
                                   np.abs(du - du_ode[:ks.size])) / scale))
     checks.append(OracleCheck("closed-form boundary vs integrated", rel, 1.0e-8))
 
-    worst = 0.0
-    for i, k in enumerate(match_ks, start=ks.size):
-        a, b = _match_boundary(pot, k, float(u_ode[i]), float(du_ode[i]))
-        direct = density.jost_modulus_sq(k)
-        solved = k * k * (a * a + b * b)
-        worst = max(worst, abs(direct - solved) / abs(direct))
+    a, b = _match_boundary(pot, match_ks, u_ode[ks.size:], du_ode[ks.size:])
+    direct = density.jost_modulus_sq(match_ks)
+    solved = match_ks * match_ks * (a * a + b * b)
+    worst = float(np.max(np.abs(direct - solved) / np.abs(direct)))
     checks.append(OracleCheck("Jost modulus vs linear solve", worst, 1.0e-8))
     t1 = perf_counter()
 
     times = np.asarray(times, dtype=float)
-    series = survival_exact(density, times)
+    series = survival.survival_exact(density, times)
     faults = getrusage(RUSAGE_SELF).ru_minflt if getrusage else None
     t2 = perf_counter()
     brute = oracle_survival_bruteforce(density, times, counts=meta)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tailsurv.oracle
+import tailsurv.survival
 from tailsurv import specfun
 from tailsurv.errors import DomainError, ResourceLimitError
 from tailsurv.model import regular_boundary_sq
@@ -25,6 +26,11 @@ from tailsurv.spectral import _work_block
 from tailsurv.survival import survival_exact
 
 from conftest import REFERENCE_BETAS, make_density, make_potential
+
+# the reference geometry at each of REFERENCE_BETAS, and the narrow-resonance well
+NARROW = dict(beta=0.7629, v0=0.753, vb=2.418, r_a=2.868, r_d=4.33)
+WELLS = [dict(beta=b) for b in REFERENCE_BETAS] + [NARROW]
+WELL_IDS = [f"beta{b}" for b in REFERENCE_BETAS] + ["narrow-resonance"]
 
 
 # ------------------------------------------------------------------ #
@@ -117,6 +123,22 @@ def test_matching_from_one_batched_pass_is_bit_identical():
             == oracle_match_coefficients(pot, k)
 
 
+@pytest.mark.parametrize("kw", WELLS, ids=WELL_IDS)
+def test_matching_on_an_array_agrees_with_one_momentum_at_a_time(kw):
+    # one Riccati call and one stacked solve for every momentum, as
+    # run_verification matches its three; the series may size its terms by
+    # the call's largest argument, so allow the last bits to move
+    pot = make_potential(**kw)
+    ks = np.array([0.05, 0.5, 1.0, 1.7, 2.5, 3.0])
+    u, du = ode_oracle_boundary_many(pot, ks)
+    a, b = _match_boundary(pot, ks, u, du)
+    assert a.shape == b.shape == ks.shape
+    for i, k in enumerate(ks):
+        sa, sb = _match_boundary(pot, k, float(u[i]), float(du[i]))
+        scale = math.hypot(sa, sb)
+        assert max(abs(a[i] - sa), abs(b[i] - sb)) <= 1.0e-14 * scale
+
+
 def test_free_matching_gives_unit_modulus():
     pot = make_potential(0.0, v0=0.0, vb=0.0)
     a, b = oracle_match_coefficients(pot, 1.3)
@@ -165,11 +187,11 @@ def test_brute_force_validation(density_for):
 
 
 def test_brute_force_grid_cap_names_stage_size_and_cap(density_for, monkeypatch):
-    # the bulk grid of t = 1000 (step pi/4000 and its half) up to
-    # e_max = 20 000 trips the cap before any density call
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 20000.0)
+    # the bulk grid of t = 1000 (step pi/2000 and its half) up to
+    # e_max = 40 000 trips the cap before any density call
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 40000.0)
     with pytest.raises(ResourceLimitError, match=(
-            r"^brute-force oracle: grid of 51649305 points at t = 1000 "
+            r"^brute-force oracle: grid of 50936451 points at t = 1000 "
             r"exceeds _MAX_BRUTE_POINTS = 40000000$")):
         oracle_survival_bruteforce(density_for(0.3), 1000.0)
 
@@ -243,27 +265,32 @@ def test_brute_force_refuses_an_aliased_threshold(monkeypatch):
         oracle_survival_bruteforce(den, 5.0)
 
 
-@pytest.mark.parametrize("kw", [dict(beta=-0.2), dict(beta=0.3), dict(beta=1.0),
-                                dict(beta=0.7629, v0=0.753, vb=2.418, r_a=2.868, r_d=4.33)],
+@pytest.mark.parametrize("e_max", [100.0, 200.0], ids=["e_max100", "e_max200"])
+@pytest.mark.parametrize("kw", [dict(beta=-0.2), dict(beta=0.3), dict(beta=1.0), NARROW],
                          ids=["beta-0.2", "beta0.3", "beta1.0", "narrow-resonance"])
-def test_bulk_step_pi_over_4t_matches_the_64_per_pi_rule(monkeypatch, kw):
-    # the steps of pi/(64 t) and their halves, the bulk rule the unsmoothed
-    # split at E = 1 needed, against pi/(4 t) and their halves, in both pieces;
-    # the positive times share the t = 1000 grid, and t = 0 (steps 0.1 and
-    # 8e-3 under both rules) is only checked for its nested sums.  e_max =
-    # 100 keeps the fine rule's grid at 4 M points; at 400 the largest
-    # difference is 3.8e-15
+def test_bulk_step_pi_over_2t_matches_a_16_times_finer_rule(monkeypatch, kw, e_max):
+    # first steps of pi/(2 t) in E and pi/(4 t) in s, 4 samples per period of
+    # e^{-iEt} where each grid is sparsest in E, and their halves, against a
+    # rule 16 times finer in both pieces; the positive times share the
+    # t = 1000 grid, and t = 0 (steps 0.1 and 8e-3 under both rules) is only
+    # checked for its nested sums.  e_max = 200 keeps the fine grid at 4.5 M
+    # points.  omega has only a double zero at e_out, so the end point's h^4
+    # term sets the nested gap: 1.5-2.7e-12 at e_max = 100, with differences
+    # from the fine rule up to 2.2e-13, and <= 4.2e-13 at 200
     den = make_density(**kw)
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 100.0)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", e_max)
     times = np.array([0.0, 1.0, 5.0, 60.0, 200.0, 1000.0])
     counts = {}
     coarse = oracle_survival_bruteforce(den, times, counts=counts)
-    # one pass each: the nested sums agree far inside the tolerance (their
-    # gap is the end point's h^4 term at e_out ~ 100, <= 7.1e-15 at ~400)
-    assert counts["bulk_gap"] <= 1.0e-12
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_STEPS_PER_PI", 64.0)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_STEPS_PER_PI",
+                        16.0 * tailsurv.oracle._BRUTE_STEPS_PER_PI)
     fine = oracle_survival_bruteforce(den, times[1:])
-    assert np.max(np.abs(coarse[1:] - fine)) <= 1.0e-13
+    diff = np.max(np.abs(coarse[1:] - fine))
+    assert diff <= counts["bulk_gap"]
+    if e_max == 200.0:
+        # one pass each: the nested sums agree far inside the tolerance
+        assert counts["bulk_gap"] <= 1.0e-12
+        assert diff <= 1.0e-13
 
 
 def test_small_nu_brute_force_holds_1e_8():
@@ -368,12 +395,30 @@ def test_midpoint_sum_halves_the_trapezoid_step(monkeypatch, times):
 
 
 def test_verification_at_verify_times_stays_under_a_million_evaluations(density_for):
-    # 2 039 threshold and 223 149 bulk points, where the fractional
-    # Richardson threshold took 200 000 and the 64-per-pi rule 3.77 M
+    # 2 039 threshold and 111 575 bulk points, where a bulk step of pi/(4t)
+    # took 223 149, the fractional Richardson threshold 200 000 and the
+    # 64-per-pi rule 3.77 M
     report = run_verification(density_for(0.3), (60.0, 200.0))
     assert report.all_passed
     assert report.meta["threshold_evals"] <= 2_100
-    assert report.meta["threshold_evals"] + report.meta["bulk_evals"] < 240_000
+    assert report.meta["threshold_evals"] + report.meta["bulk_evals"] < 120_000
+
+
+@pytest.mark.parametrize("kw, threshold_evals",
+                         list(zip(WELLS, [2039] * len(REFERENCE_BETAS) + [8153])), ids=WELL_IDS)
+def test_bulk_takes_one_pass_at_verify_times(kw, threshold_evals):
+    # at t = (60, 200) the bulk's first sums, at steps pi/400 and pi/800 in E
+    # up to the snapped e_out, agree within 1e-12, so no midpoints follow;
+    # the threshold keeps its steps of pi/800 in s and its evaluations
+    den = make_density(**kw)
+    counts = {}
+    oracle_survival_bruteforce(den, np.array([60.0, 200.0]), counts=counts)
+    r_a = den.pot.r_a
+    k_out = math.ceil(r_a * math.sqrt(tailsurv.oracle._BRUTE_E_MAX) / math.pi) * math.pi / r_a
+    n = math.ceil((k_out * k_out - 0.5) / (math.pi / 400.0))
+    assert counts["bulk_evals"] == 2 * n + 1
+    assert counts["bulk_gap"] <= 1.0e-12
+    assert counts["threshold_evals"] == threshold_evals
 
 
 @pytest.mark.parametrize("beta", REFERENCE_BETAS)
@@ -521,6 +566,20 @@ def test_brute_force_memory_does_not_grow_with_grid(density_for):
 # report                                                             #
 # ------------------------------------------------------------------ #
 
+def test_verification_looks_up_exact_survival_in_its_module(monkeypatch):
+    # a wrapper swapped into tailsurv.survival, as a tracer installs one,
+    # sees run_verification's one call
+    calls, exact = [], tailsurv.survival.survival_exact
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(tailsurv.survival, "survival_exact", counting)
+    assert run_verification(make_density(0.3), (1.0, 5.0)).all_passed
+    assert len(calls) == 1
+
+
 def test_check_verdict_logic():
     assert OracleCheck("x", 2.0e-9, 1.0e-8).passed
     assert not OracleCheck("x", 2.0e-8, 1.0e-8).passed
@@ -536,7 +595,9 @@ def test_verification_report(density_for):
     for label in ("boundary", "Jost", "brute"):
         assert label in joined
     meta = report.meta
-    assert meta["rk4_steps"] > 0
+    pot = density_for(0.3).pot
+    assert meta["rk4_steps"] == _rk4_grid((pot.r_a, pot.r_d),
+                                          tailsurv.oracle._MATCH_STEP * pot.r_d)[0].size
     assert meta["threshold_evals"] > 0 and meta["bulk_evals"] > 0
     # one call per chunk of at most _BRUTE_CHUNK / 2 points, for two times
     assert meta["density_calls"] >= (meta["threshold_evals"] + meta["bulk_evals"]) \
