@@ -16,8 +16,11 @@ production modules through a deliberately different numerical scheme:
   a step h and h/2, at first min(0.1, pi/(4t)) in s or min(8e-3,
   pi/(2t)) in E, 4 samples per period of e^{-iEt} where the grid is
   sparsest in E, then the finer grid's midpoints only until the two
-  agree.  The sums run in chunks on two threads, each evaluating the
-  density into one work block that it allocates once.
+  agree.  The bulk ends at a double zero of the density, the first past
+  E = 64, doubled until the first five terms by parts of the integral
+  left out past it are below 1e-12 in amplitude at the smallest time.
+  The sums run in chunks, each evaluating the density into one work
+  block allocated once.
 
 None of the production results are reused internally beyond the shared
 special-function evaluations that define the problem itself.
@@ -26,8 +29,6 @@ special-function evaluations that define the problem itself.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -48,17 +49,14 @@ except ImportError:  # not on every platform
 # this guards runtime, not memory.
 _MAX_BRUTE_POINTS = 40_000_000
 # Grid points per density call, times max(2, number of times summed).
-# Each worker's work block takes 104 bytes per point of a call (3.4 MB
-# at 32 768 points), its weight row 8; the phases of up to four times at
-# once reuse the block.  At t = (60, 200) the brute force peaks at 8.1 MB
-# (tracemalloc); 16 384-point calls made it 2.2x slower (per-call Python
-# work holds the GIL), and 65 536-point calls were no faster and peaked
-# at 17 MB.
+# The work block takes 104 bytes per point of a call (3.4 MB at 32 768
+# points), the weight row 8; the phases of up to four times at once
+# reuse the block.  16 384-point calls made the brute force 2.2x slower
+# (per-call Python work), and 65 536-point calls were no faster and
+# peaked at twice the memory.  The chunks run on one thread: at the
+# `verify` times each sum is one chunk, while grids of many chunks ran
+# 1.4x faster on two (t = 1: 38 against 53 ms, 2-vCPU x86-64 host).
 _BRUTE_CHUNK = 65_536
-# numpy and BLAS release the GIL in their loops: the brute force at
-# t = (60, 200) took 29 ms on two threads, 36 ms on one and 31 ms on
-# three (medians of 15, 2-vCPU x86-64 host).
-_BRUTE_WORKERS = min(2, os.cpu_count() or 1)
 # RK4 steps relative to r_d: the node count's, and the finer one of the
 # boundary and matching checks (the Jost modulus by linear solve then
 # agrees with the closed form to ~1e-12).
@@ -121,16 +119,6 @@ def _rk4_steps(v_func, k_sq, breakpoints, step: float):
                      h2 / 6.0 * (2.0 * gm + g1) + h2 * h2 / 24.0 * gm * g1))
 
 
-def _compose(l, e):
-    """D of (I + L)(I + E) = I + (L + E + L E), maps as (D_uu, D_ud, D_du, D_dd)."""
-    l_uu, l_ud, l_du, l_dd = l
-    e_uu, e_ud, e_du, e_dd = e
-    return np.stack((l_uu + e_uu + l_uu * e_uu + l_ud * e_du,
-                     l_ud + e_ud + l_uu * e_ud + l_ud * e_dd,
-                     l_du + e_du + l_du * e_uu + l_dd * e_du,
-                     l_dd + e_dd + l_du * e_ud + l_dd * e_dd))
-
-
 def rk4_radial(v_func, k_sq, breakpoints, step: float):
     """Integrate u'' = (v(r) - k^2) u from r = 0 with u = 0, u' = 1.
 
@@ -138,22 +126,25 @@ def rk4_radial(v_func, k_sq, breakpoints, step: float):
     breakpoints (DomainError if it differs at a segment's first and last
     sample radii), so a segment's step maps are all the one `_rk4_steps`
     builds: binary powering raises it to the step count, and segments
-    compose, later on the left, by `_compose`.
+    compose, later on the left.  Maps are held as D of I + D, stacked
+    2x2 matrices over k_sq, and (I + L)(I + E) is I + (L + E + L @ E).
     """
-    total = np.zeros((4,) + np.shape(k_sq))  # D = 0: the identity
+    shape = np.shape(k_sq) + (2, 2)
+    total = np.zeros(shape)  # D = 0: the identity
     for r, r_end, n, width in _segments(breakpoints, step):
         v_first, v_last = v_func(np.array([r + 1e-12, r_end - 1e-12]))
         if v_first != v_last:
             raise DomainError(f"rk4_radial needs v constant on ({r:g}, {r_end:g})")
         # one step of the segment, on radii shifted by r
         power = _rk4_steps(lambda x: v_func(x + r), k_sq, (width,), width)[:, 0]
+        power = np.moveaxis(power, 0, -1).reshape(shape)
         while n:
             if n & 1:
-                total = _compose(power, total)
+                total = power + total + power @ total
             n >>= 1
             if n:
-                power = _compose(power, power)
-    return total[1], 1.0 + total[3]
+                power = power + power + power @ power
+    return total[..., 0, 1], 1.0 + total[..., 1, 1]
 
 
 def count_nodes_zero_energy(pot) -> int:
@@ -243,7 +234,13 @@ _BRUTE_STEPS_PER_PI = 2.0
 # Amplitude tolerance on each piece's sums at steps h and h/2: half the
 # 1e-8 at which `run_verification` compares P = |A|^2.
 _BRUTE_NESTED_TOL = 5.0e-9
-_BRUTE_E_MAX = 400.0            # the grid ends at the first snap point past it
+# For t > 0 the bulk ends at a double zero e_out of omega, the first at or
+# past _BRUTE_E_START, then the first past twice e_out while the amplitude
+# `_tail_estimate` states past it, at the smallest time, exceeds
+# _BRUTE_TAIL_TOL.  On the reference well t = 60 leaves 1.7e-12 past the
+# first zero past 64 and 9.8e-14 past the next, 157.4; t = 0.5 ends at 5843.
+_BRUTE_E_START = 64.0
+_BRUTE_TAIL_TOL = 1.0e-12
 
 
 def _taper(e, vals, scratch, keep: str) -> None:
@@ -273,7 +270,7 @@ def _taper(e, vals, scratch, keep: str) -> None:
     vals[i:j] /= np.add(x, 1.0, out=x)
 
 
-def _trapezoid_sums(density, times: np.ndarray, counts: dict, pool):
+def _trapezoid_sums(density, times: np.ndarray, counts: dict):
     """trapezoid(lo, hi, n, keep, midpoints=False): a piece's trapezoid sums
     of omega(E) e^{-iEt} at `times` on n panels of [lo, hi].
 
@@ -282,78 +279,56 @@ def _trapezoid_sums(density, times: np.ndarray, counts: dict, pool):
     "above" sums (1 - psi) omega on a uniform grid in E.  With `midpoints`
     the points are the n panels' midpoints and the sum is their midpoint
     rule M(h): T(h/2) = (T(h) + M(h))/2 evaluates only the new points.
-    The grid is streamed on the threads of `pool` in chunks of
-    `_BRUTE_CHUNK / max(2, len(times))` points, one density call each
-    (counted, with its seconds, in counts).  Each thread allocates one
-    `_work_block` (its bytes go to counts) and one row for the weight on
-    its first chunk and reuses them for every chunk of every sum: row 0
-    of the block holds the chunk's grid, the density's intermediates
-    rows 1 to 12, and once the density call is done `_taper` works in
-    rows 1 and 2, then those 12 rows take sin E t, cos E t and a scratch
-    row for up to four times at once, and matrix-vector products with
-    the chunk's values give its sums.  The chunks' sums are added in
-    chunk order, so they are the serial ones for any worker count.
+    The grid is streamed in chunks of `_BRUTE_CHUNK / max(2, len(times))`
+    points, one density call each (counted, with its seconds, in counts).
+    One `_work_block` (its bytes go to counts) and one weight row serve
+    every chunk of every sum: row 0 of the block holds the chunk's grid, the
+    density's intermediates rows 1 to 12, and once the density call is
+    done `_taper` works in rows 1 and 2, then those 12 rows take
+    sin E t, cos E t and a scratch row for up to four times at once, and
+    matrix-vector products with the chunk's values give its sums.
     """
     chunk = _BRUTE_CHUNK // max(2, times.size)
     index = np.arange(chunk + 1, dtype=float)
-    local, blocks = threading.local(), []
+    block, weight_row = _work_block(chunk + 1), np.empty(chunk + 1)
+    counts["work_bytes"] = max(counts.get("work_bytes", 0), block.nbytes)
+    free = block[1:].reshape(-1)
 
     def trapezoid(lo: float, hi: float, n: int, keep: str, midpoints: bool = False):
-        h, failed = (hi - lo) / n, threading.Event()
-
-        def chunk_sum(a):
-            if failed.is_set():  # a chunk has raised: its error reaches the caller
-                return None
-            if not hasattr(local, "block"):  # one per worker, reused for its chunks
-                local.block, local.weight = _work_block(chunk + 1), np.empty(chunk + 1)
-                blocks.append(local.block.nbytes)
+        h, total, density_s = (hi - lo) / n, np.zeros(times.size, dtype=complex), 0.0
+        for a in range(0, n, chunk):
             b = min(a + chunk, n)
             # np.linspace(lo, hi, n + 1)'s points, or their midpoints, in the
             # block's row 0; the trapezoid grid's last chunk also carries hi
             closes = b == n and not midpoints
-            x = local.block[0, :b + closes - a]
+            x = block[0, :b + closes - a]
             np.multiply(np.add(index[:x.size], a + 0.5 * midpoints, out=x), h, out=x)
             x += lo
             if closes:
                 x[-1] = hi
             if keep == "below":  # x becomes E(s), the weight E (1 + e^{-s})
-                weight = local.weight[:x.size]
+                weight = weight_row[:x.size]
                 np.exp(np.negative(x, out=weight), out=weight)
                 np.exp(np.subtract(np.add(x, 1.0, out=x), weight, out=x), out=x)
                 weight += 1.0
                 weight *= x
             start = perf_counter()
-            try:
-                vals = density.omega(x, work=local.block)
-            except BaseException:
-                failed.set()
-                raise
-            seconds = perf_counter() - start
+            vals = density.omega(x, work=block)
+            density_s += perf_counter() - start
             if keep == "below":
                 vals *= weight
-            _taper(x, vals, local.block[1:3], keep)
+            _taper(x, vals, block[1:3], keep)
             if a == 0 and not midpoints:  # the trapezoid's end points take half weight
                 vals[0] *= 0.5
             if closes:
                 vals[-1] *= 0.5
-            part, free = np.empty(times.size, dtype=complex), local.block[1:].reshape(-1)
             for i in range(0, times.size, 4):  # 3 rows per time: 4 times fill 12 rows
                 t = times[i:i + 4, None]
                 sin, cos, scratch = free[:3 * t.size * x.size].reshape(3, t.size, x.size)
                 _sincos(x, t, out=(sin, cos, scratch))
-                part[i:i + 4] = cos @ vals - 1j * (sin @ vals)
-            return part, seconds
-
-        starts = range(0, n, chunk)
-        total, density_s = np.zeros(times.size, dtype=complex), 0.0
-        # Executor.map yields in chunk order; an exception cancels the chunks
-        # not started, and those a worker starts before that skip their density call
-        for part, seconds in pool.map(chunk_sum, starts):
-            total += part
-            density_s += seconds
-        counts["density_calls"] = counts.get("density_calls", 0) + len(starts)
+                total[i:i + 4] += cos @ vals - 1j * (sin @ vals)
+        counts["density_calls"] = counts.get("density_calls", 0) + math.ceil(n / chunk)
         counts["density_s"] = counts.get("density_s", 0.0) + density_s
-        counts["work_bytes"] = max(counts.get("work_bytes", 0), sum(blocks))
         return h * total
 
     return trapezoid
@@ -390,43 +365,68 @@ def _refined_sum(trapezoid, lo: float, hi: float, n: int, keep: str, t: float,
     return fine
 
 
+def _omega_zero(density, e: float) -> float:
+    """The first double zero of omega at or past e.
+
+    omega carries sin^2(k_I r_a), k_I = sqrt(E + v0), so it has one at
+    E = (m pi / r_a)^2 - v0 for every integer m but the mode's n_a, where
+    the overlap sin(k_I r_a) / (k_a^2 - k_I^2) does not vanish.
+    """
+    r_a, v0 = density.pot.r_a, density.pot.v0
+    m = math.ceil(r_a * math.sqrt(e + v0) / math.pi)
+    m += m == density.init.n_a
+    return (m * math.pi / r_a) ** 2 - v0
+
+
+def _tail_estimate(density, e_out: float, t: float) -> float:
+    """sum_{n < 5} |omega^(n)(e_out)| / t^(n + 1), the first five terms by
+    parts of the integral of omega e^{-iEt} past e_out, with the derivatives
+    of the quartic through omega at e_out + j h, j = -2..2, h a step of 0.05
+    in k_I r_a.  At a double zero the n = 2 term leads and the n = 4 term
+    adds (r_a / (k t))^2 of it: four terms fell 0.3% short at t = 0.5.
+    """
+    h = 0.1 * math.sqrt(e_out + density.pot.v0) / density.pot.r_a
+    j = np.arange(-2.0, 3.0)
+    coef = np.polynomial.polynomial.polyfit(j, density.omega(e_out + h * j), 4)
+    return float(sum(abs(coef[n]) * math.factorial(n) / (h ** n * t ** (n + 1)) for n in range(5)))
+
+
 def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
-    """Survival at `times` (all zero, or all positive) from one pool of workers.
+    """Survival at `times` (all zero, or all positive) on one grid.
 
     For the largest time t, the threshold piece runs over s in
-    [_BRUTE_S_START, 0] from step min(_BRUTE_S_STEP, pi/(4 t)), and the
-    bulk from a to the snapped e_out from step min(_BRUTE_BULK_STEP,
-    pi/(2 t)): each first step is pi/(_BRUTE_STEPS_PER_PI J t), with J
-    the largest dE/dx on the piece's grid (_BRUTE_S_JACOBIAN in s, 1 in
-    E), so e^{-iEt} takes 4 samples per period where the grid is
-    sparsest in E.  `_refined_sum` refines each.
+    [_BRUTE_S_START, 0] and the bulk from a to e_out (_BRUTE_TAIL_TOL),
+    each from step pi/(_BRUTE_STEPS_PER_PI J t) with J the largest dE/dx
+    on its grid (_BRUTE_S_JACOBIAN in s, 1 in E), capped at
+    _BRUTE_S_STEP or _BRUTE_BULK_STEP; `_refined_sum` refines each.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imports logging: not at load
-
-    t = float(times.max())
-    r_a = density.pot.r_a
-    k_req = math.sqrt(max(_BRUTE_E_MAX, 2500.0) if t == 0.0 else _BRUTE_E_MAX)
-    if t == 0.0:
-        m = math.ceil(2.0 * r_a * k_req / math.pi - 0.5)
-        k_out = (m + 0.5) * math.pi / (2.0 * r_a)
-    else:
-        k_out = math.ceil(r_a * k_req / math.pi) * math.pi / r_a
-    e_out = k_out * k_out
-
+    t, r_a = float(times.max()), density.pot.r_a
     per_t = math.pi / (_BRUTE_STEPS_PER_PI * t) if t else math.inf
-    pieces = [(keep, lo, hi, math.ceil((hi - lo) / min(cap, per_t / jac)))
-              for keep, lo, hi, cap, jac in (
-                  ("below", _BRUTE_S_START, 0.0, _BRUTE_S_STEP, _BRUTE_S_JACOBIAN),
-                  ("above", _BRUTE_JUNCTION[0], e_out, _BRUTE_BULK_STEP, 1.0))]
-    n_points = 2 * max(n for *_, n in pieces) + 1
-    if n_points > _MAX_BRUTE_POINTS:
-        raise ResourceLimitError(
-            f"brute-force oracle: grid of {n_points} points at t = {t:g} "
-            f"exceeds _MAX_BRUTE_POINTS = {_MAX_BRUTE_POINTS}")
-    with ThreadPoolExecutor(_BRUTE_WORKERS) as pool:
-        trapezoid = _trapezoid_sums(density, times, counts, pool)
-        amp = sum(_refined_sum(trapezoid, lo, hi, n, keep, t, counts)
-                  for keep, lo, hi, n in pieces)
+    bulk_step = min(_BRUTE_BULK_STEP, per_t)
+    if t == 0.0:  # past 2500, where the envelope estimate of the rest is most accurate
+        k_out = (math.ceil(2.0 * r_a * 50.0 / math.pi - 0.5) + 0.5) * math.pi / (2.0 * r_a)
+        e_out = k_out * k_out
+    else:
+        e_out, t_min = _omega_zero(density, _BRUTE_E_START), float(times.min())
+        while not (tail := _tail_estimate(density, e_out, t_min)) <= _BRUTE_TAIL_TOL:
+            e_next = _omega_zero(density, 2.0 * e_out)
+            n_points = 2 * math.ceil((e_next - _BRUTE_JUNCTION[0]) / bulk_step) + 1
+            if n_points > _MAX_BRUTE_POINTS:
+                raise ResourceLimitError(
+                    f"brute-force oracle: grid of {n_points} points at t = {t:g} exceeds "
+                    f"_MAX_BRUTE_POINTS = {_MAX_BRUTE_POINTS}: the bulk's tail past "
+                    f"e_out = {e_out:.6g} at t = {t_min:g} is {tail:.3g} > "
+                    f"_BRUTE_TAIL_TOL = {_BRUTE_TAIL_TOL:g}")
+            e_out = e_next
+        counts["e_out"], counts["tail_estimate"] = e_out, tail
+
+    pieces = [(keep, lo, hi, math.ceil((hi - lo) / step))
+              for keep, lo, hi, step in (
+                  ("below", _BRUTE_S_START, 0.0, min(_BRUTE_S_STEP, per_t / _BRUTE_S_JACOBIAN)),
+                  ("above", _BRUTE_JUNCTION[0], e_out, bulk_step))]
+    trapezoid = _trapezoid_sums(density, times, counts)
+    amp = sum(_refined_sum(trapezoid, lo, hi, n, keep, t, counts)
+              for keep, lo, hi, n in pieces)
     if t == 0.0:
         amp += survival._envelope_tail(density.init.k_a, density.pot.r_a, e_out)
     return np.abs(amp) ** 2
@@ -449,15 +449,14 @@ def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     step h, at first min(0.1, pi/(4 t)) in s and min(8e-3, pi/(2 t)) in
     E, 4 samples per period of e^{-iEt} where the grid is sparsest in E,
     and at h/2, then the finer grid's midpoints only while the two
-    disagree by more than _BRUTE_NESTED_TOL.  The upper end is snapped,
-    at or past _BRUTE_E_MAX, to a zero of the density's high-energy
-    oscillation (a double zero for t > 0, making the remainder's
-    boundary terms vanish; for t = 0 a point where the envelope estimate
-    of the remaining mass is most accurate, and at least 2500 so that
-    estimate is small to begin with).  Rather than return an aliased
-    sum it raises ResourceLimitError, naming the piece and the
-    disagreement, where a piece would need more than _MAX_BRUTE_POINTS
-    points to agree that well.
+    disagree by more than _BRUTE_NESTED_TOL.  For t > 0 the bulk ends
+    at a double zero e_out of the density, where the remainder's first
+    two terms by parts vanish, deep enough that the first five, at the
+    smallest time, are below _BRUTE_TAIL_TOL in amplitude.  For t = 0 it
+    ends past E = 2500 and adds the envelope estimate of the rest.
+    Rather than return an aliased or truncated sum it raises
+    ResourceLimitError, naming the piece and the disagreement, or the
+    tail, where the grid would need more than _MAX_BRUTE_POINTS points.
 
     `t` is a scalar (returns a float) or an array (returns an array of
     its shape).  All positive times share the density evaluations on the
@@ -465,9 +464,10 @@ def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     given, the density evaluations of the threshold and bulk pieces, the
     density calls and the seconds inside them are added to its
     "threshold_evals", "bulk_evals", "density_calls" and "density_s"
-    entries, "work_bytes" holds the most bytes the workers' blocks took
-    for one grid, and "threshold_gap" and "bulk_gap" the largest
-    disagreement of each piece's nested sums that was accepted.
+    entries, "work_bytes" holds the bytes of the largest work block,
+    "threshold_gap" and "bulk_gap" the largest disagreement of each
+    piece's nested sums that was accepted, and for positive times
+    "e_out" the bulk's end and "tail_estimate" its five terms there.
     """
     times = np.asarray(t, dtype=float)
     flat = times.ravel()
@@ -500,11 +500,11 @@ class OracleCheck:
 class OracleReport:
     """Bundle of verification rows with an overall verdict.
 
-    `meta` records what the checks cost: density evaluations, calls and
-    seconds, brute-force worker threads and the bytes of their work
-    blocks, the brute force's minor page faults (None where `resource`
-    is missing), RK4 steps and stage seconds.  It takes no part in
-    comparing reports.
+    `meta` records what the checks cost and the brute force's stated
+    errors: density evaluations, calls and seconds, the bytes of the
+    brute force's work block, its nested gaps, bulk end and tail
+    estimate, its minor page faults (None where `resource` is missing),
+    RK4 steps and stage seconds.  It takes no part in comparing reports.
     """
 
     checks: tuple[OracleCheck, ...] = field(default_factory=tuple)
@@ -557,6 +557,6 @@ def run_verification(density, times=(100.0, 500.0)) -> OracleReport:
     faults = getrusage(RUSAGE_SELF).ru_minflt - faults if getrusage else None
     worst = float(np.max(np.abs(series.probability - brute)))
     checks.append(OracleCheck("survival exact vs brute force", worst, 1.0e-8))
-    meta.update(workers=_BRUTE_WORKERS, boundary_s=t1 - t0, exact_s=t2 - t1,
+    meta.update(boundary_s=t1 - t0, exact_s=t2 - t1,
                 bruteforce_s=perf_counter() - t2, minor_faults=faults)
     return OracleReport(checks=tuple(checks), meta=meta)

@@ -375,8 +375,6 @@ def test_angle_strings_parse():
 # ------------------------------------------------------------------ #
 
 def test_verify_command(workdir, capsys):
-    from tailsurv.oracle import _BRUTE_WORKERS
-
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert out.count("pass") == 3
@@ -384,12 +382,12 @@ def test_verify_command(workdir, capsys):
     cost = out.splitlines()[-1]
     assert cost.startswith("cost: rk4_steps ")
     assert re.search(r"\bdensity_calls [1-9]\d*,", cost)
-    assert re.search(rf"\bworkers {_BRUTE_WORKERS},", cost)
+    assert re.search(r"\btail_estimate \d\.\d+e-1[3-9],", cost)
     meta = json.loads((workdir / "verify.meta.json").read_text())
     assert [row["name"] for row in meta["checks"]] == [
         line.split(":")[0].split(None, 1)[1] for line in out.splitlines()[:3]]
     assert all(row["passed"] and row["measured"] <= row["tolerance"] for row in meta["checks"])
-    assert meta["workers"] == _BRUTE_WORKERS and meta["density_s"] > 0.0
+    assert meta["density_s"] > 0.0 and meta["tail_estimate"] <= 1.0e-12
 
 
 def test_verify_is_listed_in_help(workdir, capsys):

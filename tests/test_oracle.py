@@ -2,11 +2,7 @@
 
 import itertools
 import math
-import sys
-import threading
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,8 +16,8 @@ from tailsurv.oracle import (OracleCheck, ode_oracle_boundary_many,
                              oracle_match_coefficients,
                              oracle_survival_bruteforce, rk4_radial,
                              run_verification)
-from tailsurv.oracle import (_match_boundary, _rk4_grid, _rk4_steps, _taper,
-                             _trapezoid_sums)
+from tailsurv.oracle import (_match_boundary, _omega_zero, _rk4_grid, _rk4_steps,
+                             _taper, _trapezoid_sums)
 from tailsurv.spectral import _work_block
 from tailsurv.survival import survival_exact
 
@@ -29,6 +25,8 @@ from conftest import REFERENCE_BETAS, make_density, make_potential
 
 # the reference geometry at each of REFERENCE_BETAS, and the narrow-resonance well
 NARROW = dict(beta=0.7629, v0=0.753, vb=2.418, r_a=2.868, r_d=4.33)
+NEAR_THRESHOLD = dict(beta=1.375, v0=2.5, vb=3.0, r_a=1.5, r_d=3.5)
+SMALL = dict(beta=0.2, v0=0.2, vb=3.0, r_a=0.6, r_d=1.5)
 WELLS = [dict(beta=b) for b in REFERENCE_BETAS] + [NARROW]
 WELL_IDS = [f"beta{b}" for b in REFERENCE_BETAS] + ["narrow-resonance"]
 
@@ -187,18 +185,23 @@ def test_brute_force_validation(density_for):
 
 
 def test_brute_force_grid_cap_names_stage_size_and_cap(density_for, monkeypatch):
-    # the bulk grid of t = 1000 (step pi/2000 and its half) up to
-    # e_max = 40 000 trips the cap before any density call
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 40000.0)
+    # t = 0.05 moves the bulk's end past E = 24 020, where the tail still
+    # reads 4.5e-12; the next end's grid at the steps of t = 1000 (pi/2000
+    # and its half) trips the cap before any sum is taken
+    den = density_for(0.3)
+    sums = []
+    monkeypatch.setattr(tailsurv.oracle, "_trapezoid_sums", lambda *a: sums.append(a))
     with pytest.raises(ResourceLimitError, match=(
-            r"^brute-force oracle: grid of 50936451 points at t = 1000 "
-            r"exceeds _MAX_BRUTE_POINTS = 40000000$")):
-        oracle_survival_bruteforce(density_for(0.3), 1000.0)
+            r"^brute-force oracle: grid of 61573945 points at t = 1000 "
+            r"exceeds _MAX_BRUTE_POINTS = 40000000: the bulk's tail past "
+            r"e_out = 24019\.9 at t = 0\.05 is 4\.51e-12 > _BRUTE_TAIL_TOL = 1e-12$")):
+        oracle_survival_bruteforce(den, [0.05, 1000.0])
+    assert sums == []
 
 
 def _bulk_resonance_density():
     # a resonance ~1e-3 wide that bulk steps of 2e-3 and 1e-3 alias, their
-    # sums 7.4e-6 apart, and that 1e-3 and 5e-4 resolve
+    # sums 7.9e-6 apart, and that 1e-3 and 5e-4 resolve
     return make_density(1.0, v0=1.5, vb=3.0, r_a=1.5, r_d=3.5)
 
 
@@ -207,7 +210,8 @@ def test_bulk_step_halves_until_its_nested_sums_agree(monkeypatch):
     omega, sums, passes = den.omega, tailsurv.oracle._trapezoid_sums, []
 
     def recording_omega(e, *, work=None):
-        passes[-1][1].append(e.copy())
+        if passes:  # not the tail estimate's calls, which come first
+            passes[-1][1].append(e.copy())
         return omega(e, work=work)
 
     def recording_sums(*args):
@@ -232,18 +236,18 @@ def test_bulk_step_halves_until_its_nested_sums_agree(monkeypatch):
     for new in halvings:
         assert np.allclose(new, 0.5 * (grid[1:] + grid[:-1]), rtol=1.0e-15, atol=0.0)
         grid = np.sort(np.concatenate((grid, new)))
-    # the final grid's size, where evaluating every level afresh takes 1 643 074
-    assert counts["bulk_evals"] == grid.size == 876_305
+    # the final grid's size, where evaluating every level afresh takes 584 704
+    assert counts["bulk_evals"] == grid.size == 311_841
     assert counts["bulk_gap"] <= tailsurv.oracle._BRUTE_NESTED_TOL
     assert abs(brute - survival_exact(den, [60.0]).probability[0]) <= 1.0e-10
 
 
 def test_bulk_refinement_cap_names_the_disagreement(monkeypatch):
-    monkeypatch.setattr(tailsurv.oracle, "_MAX_BRUTE_POINTS", 800_000)
+    monkeypatch.setattr(tailsurv.oracle, "_MAX_BRUTE_POINTS", 300_000)
     with pytest.raises(ResourceLimitError, match=(
-            r"^brute-force oracle: grid of 876305 points at t = 60 exceeds "
-            r"_MAX_BRUTE_POINTS = 800000: the bulk sums at steps 0.002 and 0.001 "
-            r"differ by 7.42e-06 > _BRUTE_NESTED_TOL = 5e-09$")):
+            r"^brute-force oracle: grid of 311841 points at t = 60 exceeds "
+            r"_MAX_BRUTE_POINTS = 300000: the bulk sums at steps 0.002 and 0.001 "
+            r"differ by 7.88e-06 > _BRUTE_NESTED_TOL = 5e-09$")):
         oracle_survival_bruteforce(_bulk_resonance_density(), 60.0)
 
 
@@ -271,26 +275,35 @@ def test_brute_force_refuses_an_aliased_threshold(monkeypatch):
 def test_bulk_step_pi_over_2t_matches_a_16_times_finer_rule(monkeypatch, kw, e_max):
     # first steps of pi/(2 t) in E and pi/(4 t) in s, 4 samples per period of
     # e^{-iEt} where each grid is sparsest in E, and their halves, against a
-    # rule 16 times finer in both pieces; the positive times share the
-    # t = 1000 grid, and t = 0 (steps 0.1 and 8e-3 under both rules) is only
-    # checked for its nested sums.  e_max = 200 keeps the fine grid at 4.5 M
-    # points.  omega has only a double zero at e_out, so the end point's h^4
-    # term sets the nested gap: 1.5-2.7e-12 at e_max = 100, with differences
-    # from the fine rule up to 2.2e-13, and <= 4.2e-13 at 200
+    # rule 16 times finer in both pieces, with the bulk's end searched from
+    # the first zero of omega past e_max.  The times come in two calls: t = 1
+    # sets the end (E ~ 4000), where the t = 1000 steps would take 80 M fine
+    # points; at t <= 5 both rules take the caps 0.1 in s and 8e-3 in E, so
+    # only the threshold piece differs there, and t = 0 is only checked for
+    # its nested sums.  At the longer times the end is the first zero past
+    # e_max, so the fine grid stays under 4.4 M points.  Each end is a double
+    # zero: the nested bulk gaps read <= 1.1e-14, under the threshold's, so
+    # the distance to the fine rule is held to the two gaps together
     den = make_density(**kw)
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", e_max)
-    times = np.array([0.0, 1.0, 5.0, 60.0, 200.0, 1000.0])
-    counts = {}
-    coarse = oracle_survival_bruteforce(den, times, counts=counts)
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_STEPS_PER_PI",
-                        16.0 * tailsurv.oracle._BRUTE_STEPS_PER_PI)
-    fine = oracle_survival_bruteforce(den, times[1:])
-    diff = np.max(np.abs(coarse[1:] - fine))
-    assert diff <= counts["bulk_gap"]
-    if e_max == 200.0:
-        # one pass each: the nested sums agree far inside the tolerance
-        assert counts["bulk_gap"] <= 1.0e-12
-        assert diff <= 1.0e-13
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_START", e_max)
+    for times in ([0.0, 1.0, 5.0], [60.0, 200.0, 1000.0]):
+        times = np.array(times)
+        pos = times > 0.0
+        counts = {}
+        coarse = oracle_survival_bruteforce(den, times, counts=counts)
+        with monkeypatch.context() as m:
+            m.setattr(tailsurv.oracle, "_BRUTE_STEPS_PER_PI",
+                      16.0 * tailsurv.oracle._BRUTE_STEPS_PER_PI)
+            fine = oracle_survival_bruteforce(den, times[pos])
+        diff = np.abs(coarse[pos] - fine)
+        # the gaps are in amplitude: P = |A|^2 moves by up to (2 |A| + gap) gap
+        gap = counts["bulk_gap"] + counts["threshold_gap"]
+        assert np.all(diff <= (2.0 * np.sqrt(coarse[pos]) + gap) * gap)
+        if e_max == 200.0:
+            # one pass each: the nested sums agree far inside the tolerance
+            assert counts["bulk_gap"] <= 1.0e-12
+            if times[0] >= 60.0:
+                assert diff.max() <= 1.0e-13
 
 
 def test_small_nu_brute_force_holds_1e_8():
@@ -342,11 +355,10 @@ def test_taper_allocates_no_chunk_sized_array():
 
 
 def _one_sum(den, times, lo, hi, n, keep, midpoints=False, counts=None):
-    """One trapezoid (or midpoint) sum on a fresh pool of two workers."""
-    with ThreadPoolExecutor(2) as pool:
-        trapezoid = _trapezoid_sums(den, np.asarray(times, dtype=float),
-                                    {} if counts is None else counts, pool)
-        return trapezoid(lo, hi, n, keep, midpoints)
+    """One trapezoid (or midpoint) sum."""
+    trapezoid = _trapezoid_sums(den, np.asarray(times, dtype=float),
+                                {} if counts is None else counts)
+    return trapezoid(lo, hi, n, keep, midpoints)
 
 
 # each piece's grid: the threshold's in s, the bulk's on a stretch of E across the taper
@@ -395,38 +407,71 @@ def test_midpoint_sum_halves_the_trapezoid_step(monkeypatch, times):
 
 
 def test_verification_at_verify_times_stays_under_a_million_evaluations(density_for):
-    # 2 039 threshold and 111 575 bulk points, where a bulk step of pi/(4t)
-    # took 223 149, the fractional Richardson threshold 200 000 and the
-    # 64-per-pi rule 3.77 M
+    # 2 039 threshold and 39 959 bulk points, the bulk up to e_out = 157.4;
+    # ending at E = 438.6 it took 111 575, a bulk step of pi/(4t) 223 149,
+    # the fractional Richardson threshold 200 000 and the 64-per-pi rule 3.77 M
     report = run_verification(density_for(0.3), (60.0, 200.0))
     assert report.all_passed
     assert report.meta["threshold_evals"] <= 2_100
-    assert report.meta["threshold_evals"] + report.meta["bulk_evals"] < 120_000
+    assert report.meta["bulk_evals"] <= 44_000
 
 
 @pytest.mark.parametrize("kw, threshold_evals",
                          list(zip(WELLS, [2039] * len(REFERENCE_BETAS) + [8153])), ids=WELL_IDS)
 def test_bulk_takes_one_pass_at_verify_times(kw, threshold_evals):
     # at t = (60, 200) the bulk's first sums, at steps pi/400 and pi/800 in E
-    # up to the snapped e_out, agree within 1e-12, so no midpoints follow;
-    # the threshold keeps its steps of pi/800 in s and its evaluations
+    # up to e_out, agree within 1e-12, so no midpoints follow; the threshold
+    # keeps its steps of pi/800 in s and its evaluations
     den = make_density(**kw)
     counts = {}
     oracle_survival_bruteforce(den, np.array([60.0, 200.0]), counts=counts)
-    r_a = den.pot.r_a
-    k_out = math.ceil(r_a * math.sqrt(tailsurv.oracle._BRUTE_E_MAX) / math.pi) * math.pi / r_a
-    n = math.ceil((k_out * k_out - 0.5) / (math.pi / 400.0))
+    assert 64.0 <= counts["e_out"] <= 400.0
+    assert counts["tail_estimate"] <= tailsurv.oracle._BRUTE_TAIL_TOL
+    n = math.ceil((counts["e_out"] - 0.5) / (math.pi / 400.0))
     assert counts["bulk_evals"] == 2 * n + 1
     assert counts["bulk_gap"] <= 1.0e-12
     assert counts["threshold_evals"] == threshold_evals
 
 
+@pytest.mark.parametrize("kw", [dict(beta=0.3, v0=0.0), dict(beta=0.3), NEAR_THRESHOLD],
+                         ids=["v0-0", "v0-0.5", "v0-2.5"])
+def test_bulk_ends_on_a_double_zero_of_omega(kw):
+    # omega carries sin^2(k_I r_a) with k_I = sqrt(E + v0): at e_out it is
+    # 0 to rounding (4e-29 of its neighbours), where k_out r_a = m pi
+    # read 2.5e-3 at v0 = 0.5
+    den = make_density(**kw)
+    counts = {}
+    oracle_survival_bruteforce(den, 60.0, counts=counts)
+    v0, r_a = den.pot.v0, den.pot.r_a
+    k_i = math.sqrt(counts["e_out"] + v0)
+    quarter = [(k_i + s * math.pi / (4.0 * r_a)) ** 2 - v0 for s in (-1.0, 1.0)]
+    below, at, above = den.omega(np.array([quarter[0], counts["e_out"], quarter[1]]))
+    assert abs(at) <= 1.0e-24 * max(below, above)
+
+
+@pytest.mark.parametrize("t", [0.5, 10.0])
+@pytest.mark.parametrize("kw", [dict(beta=0.3), SMALL], ids=["beta0.3", "small-well"])
+def test_tail_estimate_states_the_integral_left_out(kw, t):
+    # what the bulk leaves out: omega e^{-iEt} from e_out to the zero past
+    # 64 e_out, whose own tail is ~5e-7 of e_out's, summed on 32 points per
+    # period of e^{-iEt} (both ends are double zeros).  The five terms by
+    # parts exceed it by 0.1-0.3% here; four fell 0.3% short at t = 0.5
+    den = make_density(**kw)
+    counts = {}
+    oracle_survival_bruteforce(den, t, counts=counts)
+    e_out, tail = counts["e_out"], counts["tail_estimate"]
+    e_deep = _omega_zero(den, 64.0 * e_out)
+    n = math.ceil((e_deep - e_out) * 32.0 * t / (2.0 * math.pi))
+    left_out = abs(_trapezoid_sums(den, np.array([t]), {})(e_out, e_deep, n, "above")[0])
+    assert left_out <= tail <= 1.01 * left_out
+    assert tail <= tailsurv.oracle._BRUTE_TAIL_TOL
+
+
 @pytest.mark.parametrize("beta", REFERENCE_BETAS)
-def test_batched_times_match_one_call_per_time(density_for, monkeypatch, beta):
-    # the positive times share the t = 500 grid; e_max = 100 keeps every
-    # grid but t = 0's (which starts from e = 2500) four times smaller
+def test_batched_times_match_one_call_per_time(density_for, beta):
+    # the positive times share the t = 500 grid, up to the end that t = 1
+    # needs, and t = 0 has its own, up from e = 2500
     den = density_for(beta)
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 100.0)
     times = np.array([0.0, 1.0, 60.0, 200.0, 500.0])
     batched = oracle_survival_bruteforce(den, times)
     assert batched.shape == times.shape
@@ -447,108 +492,66 @@ def test_brute_force_does_not_depend_on_chunk_length(density_for, monkeypatch):
     assert np.all(np.abs(small - default) <= 1.0e-13 * default)
 
 
-@pytest.mark.parametrize("t", [5.0, [3.0, 20.0], [0.0, 1.0, 7.0, 30.0]])
-def test_brute_force_is_bit_identical_for_any_worker_count(monkeypatch, t):
-    # a fresh order, with both coefficient caches cleared, so that the
-    # workers fill the caches concurrently; the first chunk returns last,
-    # and four workers on a short switch interval interleave the most
-    den = make_density(0.4137)
-    omega = den.omega
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 100.0)
-    runs = []
-    for workers in (1, 2, 4):
-        calls = itertools.count()
-
-        def first_returns_last(e, *, work=None):
-            out = omega(e, work=work)
-            if next(calls) == 0:
-                time.sleep(0.05)
-            return out
-
-        monkeypatch.setattr(den, "omega", first_returns_last)
-        monkeypatch.setattr(tailsurv.oracle, "_BRUTE_WORKERS", workers)
-        specfun._series_tables.cache_clear()
-        specfun._large_x_coefficients.cache_clear()
-        threads, interval = threading.active_count(), sys.getswitchinterval()
-        sys.setswitchinterval(1.0e-6)
-        try:
-            runs.append(oracle_survival_bruteforce(den, t))
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
-    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
-
-
 def test_density_error_in_a_chunk_reaches_the_caller(monkeypatch):
-    # at t = 1 the bulk's first sum (54 770 points) streams in 14 chunks of 4096
+    # at t = 1 the bulk's first sum streams in chunks of 4096 points; the
+    # third one's error ends the oracle, and no later chunk is evaluated
     den = make_density(0.3)
     calls, omega = itertools.count(), den.omega
 
     def failing(e, *, work=None):
-        if e[0] >= 0.5 and next(calls) == 2:
+        # the threshold's chunks and the tail estimate's five points pass
+        if e[0] >= 0.5 and e.size > 5 and next(calls) == 2:
             raise DomainError("third bulk chunk")
         return omega(e, work=work)
 
     monkeypatch.setattr(den, "omega", failing)
     monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 4096)
-    threads = threading.active_count()
     with pytest.raises(DomainError, match="third bulk chunk"):
         oracle_survival_bruteforce(den, 1.0)
-    assert threading.active_count() == threads
-    # the 14 chunks of the bulk's first sum are not all evaluated
-    assert next(calls) < 14
+    assert next(calls) == 3
 
 
 def test_chunks_started_after_an_error_skip_the_density(monkeypatch):
-    # the first chunk of the bulk's first sum (seven chunks of 8192 points
-    # at t = 1) holds its worker for 0.2 s, so the other worker runs the
-    # second, the failing third and then reaches the later chunks before
-    # the caller sees the error: those skip their density call
+    # the bulk's first sum at t = 1 streams in chunks of 8192 points; the
+    # third one fails, and the chunks after it make no density call
     den = make_density(0.3)
     omega, chunks = den.omega, []
     step = 8192 * 8.0e-3  # bulk chunk length for one time
     monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 8192)
 
-    def slow_first_third_fails(e, *, work=None):
-        if e[0] < 0.5:  # the threshold piece's
+    def third_fails(e, *, work=None):
+        if e[0] < 0.5 or e.size <= 5:  # the threshold piece's, the tail estimate's
             return omega(e, work=work)
         k = round((e[0] - 0.5) / step)
         chunks.append(k)
-        if k == 0:
-            time.sleep(0.2)
         if k == 2:
             raise DomainError("third chunk")
         return omega(e, work=work)
 
-    monkeypatch.setattr(den, "omega", slow_first_third_fails)
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_WORKERS", 2)
+    monkeypatch.setattr(den, "omega", third_fails)
     with pytest.raises(DomainError, match="third chunk"):
         oracle_survival_bruteforce(den, 1.0)
-    assert sorted(chunks) == [0, 1, 2]
+    assert chunks == [0, 1, 2]
 
 
-def test_brute_force_workers_each_reuse_one_block(monkeypatch):
-    # every chunk's energies sit in row 0 of its worker's block, and a pass
-    # sees no more blocks than workers
+def test_brute_force_reuses_one_block_for_every_chunk(monkeypatch):
+    # every chunk's energies sit in row 0 of the one block of its grid
     den = make_density(0.3)
     omega, blocks, calls = den.omega, set(), []
 
     def recording(e, *, work=None):
-        assert work is not None and np.shares_memory(e, work[0])
-        blocks.add(id(work))
-        calls.append(e.size)
+        if e.size > 5:  # not the tail estimate's call
+            assert work is not None and np.shares_memory(e, work[0])
+            blocks.add(id(work))
+            calls.append(e.size)
         return omega(e, work=work)
 
     monkeypatch.setattr(den, "omega", recording)
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_MAX", 100.0)
     counts = {}
     oracle_survival_bruteforce(den, [60.0, 200.0], counts=counts)
-    # two passes (threshold and bulk), each with its own blocks
-    assert len(blocks) <= 2 * tailsurv.oracle._BRUTE_WORKERS
-    assert len(calls) == counts["density_calls"] > len(blocks)
-    per_block = _work_block(tailsurv.oracle._BRUTE_CHUNK // 2 + 1).nbytes
-    assert counts["work_bytes"] in [per_block * w
-                                    for w in range(1, tailsurv.oracle._BRUTE_WORKERS + 1)]
+    assert len(blocks) == 1
+    assert len(calls) == counts["density_calls"] > 1
+    assert counts["work_bytes"] == _work_block(tailsurv.oracle._BRUTE_CHUNK // 2 + 1).nbytes
 
 
 def test_brute_force_memory_does_not_grow_with_grid(density_for):
@@ -602,13 +605,14 @@ def test_verification_report(density_for):
     # one call per chunk of at most _BRUTE_CHUNK / 2 points, for two times
     assert meta["density_calls"] >= (meta["threshold_evals"] + meta["bulk_evals"]) \
         / (tailsurv.oracle._BRUTE_CHUNK // 2)
-    assert meta["workers"] == tailsurv.oracle._BRUTE_WORKERS
+    assert "workers" not in meta
     assert all(meta[k] >= 0.0 for k in ("boundary_s", "exact_s", "bruteforce_s"))
-    # seconds inside the density calls, summed over the workers' chunks
-    assert 0.0 < meta["density_s"] <= meta["workers"] * meta["bruteforce_s"]
-    # one block per worker that took a chunk, of 13 rows of a chunk's points
-    per_block = _work_block(tailsurv.oracle._BRUTE_CHUNK // 2 + 1).nbytes
-    assert meta["work_bytes"] in [per_block * w for w in range(1, meta["workers"] + 1)]
+    # seconds inside the density calls, summed over the chunks
+    assert 0.0 < meta["density_s"] <= meta["bruteforce_s"]
+    # one block of 13 rows of a chunk's points
+    assert meta["work_bytes"] == _work_block(tailsurv.oracle._BRUTE_CHUNK // 2 + 1).nbytes
+    # the bulk's end, a double zero of omega, and its stated tail
+    assert 64.0 <= meta["e_out"] and 0.0 < meta["tail_estimate"] <= 1.0e-12
     # minor page faults of the brute force, where `resource` exists
     try:
         import resource  # noqa: F401

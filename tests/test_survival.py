@@ -222,13 +222,11 @@ def test_exact_states_a_bound_on_its_truncation_at_a_small_time(well, t):
     assert abs(s.amplitudes[0] - deep.amplitudes[0]) <= s.meta["max_error_estimate"]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the interpolation part understates exact's error near threshold: on v0 2.5, "
-    "vb 3, r_a 1.5, r_d 3.5, beta 1.375 exact is 2.47e-10 from the brute force at "
-    "t = 10 and 6.9e-11 at t = 60, against a stated error_estimate of 6.28e-12 and "
-    "5.0e-12; the brute force's nested gaps are <= 8.9e-13, and started 16x finer "
-    "with tolerance 1e-12 it moves by <= 1.3e-12"))
 def test_exact_states_a_bound_near_threshold():
+    # exact is 7.0e-13 and 9.8e-13 from the brute force at t = 10 and 60,
+    # inside its stated 6.3e-12 and 5.0e-12; when the brute force's bulk
+    # ended off a zero of omega (k_out r_a = m pi at v0 = 2.5) it read
+    # 2.47e-10 and 6.9e-11 from exact
     density = make_density(beta=1.375, v0=2.5, vb=3.0, r_a=1.5, r_d=3.5)
     times = np.array([10.0, 60.0])
     s = survival_exact(density, times)
