@@ -13,14 +13,13 @@ production modules through a deliberately different numerical scheme:
   a double-exponential map that makes its sums converge geometrically
   through the E^nu rise at E = 0, and the bulk, smooth at both ends of
   the junction, on a uniform grid in E.  Both follow one rule: sums at
-  a step h and h/2, at first min(0.1, pi/(4t)) in s or min(8e-3,
-  pi/(2t)) in E, 4 samples per period of e^{-iEt} where the grid is
-  sparsest in E, then the finer grid's midpoints only until the two
-  agree.  The bulk ends at a double zero of the density, the first past
-  E = 64, doubled until the first five terms by parts of the integral
-  left out past it are below 1e-12 in amplitude at the smallest time.
-  The sums run in chunks, each evaluating the density into one work
-  block allocated once.
+  a step h and h/2 from one pass on the h/2 grid, h at first
+  min(0.1, pi/(4t)) in s or 2 pi/(t + 400) in E, then the finer grid's
+  midpoints only until the two agree.  The bulk ends at a double zero
+  of the density, the first past E = 64, doubled until the first five
+  terms by parts of the integral left out past it are below 1e-12 in
+  amplitude at the smallest time.  The sums run in chunks, each
+  evaluating the density into one work block allocated once.
 
 None of the production results are reused internally beyond the shared
 special-function evaluations that define the problem itself.
@@ -217,20 +216,18 @@ _BRUTE_JUNCTION = (0.5, 1.0)
 # The mass left out below E(-4), omega(E) E / (nu + 1) there, is 2.4e-27
 # at beta = -0.499 in the reference geometry.
 _BRUTE_S_START = -4.0
-# Each piece's step starts at min(cap, pi/(_BRUTE_STEPS_PER_PI J t)): the
-# cap is _BRUTE_S_STEP in s or _BRUTE_BULK_STEP in E, and J bounds dE/dx on
-# the piece's grid, 1 for the bulk (uniform in E) and _BRUTE_S_JACOBIAN for
-# the threshold, whose dE/ds = E (1 + e^{-s}) rises to 2 at s = 0.  So
-# e^{-iEt} takes 4 samples per period where each grid is sparsest in E;
-# from there the sums converge geometrically, and at t = (60, 200) the first
-# bulk sums agree within 4.2e-13.  The bulk's cap is under 1/60 of the
-# taper's width of 0.5, (1 - psi) omega's sharpest smooth feature.  A
-# narrower resonance halves the step: from 8e-3 one ~1e-3 wide stops at
-# 5e-4, from 1e-2 at 3.1e-4.
+# The threshold's step starts at min(_BRUTE_S_STEP, pi/(_BRUTE_STEPS_PER_PI
+# J t)) in s, J = _BRUTE_S_JACOBIAN bounding dE/ds = E (1 + e^{-s}): 4 samples
+# per period of e^{-iEt} where the grid is sparsest in E.  A trapezoid sum's
+# error is the integrand's transform at the aliased frequencies, the bulk's
+# first at 2 pi/h - t, so from 2 pi/(t + _BRUTE_BULK_BAND) at tau, past which
+# F(tau) = |int (1 - psi) omega e^{-iE tau} dE| is below the first pass's gap,
+# and the accepted sum's at 2 tau + t.  On the reference wells F is 2.8e-10,
+# 1.8e-11 and 6e-15 at tau = 300, 400 and 800; 300 moved P by 1.2e-12 at t = 0.
 _BRUTE_S_STEP = 0.1
 _BRUTE_S_JACOBIAN = 2.0
-_BRUTE_BULK_STEP = 8.0e-3
 _BRUTE_STEPS_PER_PI = 2.0
+_BRUTE_BULK_BAND = 400.0
 # Amplitude tolerance on each piece's sums at steps h and h/2: half the
 # 1e-8 at which `run_verification` compares P = |A|^2.
 _BRUTE_NESTED_TOL = 5.0e-9
@@ -276,9 +273,10 @@ def _trapezoid_sums(density, times: np.ndarray, counts: dict):
 
     `keep` "below" sums psi omega (see `_taper`) on a uniform grid in s,
     with E = exp(1 + s - e^{-s}) and the weight dE/ds = E (1 + e^{-s});
-    "above" sums (1 - psi) omega on a uniform grid in E.  With `midpoints`
-    the points are the n panels' midpoints and the sum is their midpoint
-    rule M(h): T(h/2) = (T(h) + M(h))/2 evaluates only the new points.
+    "above" sums (1 - psi) omega on a uniform grid in E.  It returns T(h)
+    and, from the even-indexed points (the 2h grid's, for even n), T(2h);
+    with `midpoints`, the n panels' midpoint rule M(h) and 0, so that
+    T(h/2) = (T(h) + M(h))/2 evaluates only the new points.
     The grid is streamed in chunks of `_BRUTE_CHUNK / max(2, len(times))`
     points, one density call each (counted, with its seconds, in counts).
     One `_work_block` (its bytes go to counts) and one weight row serve
@@ -295,7 +293,7 @@ def _trapezoid_sums(density, times: np.ndarray, counts: dict):
     free = block[1:].reshape(-1)
 
     def trapezoid(lo: float, hi: float, n: int, keep: str, midpoints: bool = False):
-        h, total, density_s = (hi - lo) / n, np.zeros(times.size, dtype=complex), 0.0
+        h, total, density_s = (hi - lo) / n, np.zeros((2, times.size), dtype=complex), 0.0
         for a in range(0, n, chunk):
             b = min(a + chunk, n)
             # np.linspace(lo, hi, n + 1)'s points, or their midpoints, in the
@@ -322,33 +320,34 @@ def _trapezoid_sums(density, times: np.ndarray, counts: dict):
                 vals[0] *= 0.5
             if closes:
                 vals[-1] *= 0.5
+            ev = slice(a & 1, None, 2)  # the grid's even indices, its sum at step 2h
             for i in range(0, times.size, 4):  # 3 rows per time: 4 times fill 12 rows
                 t = times[i:i + 4, None]
                 sin, cos, scratch = free[:3 * t.size * x.size].reshape(3, t.size, x.size)
                 _sincos(x, t, out=(sin, cos, scratch))
-                total[i:i + 4] += cos @ vals - 1j * (sin @ vals)
+                total[0, i:i + 4] += cos @ vals - 1j * (sin @ vals)
+                if not midpoints:
+                    total[1, i:i + 4] += cos[:, ev] @ vals[ev] - 1j * (sin[:, ev] @ vals[ev])
         counts["density_calls"] = counts.get("density_calls", 0) + math.ceil(n / chunk)
         counts["density_s"] = counts.get("density_s", 0.0) + density_s
-        return h * total
+        return total * [[h], [2.0 * h]]
 
     return trapezoid
 
 
 def _refined_sum(trapezoid, lo: float, hi: float, n: int, keep: str, t: float,
                  counts: dict) -> np.ndarray:
-    """A piece's sum T(h/2) from `trapezoid`, h = (hi - lo)/n at first.
+    """A piece's sum T(h/2), with T(h) from the same `trapezoid` pass.
 
-    While T(h) and T(h/2) differ by more than _BRUTE_NESTED_TOL it
-    evaluates the midpoints of the finer grid only, so both steps halve
-    and the finer sum becomes the coarser one; once the grid would pass
-    _MAX_BRUTE_POINTS it raises ResourceLimitError naming the piece,
-    both steps and the disagreement.  The piece's evaluations and the
-    largest accepted disagreement go to counts["<piece>_evals"] and
-    counts["<piece>_gap"].
+    h = (hi - lo)/n at first.  While the two differ by more than
+    _BRUTE_NESTED_TOL it evaluates the finer grid's midpoints only, so both
+    steps halve and the finer sum becomes the coarser one; once the grid
+    would pass _MAX_BRUTE_POINTS it raises ResourceLimitError naming the
+    piece, both steps and the disagreement.  Its evaluations and largest
+    accepted disagreement go to counts["<piece>_evals"] and ["<piece>_gap"].
     """
     piece = "threshold" if keep == "below" else "bulk"
-    coarse = trapezoid(lo, hi, n, keep)
-    fine = 0.5 * (coarse + trapezoid(lo, hi, n, keep, midpoints=True))
+    fine, coarse = trapezoid(lo, hi, 2 * n, keep)
     evals, n = 2 * n + 1, 2 * n
     while not (gap := float(np.max(np.abs(fine - coarse)))) <= _BRUTE_NESTED_TOL:
         if 2 * n + 1 > _MAX_BRUTE_POINTS:
@@ -358,7 +357,7 @@ def _refined_sum(trapezoid, lo: float, hi: float, n: int, keep: str, t: float,
                 f"exceeds _MAX_BRUTE_POINTS = {_MAX_BRUTE_POINTS}: the {piece} sums at "
                 f"steps {2.0 * h:.3g} and {h:.3g} differ by {gap:.3g} > "
                 f"_BRUTE_NESTED_TOL = {_BRUTE_NESTED_TOL:g}")
-        coarse, fine = fine, 0.5 * (fine + trapezoid(lo, hi, n, keep, midpoints=True))
+        coarse, fine = fine, 0.5 * (fine + trapezoid(lo, hi, n, keep, midpoints=True)[0])
         evals, n = evals + n, 2 * n
     counts[f"{piece}_evals"] = counts.get(f"{piece}_evals", 0) + evals
     counts[f"{piece}_gap"] = max(counts.get(f"{piece}_gap", 0.0), gap)
@@ -378,38 +377,51 @@ def _omega_zero(density, e: float) -> float:
     return (m * math.pi / r_a) ** 2 - v0
 
 
-def _tail_estimate(density, e_out: float, t: float) -> float:
-    """sum_{n < 5} |omega^(n)(e_out)| / t^(n + 1), the first five terms by
-    parts of the integral of omega e^{-iEt} past e_out, with the derivatives
-    of the quartic through omega at e_out + j h, j = -2..2, h a step of 0.05
-    in k_I r_a.  At a double zero the n = 2 term leads and the n = 4 term
-    adds (r_a / (k t))^2 of it: four terms fell 0.3% short at t = 0.5.
-    """
-    h = 0.1 * math.sqrt(e_out + density.pot.v0) / density.pot.r_a
-    j = np.arange(-2.0, 3.0)
-    coef = np.polynomial.polynomial.polyfit(j, density.omega(e_out + h * j), 4)
-    return float(sum(abs(coef[n]) * math.factorial(n) / (h ** n * t ** (n + 1)) for n in range(5)))
+# n! times the inverse Vandermonde matrix of j = -2..2: row n gives the n-th
+# derivative at j = 0 of the quartic through five values at unit step
+_STENCIL = np.array([[0, 0, 12, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1],
+                     [-6, 12, 0, -12, 6], [12, -48, 72, -48, 12]]) / 12.0
+
+
+def _tail_estimate(density, e_out: np.ndarray, t: float) -> np.ndarray:
+    """sum_{n < 5} |omega^(n)(e)| / t^(n + 1) for each e in `e_out`, the first
+    five terms by parts of the integral of omega e^{-iEt} past e, from one
+    density call at e + j h, j = -2..2, h a step of 0.05 in k_I r_a.  At a
+    double zero the n = 2 term leads and the n = 4 term adds (r_a/(k t))^2."""
+    h = 0.1 * np.sqrt(e_out + density.pot.v0)[:, None] / density.pot.r_a
+    vals = density.omega((e_out[:, None] + h * np.arange(-2.0, 3.0)).ravel())
+    n = np.arange(5.0)
+    return np.sum(np.abs(vals.reshape(-1, 5) @ _STENCIL.T) / (h ** n * t ** (n + 1)), axis=1)
+
+
+def _candidate_ends(density, t: float):
+    """(e_out, tail estimate at t) for the first double zero of omega past
+    _BRUTE_E_START, then the first past twice the last, three per density call."""
+    e = 0.5 * _BRUTE_E_START
+    while True:
+        ends = np.array([e := _omega_zero(density, 2.0 * e) for _ in range(3)])
+        yield from zip(ends, _tail_estimate(density, ends, t))
 
 
 def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
     """Survival at `times` (all zero, or all positive) on one grid.
 
     For the largest time t, the threshold piece runs over s in
-    [_BRUTE_S_START, 0] and the bulk from a to e_out (_BRUTE_TAIL_TOL),
-    each from step pi/(_BRUTE_STEPS_PER_PI J t) with J the largest dE/dx
-    on its grid (_BRUTE_S_JACOBIAN in s, 1 in E), capped at
-    _BRUTE_S_STEP or _BRUTE_BULK_STEP; `_refined_sum` refines each.
+    [_BRUTE_S_START, 0] from step min(_BRUTE_S_STEP, pi/(_BRUTE_STEPS_PER_PI
+    _BRUTE_S_JACOBIAN t)), the bulk from a to e_out (_BRUTE_TAIL_TOL) from
+    2 pi/(t + _BRUTE_BULK_BAND); `_refined_sum` refines each.
     """
     t, r_a = float(times.max()), density.pot.r_a
     per_t = math.pi / (_BRUTE_STEPS_PER_PI * t) if t else math.inf
-    bulk_step = min(_BRUTE_BULK_STEP, per_t)
+    bulk_step = 2.0 * math.pi / (t + _BRUTE_BULK_BAND)
     if t == 0.0:  # past 2500, where the envelope estimate of the rest is most accurate
         k_out = (math.ceil(2.0 * r_a * 50.0 / math.pi - 0.5) + 0.5) * math.pi / (2.0 * r_a)
         e_out = k_out * k_out
     else:
-        e_out, t_min = _omega_zero(density, _BRUTE_E_START), float(times.min())
-        while not (tail := _tail_estimate(density, e_out, t_min)) <= _BRUTE_TAIL_TOL:
-            e_next = _omega_zero(density, 2.0 * e_out)
+        candidates = _candidate_ends(density, t_min := float(times.min()))
+        e_out, tail = next(candidates)
+        while not tail <= _BRUTE_TAIL_TOL:
+            e_next, tail_next = next(candidates)
             n_points = 2 * math.ceil((e_next - _BRUTE_JUNCTION[0]) / bulk_step) + 1
             if n_points > _MAX_BRUTE_POINTS:
                 raise ResourceLimitError(
@@ -417,8 +429,8 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
                     f"_MAX_BRUTE_POINTS = {_MAX_BRUTE_POINTS}: the bulk's tail past "
                     f"e_out = {e_out:.6g} at t = {t_min:g} is {tail:.3g} > "
                     f"_BRUTE_TAIL_TOL = {_BRUTE_TAIL_TOL:g}")
-            e_out = e_next
-        counts["e_out"], counts["tail_estimate"] = e_out, tail
+            e_out, tail = e_next, tail_next
+        counts["e_out"], counts["tail_estimate"] = e_out, float(tail)
 
     pieces = [(keep, lo, hi, math.ceil((hi - lo) / step))
               for keep, lo, hi, step in (
@@ -446,13 +458,14 @@ def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     (1 - psi) omega vanishes to all orders at E = 0.5, so its sums in E
     converge geometrically once the step resolves e^{-iEt} and the
     taper.  Both pieces follow one rule (`_refined_sum`): sums at a
-    step h, at first min(0.1, pi/(4 t)) in s and min(8e-3, pi/(2 t)) in
-    E, 4 samples per period of e^{-iEt} where the grid is sparsest in E,
-    and at h/2, then the finer grid's midpoints only while the two
-    disagree by more than _BRUTE_NESTED_TOL.  For t > 0 the bulk ends
-    at a double zero e_out of the density, where the remainder's first
-    two terms by parts vanish, deep enough that the first five, at the
-    smallest time, are below _BRUTE_TAIL_TOL in amplitude.  For t = 0 it
+    step h and h/2 from one pass on the h/2 grid, h at first
+    min(0.1, pi/(4 t)) in s, 4 samples per period of e^{-iEt} where that
+    grid is sparsest in E, and 2 pi/(t + 400) in E, which puts the bulk
+    sum's first alias past its spectral reach; then the finer grid's
+    midpoints only while the two differ by more than _BRUTE_NESTED_TOL.
+    For t > 0 the bulk ends at a double zero e_out of the density, where
+    the remainder's first two terms by parts vanish, deep enough that the
+    first five, at the smallest time, are below _BRUTE_TAIL_TOL.  For t = 0 it
     ends past E = 2500 and adds the envelope estimate of the rest.
     Rather than return an aliased or truncated sum it raises
     ResourceLimitError, naming the piece and the disagreement, or the

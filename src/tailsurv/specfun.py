@@ -37,6 +37,8 @@ _EPS = float(np.finfo(float).eps)
 # cancellation (eps times the peak term) allowed; 1e-7 admits x ~ 22.5.
 SERIES_RTOL = 1.0e-15
 _SERIES_LOSS_BUDGET = 1.0e-7
+# Entries kept by each per-order cache (an order takes ~2.5 KB in all).
+_ORDER_CACHE_SIZE = 128
 
 # |z| from which the quadratic combinations come from the Hankel-product
 # series.  On the real axis the Hankel sums carry ~4e-12 there (e^{-2x})
@@ -132,7 +134,7 @@ class _SeriesTables(NamedTuple):
     nd: np.ndarray       # (2i - beta) times n
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_ORDER_CACHE_SIZE)
 def _series_tables(beta: float, n_terms: int) -> _SeriesTables:
     """Coefficients of j_hat = sqrt(pi) (x/2)^{beta+1} sum_i (-1)^i a_i w^i
     and n_hat = K j_hat + sqrt(pi) (x/2)^{-beta} sum_i c_i w^{i-n}.
@@ -330,7 +332,7 @@ def _combos(order: BesselOrder, z: np.ndarray, out=(None,) * 8) -> tuple[np.ndar
     return tuple(full)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_ORDER_CACHE_SIZE)
 def _large_x_coefficients(beta: float) -> tuple[np.ndarray, np.ndarray]:
     """a_k of n^2 + j^2 = sum_k a_k z^{-2k}, and k a_k: a_0 = 1,
     a_k = a_{k-1} (2k-1)/(2k) (mu - (2k-1)^2)/4 with mu = (2 beta + 1)^2.

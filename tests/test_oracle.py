@@ -185,23 +185,23 @@ def test_brute_force_validation(density_for):
 
 
 def test_brute_force_grid_cap_names_stage_size_and_cap(density_for, monkeypatch):
-    # t = 0.05 moves the bulk's end past E = 24 020, where the tail still
-    # reads 4.5e-12; the next end's grid at the steps of t = 1000 (pi/2000
+    # t = 0.03 moves the bulk's end past E = 48 360, where the tail still
+    # reads 1.9e-12; the next end's grid at the steps of t = 1000 (2 pi/1400
     # and its half) trips the cap before any sum is taken
     den = density_for(0.3)
     sums = []
     monkeypatch.setattr(tailsurv.oracle, "_trapezoid_sums", lambda *a: sums.append(a))
     with pytest.raises(ResourceLimitError, match=(
-            r"^brute-force oracle: grid of 61573945 points at t = 1000 "
+            r"^brute-force oracle: grid of 43106605 points at t = 1000 "
             r"exceeds _MAX_BRUTE_POINTS = 40000000: the bulk's tail past "
-            r"e_out = 24019\.9 at t = 0\.05 is 4\.51e-12 > _BRUTE_TAIL_TOL = 1e-12$")):
-        oracle_survival_bruteforce(den, [0.05, 1000.0])
+            r"e_out = 48360\.6 at t = 0\.03 is 1\.89e-12 > _BRUTE_TAIL_TOL = 1e-12$")):
+        oracle_survival_bruteforce(den, [0.03, 1000.0])
     assert sums == []
 
 
 def _bulk_resonance_density():
-    # a resonance ~1e-3 wide that bulk steps of 2e-3 and 1e-3 alias, their
-    # sums 7.9e-6 apart, and that 1e-3 and 5e-4 resolve
+    # a resonance ~1e-3 wide that bulk steps of 1.71e-3 and 8.54e-4 alias,
+    # their sums 9.9e-7 apart, and that 8.54e-4 and 4.27e-4 resolve
     return make_density(1.0, v0=1.5, vb=3.0, r_a=1.5, r_d=3.5)
 
 
@@ -226,18 +226,20 @@ def test_bulk_step_halves_until_its_nested_sums_agree(monkeypatch):
     monkeypatch.setattr(tailsurv.oracle, "_trapezoid_sums", recording_sums)
     counts = {}
     brute = oracle_survival_bruteforce(den, 60.0, counts=counts)
-    # the threshold passes come first; then the bulk at step 8e-3 and its
-    # midpoints, then three halvings: each evaluates only the midpoints of
-    # the grid before it
+    # the threshold passes come first; then the bulk's first pass, on the
+    # grid of step pi/460 (half of 2 pi/(60 + 400)), then four halvings: each
+    # evaluates only the midpoints of the grid before it
     bulk = [np.sort(np.concatenate(e)) for keep, e in passes if keep == "above"]
     assert [keep for keep, _ in passes[-len(bulk):]] == ["above"] * len(bulk)
-    grid, *halvings = [np.sort(np.concatenate(bulk[:2]))] + bulk[2:]
-    assert len(halvings) == 3
+    grid, *halvings = bulk
+    n = math.ceil((counts["e_out"] - 0.5) / (2.0 * math.pi / 460.0))
+    assert np.allclose(grid, np.linspace(0.5, counts["e_out"], 2 * n + 1), rtol=1.0e-15, atol=0.0)
+    assert len(halvings) == 4
     for new in halvings:
         assert np.allclose(new, 0.5 * (grid[1:] + grid[:-1]), rtol=1.0e-15, atol=0.0)
         grid = np.sort(np.concatenate((grid, new)))
-    # the final grid's size, where evaluating every level afresh takes 584 704
-    assert counts["bulk_evals"] == grid.size == 311_841
+    # the final grid's size, where evaluating every level afresh takes 707 735
+    assert counts["bulk_evals"] == grid.size == 365_281
     assert counts["bulk_gap"] <= tailsurv.oracle._BRUTE_NESTED_TOL
     assert abs(brute - survival_exact(den, [60.0]).probability[0]) <= 1.0e-10
 
@@ -245,9 +247,9 @@ def test_bulk_step_halves_until_its_nested_sums_agree(monkeypatch):
 def test_bulk_refinement_cap_names_the_disagreement(monkeypatch):
     monkeypatch.setattr(tailsurv.oracle, "_MAX_BRUTE_POINTS", 300_000)
     with pytest.raises(ResourceLimitError, match=(
-            r"^brute-force oracle: grid of 311841 points at t = 60 exceeds "
-            r"_MAX_BRUTE_POINTS = 300000: the bulk sums at steps 0.002 and 0.001 "
-            r"differ by 7.88e-06 > _BRUTE_NESTED_TOL = 5e-09$")):
+            r"^brute-force oracle: grid of 365281 points at t = 60 exceeds "
+            r"_MAX_BRUTE_POINTS = 300000: the bulk sums at steps 0\.00171 and "
+            r"0\.000854 differ by 9\.87e-07 > _BRUTE_NESTED_TOL = 5e-09$")):
         oracle_survival_bruteforce(_bulk_resonance_density(), 60.0)
 
 
@@ -273,17 +275,15 @@ def test_brute_force_refuses_an_aliased_threshold(monkeypatch):
 @pytest.mark.parametrize("kw", [dict(beta=-0.2), dict(beta=0.3), dict(beta=1.0), NARROW],
                          ids=["beta-0.2", "beta0.3", "beta1.0", "narrow-resonance"])
 def test_bulk_step_pi_over_2t_matches_a_16_times_finer_rule(monkeypatch, kw, e_max):
-    # first steps of pi/(2 t) in E and pi/(4 t) in s, 4 samples per period of
-    # e^{-iEt} where each grid is sparsest in E, and their halves, against a
-    # rule 16 times finer in both pieces, with the bulk's end searched from
-    # the first zero of omega past e_max.  The times come in two calls: t = 1
-    # sets the end (E ~ 4000), where the t = 1000 steps would take 80 M fine
-    # points; at t <= 5 both rules take the caps 0.1 in s and 8e-3 in E, so
-    # only the threshold piece differs there, and t = 0 is only checked for
-    # its nested sums.  At the longer times the end is the first zero past
-    # e_max, so the fine grid stays under 4.4 M points.  Each end is a double
-    # zero: the nested bulk gaps read <= 1.1e-14, under the threshold's, so
-    # the distance to the fine rule is held to the two gaps together
+    # first steps of 2 pi/(t + _BRUTE_BULK_BAND) in E and pi/(4 t) in s, and
+    # their halves, against a rule 16 times finer in both pieces (below the
+    # cap of 0.1 in s), with the bulk's end searched from the first zero of
+    # omega past e_max.  The times come in two calls: t = 1 sets the end
+    # (E ~ 2900), where the t = 1000 steps would take 80 M fine points, and
+    # t = 0 is only checked for its nested sums.  At the longer times the end
+    # is the first zero past e_max, so the fine grid stays under 2.2 M
+    # points.  The distance to the fine rule is held to the two pieces' gaps
+    # together
     den = make_density(**kw)
     monkeypatch.setattr(tailsurv.oracle, "_BRUTE_E_START", e_max)
     for times in ([0.0, 1.0, 5.0], [60.0, 200.0, 1000.0]):
@@ -292,18 +292,67 @@ def test_bulk_step_pi_over_2t_matches_a_16_times_finer_rule(monkeypatch, kw, e_m
         counts = {}
         coarse = oracle_survival_bruteforce(den, times, counts=counts)
         with monkeypatch.context() as m:
-            m.setattr(tailsurv.oracle, "_BRUTE_STEPS_PER_PI",
-                      16.0 * tailsurv.oracle._BRUTE_STEPS_PER_PI)
+            _finer_rule(m, 16.0, times.max())
             fine = oracle_survival_bruteforce(den, times[pos])
         diff = np.abs(coarse[pos] - fine)
         # the gaps are in amplitude: P = |A|^2 moves by up to (2 |A| + gap) gap
         gap = counts["bulk_gap"] + counts["threshold_gap"]
         assert np.all(diff <= (2.0 * np.sqrt(coarse[pos]) + gap) * gap)
         if e_max == 200.0:
-            # one pass each: the nested sums agree far inside the tolerance
-            assert counts["bulk_gap"] <= 1.0e-12
+            # one pass each: the nested sums agree well inside the tolerance
+            assert counts["bulk_gap"] <= tailsurv.oracle._BRUTE_NESTED_TOL / 10.0
             if times[0] >= 60.0:
                 assert diff.max() <= 1.0e-13
+
+
+def _finer_rule(m, factor: float, t_max: float) -> None:
+    """Patch the oracle's first steps `factor` times finer in both pieces at t_max."""
+    oracle = tailsurv.oracle
+    m.setattr(oracle, "_BRUTE_STEPS_PER_PI", factor * oracle._BRUTE_STEPS_PER_PI)
+    m.setattr(oracle, "_BRUTE_BULK_BAND", (factor - 1.0) * t_max + factor * oracle._BRUTE_BULK_BAND)
+
+
+# the verify times on every well above but the near-threshold one (below);
+# the short times, whose bulk runs to E ~ 2900-5800, on the well that moved
+# most there and on the narrow one
+FINER_CASES = (
+    [pytest.param(kw, [60.0, 200.0], id=f"{name}-verify")
+     for kw, name in zip(WELLS + [SMALL], WELL_IDS + ["small-well"])]
+    + [pytest.param(kw, times, id=f"{name}-{label}")
+       for kw, name in ((dict(beta=-0.4), "beta-0.4"), (NARROW, "narrow-resonance"))
+       for times, label in (([0.0, 1.0], "t0-t1"), ([0.5, 5.0, 10.0], "short"))])
+
+
+def _four_times_finer(monkeypatch, den, times):
+    """The oracle at `times`, and again with both pieces' first steps 4 times
+    finer (the threshold's cap of 0.1 in s as well); the first run's counts."""
+    counts = {}
+    coarse = oracle_survival_bruteforce(den, times, counts=counts)
+    with monkeypatch.context() as m:
+        _finer_rule(m, 4.0, max(times))
+        m.setattr(tailsurv.oracle, "_BRUTE_S_STEP", tailsurv.oracle._BRUTE_S_STEP / 4.0)
+        return coarse, oracle_survival_bruteforce(den, times), counts
+
+
+@pytest.mark.parametrize("kw, times", FINER_CASES)
+def test_brute_force_matches_itself_started_four_times_finer(monkeypatch, kw, times):
+    # the returned sum, not only its nested gap: the bulk's first pass puts
+    # its first alias at t + _BRUTE_BULK_BAND, so the accepted sum's at
+    # t + 2 _BRUTE_BULK_BAND (measured: <= 2.0e-14 here, 1.2e-12 at t = 0
+    # with a band of 300)
+    coarse, fine, _ = _four_times_finer(monkeypatch, make_density(**kw), times)
+    assert np.max(np.abs(coarse - fine)) <= 1.0e-13
+
+
+def test_near_threshold_well_moves_within_its_threshold_gap(monkeypatch):
+    # the near-threshold well's threshold piece stops at a gap g = 7.6e-12,
+    # and a 4 times finer start moves P by 2.8e-13 (5.5e-13 at 16 times,
+    # 1.6e-15 from the bulk alone): P = |A|^2 may move by (2 |A| + g) g
+    coarse, fine, counts = _four_times_finer(monkeypatch, make_density(**NEAR_THRESHOLD),
+                                             [60.0, 200.0])
+    gap = counts["threshold_gap"] + counts["bulk_gap"]
+    assert counts["bulk_gap"] <= 1.0e-13
+    assert np.all(np.abs(coarse - fine) <= (2.0 * np.sqrt(coarse) + gap) * gap)
 
 
 def test_small_nu_brute_force_holds_1e_8():
@@ -355,7 +404,7 @@ def test_taper_allocates_no_chunk_sized_array():
 
 
 def _one_sum(den, times, lo, hi, n, keep, midpoints=False, counts=None):
-    """One trapezoid (or midpoint) sum."""
+    """One pass: the trapezoid sums at steps h and 2h (or the midpoint sum and 0)."""
     trapezoid = _trapezoid_sums(den, np.asarray(times, dtype=float),
                                 {} if counts is None else counts)
     return trapezoid(lo, hi, n, keep, midpoints)
@@ -367,12 +416,13 @@ PIECES = {"below": (-4.0, 0.0), "above": (0.5, 1.75)}
 
 @pytest.mark.parametrize("keep", ["below", "above"])
 def test_tapered_nested_sums_match_whole_grid_sums(monkeypatch, keep):
-    # one sum of each piece against numpy's trapezoid on the whole grid: the
-    # threshold's is uniform in s, at E = exp(1 + s - e^{-s}) with weight
-    # dE/ds.  Chunks of 2000 // max(2, len(times)) points: 4096 panels
-    # leave a partial last chunk
+    # one pass of each piece against numpy's trapezoid on the whole grid and
+    # on its even-indexed points: the threshold's is uniform in s, at
+    # E = exp(1 + s - e^{-s}) with weight dE/ds.  Chunks of
+    # 2002 // max(2, len(times)) points, 1001 or 667: 4096 panels leave a
+    # partial last chunk, and every other chunk starts on an odd index
     den = make_density(0.3)
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 1000)
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2002)
     (lo, hi), n = PIECES[keep], 4096
     x = np.linspace(lo, hi, n + 1)
     if keep == "below":
@@ -385,9 +435,11 @@ def test_tapered_nested_sums_match_whole_grid_sums(monkeypatch, keep):
     for times in ([30.0], [1.0, 7.0, 30.0]):
         counts = {}
         got = _one_sum(den, times, lo, hi, n, keep, counts=counts)
-        ref = np.trapezoid(vals * np.exp(-1j * np.outer(times, e)), x, axis=1)
-        assert np.max(np.abs(got - ref)) <= 1.0e-14 * np.max(np.abs(ref))
-        chunk = 2000 // max(2, len(times))
+        terms = vals * np.exp(-1j * np.outer(times, e))
+        for sums, ref in zip(got, (np.trapezoid(terms, x, axis=1),
+                                   np.trapezoid(terms[:, ::2], x[::2], axis=1))):
+            assert np.max(np.abs(sums - ref)) <= 1.0e-14 * np.max(np.abs(ref))
+        chunk = 2002 // max(2, len(times))
         assert n % chunk and counts["density_calls"] == -(-n // chunk)
         assert counts["density_s"] > 0.0
 
@@ -400,37 +452,58 @@ def test_midpoint_sum_halves_the_trapezoid_step(monkeypatch, times):
     monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 1000)
     n = 2048
     for keep, (lo, hi) in PIECES.items():
-        coarse = _one_sum(den, times, lo, hi, n, keep)
-        mid = _one_sum(den, times, lo, hi, n, keep, midpoints=True)
-        fine = _one_sum(den, times, lo, hi, 2 * n, keep)
+        coarse = _one_sum(den, times, lo, hi, n, keep)[0]
+        mid = _one_sum(den, times, lo, hi, n, keep, midpoints=True)[0]
+        fine = _one_sum(den, times, lo, hi, 2 * n, keep)[0]
         assert np.max(np.abs(0.5 * (coarse + mid) - fine)) <= 1.0e-14 * np.max(np.abs(fine))
 
 
 def test_verification_at_verify_times_stays_under_a_million_evaluations(density_for):
-    # 2 039 threshold and 39 959 bulk points, the bulk up to e_out = 157.4;
-    # ending at E = 438.6 it took 111 575, a bulk step of pi/(4t) 223 149,
-    # the fractional Richardson threshold 200 000 and the 64-per-pi rule 3.77 M
+    # 2 039 threshold and 29 971 bulk points, the bulk up to e_out = 157.4 from
+    # a step of 2 pi/600; from min(8e-3, pi/(2t)) it took 39 959, ending at
+    # E = 438.6 111 575, the fractional Richardson threshold 200 000 and the
+    # 64-per-pi rule 3.77 M
     report = run_verification(density_for(0.3), (60.0, 200.0))
     assert report.all_passed
     assert report.meta["threshold_evals"] <= 2_100
-    assert report.meta["bulk_evals"] <= 44_000
+    assert report.meta["bulk_evals"] <= 33_000
 
 
 @pytest.mark.parametrize("kw, threshold_evals",
                          list(zip(WELLS, [2039] * len(REFERENCE_BETAS) + [8153])), ids=WELL_IDS)
 def test_bulk_takes_one_pass_at_verify_times(kw, threshold_evals):
-    # at t = (60, 200) the bulk's first sums, at steps pi/400 and pi/800 in E
-    # up to e_out, agree within 1e-12, so no midpoints follow; the threshold
-    # keeps its steps of pi/800 in s and its evaluations
+    # at t = (60, 200) the bulk's first sums, at steps 2 pi/600 and pi/600 in
+    # E up to e_out, agree within a tenth of the tolerance (1.7e-11 to
+    # 1.9e-11 on the reference wells, 5.3e-13 on the narrow one), so no
+    # midpoints follow; the threshold keeps its steps of pi/800 in s and its
+    # evaluations
     den = make_density(**kw)
     counts = {}
     oracle_survival_bruteforce(den, np.array([60.0, 200.0]), counts=counts)
     assert 64.0 <= counts["e_out"] <= 400.0
     assert counts["tail_estimate"] <= tailsurv.oracle._BRUTE_TAIL_TOL
-    n = math.ceil((counts["e_out"] - 0.5) / (math.pi / 400.0))
+    step = 2.0 * math.pi / (200.0 + tailsurv.oracle._BRUTE_BULK_BAND)
+    n = math.ceil((counts["e_out"] - 0.5) / step)
     assert counts["bulk_evals"] == 2 * n + 1
-    assert counts["bulk_gap"] <= 1.0e-12
+    assert counts["bulk_gap"] <= tailsurv.oracle._BRUTE_NESTED_TOL / 10.0
     assert counts["threshold_evals"] == threshold_evals
+
+
+def test_a_one_pass_piece_makes_one_density_call(monkeypatch):
+    # at the verify times each piece's first pair of sums comes from one call
+    # on the finer grid, and the three candidate ends' stencils from one more
+    den = make_density(0.3)
+    omega, calls = den.omega, []
+
+    def recording(e, *, work=None):
+        calls.append(e.size)
+        return omega(e, work=work)
+
+    monkeypatch.setattr(den, "omega", recording)
+    counts = {}
+    oracle_survival_bruteforce(den, np.array([60.0, 200.0]), counts=counts)
+    assert calls == [15, counts["threshold_evals"], counts["bulk_evals"]]
+    assert counts["density_calls"] == 2
 
 
 @pytest.mark.parametrize("kw", [dict(beta=0.3, v0=0.0), dict(beta=0.3), NEAR_THRESHOLD],
@@ -462,7 +535,7 @@ def test_tail_estimate_states_the_integral_left_out(kw, t):
     e_out, tail = counts["e_out"], counts["tail_estimate"]
     e_deep = _omega_zero(den, 64.0 * e_out)
     n = math.ceil((e_deep - e_out) * 32.0 * t / (2.0 * math.pi))
-    left_out = abs(_trapezoid_sums(den, np.array([t]), {})(e_out, e_deep, n, "above")[0])
+    left_out = abs(_trapezoid_sums(den, np.array([t]), {})(e_out, e_deep, n, "above")[0, 0])
     assert left_out <= tail <= 1.01 * left_out
     assert tail <= tailsurv.oracle._BRUTE_TAIL_TOL
 
@@ -484,23 +557,32 @@ def test_batched_times_match_one_call_per_time(density_for, beta):
 def test_brute_force_does_not_depend_on_chunk_length(density_for, monkeypatch):
     den = density_for(0.3)
     times = np.array([60.0, 200.0])
-    default = oracle_survival_bruteforce(den, times)
-    # chunks of 8008 points for each of the two times: not a divisor of
-    # the grid sizes, so the last chunk is partial
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 8008)
-    small = oracle_survival_bruteforce(den, times)
+    counts, small_counts = {}, {}
+    default = oracle_survival_bruteforce(den, times, counts=counts)
+    # chunks of 8009 points for each of the two times: odd, so every other
+    # chunk starts on an odd index of the grid, and not a divisor of the
+    # grid sizes, so the last chunk is partial; the coarser sum of each
+    # first pass, from the even-indexed points, agrees as well, so the
+    # pieces stop after the same passes
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 8009)
+    small = oracle_survival_bruteforce(den, times, counts=small_counts)
     assert np.all(np.abs(small - default) <= 1.0e-13 * default)
+    assert small_counts["density_calls"] > counts["density_calls"]
+    for key in ("threshold_evals", "bulk_evals"):
+        assert small_counts[key] == counts[key]
+    for key in ("threshold_gap", "bulk_gap"):
+        assert small_counts[key] == pytest.approx(counts[key], rel=1.0e-3)
 
 
 def test_density_error_in_a_chunk_reaches_the_caller(monkeypatch):
-    # at t = 1 the bulk's first sum streams in chunks of 4096 points; the
+    # at t = 1 the bulk's first pass streams in chunks of 4096 points; the
     # third one's error ends the oracle, and no later chunk is evaluated
     den = make_density(0.3)
     calls, omega = itertools.count(), den.omega
 
     def failing(e, *, work=None):
-        # the threshold's chunks and the tail estimate's five points pass
-        if e[0] >= 0.5 and e.size > 5 and next(calls) == 2:
+        # the threshold's chunks and the tail estimates' stencils pass
+        if e[0] >= 0.5 and work is not None and next(calls) == 2:
             raise DomainError("third bulk chunk")
         return omega(e, work=work)
 
@@ -512,15 +594,15 @@ def test_density_error_in_a_chunk_reaches_the_caller(monkeypatch):
 
 
 def test_chunks_started_after_an_error_skip_the_density(monkeypatch):
-    # the bulk's first sum at t = 1 streams in chunks of 8192 points; the
+    # the bulk's first pass at t = 1 streams in chunks of 8192 points; the
     # third one fails, and the chunks after it make no density call
     den = make_density(0.3)
     omega, chunks = den.omega, []
-    step = 8192 * 8.0e-3  # bulk chunk length for one time
+    step = 8192 * math.pi / 401.0  # bulk chunk length for one time, at step pi/(1 + 400)
     monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 8192)
 
     def third_fails(e, *, work=None):
-        if e[0] < 0.5 or e.size <= 5:  # the threshold piece's, the tail estimate's
+        if e[0] < 0.5 or work is None:  # the threshold piece's, the tail estimates'
             return omega(e, work=work)
         k = round((e[0] - 0.5) / step)
         chunks.append(k)
@@ -540,7 +622,7 @@ def test_brute_force_reuses_one_block_for_every_chunk(monkeypatch):
     omega, blocks, calls = den.omega, set(), []
 
     def recording(e, *, work=None):
-        if e.size > 5:  # not the tail estimate's call
+        if e.size > 15:  # not the tail estimates' call
             assert work is not None and np.shares_memory(e, work[0])
             blocks.add(id(work))
             calls.append(e.size)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import cmath
 import inspect
+import itertools
 import math
 from pathlib import Path
 
@@ -744,3 +745,19 @@ def test_riccati_calls_leave_their_input_unchanged(beta):
         keep = arg.copy()
         riccati_pair_with_derivatives(order, arg)
         assert np.array_equal(arg, keep)
+
+
+def test_per_order_caches_stay_bounded_and_values_bit_identical():
+    # a sweep over many tail strengths: each order's coefficients are
+    # cached, but only the last _ORDER_CACHE_SIZE entries are kept, and an
+    # order evicted and built again gives the same bits
+    x = np.array([0.5, 3.0, 11.0, 13.0, 20.0])
+    order = BesselOrder(0.3)
+    first = riccati_combos(order, x), riccati_pair_with_derivatives(order, x[:4])
+    for beta in np.linspace(-0.45, 1.45, 300):
+        riccati_combos(BesselOrder(float(beta)), x)
+    for cached in (tailsurv.specfun._series_tables, tailsurv.specfun._large_x_coefficients):
+        assert cached.cache_info().currsize <= tailsurv.specfun._ORDER_CACHE_SIZE
+    again = riccati_combos(order, x), riccati_pair_with_derivatives(order, x[:4])
+    for got, want in zip(itertools.chain(*again), itertools.chain(*first)):
+        assert np.array_equal(got, want)
