@@ -414,7 +414,7 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
     t, r_a = float(times.max()), density.pot.r_a
     per_t = math.pi / (_BRUTE_STEPS_PER_PI * t) if t else math.inf
     bulk_step = 2.0 * math.pi / (t + _BRUTE_BULK_BAND)
-    if t == 0.0:  # past 2500, where the envelope estimate of the rest is most accurate
+    if t == 0.0:  # past 2500; the envelope estimate of the rest states no error
         k_out = (math.ceil(2.0 * r_a * 50.0 / math.pi - 0.5) + 0.5) * math.pi / (2.0 * r_a)
         e_out = k_out * k_out
     else:

@@ -71,10 +71,6 @@ class BesselOrder:
         object.__setattr__(self, "beta", float(b))
 
     @property
-    def nu(self) -> float:
-        return self.beta + 0.5
-
-    @property
     def is_integer_beta(self) -> bool:
         # beta > -1/2, so an integer beta is a non-negative one
         return self.beta.is_integer()

@@ -50,9 +50,6 @@ from .specfun import (SQRT_PI, BesselOrder, _combos, riccati_combos,
 # threshold refinement (its reflection coefficients blow up).
 _NU_INTEGER_CUT = 1.0e-6
 
-# Terms of the threshold density series, the most `asymptote_series` uses.
-_DENSITY_SERIES_TERMS = 6
-
 
 @dataclass(frozen=True)
 class ThresholdCoeffs:
@@ -60,28 +57,32 @@ class ThresholdCoeffs:
 
     jost_scale:     |f(k)| ~ jost_scale * k^{-beta} as k -> 0
     density_scale:  omega  ~ density_scale * k^{2 beta + 1}
-    coeff_down/mid/up: coefficients of |f|^2 / k ~ coeff_down k^{-2 nu}
-        + coeff_mid + coeff_up k^{2 nu}; None when nu is within
-        1e-6 of an integer, where this expansion degenerates.
-    density_series: coefficients of omega ~ sum_m c_m k^{2 m nu},
-        m = 1 .. len; None exactly when the coeff block is None.
+    ratios: (a, b) of the three-term refinement omega ~ density_scale
+        k^{2 nu} / (1 + a k^{2 nu} + b k^{4 nu}); None when nu is within
+        _NU_INTEGER_CUT of an integer, where it degenerates.
     """
 
     beta: float
-    nu: float
     jost_scale: float
     density_scale: float
-    coeff_down: float | None
-    coeff_mid: float | None
-    coeff_up: float | None
-    density_series: tuple[float, ...] | None
+    ratios: tuple[float, float] | None
 
-    def require_series(self) -> tuple[float, ...]:
-        if self.density_series is None:
+    @property
+    def nu(self) -> float:
+        return self.beta + 0.5
+
+    def series(self, n: int) -> tuple[float, ...]:
+        """c_1 .. c_n of the refinement's expansion omega ~ sum_m c_m k^{2 m nu}:
+        c_1 = density_scale at every nu, then c_m = -a c_{m-1} - b c_{m-2}."""
+        if n > 1 and self.ratios is None:
             raise DomainError(
-                f"threshold power series degenerates for nu = {self.nu:g} "
-                "(within 1e-6 of an integer); only the leading law is available")
-        return self.density_series
+                f"threshold refinement degenerates for nu = {self.nu:g} (within "
+                f"{_NU_INTEGER_CUT:g} of an integer); only the leading law is available")
+        a, b = self.ratios or (0.0, 0.0)
+        cs = [0.0, self.density_scale]
+        while len(cs) <= n:
+            cs.append(-a * cs[-1] - b * cs[-2])
+        return tuple(cs[1:n + 1])
 
 
 def _shifted_well(k_i, k_a: float, n_a: int, out=(None,) * 6):
@@ -214,18 +215,14 @@ class SpectralDensity:
 
         Valid for |E| well below the potential scales; accepts the same
         real/complex input as `omega`.  Requires the non-degenerate
-        coefficient block.
+        refinement, which `ThresholdCoeffs.series` refuses at integer nu.
         """
         th = self.threshold
-        if th.coeff_down is None:
-            raise DomainError(
-                f"threshold refinement unavailable: nu = {th.nu:g} is within "
-                "1e-6 of an integer")
+        th.series(2)  # refuses a degenerate refinement
+        a, b = th.ratios
         arr, scalar = _off_threshold(e, "energy")
         knu2 = arr ** th.nu if not np.iscomplexobj(arr) else np.exp(th.nu * np.log(arr))
-        ratio_mid = th.coeff_mid / th.coeff_down
-        ratio_up = th.coeff_up / th.coeff_down
-        out = th.density_scale * knu2 / (1.0 + ratio_mid * knu2 + ratio_up * knu2 * knu2)
+        out = th.density_scale * knu2 / (1.0 + a * knu2 + b * knu2 * knu2)
         return (out[0] if scalar else out)
 
     @cached_property
@@ -239,7 +236,7 @@ class SpectralDensity:
         pot, init = self.pot, self.init
         beta = pot.beta
         nu = beta + 0.5
-        u0, du0 = map(float, regular_boundary_sq(pot, 0.0))
+        _, u0, du0 = pot._zero_energy_boundary()
         r_d = pot.r_d
         bracket_minus = beta * u0 / r_d + du0
         bracket_plus = (beta + 1.0) * u0 / r_d - du0
@@ -259,31 +256,14 @@ class SpectralDensity:
             g0 = float(_shifted_well(np.asarray([k_i0]), k_a, init.n_a)[2][0]) / k_i0
         density_scale = (2.0 * k_a ** 2 / (math.pi * pot.r_a)) * g0 * g0 / jost_scale ** 2
 
-        if abs(nu - round(nu)) < _NU_INTEGER_CUT:
-            return ThresholdCoeffs(beta=beta, nu=nu, jost_scale=jost_scale,
-                                   density_scale=density_scale, coeff_down=None,
-                                   coeff_mid=None, coeff_up=None, density_series=None)
-
-        g_nu = math.gamma(nu)
-        coeff_down = g_nu ** 2 * 2.0 ** (2.0 * nu - 1.0) / (math.pi * r_d ** (2.0 * nu - 1.0)) \
-            * bracket_minus ** 2
-        coeff_mid = (r_d / (nu * math.tan(nu * math.pi))) * bracket_minus * bracket_plus
-        coeff_up = r_d ** (2.0 * nu + 1.0) * math.gamma(1.0 - nu) ** 2 \
-            / (math.pi * 2.0 ** (2.0 * nu + 1.0) * nu ** 2) * bracket_plus ** 2
-
-        # geometric expansion of density_scale k^{2 nu} / (1 + a k^{2 nu} + b k^{4 nu})
-        a = coeff_mid / coeff_down
-        b = coeff_up / coeff_down
-        cs = [1.0]
-        for m in range(1, _DENSITY_SERIES_TERMS):
-            nxt = -a * cs[m - 1] - (b * cs[m - 2] if m >= 2 else 0.0)
-            cs.append(nxt)
-        series = tuple(density_scale * c for c in cs)
-
-        return ThresholdCoeffs(beta=beta, nu=nu, jost_scale=jost_scale,
-                               density_scale=density_scale, coeff_down=coeff_down,
-                               coeff_mid=coeff_mid, coeff_up=coeff_up,
-                               density_series=series)
+        ratios = None
+        if abs(nu - round(nu)) >= _NU_INTEGER_CUT:
+            # the refinement's denominator is |1 + g e^{i nu pi} k^{2 nu}|^2
+            g = ((0.5 * r_d) ** (2.0 * nu) * bracket_plus / bracket_minus
+                 * math.gamma(1.0 - nu) / math.gamma(1.0 + nu))
+            ratios = (2.0 * math.cos(nu * math.pi) * g, g * g)
+        return ThresholdCoeffs(beta=beta, jost_scale=jost_scale,
+                               density_scale=density_scale, ratios=ratios)
 
 
 def arc_density_magnitude(pot: WBPotential, init: InitialState,

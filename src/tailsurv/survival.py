@@ -458,9 +458,8 @@ def _pick_e_max(r_a: float, times: np.ndarray) -> tuple[float, bool]:
     t_min = float(np.min(pos)) if pos.size else 1.0
     e_max = float(_e_needed(r_a, max(t_min, 0.05)))
     if np.any(times == 0.0):
-        # t = 0 leans on the envelope estimate of the truncated mass,
-        # whose own error only drops fast enough beyond this scale
-        e_max = max(e_max, 2500.0)
+        # t = 0 is the whole mass: the table that `spectral_mass` integrates
+        e_max = _MASS_E_HI
     e_max = min(e_max, 4.0e4)
     return e_max, bool(e_max < _e_needed(r_a, t_min))
 
@@ -485,8 +484,8 @@ def survival_exact(density: SpectralDensity, times, *,
     (time > 0, panel) pairs summed by Gauss rule, in closed form, by the
     moment series and by the tail (small_phase_pairs, large_phase_pairs,
     low_energy_pairs, beyond_cut_pairs) and the table and amplitude
-    stage seconds.  P(0) includes the analytic estimate of mass beyond
-    e_max so the normalization limit is reproduced.
+    stage seconds.  A grid with t = 0 takes e_max = _MASS_E_HI, so P(0)
+    is `spectral_mass` squared, its envelope of the mass beyond included.
     """
     t_arr = _vector(times, "survival times", float)[0].copy()
     if np.any(t_arr < 0.0):
@@ -621,19 +620,15 @@ def survival_laplace_axis(density: SpectralDensity, times, *,
 # asymptotic models                                                 #
 # ----------------------------------------------------------------- #
 
-def asymptote_one_term(coeffs: ThresholdCoeffs) -> AsymptoticModel:
-    """Leading long-time power law of the amplitude.
+# Most terms `asymptote_series` takes.
+_MAX_SERIES_TERMS = 6
 
+
+def asymptote_one_term(coeffs: ThresholdCoeffs) -> AsymptoticModel:
+    """Leading long-time power law of the amplitude, `asymptote_series(coeffs, 1)`:
     A(t) ~ density_scale Gamma(nu + 1) (i t)^{-(nu + 1)}, so
-    P(t) ~ density_scale^2 Gamma(beta + 3/2)^2 t^{-(2 beta + 3)}.  It
-    needs only the leading threshold law, so unlike `asymptote_series`
-    it holds at integer nu too.
-    """
-    nu = coeffs.nu
-    return AsymptoticModel(origin="one-term",
-                           coefficients=(coeffs.density_scale * math.gamma(nu + 1.0),),
-                           exponents=(nu + 1.0,),
-                           meta={"beta": coeffs.beta, "nu": nu})
+    P(t) ~ density_scale^2 Gamma(beta + 3/2)^2 t^{-(2 beta + 3)}."""
+    return asymptote_series(coeffs, 1)
 
 
 def asymptote_series(coeffs: ThresholdCoeffs, n_terms: int = 4
@@ -641,17 +636,18 @@ def asymptote_series(coeffs: ThresholdCoeffs, n_terms: int = 4
     """Multi-term amplitude-space asymptote from the threshold series.
 
     A_v(t) ~ sum_{m=1}^{M} c_m Gamma(1 + m nu) (i t)^{-(1 + m nu)}
-    with c_m the threshold density-series coefficients.  Needed for
-    attractive tails, where consecutive exponents are closely spaced
-    and a single term misrepresents finite-time behaviour.
+    with c_m from `ThresholdCoeffs.series`.  Needed for attractive tails,
+    where consecutive exponents are closely spaced and a single term
+    misrepresents finite-time behaviour.  One term, origin "one-term",
+    needs only the leading threshold law, so it holds at integer nu too;
+    more are refused there.
     """
-    series = coeffs.require_series()
-    if not 1 <= n_terms <= len(series):
-        raise DomainError(
-            f"n_terms must be in [1, {len(series)}], got {n_terms}")
+    if not 1 <= n_terms <= _MAX_SERIES_TERMS:
+        raise DomainError(f"n_terms must be in [1, {_MAX_SERIES_TERMS}], got {n_terms}")
     nu = coeffs.nu
     es = tuple(1.0 + m * nu for m in range(1, n_terms + 1))
-    return AsymptoticModel(origin="multi-term",
-                           coefficients=tuple(c * math.gamma(e) for c, e in zip(series, es)),
+    return AsymptoticModel(origin="one-term" if n_terms == 1 else "multi-term",
+                           coefficients=tuple(c * math.gamma(e)
+                                              for c, e in zip(coeffs.series(n_terms), es)),
                            exponents=es,
                            meta={"beta": coeffs.beta, "nu": nu, "n_terms": n_terms})

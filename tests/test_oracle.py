@@ -540,6 +540,19 @@ def test_tail_estimate_states_the_integral_left_out(kw, t):
     assert tail <= tailsurv.oracle._BRUTE_TAIL_TOL
 
 
+@pytest.mark.parametrize("kw", [
+    dict(beta=0.3),
+    pytest.param(SMALL, marks=pytest.mark.xfail(strict=True, reason=(
+        "at t = 0 the bulk ends near E = 2606 and adds the envelope estimate of "
+        "the rest, which states no error: on the small well the brute force is "
+        "1.7e-6 from exact's P(0), the squared spectral mass (4.5e-10 on the "
+        "reference well)")))], ids=["beta0.3", "small-well"])
+def test_bruteforce_at_t0_matches_the_spectral_mass(kw):
+    den = make_density(**kw)
+    exact = survival_exact(den, [0.0]).probability[0]
+    assert abs(oracle_survival_bruteforce(den, 0.0) - exact) <= 1.0e-8
+
+
 @pytest.mark.parametrize("beta", REFERENCE_BETAS)
 def test_batched_times_match_one_call_per_time(density_for, beta):
     # the positive times share the t = 500 grid, up to the end that t = 1

@@ -351,15 +351,15 @@ def test_threshold_coefficient_identities(density_for):
     assert th.beta == -0.4
     assert th.nu == pytest.approx(0.1, rel=1.0e-14)
     assert th.jost_scale > 0.0 and th.density_scale > 0.0
-    series = th.require_series()
-    # first expansion coefficient is the leading scale itself
+    series = th.series(6)
+    # first expansion coefficient is the leading scale itself, the second
+    # its product with -a, the first ratio of the refinement
     assert series[0] == th.density_scale
-    # second follows from the ratio of the down and mid combination
-    # weights
-    assert series[1] == pytest.approx(
-        -th.density_scale * th.coeff_mid / th.coeff_down, rel=1.0e-12)
-    assert th.density_scale == pytest.approx(0.7215643016, rel=1.0e-9)
-    assert series[1] == pytest.approx(1.0355225778, rel=1.0e-9)
+    assert series[1] == pytest.approx(-th.density_scale * th.ratios[0], rel=1.0e-12)
+    # the six coefficients the record stored before it kept only (a, b)
+    stored = (0.7215643015687653, 1.035522577764214, 1.0753423351784472,
+              0.9537699541474215, 0.7566334267720677, 0.5429252769366076)
+    assert np.max(np.abs(np.array(series) / stored - 1.0)) <= 1.0e-14
 
 
 def test_density_scale_matches_threshold_law(density_for):
@@ -376,10 +376,11 @@ def test_integer_order_degeneracy_blocks_series():
     # the subleading expansion degenerates and is withheld
     den = make_density(0.5)
     th = den.threshold
-    assert th.density_series is None
+    assert th.ratios is None
     assert th.density_scale > 0.0 and th.jost_scale > 0.0
+    assert th.series(1) == (th.density_scale,)
     with pytest.raises(DomainError):
-        th.require_series()
+        th.series(2)
 
 
 # ------------------------------------------------------------------ #
