@@ -80,10 +80,13 @@ _MOMENT_STEPS = 1.0 / np.arange(1.0, _MOMENT_TERMS)[:, None, None]
 _MASS_E_HI = 4.0e4
 
 # Times per block of the batched amplitude.  The largest temporaries are
-# two (block, window panels, 8) float arrays for the Gauss sums, ~0.8 MB
-# each at the CLI grid's shortest times (229 panels); its amplitude stage
-# peaks at 3.1 MB.  64 keeps a sweep's 50 times in one block (32 cost it
-# 1.3x); on the CLI grid 32 to 64 time the same within noise, 96 is slower.
+# two (8, Gauss rows, block) float arrays for the Gauss sums, ~0.7 MB
+# each at the CLI grid's shortest times (177 of its 229 panels); its
+# amplitude stage peaks at 2.6 MB (1.6 MB at 32, 4.6 MB at 128).  64
+# keeps a sweep's 50 times in one block (32 cost it 1.3x).  survive-grid
+# op_p50_s in the harness, 2-vCPU x86-64 with a 2 MB L2 per core, against
+# 64: 32 is 13% slower, 96 and 128 are 2-4% faster at +1.6 and +0.3 MB
+# peak RSS, and 256 is 33% slower; 64 stays, two doublings below that cliff.
 _TIME_BLOCK = 64
 
 
@@ -102,8 +105,8 @@ _GL_X, _GL_W, _MONO_FROM_VALS, _CHEB_FROM_VALS = _gauss_basis()
 # d^n/ds^n s^j = j!/(j-n)! (+-1)^(j-n) for j >= n.
 _DERIV_HI = np.array([[math.perm(j, n) for j in range(16)] for n in range(16)], float)
 _DERIV_LO = _DERIV_HI * (-1.0) ** np.subtract.outer(np.arange(16), np.arange(16))
-# Powers n + 1 of 1/t in the closed form, even n then odd n: (2, 1, 1, 8).
-_POWERS = np.arange(1.0, 17.0).reshape(8, 1, 1, 2).T
+# Powers n + 1 of 1/t in the closed form, even n then odd n: (2, 1, 8, 1).
+_POWERS = np.arange(1.0, 17.0).reshape(8, 2).T.reshape(2, 1, 8, 1)
 # q^(n)(-1) + q^(n)(1) and q^(n)(-1) - q^(n)(1) from the monomial
 # coefficients of q, signed (-1)^(n//2): (sum/difference, j, n)
 _END_COMBOS = (np.stack((_DERIV_LO + _DERIV_HI, _DERIV_LO - _DERIV_HI)).transpose(0, 2, 1)
@@ -333,17 +336,20 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
     c = 2/(1+u^2); above it S_p is the panel interpolant q by parts,
     sum_{n<16} [q^(n)(-1) e^{i theta} - q^(n)(1) e^{-i theta}] / (i theta)^(n+1),
     whose four real sums over n are one matrix product per block of
-    _TIME_BLOCK times; each time masks the panels outside its window.
+    _TIME_BLOCK times.  Block arrays are (panel, time): the Gauss sums
+    run node-major over (8, panel, time), and each route's rows are
+    summed panel after panel, a pair outside its window or route adding
+    an exact zero, so blocks of two or more times give the same bits.
     The panels below the window, where E t <= 1, are one Taylor series
     sum_{m<20} (-it)^m M_m / m! in the cumulative energy moments M_m of
     the Gauss node values, whose truncation is <= 1/20! ~ 4e-19 of their
     mass.  Those above it are the by-parts tail at e_cut,
     e^{-i e_cut t} sum_n d_n / (it)^(n+1), from the derivatives d_n of
-    the panel below e_cut.  The interpolation part sums the residuals of
-    the panels below e_cut (damped by phase mixing in the window), and
-    the truncation part is |d_5| / t^6, below e_max the larger of d_5 at
-    e_cut and at its panel's middle.  Also returns the number of (time,
-    panel) pairs summed by the Gauss rule.
+    the panel below e_cut.  The interpolation part sums, in panel order
+    too, the residuals of the panels below e_cut (damped by phase mixing
+    in the window), and the truncation part is |d_5| / t^6, below e_max
+    the larger of d_5 at e_cut and at its panel's middle.  Also returns
+    the number of (time, panel) pairs summed by the Gauss rule.
     """
     lo, hi, e_cut = _windows(table, t) if windows is None else windows
     half, mid = table.half, table.mid
@@ -372,51 +378,52 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
     vsum, vdif = vw[p0:p1, 8:] + vw[p0:p1, 7::-1], vw[p0:p1, 7::-1] - vw[p0:p1, 8:]
     vsum_tot = vsum.sum(axis=1)   # sum v cos = sum v c - sum v
     # the end combinations over half^n, as (parity of n, sum/difference,
-    # n // 2, panel)
+    # panel, n // 2)
     ends = table.mono[p0:p1] @ _END_COMBOS
     ends /= half[p0:p1, None] ** np.arange(16.0)
-    ends = np.ascontiguousarray(ends.reshape(2, -1, 8, 2).transpose(3, 0, 2, 1))
+    ends = np.ascontiguousarray(ends.reshape(2, -1, 8, 2).transpose(3, 0, 1, 2))
     t_order, n_small = np.argsort(t), 0
-    cols = np.arange(mid.size)
+    rows = np.arange(mid.size)[:, None]
     for a in range(0, t.size, _TIME_BLOCK):
         idx = t_order[a:a + _TIME_BLOCK]
-        tb = t[idx, None]
+        tb = t[idx]
         # lo and hi fall as t rises: the block's windows span [b0, b1)
         b0, b1 = lo[idx[-1]], hi[idx[0]]
-        win = (cols[b0:b1] >= lo[idx, None]) & (cols[b0:b1] < hi[idx, None])
-        theta = tb * half[b0:b1]
-        # Gauss sums where the block's smallest t is below the switch,
-        # closed form where its largest is above; each time masks the rest
-        g, c = np.flatnonzero(theta[0] <= _PHASE_SWITCH), np.flatnonzero(theta[-1] > _PHASE_SWITCH)
-        s_re, s_im = np.zeros(theta.shape), np.zeros(theta.shape)
-        th = theta[:, g]
-        on = (th <= _PHASE_SWITCH) & win[:, g]
+        win = (rows[b0:b1] >= lo[idx]) & (rows[b0:b1] < hi[idx])
+        theta = half[b0:b1, None] * tb
+        # Gauss rows where the block's smallest t is below the switch,
+        # closed-form rows where its largest is above; each time masks the
+        # rest.  Each route's rows, times e^{-i t mid}, are summed panel
+        # after panel; a pair outside its route or window adds an exact
+        # zero, so no sum depends on the block
+        g, c = np.flatnonzero(theta[:, 0] <= _PHASE_SWITCH), np.flatnonzero(theta[:, -1] > _PHASE_SWITCH)
+        th = theta[g]
+        on = (th <= _PHASE_SWITCH) & win[g]
         n_small += int(np.count_nonzero(on))
-        u = _tan_half(th[..., None], _GL_X[8:])
+        u = _tan_half(th, _GL_X[8:, None, None])   # node-major: (8, row, time)
         cc = np.square(u)
         np.divide(2.0, np.add(cc, 1.0, out=cc), out=cc)
         g_tab = g + (b0 - p0)
-        s_re[:, g] = (np.einsum("bpk,pk->bp", cc, vsum[g_tab]) - vsum_tot[g_tab]) * on
+        s_re = (np.einsum("kpb,pk->pb", cc, vsum[g_tab]) - vsum_tot[g_tab, None]) * on
         u *= cc
-        s_im[:, g] = np.einsum("bpk,pk->bp", u, vdif[g_tab]) * on
+        s_im = np.einsum("kpb,pk->pb", u, vdif[g_tab]) * on
         del u, cc
+        sp, cp = _sincos(tb, mid[b0:b1][g, None])
+        re, im = (cp * s_re + sp * s_im).sum(axis=0), (cp * s_im - sp * s_re).sum(axis=0)
         # closed form; masked small-phase pairs may overflow in wide blocks
-        th = theta[:, c]
-        on = (th > _PHASE_SWITCH) & win[:, c]
+        th = theta[c]
+        on = (th > _PHASE_SWITCH) & win[c]
         with np.errstate(over="ignore", invalid="ignore"):
-            (e_sum, e_dif), (o_sum, o_dif) = tb ** -_POWERS @ ends[..., c + (b0 - p0)]
+            (e_sum, e_dif), (o_sum, o_dif) = ends[:, :, c + (b0 - p0)] @ tb ** -_POWERS
             sin2, cos2 = _sincos(th)
-            s_re[:, c] += np.where(on, sin2 * e_sum - cos2 * o_dif, 0.0)
-            s_im[:, c] -= np.where(on, cos2 * e_dif + sin2 * o_sum, 0.0)
-        sp, cp = _sincos(tb, mid[b0:b1])
-        # pairwise sums over the whole table, zero outside each window, so
-        # no sum depends on the block (a BLAS dot loses ~2 ulp at t ~ 0.1)
-        z = np.zeros((2, idx.size, mid.size))
-        z[0, :, b0:b1] = cp * s_re + sp * s_im
-        z[1, :, b0:b1] = cp * s_im - sp * s_re
-        re, im = z.sum(axis=2)
+            s_re = np.where(on, sin2 * e_sum - cos2 * o_dif, 0.0)
+            neg_im = np.where(on, cos2 * e_dif + sin2 * o_sum, 0.0)
+        sp, cp = _sincos(tb, mid[b0:b1][c, None])
+        re += (cp * s_re - sp * neg_im).sum(axis=0)
+        im -= (cp * neg_im + sp * s_re).sum(axis=0)
         amps[idx] += re + 1j * im
-        parts[idx, 0] += (np.minimum(1.0, 4.0 / theta) * win) @ resid[b0:b1]
+        damp = np.minimum(1.0, 4.0 / theta) * resid[b0:b1, None]
+        parts[idx, 0] += np.where(win, damp, 0.0).sum(axis=0)
 
     # above the windows, by parts: e^{-iEt} sum_n d_n / (it)^{n+1} at e_cut
     d = table.derivs[hi - 1]

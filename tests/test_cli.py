@@ -195,6 +195,21 @@ def test_grid_bounds_are_checked_before_the_grid_is_built(workdir, capsys, argv)
     assert "error-class: ConfigError" in err and "need 0 < " in err
 
 
+@pytest.mark.parametrize("argv, count", (
+    (["survive", "--t_per_decade", "1000000000000"], "4.301e+12 times; at most 100000"),
+    (["density", "--e_points", "1000000000"], "1000000000 energies; at most 1000000")))
+def test_grid_sizes_are_checked_before_the_grid_is_built(workdir, monkeypatch, capsys,
+                                                         argv, count):
+    # a mistyped count would ask np.geomspace for an unbounded array
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "geomspace", refuse)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error-class: ConfigError" in err and count in err
+
+
 def test_missing_config_file_exits_two_naming_it(workdir, capsys):
     with pytest.raises(ConfigError, match="absent.cfg"):
         load_config(workdir / "absent.cfg")

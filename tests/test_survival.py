@@ -304,16 +304,27 @@ def test_batched_moments_stay_finite_in_wide_blocks(density_for):
     assert np.max(np.abs(amps / ref - 1.0)) <= 1.0e-12
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 7, 13])
 def test_exact_blocks_match_one_call(density_for, monkeypatch, block):
-    den = density_for(0.3)
+    # each route's rows are summed panel after panel, and a pair outside
+    # its route or window adds an exact zero, so blocks of two or more
+    # times give the bits of one call
     t = np.concatenate(([0.0], np.geomspace(0.1, 2000.0, 45)))
-    whole = survival_exact(den, t)
-    monkeypatch.setattr(tailsurv.survival, "_TIME_BLOCK", block)
-    split = survival_exact(den, t)
-    assert np.max(np.abs(split.amplitudes - whole.amplitudes)) <= 2.0e-16
-    assert split.meta["max_error_estimate"] == pytest.approx(
-        whole.meta["max_error_estimate"], rel=1.0e-14)
+    for beta in (-0.45, 0.3, 1.0):
+        den = density_for(beta)
+        whole = survival_exact(den, t)
+        monkeypatch.setattr(tailsurv.survival, "_TIME_BLOCK", block)
+        split = survival_exact(den, t)
+        monkeypatch.undo()
+        if block > 1:
+            assert np.array_equal(split.amplitudes, whole.amplitudes)
+            assert np.array_equal(split.meta["error_estimate"], whole.meta["error_estimate"])
+            continue
+        # a one-time block's (panel, 1) column is one contiguous run, which
+        # numpy reduces pairwise, not in panel order (measured <= 1.7e-16)
+        assert np.max(np.abs(split.amplitudes - whole.amplitudes)) <= 2.0e-16
+        assert split.meta["max_error_estimate"] == pytest.approx(
+            whole.meta["max_error_estimate"], rel=1.0e-14)
 
 
 def test_exact_meta_splits_error_and_times_stages(density_for):
@@ -347,6 +358,10 @@ def test_exact_meta_counts_pairs_per_route(density_for):
     assert meta["beyond_cut_pairs"] == np.count_nonzero(~below)
     assert meta["small_phase_pairs"] == np.count_nonzero(
         below & ~low & (tt * table.half <= _PHASE_SWITCH))
+    # the CLI grid, 860 times in 14 blocks, whose table ends at e_max = 8100
+    meta = survival_exact(den, np.geomspace(0.1, 2000.0, 860)).meta
+    assert (meta["panels"],) + tuple(meta[key] for key in routes) == (
+        229, 33_577, 13_456, 35_547, 114_360)
 
 
 def test_exact_meta_has_an_error_estimate_per_time(density_for):
