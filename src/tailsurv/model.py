@@ -15,10 +15,6 @@ k^2 = vb need no special casing by the caller.  Each region's pair
 assembly of (u, u') serves `regular_boundary_sq` and the density in
 `spectral`; validation uses its scalar form at k = 0.
 
-The private kernels take `out`, target arrays for their results and
-intermediates in the order each names, as numpy's `out` does; a None
-target is a new array.  The density passes rows of its work block.
-
 The initial state is the lowest modes of the well region with an
 infinite-wall cutoff at r_a: u_i(r) = sqrt(2/r_a) sin(n_a pi r / r_a)
 for r <= r_a, zero outside.
@@ -53,10 +49,7 @@ class WBPotential:
 
     def __post_init__(self) -> None:
         for name in ("v0", "vb", "r_a", "r_d", "beta"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-                raise ConfigError(f"{name} must be a finite real number, got {val!r}")
-            object.__setattr__(self, name, float(val))
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
         if self.v0 < 0.0:
             raise ConfigError(f"well depth v0 must be >= 0, got {self.v0:g}")
         if self.vb < 0.0:
@@ -164,9 +157,9 @@ class InitialState:
     def __post_init__(self) -> None:
         if not isinstance(self.n_a, int) or isinstance(self.n_a, bool) or self.n_a < 1:
             raise ConfigError(f"mode index n_a must be a positive integer, got {self.n_a!r}")
-        if not math.isfinite(self.r_a) or self.r_a <= 0.0:
-            raise ConfigError(f"r_a must be positive and finite, got {self.r_a!r}")
-        object.__setattr__(self, "r_a", float(self.r_a))
+        object.__setattr__(self, "r_a", _finite_real("r_a", self.r_a))
+        if self.r_a <= 0.0:
+            raise ConfigError(f"r_a must be positive, got {self.r_a!r}")
 
     @classmethod
     def from_potential(cls, pot: WBPotential, n_a: int = 1) -> "InitialState":
@@ -185,6 +178,13 @@ class InitialState:
         return float(out[0]) if scalar else out
 
 
+def _finite_real(name: str, val) -> float:
+    """val as a float; ConfigError unless it is a finite real number, not a bool."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+        raise ConfigError(f"{name} must be a finite real number, got {val!r}")
+    return float(val)
+
+
 def _vector(x, name: str, dtype=None):
     """x as a 1-d array (of dtype, if given), and whether it was a scalar.
     Raises unless x holds one or more finite numbers; each caller checks
@@ -195,45 +195,24 @@ def _vector(x, name: str, dtype=None):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def _horner(coef, x, out=None):
-    """sum_i coef[i] x^i, in out (not x): x coef[-1], then for each lower
-    coefficient but the last, add it and multiply by x in place; coef[0]
-    is added last.  coef[i] may be a scalar or an array like x."""
-    acc = np.multiply(x, coef[-1], out=out)
+def _horner(coef, x):
+    """sum_i coef[i] x^i: x coef[-1], then for each lower coefficient but
+    the last, add it and multiply by x in place; coef[0] is added last.
+    coef[i] may be a scalar or an array like x.  (Two new arrays per step
+    made the density 1.4x slower on 8192 series energies.)"""
+    acc = x * coef[-1]
     for c in coef[-2:0:-1]:
         acc += c
         acc *= x
-    acc += coef[0]
-    return acc
+    return acc + coef[0]
 
 
-def _tan_half(x, scale=1.0, out=None):
-    """tan(y/2) at real y = x scale (scale broadcasts), in out (may be x)."""
-    u = np.multiply(x, np.multiply(scale, 0.5), out=out)   # exact: (x scale)/2
-    return np.tan(u, out=u)
+def _tan_half(x, scale=1.0):
+    """tan(y/2) at real y = x scale (scale broadcasts)."""
+    return np.tan(x * (scale * 0.5))   # exact: (x scale)/2
 
 
-def _mul(a, b, out=None):
-    """a * b in out; with no out the operator, whose scalar arithmetic can
-    differ in the last bit from the array loop on complex scalars."""
-    return a * b if out is None else np.multiply(a, b, out=out)
-
-
-def _halves(row):
-    """A complex row's memory as two rows of len(row) floats (a real row is
-    its own first half); None gives Nones."""
-    if row is None:
-        return None, None
-    flat = row.view(np.float64)
-    return flat[:row.size], flat[row.size:]
-
-
-def _head(out, m):
-    """The first m entries of each target."""
-    return [None if o is None else o[:m] for o in out]
-
-
-def _sincos(x, scale=1.0, out=(None,) * 5):
+def _sincos(x, scale=1.0):
     """(sin y, cos y) at y = x scale (scale broadcasts), real or complex.
 
     Real y: with u = tan(y/2), the one vectorized circular function on
@@ -243,30 +222,20 @@ def _sincos(x, scale=1.0, out=(None,) * 5):
     that relative for small |y|.  y = 0 gives exactly (0, 1), sin is odd
     and cos even, inf or nan gives nan.  A subnormal y loses its last
     bit to y/2: sin(5e-324) is 0.  Complex a + ib takes sin a cosh b +
-    i cos a sinh b and cos a cosh b - i sin a sinh b.  out: sin, cos
-    and three scratch (real x uses one); the first scratch may be x.
+    i cos a sinh b and cos a cosh b - i sin a sinh b.
     """
     if np.iscomplexobj(x):
-        x = np.multiply(x, scale, out=out[2])
-        (a0, a1), (b0, b1) = _halves(out[3]), _halves(out[4])
-        s, c = _sincos(x.real, out=(a0, b0, a1))
-        ch, sh = np.cosh(x.imag, out=a1), np.sinh(x.imag, out=b1)
-        re, im = _halves(x)                   # x is spent: its memory takes the products
-        sin = np.multiply(1j, np.multiply(c, sh, out=im), out=out[0])
-        sin += np.multiply(s, ch, out=re)
-        cos = np.multiply(1j, np.multiply(s, sh, out=im), out=out[1])
-        return sin, np.subtract(np.multiply(c, ch, out=re), cos, out=cos)
-    u = _tan_half(x, scale, out[0])
-    den = np.square(u, out=out[2])
-    cos = np.subtract(1.0, den, out=out[1])
-    den += 1.0
-    cos /= den
-    u += u
-    u /= den
-    return u, cos
+        x = x * scale
+        s, c = _sincos(x.real)
+        ch, sh = np.cosh(x.imag), np.sinh(x.imag)
+        return 1j * (c * sh) + s * ch, c * ch - 1j * (s * sh)
+    u = _tan_half(x, scale)
+    u_sq = np.square(u)
+    den = u_sq + 1.0
+    return (u + u) / den, (1.0 - u_sq) / den
 
 
-def _trig_sqrt(z, length, out=(None,) * 6):
+def _trig_sqrt(z, length):
     """(cos(sqrt(z) L), sin(sqrt(z) L)/sqrt(z)), entire in z, from one square root.
 
     Negative real z gives (cosh, sinh/kappa), kappa = sqrt(-z).  A real
@@ -276,64 +245,48 @@ def _trig_sqrt(z, length, out=(None,) * 6):
     operations as on its own branch.  (The hyperbolic branch overflows
     only on long barriers at large z > 0, whose values it discards.)  The
     quotient is exact to rounding for z != 0; z = 0 takes the limit (1, L).
-    out: the quotient, the cosine and four scratch.
     """
     if np.iscomplexobj(z) or z.min(initial=np.inf) >= 0.0:
-        return _trig_pair(np.sqrt(z, out=out[5]), length, _sincos, out[:5])
+        return _trig_pair(np.sqrt(z), length, _sincos)
     if z.max(initial=-np.inf) <= 0.0:
-        s = np.sqrt(np.negative(z, out=out[5]), out=out[5])
-        return _trig_pair(s, length, _sinh_cosh, out[:5])
-    s = np.sqrt(np.abs(z, out=out[5]), out=out[5])
-    cos, sinc = _trig_pair(s, length, _sincos, out[:3])
+        return _trig_pair(np.sqrt(-z), length, _sinh_cosh)
+    s = np.sqrt(np.abs(z))
+    cos, sinc = _trig_pair(s, length, _sincos)
     with np.errstate(over="ignore"):
-        cosh, sinh = _trig_pair(s, length, _sinh_cosh, (out[3], out[4], out[2]))
+        cosh, sinh = _trig_pair(s, length, _sinh_cosh)
     neg = z < 0.0
-    np.copyto(cos, cosh, where=neg)
-    np.copyto(sinc, sinh, where=neg)
-    return cos, sinc
+    return np.where(neg, cosh, cos), np.where(neg, sinh, sinc)
 
 
-def _sinh_cosh(x, out=(None,) * 2):
-    return np.sinh(x, out=out[0]), np.cosh(x, out=out[1])
+def _sinh_cosh(x):
+    return np.sinh(x), np.cosh(x)
 
 
-def _trig_pair(s, length, sin_cos, out=(None,) * 5):
+def _trig_pair(s, length, sin_cos):
     """(cos(s L), sin(s L)/s), limit L at s = 0; sin_cos is `_sincos` or
-    `_sinh_cosh`, whose out this is (s L goes to out[2])."""
-    sin, cos = sin_cos(np.multiply(s, length, out=out[2]), out=out)
+    `_sinh_cosh`."""
+    sin, cos = sin_cos(s * length)
     if s.all():
-        sin /= s
-    else:
-        zero = s == 0.0
-        np.divide(sin, s, out=sin, where=~zero)
-        sin[zero] = length
-    return cos, sin
+        return cos, sin / s
+    return cos, np.divide(sin, s, out=np.full_like(sin, length), where=s != 0.0)
 
 
-def _well_boundary(pot: WBPotential, k_sq, sinc_a, cos_a, out=(None,) * 9):
-    """(u, u') at r_d from k_sq and the well pair; see `_assemble_boundary`.
-    out: k_sq - vb, then the targets of `_trig_sqrt`; u' is cos_a."""
-    z_b = np.subtract(k_sq, pot.vb, out=out[0])    # minus the barrier's kappa^2
-    cos_b, sinc_b = _trig_sqrt(z_b, pot.r_b, out[1:])
-    return _assemble_boundary(sinc_a, cos_a, cos_b, sinc_b, z_b, out[3:])
+def _well_boundary(pot: WBPotential, k_sq, sinc_a, cos_a):
+    """(u, u') at r_d from k_sq and the well pair; see `_assemble_boundary`."""
+    z_b = k_sq - pot.vb    # minus the barrier's kappa^2
+    cos_b, sinc_b = _trig_sqrt(z_b, pot.r_b)
+    return _assemble_boundary(sinc_a, cos_a, cos_b, sinc_b, z_b)
 
 
-def _assemble_boundary(sinc_a, cos_a, cos_b, sinc_b, z_b, out=(None,) * 2):
+def _assemble_boundary(sinc_a, cos_a, cos_b, sinc_b, z_b):
     """(u, u') at r_d from the well and barrier pairs.
 
     The well pair is (sin(k_I r_a)/k_I, cos(k_I r_a)), the barrier pair
     (cos(q r_b), sin(q r_b)/q) with q^2 = z_b = k^2 - vb, and u = sinc_a
     cos_b + cos_a sinc_b, u' = cos_a cos_b - z_b sinc_a sinc_b.  A factor
-    common to either pair carries over to (u, u').  Works in place,
-    overwriting sinc_a and cos_a; out: u and one scratch.
+    common to either pair carries over to (u, u').
     """
-    u = _mul(sinc_a, cos_b, out[0])
-    u += _mul(cos_a, sinc_b, out[1])
-    cos_a *= cos_b
-    sinc_a *= sinc_b
-    sinc_a *= z_b
-    cos_a -= sinc_a
-    return u, cos_a
+    return sinc_a * cos_b + cos_a * sinc_b, cos_a * cos_b - sinc_a * sinc_b * z_b
 
 
 def regular_boundary_sq(pot: WBPotential, k_sq):

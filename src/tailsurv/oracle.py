@@ -18,8 +18,8 @@ production modules through a deliberately different numerical scheme:
   midpoints only until the two agree.  The bulk ends at a double zero
   of the density, the first past E = 64, doubled until the first five
   terms by parts of the integral left out past it are below 1e-12 in
-  amplitude at the smallest time.  The sums run in chunks, each
-  evaluating the density into one work block allocated once.
+  amplitude at the smallest time.  The sums run in chunks of the grid,
+  one density call each, so memory does not grow with the grid.
 
 None of the production results are reused internally beyond the shared
 special-function evaluations that define the problem itself.
@@ -37,7 +37,6 @@ from . import survival
 from .errors import DomainError, ResourceLimitError
 from .model import _sincos, regular_boundary_sq
 from .specfun import BesselOrder, riccati_pair_with_derivatives
-from .spectral import _work_block
 
 try:
     from resource import RUSAGE_SELF, getrusage
@@ -48,14 +47,14 @@ except ImportError:  # not on every platform
 # this guards runtime, not memory.
 _MAX_BRUTE_POINTS = 40_000_000
 # Grid points per density call, times max(2, number of times summed).
-# The work block takes 104 bytes per point of a call (3.4 MB at 32 768
-# points), the weight row 8; the phases of up to four times at once
-# reuse the block.  16 384-point calls made the brute force 2.2x slower
-# (per-call Python work), and 65 536-point calls were no faster and
-# peaked at twice the memory.  The chunks run on one thread: at the
-# `verify` times each sum is one chunk, while grids of many chunks ran
-# 1.4x faster on two (t = 1: 38 against 53 ms, 2-vCPU x86-64 host).
-_BRUTE_CHUNK = 65_536
+# The density's temporaries are arrays of a call's size, freed when it
+# returns, so they should stay below glibc's mmap threshold.  At the
+# `verify` times (60, 200), in-process after perfbench's reference block
+# (2-vCPU x86-64 host), a brute force with 8 192-point calls took 3.6 ms
+# and no minor faults; 16 384-point calls took 4.0 ms and 256 faults,
+# 32 768-point calls 5.4 ms and 1029, and 4 096-point calls 4.0 ms (more
+# per-call Python work).  The chunks run in order on one thread.
+_BRUTE_CHUNK = 16_384
 # RK4 steps relative to r_d: the node count's, and the finer one of the
 # boundary and matching checks (the Jost modulus by linear solve then
 # agrees with the closed form to ~1e-12).
@@ -240,13 +239,12 @@ _BRUTE_E_START = 64.0
 _BRUTE_TAIL_TOL = 1.0e-12
 
 
-def _taper(e, vals, scratch, keep: str) -> None:
+def _taper(e, vals, keep: str) -> None:
     """Multiply `vals` in place by psi(e) (`keep` "below") or 1 - psi(e) ("above").
 
     psi = f(1 - x)/(f(x) + f(1 - x)) with f(s) = e^{-1/s} and x = (e - a)/(b - a)
     across the junction (a, b): 1 at e <= a, 0 at e >= b.  `e` is sorted;
-    psi is computed only on its slice inside (a, b), in the heads of the
-    two `scratch` rows.
+    psi is computed only on its slice inside (a, b).
     """
     a, b = _BRUTE_JUNCTION
     i, j = np.searchsorted(e, a, side="right"), np.searchsorted(e, b, side="left")
@@ -254,17 +252,12 @@ def _taper(e, vals, scratch, keep: str) -> None:
         vals[j:] = 0.0
     else:
         vals[:i] = 0.0
-    x, y = (row[:j - i] for row in scratch)
-    np.multiply(np.subtract(e[i:j], a, out=x), 1.0 / (b - a), out=x)
-    np.multiply(np.subtract(1.0, x, out=y), x, out=y)
-    np.divide(np.add(np.multiply(x, -2.0, out=x), 1.0, out=x), y, out=x)
-    # x is now d = 1/x - 1/(1 - x): psi = 1/(1 + e^{-d}), 1 - psi = 1/(1 + e^{d});
+    x = (e[i:j] - a) * (1.0 / (b - a))
+    d = (x * -2.0 + 1.0) / ((1.0 - x) * x)
+    # d = 1/x - 1/(1 - x): psi = 1/(1 + e^{-d}), 1 - psi = 1/(1 + e^{d});
     # e^{|d|} overflows to inf only where the factor rounds to 0 anyway
-    if keep == "below":
-        np.negative(x, out=x)
     with np.errstate(over="ignore"):
-        np.exp(x, out=x)
-    vals[i:j] /= np.add(x, 1.0, out=x)
+        vals[i:j] /= np.exp(-d if keep == "below" else d) + 1.0
 
 
 def _trapezoid_sums(density, times: np.ndarray, counts: dict):
@@ -278,56 +271,41 @@ def _trapezoid_sums(density, times: np.ndarray, counts: dict):
     with `midpoints`, the n panels' midpoint rule M(h) and 0, so that
     T(h/2) = (T(h) + M(h))/2 evaluates only the new points.
     The grid is streamed in chunks of `_BRUTE_CHUNK / max(2, len(times))`
-    points, one density call each (counted, with its seconds, in counts).
-    One `_work_block` (its bytes go to counts) and one weight row serve
-    every chunk of every sum: row 0 of the block holds the chunk's grid, the
-    density's intermediates rows 1 to 12, and once the density call is
-    done `_taper` works in rows 1 and 2, then those 12 rows take
-    sin E t, cos E t and a scratch row for up to four times at once, and
-    matrix-vector products with the chunk's values give its sums.
+    points, one density call each (counted, with its seconds, in counts),
+    and matrix-vector products of each chunk's values with its rows of
+    cos Et and sin Et give its sums.
     """
     chunk = _BRUTE_CHUNK // max(2, times.size)
-    index = np.arange(chunk + 1, dtype=float)
-    block, weight_row = _work_block(chunk + 1), np.empty(chunk + 1)
-    counts["work_bytes"] = max(counts.get("work_bytes", 0), block.nbytes)
-    free = block[1:].reshape(-1)
 
     def trapezoid(lo: float, hi: float, n: int, keep: str, midpoints: bool = False):
         h, total, density_s = (hi - lo) / n, np.zeros((2, times.size), dtype=complex), 0.0
         for a in range(0, n, chunk):
             b = min(a + chunk, n)
-            # np.linspace(lo, hi, n + 1)'s points, or their midpoints, in the
-            # block's row 0; the trapezoid grid's last chunk also carries hi
+            # np.linspace(lo, hi, n + 1)'s points, or their midpoints; the
+            # trapezoid grid's last chunk also carries hi
             closes = b == n and not midpoints
-            x = block[0, :b + closes - a]
-            np.multiply(np.add(index[:x.size], a + 0.5 * midpoints, out=x), h, out=x)
-            x += lo
+            x = (np.arange(b + closes - a) + (a + 0.5 * midpoints)) * h + lo
             if closes:
                 x[-1] = hi
             if keep == "below":  # x becomes E(s), the weight E (1 + e^{-s})
-                weight = weight_row[:x.size]
-                np.exp(np.negative(x, out=weight), out=weight)
-                np.exp(np.subtract(np.add(x, 1.0, out=x), weight, out=x), out=x)
-                weight += 1.0
-                weight *= x
+                decay = np.exp(-x)
+                x = np.exp(x + 1.0 - decay)
+                weight = (decay + 1.0) * x
             start = perf_counter()
-            vals = density.omega(x, work=block)
+            vals = density.omega(x)
             density_s += perf_counter() - start
             if keep == "below":
                 vals *= weight
-            _taper(x, vals, block[1:3], keep)
+            _taper(x, vals, keep)
             if a == 0 and not midpoints:  # the trapezoid's end points take half weight
                 vals[0] *= 0.5
             if closes:
                 vals[-1] *= 0.5
-            ev = slice(a & 1, None, 2)  # the grid's even indices, its sum at step 2h
-            for i in range(0, times.size, 4):  # 3 rows per time: 4 times fill 12 rows
-                t = times[i:i + 4, None]
-                sin, cos, scratch = free[:3 * t.size * x.size].reshape(3, t.size, x.size)
-                _sincos(x, t, out=(sin, cos, scratch))
-                total[0, i:i + 4] += cos @ vals - 1j * (sin @ vals)
-                if not midpoints:
-                    total[1, i:i + 4] += cos[:, ev] @ vals[ev] - 1j * (sin[:, ev] @ vals[ev])
+            sin, cos = _sincos(x, times[:, None])
+            total[0] += cos @ vals - 1j * (sin @ vals)
+            if not midpoints:
+                ev = slice(a & 1, None, 2)  # the grid's even indices, its sum at step 2h
+                total[1] += cos[:, ev] @ vals[ev] - 1j * (sin[:, ev] @ vals[ev])
         counts["density_calls"] = counts.get("density_calls", 0) + math.ceil(n / chunk)
         counts["density_s"] = counts.get("density_s", 0.0) + density_s
         return total * [[h], [2.0 * h]]
@@ -477,9 +455,8 @@ def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     given, the density evaluations of the threshold and bulk pieces, the
     density calls and the seconds inside them are added to its
     "threshold_evals", "bulk_evals", "density_calls" and "density_s"
-    entries, "work_bytes" holds the bytes of the largest work block,
-    "threshold_gap" and "bulk_gap" the largest disagreement of each
-    piece's nested sums that was accepted, and for positive times
+    entries, "threshold_gap" and "bulk_gap" hold the largest disagreement
+    of each piece's nested sums that was accepted, and for positive times
     "e_out" the bulk's end and "tail_estimate" its five terms there.
     """
     times = np.asarray(t, dtype=float)
@@ -514,10 +491,10 @@ class OracleReport:
     """Bundle of verification rows with an overall verdict.
 
     `meta` records what the checks cost and the brute force's stated
-    errors: density evaluations, calls and seconds, the bytes of the
-    brute force's work block, its nested gaps, bulk end and tail
-    estimate, its minor page faults (None where `resource` is missing),
-    RK4 steps and stage seconds.  It takes no part in comparing reports.
+    errors: density evaluations, calls and seconds, the brute force's
+    nested gaps, bulk end and tail estimate, its minor page faults (None
+    where `resource` is missing), RK4 steps and stage seconds.  It takes
+    no part in comparing reports.
     """
 
     checks: tuple[OracleCheck, ...] = field(default_factory=tuple)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import _halves, _head, _horner, _sincos, _vector
+from .model import _horner, _sincos, _vector
 
 SQRT_PI = math.sqrt(math.pi)
 _EPS = float(np.finfo(float).eps)
@@ -195,78 +195,54 @@ def _series_term_count(w_max: float) -> int:
             return 8 * ((p + 8) // 8)
 
 
-def _pair_series(beta: float, x: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
+def _pair_series(beta: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """Ascending series for every order but integer beta (see _series_tables).
 
     n_hat = K j_hat + P sum_i c_i w^{i-n}, with P = sqrt(pi) (x/2)^{-beta},
     K = (cos mu pi - (x/2)^{-2 mu}) / sin mu pi -> 2 ln(x/2) / pi at mu = 0,
     and K' = 2 (mu / sin mu pi) (x/2)^{-2 mu} / x.  One log and two
     exponentials per element give every power: (x/2)^{beta+1}, (x/2)^{-2 mu}
-    and their product over w^n, (x/2)^{-beta}.  The four sums are Horner's,
-    and the arithmetic runs in place to keep peak memory down.
-    out: n_hat, w (spent), n_hat', j_hat, j_hat' and three scratch.
+    and their product over w^n, (x/2)^{-beta}.  The four sums are Horner's.
     """
-    w = np.square(np.multiply(0.5, x, out=out[5]), out=out[1])
-    peak = np.max(np.abs(w, out=_halves(out[0])[0]))
-    tab = _series_tables(beta, _series_term_count(float(peak)))
-    j, jp, n, np_ = (_horner(c, w, o) for c, o in
-                     ((tab.j, out[3]), (tab.jd, out[4]), (tab.n, out[0]), (tab.nd, out[2])))
-    log_half = np.log(np.multiply(0.5, x, out=out[5]), out=out[5])
-    scale = np.exp(np.multiply(beta + 1.0, log_half, out=out[6]), out=out[6])
-    j *= scale
-    jp *= scale
-    jp /= x
-    # (x/2)^{-2 mu} - 1
-    power = np.expm1(np.multiply(-2.0 * tab.mu, log_half, out=out[7]), out=out[7])
+    w = np.square(0.5 * x)
+    tab = _series_tables(beta, _series_term_count(float(np.max(np.abs(w)))))
+    j, jp, n, np_ = (_horner(c, w) for c in (tab.j, tab.jd, tab.n, tab.nd))
+    log_half = np.log(0.5 * x)
+    scale = np.exp((beta + 1.0) * log_half)
+    j, jp = j * scale, jp * scale / x
+    power = np.expm1(-2.0 * tab.mu * log_half)          # (x/2)^{-2 mu} - 1
     if tab.mu == 0.0:
-        k_fac = np.multiply(log_half, 2.0 / math.pi, out=log_half)
+        k_fac = log_half * (2.0 / math.pi)
     else:
-        k_fac = np.multiply(power, -1.0 / math.sin(tab.mu * math.pi), out=log_half)
-        k_fac -= math.tan(0.5 * tab.mu * math.pi)
-    power += 1.0
-    scale *= power                              # (x/2)^{-beta} w^n
+        k_fac = power * (-1.0 / math.sin(tab.mu * math.pi)) - math.tan(0.5 * tab.mu * math.pi)
+    power = power + 1.0
+    scale = scale * power                               # (x/2)^{-beta} w^n
     for _ in range(tab.shift):
-        scale /= w
-    del w
-    n *= scale
-    np_ *= scale
-    np_ /= x
-    kp_fac = np.multiply(power, 2.0 * tab.ratio, out=power)
-    kp_fac /= x
-    n += np.multiply(k_fac, j, out=out[1])
-    np_ += np.multiply(kp_fac, j, out=out[1])
-    np_ += np.multiply(k_fac, jp, out=out[1])
-    return j, jp, n, np_
+        scale = scale / w
+    n, np_ = n * scale, np_ * scale / x
+    kp_fac = power * (2.0 * tab.ratio) / x
+    return j, jp, n + k_fac * j, np_ + kp_fac * j + k_fac * jp
 
 
-def _pair_integer_beta(ell: int, x: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
+def _pair_integer_beta(ell: int, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """Closed trigonometric forms, upward recurrence from order 0.
 
     Stable only for ell not much larger than |x|; the physical range here
-    keeps ell at a handful at most.  out as in _pair_series: orders 0 and
-    -1 start in the rows that leave order ell where the series leaves it.
+    keeps ell at a handful at most.
     """
-    odd = ell % 2
-    j_rows, n_rows = (out[3], out[4]), (out[0], out[2])
-    sin_x, cos_x = _sincos(x, out=(j_rows[odd], j_rows[1 - odd], out[1], out[5], out[6]))
+    sin_x, cos_x = _sincos(x)
     jm1, j0 = cos_x, sin_x          # orders -1, 0
-    nm1, n0 = np.positive(sin_x, out=n_rows[1 - odd]), np.negative(cos_x, out=n_rows[odd])
-
-    def times_over_x(c, v):         # c / x * v, in scratch
-        return np.multiply(np.divide(c, x, out=out[1]), v, out=out[5])
-
-    for i in range(ell):            # each new order overwrites the one below the last
-        jm1, j0 = j0, np.subtract(times_over_x(2 * i + 1, j0), jm1, out=jm1)
-        nm1, n0 = n0, np.subtract(times_over_x(2 * i + 1, n0), nm1, out=nm1)
-    jp = np.subtract(jm1, times_over_x(ell, j0), out=jm1)
-    np_ = np.subtract(nm1, times_over_x(ell, n0), out=nm1)
-    return j0, jp, n0, np_
+    nm1, n0 = sin_x, -cos_x
+    for i in range(ell):
+        jm1, j0 = j0, (2 * i + 1) / x * j0 - jm1
+        nm1, n0 = n0, (2 * i + 1) / x * n0 - nm1
+    return j0, jm1 - ell / x * j0, n0, nm1 - ell / x * n0
 
 
-def _pair(order: BesselOrder, x: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
+def _pair(order: BesselOrder, x: np.ndarray) -> tuple[np.ndarray, ...]:
     if order.is_integer_beta:
-        return _pair_integer_beta(int(order.beta), x, out)
-    return _pair_series(order.beta, x, out)
+        return _pair_integer_beta(int(order.beta), x)
+    return _pair_series(order.beta, x)
 
 
 def riccati_pair_with_derivatives(order: BesselOrder, x) -> RiccatiPair:
@@ -280,19 +256,10 @@ def riccati_pair_with_derivatives(order: BesselOrder, x) -> RiccatiPair:
     return RiccatiPair(*_unpack(scalar, *_pair(order, arr)))
 
 
-def _pair_combos(order: BesselOrder, x: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
-    """The combinations, in out[5], out[1] and the pair's spent n_hat (out[0]),
-    with out[6] and j_hat as scratch.  No product overwrites an operand: a
-    one-element complex product does so with a last-bit difference (numpy
-    2.4, x86-64)."""
-    j, jp, n, np_ = _pair(order, x, out)
-    cross = np.multiply(n, np_, out=out[1])
-    cross += np.multiply(j, jp, out=out[6])
-    sum_sq = np.multiply(n, n, out=out[5])
-    sum_sq += np.multiply(j, j, out=out[6])
-    sum_sq_deriv = np.multiply(np_, np_, out=n)
-    sum_sq_deriv += np.multiply(jp, jp, out=j)
-    return sum_sq, cross, sum_sq_deriv
+def _pair_combos(order: BesselOrder, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(n^2 + j^2, n n' + j j', n'^2 + j'^2) from the pair."""
+    j, jp, n, np_ = _pair(order, x)
+    return n * n + j * j, n * np_ + j * jp, np_ * np_ + jp * jp
 
 
 def riccati_combos(order: BesselOrder, z) -> RiccatiCombos:
@@ -306,26 +273,23 @@ def riccati_combos(order: BesselOrder, z) -> RiccatiCombos:
     return RiccatiCombos(*_unpack(scalar, *_combos(order, arr)))
 
 
-def _combos(order: BesselOrder, z: np.ndarray, out=(None,) * 8) -> tuple[np.ndarray, ...]:
+def _combos(order: BesselOrder, z: np.ndarray) -> tuple[np.ndarray, ...]:
     """`riccati_combos` on a validated 1-d float64 (z > 0) or complex128 array.
 
-    out: eight targets.  A mixed call runs the pair on the near part in
-    the heads of out, moves its values to out[2:5], then runs the Hankel
-    sums on the far part in the heads of out[0], out[1], out[5] and out[6].
+    A mixed call runs the pair on the near part and the Hankel sums on the
+    far part, and puts each part's values in place.
     """
-    near = np.abs(z, out=_halves(out[0])[0]) < SERIES_COMBO_SWITCH
+    near = np.abs(z) < SERIES_COMBO_SWITCH
     if near.all():
-        return _pair_combos(order, z, out)
+        return _pair_combos(order, z)
     if not near.any():
-        return _hankel_combos(order.beta, z, out)
-    m = np.count_nonzero(near)
-    full = [np.empty_like(z) if o is None else o for o in out[2:5]]
-    for dst, src in zip(full, _pair_combos(order, z[near], _head(out, m))):
-        dst[near] = src
-    rest = _head([out[0], out[1], out[5], out[6]], z.size - m)
-    for dst, src in zip(full, _hankel_combos(order.beta, z[~near], rest)):
-        dst[~near] = src
-    return tuple(full)
+        return _hankel_combos(order.beta, z)
+    full = tuple(np.empty_like(z) for _ in range(3))
+    for part, combos in ((near, _pair_combos(order, z[near])),
+                         (~near, _hankel_combos(order.beta, z[~near]))):
+        for dst, src in zip(full, combos):
+            dst[part] = src
+    return full
 
 
 @functools.lru_cache(maxsize=_ORDER_CACHE_SIZE)
@@ -345,19 +309,15 @@ def _large_x_coefficients(beta: float) -> tuple[np.ndarray, np.ndarray]:
     return coef, coef * np.arange(n_keep + 1)
 
 
-def _hankel_combos(beta: float, z: np.ndarray, out=(None,) * 4) -> tuple[np.ndarray, ...]:
+def _hankel_combos(beta: float, z: np.ndarray) -> tuple[np.ndarray, ...]:
     """n^2 + j^2 = sum_k a_k z^{-2k} (DLMF 10.18.17), n n' + j j' is half
     its derivative, and n'^2 + j'^2 = (1 + (n n' + j j')^2) / (n^2 + j^2)
-    by the Wronskian.  In place throughout, in out's four targets, to keep
-    peak memory down."""
+    by the Wronskian."""
     coef, coef_k = _large_x_coefficients(beta)
-    inv_sq = np.reciprocal(np.multiply(z, z, out=out[0]), out=out[0])
-    sum_sq, slope = _horner(coef, inv_sq, out[1]), _horner(coef_k, inv_sq, out[2])
-    cross = np.negative(slope, out=slope)
-    cross /= z
-    sum_sq_deriv = np.add(1.0, np.multiply(cross, cross, out=out[3]), out=out[3])
-    sum_sq_deriv /= sum_sq
-    return sum_sq, cross, sum_sq_deriv
+    inv_sq = np.reciprocal(z * z)
+    sum_sq = _horner(coef, inv_sq)
+    cross = -_horner(coef_k, inv_sq) / z
+    return sum_sq, cross, (1.0 + cross * cross) / sum_sq
 
 
 def riccati_large_x_combos(order: BesselOrder, z) -> RiccatiCombos:

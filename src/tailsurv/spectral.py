@@ -39,8 +39,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .model import (InitialState, WBPotential, _assemble_boundary, _mul, _sincos,
-                    _vector, _well_boundary, regular_boundary_sq)
+from .model import (InitialState, WBPotential, _assemble_boundary, _sincos, _vector,
+                    _well_boundary, regular_boundary_sq)
 # riccati_combos and riccati_pair_with_derivatives stay importable here only
 # because perfbench's tracer hooks them by these names
 from .specfun import (SQRT_PI, BesselOrder, _combos, riccati_combos,
@@ -85,7 +85,7 @@ class ThresholdCoeffs:
         return tuple(cs[1:n + 1])
 
 
-def _shifted_well(k_i, k_a: float, n_a: int, out=(None,) * 6):
+def _shifted_well(k_i, k_a: float, n_a: int):
     """(sin d, cos d, overlap) at the shifted well phase d = (k_I - k_a) r_a.
 
     With k_a r_a = n_a pi, sin(k_I r_a) = (-1)^n_a sin d, cos(k_I r_a) =
@@ -94,18 +94,13 @@ def _shifted_well(k_i, k_a: float, n_a: int, out=(None,) * 6):
     limit r_a / (2 k_a) up to sign at d = 0.  The unshifted quotient
     would lose eps k_I r_a / |d| of relative accuracy near that point.
     r_a enters through k_a = n_a pi / r_a; the caller scales.  Works on
-    real or complex arrays.  out: d, then `_sincos`'s; the overlap is new.
+    real or complex arrays.
     """
     r_a = n_a * math.pi / k_a
-    d = np.multiply(np.subtract(k_i, k_a, out=out[0]), r_a, out=out[0])
-    sin_d, cos_d = _sincos(d, out=out[1:])
-    if d.all():
-        overlap = np.divide(sin_d, d)
-    else:
-        overlap = np.divide(sin_d, d, out=np.ones_like(d), where=d != 0.0)
-    overlap *= r_a if n_a % 2 else -r_a
-    overlap /= np.add(k_a, k_i, out=out[3])
-    return sin_d, cos_d, overlap
+    d = (k_i - k_a) * r_a
+    sin_d, cos_d = _sincos(d)
+    sinc_d = sin_d / d if d.all() else np.divide(sin_d, d, out=np.ones_like(d), where=d != 0.0)
+    return sin_d, cos_d, sinc_d * (r_a if n_a % 2 else -r_a) / (k_a + k_i)
 
 
 def _off_threshold(x, name: str):
@@ -119,26 +114,10 @@ def _off_threshold(x, name: str):
     return arr, scalar
 
 
-def _c_sq(combos, k, w, u, du, out=(None,) * 4):
-    """C^2(k) from the Riccati combinations at k r_d and (u, u'); w = k^2.
-    out: scratch, then three that may be the combinations' own arrays (spent);
-    no product overwrites an operand, as in `specfun._pair_combos`."""
+def _c_sq(combos, k, w, u, du):
+    """C^2(k) from the Riccati combinations at k r_d and (u, u'); w = k^2."""
     sum_sq, cross, sum_sq_deriv = combos
-    c_sq = _mul(_mul(sum_sq_deriv, u, out[0]), u, out[3])
-    part = _mul(_mul(sum_sq, du, out[0]), du, out[1])
-    part /= w
-    c_sq += part
-    part = _mul(_mul(2.0, cross, out[0]), u, out[2])
-    part = _mul(part, du, out[0])
-    part /= k
-    c_sq -= part
-    return c_sq
-
-
-def _work_block(n: int, dtype=float) -> np.ndarray:
-    """A block for `SpectralDensity.omega(e, work=...)` on up to n energies of
-    dtype float or complex; omega leaves row 0 to the caller (the energies)."""
-    return np.empty((13, n), dtype)
+    return sum_sq_deriv * u * u + sum_sq * du * du / w - 2.0 * cross * u * du / k
 
 
 class SpectralDensity:
@@ -173,7 +152,7 @@ class SpectralDensity:
 
     # -- density -----------------------------------------------------
 
-    def omega(self, e, *, work=None):
+    def omega(self, e):
         """Density at energy e: real e > 0, or complex continuation.
 
         Real input must be positive (the density vanishes with a
@@ -182,32 +161,17 @@ class SpectralDensity:
         principal momentum branch k = sqrt(E), which realizes the
         lower-half-sheet continuation used by the contour
         representation.
-
-        Every intermediate goes into `work`, a `_work_block(n, dtype)` with n
-        at least the number of energies and the input's dtype, or into one
-        block per call without it; the result, a new array, is the same bits.
         """
         arr, scalar = _off_threshold(e, "energy")
-        rows = list((_work_block(arr.size, arr.dtype) if work is None else work)[1:, :arr.size])
-        if len(rows) != 12 or rows[0].size != arr.size or rows[0].dtype != arr.dtype:
-            raise DomainError(f"work must be a _work_block({arr.size}, {arr.dtype}) or wider")
-        k = np.sqrt(arr, out=rows[0])
-        k_i = np.sqrt(np.add(arr, self.pot.v0, out=rows[1]), out=rows[1])
+        k = np.sqrt(arr)
+        k_i = np.sqrt(arr + self.pot.v0)
         k_a = self.init.k_a
-        sin_d, cos_d, out = _shifted_well(k_i, k_a, self.init.n_a, rows[2:8])
-        # the density's numerator, before the combinations: fewer live arrays
-        out *= out
-        out *= 2.0 * k_a ** 2 / (math.pi * self.pot.r_a)
-        sin_d /= k_i
-        k_i *= k_i
-        k_i *= k
-        out /= k_i
-        # (sin d / k_I, cos d) is (-1)^n_a times the well pair; C^2 is even in it.
-        # Live rows: k 0, sin_d 3, cos_d 4, then u 6 and du 4 (cos_d's).
-        u, du = _well_boundary(self.pot, arr, sin_d, cos_d, rows[1:3] + rows[5:])
-        combos = _combos(self.order, np.multiply(k, self.pot.r_d, out=rows[1]),
-                         rows[2:4] + rows[5:6] + rows[7:])
-        out /= _c_sq(combos, k, arr, u, du, [rows[1], *combos])
+        sin_d, cos_d, overlap = _shifted_well(k_i, k_a, self.init.n_a)
+        # (sin d / k_I, cos d) is (-1)^n_a times the well pair; C^2 is even in it
+        u, du = _well_boundary(self.pot, arr, sin_d / k_i, cos_d)
+        c_sq = _c_sq(_combos(self.order, k * self.pot.r_d), k, arr, u, du)
+        out = (overlap * overlap * (2.0 * k_a ** 2 / (math.pi * self.pot.r_a))
+               / (k_i * k_i * k) / c_sq)
         return (out[0] if scalar else out)
 
     def threshold_pade_omega(self, e):

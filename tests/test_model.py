@@ -282,6 +282,16 @@ def test_initial_state_rejects_bad_radius():
         InitialState(r_a=float("inf"))
 
 
+@pytest.mark.parametrize("r_a", ("3", True, float("nan"), float("inf")))
+def test_initial_state_and_potential_refuse_the_same_radii(r_a):
+    # one finite-real, not-bool check for both: a string no longer reaches
+    # math.isfinite, and True is not read as 1.0
+    with pytest.raises(ConfigError, match="r_a must be a finite real number"):
+        InitialState(r_a=r_a)
+    with pytest.raises(ConfigError, match="r_a must be a finite real number"):
+        WBPotential(v0=0.5, vb=1.8, r_a=r_a, r_d=3.4, beta=0.3)
+
+
 def test_initial_state_wavefunction_shape_and_support():
     state = InitialState(r_a=3.0)
     assert state.wavefunction(1.5) == pytest.approx(math.sqrt(2.0 / 3.0),
@@ -401,13 +411,11 @@ def test_sinc_sqrt_matches_mpmath_near_zero(length):
 
 
 @pytest.mark.parametrize("length", (0.4, 3.0, 20.0))
-@pytest.mark.parametrize("with_out", (False, True))
-def test_mixed_sign_call_is_bit_identical_to_the_per_sign_split(length, with_out):
+def test_mixed_sign_call_is_bit_identical_to_the_per_sign_split(length):
     # z = E - vb over a table's energies, E = vb exactly among them; a
     # mixed-sign call must give each element what its own sign's call gives
     z = np.concatenate((np.geomspace(1.0e-6, 4.0e4, 400), [1.8])) - 1.8
-    out = list(np.empty((6, z.size))) if with_out else (None,) * 6
-    cos, sinc = _trig_sqrt(z, length, out)
+    cos, sinc = _trig_sqrt(z, length)
     assert (z == 0.0).any() and (z < 0.0).any()
     pos = z >= 0.0
     for part in (pos, ~pos):

@@ -18,7 +18,6 @@ from tailsurv.oracle import (OracleCheck, ode_oracle_boundary_many,
                              run_verification)
 from tailsurv.oracle import (_match_boundary, _omega_zero, _rk4_grid, _rk4_steps,
                              _taper, _trapezoid_sums)
-from tailsurv.spectral import _work_block
 from tailsurv.survival import survival_exact
 
 from conftest import REFERENCE_BETAS, make_density, make_potential
@@ -209,10 +208,10 @@ def test_bulk_step_halves_until_its_nested_sums_agree(monkeypatch):
     den = _bulk_resonance_density()
     omega, sums, passes = den.omega, tailsurv.oracle._trapezoid_sums, []
 
-    def recording_omega(e, *, work=None):
+    def recording_omega(e):
         if passes:  # not the tail estimate's calls, which come first
             passes[-1][1].append(e.copy())
-        return omega(e, work=work)
+        return omega(e)
 
     def recording_sums(*args):
         trapezoid = sums(*args)
@@ -378,9 +377,9 @@ def test_brute_force_at_small_nu_matches_exact_within_1e_11(beta):
 def test_taper_is_a_smooth_partition_of_unity():
     a, b = tailsurv.oracle._BRUTE_JUNCTION
     e = np.linspace(0.0, 1.5, 3001)
-    below, above, scratch = np.ones(e.size), np.ones(e.size), np.empty((2, e.size))
-    _taper(e, below, scratch, "below")
-    _taper(e, above, scratch, "above")
+    below, above = np.ones(e.size), np.ones(e.size)
+    _taper(e, below, "below")
+    _taper(e, above, "above")
     assert np.all(below[e <= a] == 1.0) and np.all(below[e >= b] == 0.0)
     assert np.all(above[e <= a] == 0.0) and np.all(above[e >= b] == 1.0)
     assert np.max(np.abs(below + above - 1.0)) <= 4.0e-16
@@ -389,18 +388,6 @@ def test_taper_is_a_smooth_partition_of_unity():
     x = (e[inside] - a) / (b - a)
     f = lambda s: np.exp(-1.0 / s)  # noqa: E731
     assert np.allclose(below[inside], f(1.0 - x) / (f(x) + f(1.0 - x)), rtol=1.0e-13, atol=0.0)
-
-
-def test_taper_allocates_no_chunk_sized_array():
-    e = np.linspace(0.0, 1.5, 65537)
-    vals, scratch = np.ones(e.size), np.empty((2, e.size))
-    tracemalloc.start()
-    try:
-        _taper(e, vals, scratch, "above")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4096
 
 
 def _one_sum(den, times, lo, hi, n, keep, midpoints=False, counts=None):
@@ -431,7 +418,7 @@ def test_tapered_nested_sums_match_whole_grid_sums(monkeypatch, keep):
     else:
         e = x
         vals = den.omega(e)
-    _taper(e, vals, np.empty((2, e.size)), keep)
+    _taper(e, vals, keep)
     for times in ([30.0], [1.0, 7.0, 30.0]):
         counts = {}
         got = _one_sum(den, times, lo, hi, n, keep, counts=counts)
@@ -490,20 +477,32 @@ def test_bulk_takes_one_pass_at_verify_times(kw, threshold_evals):
 
 
 def test_a_one_pass_piece_makes_one_density_call(monkeypatch):
-    # at the verify times each piece's first pair of sums comes from one call
-    # on the finer grid, and the three candidate ends' stencils from one more
+    # at the verify times each piece's first pair of sums comes from one pass
+    # on the finer grid, one density call per chunk of _BRUTE_CHUNK / 2
+    # panels (the 2039 threshold points in one call, the 29 971 bulk points
+    # in 8192, 8192, 8192 and 5395), after one call for the three candidate
+    # ends' stencils
     den = make_density(0.3)
     omega, calls = den.omega, []
 
-    def recording(e, *, work=None):
+    def recording(e):
         calls.append(e.size)
-        return omega(e, work=work)
+        return omega(e)
 
     monkeypatch.setattr(den, "omega", recording)
     counts = {}
     oracle_survival_bruteforce(den, np.array([60.0, 200.0]), counts=counts)
-    assert calls == [15, counts["threshold_evals"], counts["bulk_evals"]]
-    assert counts["density_calls"] == 2
+    chunk = tailsurv.oracle._BRUTE_CHUNK // 2
+    passes = {piece: math.ceil((counts[f"{piece}_evals"] - 1) / chunk)
+              for piece in ("threshold", "bulk")}
+    assert calls[0] == 15
+    sizes = {"threshold": calls[1:1 + passes["threshold"]],
+             "bulk": calls[1 + passes["threshold"]:]}
+    for piece, n_calls in passes.items():
+        assert len(sizes[piece]) == n_calls
+        assert sum(sizes[piece]) == counts[f"{piece}_evals"]
+        assert all(size == chunk for size in sizes[piece][:-1])
+    assert counts["density_calls"] == len(calls) - 1 == passes["threshold"] + passes["bulk"] > 2
 
 
 @pytest.mark.parametrize("kw", [dict(beta=0.3, v0=0.0), dict(beta=0.3), NEAR_THRESHOLD],
@@ -572,12 +571,12 @@ def test_brute_force_does_not_depend_on_chunk_length(density_for, monkeypatch):
     times = np.array([60.0, 200.0])
     counts, small_counts = {}, {}
     default = oracle_survival_bruteforce(den, times, counts=counts)
-    # chunks of 8009 points for each of the two times: odd, so every other
-    # chunk starts on an odd index of the grid, and not a divisor of the
-    # grid sizes, so the last chunk is partial; the coarser sum of each
-    # first pass, from the even-indexed points, agrees as well, so the
-    # pieces stop after the same passes
-    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 8009)
+    # chunks of 2003 points for each of the two times, well below the
+    # default: odd, so every other chunk starts on an odd index of the grid,
+    # and not a divisor of the grid sizes, so the last chunk is partial; the
+    # coarser sum of each first pass, from the even-indexed points, agrees
+    # as well, so the pieces stop after the same passes
+    monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 2003)
     small = oracle_survival_bruteforce(den, times, counts=small_counts)
     assert np.all(np.abs(small - default) <= 1.0e-13 * default)
     assert small_counts["density_calls"] > counts["density_calls"]
@@ -593,11 +592,11 @@ def test_density_error_in_a_chunk_reaches_the_caller(monkeypatch):
     den = make_density(0.3)
     calls, omega = itertools.count(), den.omega
 
-    def failing(e, *, work=None):
-        # the threshold's chunks and the tail estimates' stencils pass
-        if e[0] >= 0.5 and work is not None and next(calls) == 2:
+    def failing(e):
+        # the threshold's chunks and the tail estimates' stencils (15 points) pass
+        if e[0] >= 0.5 and e.size != 15 and next(calls) == 2:
             raise DomainError("third bulk chunk")
-        return omega(e, work=work)
+        return omega(e)
 
     monkeypatch.setattr(den, "omega", failing)
     monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 4096)
@@ -614,39 +613,19 @@ def test_chunks_started_after_an_error_skip_the_density(monkeypatch):
     step = 8192 * math.pi / 401.0  # bulk chunk length for one time, at step pi/(1 + 400)
     monkeypatch.setattr(tailsurv.oracle, "_BRUTE_CHUNK", 2 * 8192)
 
-    def third_fails(e, *, work=None):
-        if e[0] < 0.5 or work is None:  # the threshold piece's, the tail estimates'
-            return omega(e, work=work)
+    def third_fails(e):
+        if e[0] < 0.5 or e.size == 15:  # the threshold piece's, the tail estimates'
+            return omega(e)
         k = round((e[0] - 0.5) / step)
         chunks.append(k)
         if k == 2:
             raise DomainError("third chunk")
-        return omega(e, work=work)
+        return omega(e)
 
     monkeypatch.setattr(den, "omega", third_fails)
     with pytest.raises(DomainError, match="third chunk"):
         oracle_survival_bruteforce(den, 1.0)
     assert chunks == [0, 1, 2]
-
-
-def test_brute_force_reuses_one_block_for_every_chunk(monkeypatch):
-    # every chunk's energies sit in row 0 of the one block of its grid
-    den = make_density(0.3)
-    omega, blocks, calls = den.omega, set(), []
-
-    def recording(e, *, work=None):
-        if e.size > 15:  # not the tail estimates' call
-            assert work is not None and np.shares_memory(e, work[0])
-            blocks.add(id(work))
-            calls.append(e.size)
-        return omega(e, work=work)
-
-    monkeypatch.setattr(den, "omega", recording)
-    counts = {}
-    oracle_survival_bruteforce(den, [60.0, 200.0], counts=counts)
-    assert len(blocks) == 1
-    assert len(calls) == counts["density_calls"] > 1
-    assert counts["work_bytes"] == _work_block(tailsurv.oracle._BRUTE_CHUNK // 2 + 1).nbytes
 
 
 def test_brute_force_memory_does_not_grow_with_grid(density_for):
@@ -704,8 +683,6 @@ def test_verification_report(density_for):
     assert all(meta[k] >= 0.0 for k in ("boundary_s", "exact_s", "bruteforce_s"))
     # seconds inside the density calls, summed over the chunks
     assert 0.0 < meta["density_s"] <= meta["bruteforce_s"]
-    # one block of 13 rows of a chunk's points
-    assert meta["work_bytes"] == _work_block(tailsurv.oracle._BRUTE_CHUNK // 2 + 1).nbytes
     # the bulk's end, a double zero of omega, and its stated tail
     assert 64.0 <= meta["e_out"] and 0.0 < meta["tail_estimate"] <= 1.0e-12
     # minor page faults of the brute force, where `resource` exists

@@ -214,6 +214,10 @@ def test_windowed_amplitude_is_within_its_estimate_of_the_full_table(pot, picks)
     "their own e_max, so no window is involved, and the parent gives the "
     "same numbers"))
 @settings(max_examples=10, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@example(pot=WBPotential(v0=0.0, vb=0.0, r_a=1.0, r_d=2.0, beta=0.0), picks=[11])
+@example(pot=WBPotential(v0=2.3596597436966724, vb=1.6286842366666314,
+                         r_a=1.0316314127636044, r_d=3.016216691144486,
+                         beta=-1.1125369292536007e-308), picks=[115])
 @given(pot=valid_potentials(),
        picks=st.lists(st.integers(0, CLI_GRID.size - 1), min_size=1, max_size=12))
 def test_one_time_alone_agrees_with_the_grid_within_both_estimates(pot, picks):
