@@ -206,6 +206,9 @@ def cmd_density(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_survive(cfg: dict, args: argparse.Namespace) -> int:
+    abs_tol = float(cfg["abs_tol"])
+    if not abs_tol > 0.0:   # NaN too
+        raise ConfigError(f"need abs_tol > 0, got {abs_tol:g}")
     times = _time_grid(cfg)
     density = _build_density(cfg)
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
@@ -217,7 +220,7 @@ def cmd_survive(cfg: dict, args: argparse.Namespace) -> int:
 
     header = ["t"]
     columns = []
-    exact = survival_exact(density, times, abs_tol=float(cfg["abs_tol"]))
+    exact = survival_exact(density, times, abs_tol=abs_tol)
     columns.append(exact.probability)
     header.append("P_exact")
     for m in methods:

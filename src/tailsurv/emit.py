@@ -26,11 +26,22 @@ def write_table(path, header: list[str], columns: list) -> Path:
         raise ConfigError("column lengths differ")
     if len(header) != len(cols):
         raise ConfigError("header does not match column count")
-    path.parent.mkdir(parents=True, exist_ok=True)
     row = ",".join(["%.17g"] * len(cols)) + "\r\n"   # csv.writer's terminator
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.write(row * n % tuple(np.column_stack(cols).ravel().tolist()))
+    text = io.StringIO(newline="")
+    csv.writer(text).writerow(header)
+    text.write(row * n % tuple(np.column_stack(cols).ravel().tolist()))
+    return _write_text(path, text.getvalue(), "table")
+
+
+def _write_text(path: Path, text: str, what: str) -> Path:
+    """Write text to path, creating its directory; a ConfigError naming it
+    if it cannot be written."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write {what}: {exc.strerror}") from None
     return path
 
 
@@ -63,10 +74,7 @@ def read_table(path) -> tuple[list[str], dict[str, np.ndarray]]:
 def write_json(path, payload: dict) -> Path:
     """Write payload as indented JSON; numpy arrays and scalars become
     lists and numbers, floats keep their shortest round-trip repr."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, default=_plain) + "\n")
-    return path
+    return _write_text(Path(path), json.dumps(payload, indent=2, default=_plain) + "\n", "JSON")
 
 
 def _plain(obj):

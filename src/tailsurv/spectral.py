@@ -193,14 +193,17 @@ class SpectralDensity:
     def threshold(self) -> ThresholdCoeffs:
         """Threshold expansion coefficients from zero-energy boundary data.
 
-        Raises a domain error when the leading coefficient degenerates
+        `WBPotential._zero_energy_boundary` gives u and u' at r_d, for the
+        Jost scale and the refinement, and the well factor sin(k r_a) / k
+        at k = sqrt(v0) (r_a at v0 = 0), for the density scale.  Raises a
+        domain error when the leading coefficient degenerates
         (the decaying state then couples to the tail at higher order than
         this expansion covers).
         """
         pot, init = self.pot, self.init
         beta = pot.beta
         nu = beta + 0.5
-        _, u0, du0 = pot._zero_energy_boundary()
+        sinc_a, u0, du0 = pot._zero_energy_boundary()
         r_d = pot.r_d
         bracket_minus = beta * u0 / r_d + du0
         bracket_plus = (beta + 1.0) * u0 / r_d - du0
@@ -212,12 +215,9 @@ class SpectralDensity:
                       * abs(bracket_minus))
 
         k_a = init.k_a
-        # sin(k_I0 r_a) / (k_I0 (k_a^2 - v0)) with both removable points covered
-        if pot.v0 < 1e-28:
-            g0 = pot.r_a / (k_a * k_a - pot.v0)
-        else:
-            k_i0 = math.sqrt(pot.v0)
-            g0 = float(_shifted_well(np.asarray([k_i0]), k_a, init.n_a)[2][0]) / k_i0
+        # the well factor sin(k_I0 r_a) / (k_I0 (k_a^2 - v0)) at k_I0 = sqrt(v0);
+        # k_a^2 = v0 would put a node at r_a, which validation refuses
+        g0 = sinc_a / (k_a * k_a - pot.v0)
         density_scale = (2.0 * k_a ** 2 / (math.pi * pot.r_a)) * g0 * g0 / jost_scale ** 2
 
         ratios = None

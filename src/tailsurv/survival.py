@@ -10,12 +10,14 @@ Gauss-Legendre nodes, and each panel contributes either its Gauss sum,
 from one half-angle tangent per node pair (when the phase turn
 t * half_width is small), or the exact integral of its polynomial times
 the exponential, by parts in closed form (16 terms); all times are
-evaluated together, in blocks, in real arithmetic.  The panels start as geometrically
-shrinking ones down to E ~ 1e-13, for the threshold power law, and
-uniform ones in k = sqrt(E) above; one refinement loop then bisects,
-level by level, every panel whose interpolant misses its target (the
-resonance peak chiefly), evaluating two levels per density call.  Each
-time sums only the panels of its own energy window this way.  The
+evaluated together, in blocks, in real arithmetic, each block with one
+table of panel sums, one phase factor per (panel, time) pair and one sum
+over panels.  The panels start as geometrically shrinking ones down to
+E ~ 1e-13, for the threshold power law, and uniform ones in k = sqrt(E)
+above; one refinement loop then bisects, level by level, every panel
+whose interpolant misses its target (the resonance peak chiefly),
+evaluating two levels per density call.  Each time sums only the
+panels of its own energy window this way.  The
 panels wholly below E = 1/t enter as one Taylor series in -it over the
 table's cumulative energy moments.  The density above the window's top
 e_cut, the table end that t / 2 would need (at most e_max), is summed
@@ -60,9 +62,11 @@ _MAX_DEPTH = 48
 _MIN_WIDTH = 1.0e-8
 
 # Cap on density evaluations per panel table.  The largest tables in
-# use take 7936-8128 (e_max = 4e4, the sweep's tail strengths); without
-# a cap, a density whose evaluation error exceeds _PANEL_RTOL would
-# bisect toward _MAX_DEPTH for minutes and gigabytes.
+# use take 7936-8128 (e_max = 4e4: `spectral_mass` and grids that hold
+# t = 0, at the sweep's tail strengths; the sweep's own e_max = 64 tables
+# take 1776-1968); without a cap, a density whose evaluation error
+# exceeds _PANEL_RTOL would bisect toward _MAX_DEPTH for minutes and
+# gigabytes.
 _MAX_TABLE_EVALS = 200_000
 
 # Outer edge of the geometric threshold panels, where the panels
@@ -78,11 +82,13 @@ _MOMENT_STEPS = 1.0 / np.arange(1.0, _MOMENT_TERMS)[:, None, None]
 
 # Upper end of the table that `spectral_mass` integrates.
 _MASS_E_HI = 4.0e4
+# Largest e_max that `survival_exact` picks itself; a caller may pass more.
+_E_MAX_CAP = 4.0e4
 
 # Times per block of the batched amplitude.  The largest temporaries are
 # two (8, Gauss rows, block) float arrays for the Gauss sums, ~0.7 MB
 # each at the CLI grid's shortest times (177 of its 229 panels); its
-# amplitude stage peaks at 2.6 MB (1.6 MB at 32, 4.6 MB at 128).  64
+# amplitude stage peaks at 2.7 MB (1.7 MB at 32, 4.4 MB at 128).  64
 # keeps a sweep's 50 times in one block (32 cost it 1.3x).  survive-grid
 # op_p50_s in the harness, 2-vCPU x86-64 with a 2 MB L2 per core, against
 # 64: 32 is 13% slower, 96 and 128 are 2-4% faster at +1.6 and +0.3 MB
@@ -293,9 +299,11 @@ def _table_from_levels(kept: list, r_a: float, e_max: float, n_evals: int) -> _P
                        sub_mass=sub_mass, n_evals=n_evals)
 
 
-def _table_mass(table: _PanelTable) -> float:
-    """Integral of the tabulated density plus the sub-threshold mass."""
-    return float(np.sum((table.vals @ _GL_W) * table.half)) + table.sub_mass
+def _mass(table: _PanelTable, k_a: float) -> float:
+    """Integral of the tabulated density, plus the sub-threshold mass and
+    the envelope of the density beyond e_max (`_envelope_tail`)."""
+    return (float(np.sum((table.vals @ _GL_W) * table.half)) + table.sub_mass
+            + _envelope_tail(k_a, table.r_a, table.e_max))
 
 
 def _e_needed(r_a: float, t):
@@ -337,9 +345,11 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
     sum_{n<16} [q^(n)(-1) e^{i theta} - q^(n)(1) e^{-i theta}] / (i theta)^(n+1),
     whose four real sums over n are one matrix product per block of
     _TIME_BLOCK times.  Block arrays are (panel, time): the Gauss sums
-    run node-major over (8, panel, time), and each route's rows are
-    summed panel after panel, a pair outside its window or route adding
-    an exact zero, so blocks of two or more times give the same bits.
+    run node-major over (8, panel, time) into one table of S_p, the
+    closed form replaces them above the switch, and the table, masked by
+    each time's window, times e^{-i t mid} is summed panel after panel
+    once, a pair outside its window adding an exact zero, so blocks of
+    two or more times give the same bits.
     The panels below the window, where E t <= 1, are one Taylor series
     sum_{m<20} (-it)^m M_m / m! in the cumulative energy moments M_m of
     the Gauss node values, whose truncation is <= 1/20! ~ 4e-19 of their
@@ -391,37 +401,32 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
         b0, b1 = lo[idx[-1]], hi[idx[0]]
         win = (rows[b0:b1] >= lo[idx]) & (rows[b0:b1] < hi[idx])
         theta = half[b0:b1, None] * tb
-        # Gauss rows where the block's smallest t is below the switch,
-        # closed-form rows where its largest is above; each time masks the
-        # rest.  Each route's rows, times e^{-i t mid}, are summed panel
-        # after panel; a pair outside its route or window adds an exact
-        # zero, so no sum depends on the block
-        g, c = np.flatnonzero(theta[:, 0] <= _PHASE_SWITCH), np.flatnonzero(theta[:, -1] > _PHASE_SWITCH)
-        th = theta[g]
-        on = (th <= _PHASE_SWITCH) & win[g]
-        n_small += int(np.count_nonzero(on))
-        u = _tan_half(th, _GL_X[8:, None, None])   # node-major: (8, row, time)
+        small = theta <= _PHASE_SWITCH
+        n_small += int(np.count_nonzero(small & win))
+        # S_p(theta) = s_re + i s_im: the Gauss sum on the rows where the
+        # block's smallest t is below the switch, the closed form where
+        # theta is above it, on the rows where the largest t is
+        s_re, s_im = np.empty_like(theta), np.empty_like(theta)
+        g = np.flatnonzero(small[:, 0])
+        u = _tan_half(theta[g], _GL_X[8:, None, None])   # node-major: (8, row, time)
         cc = np.square(u)
         np.divide(2.0, np.add(cc, 1.0, out=cc), out=cc)
-        g_tab = g + (b0 - p0)
-        s_re = (np.einsum("kpb,pk->pb", cc, vsum[g_tab]) - vsum_tot[g_tab, None]) * on
+        s_re[g] = np.einsum("kpb,pk->pb", cc, vsum[g + b0 - p0]) - vsum_tot[g + b0 - p0, None]
         u *= cc
-        s_im = np.einsum("kpb,pk->pb", u, vdif[g_tab]) * on
+        s_im[g] = np.einsum("kpb,pk->pb", u, vdif[g + b0 - p0])
         del u, cc
-        sp, cp = _sincos(tb, mid[b0:b1][g, None])
-        re, im = (cp * s_re + sp * s_im).sum(axis=0), (cp * s_im - sp * s_re).sum(axis=0)
-        # closed form; masked small-phase pairs may overflow in wide blocks
-        th = theta[c]
-        on = (th > _PHASE_SWITCH) & win[c]
-        with np.errstate(over="ignore", invalid="ignore"):
+        c = np.flatnonzero(~small[:, -1])
+        with np.errstate(over="ignore", invalid="ignore"):  # at small theta, replaced
             (e_sum, e_dif), (o_sum, o_dif) = ends[:, :, c + (b0 - p0)] @ tb ** -_POWERS
-            sin2, cos2 = _sincos(th)
-            s_re = np.where(on, sin2 * e_sum - cos2 * o_dif, 0.0)
-            neg_im = np.where(on, cos2 * e_dif + sin2 * o_sum, 0.0)
-        sp, cp = _sincos(tb, mid[b0:b1][c, None])
-        re += (cp * s_re - sp * neg_im).sum(axis=0)
-        im -= (cp * neg_im + sp * s_re).sum(axis=0)
-        amps[idx] += re + 1j * im
+            sin2, cos2 = _sincos(theta[c])
+            s_re[c] = np.where(small[c], s_re[c], sin2 * e_sum - cos2 * o_dif)
+            s_im[c] = np.where(small[c], s_im[c], -(cos2 * e_dif + sin2 * o_sum))
+        # S is finite at every pair of a finite table, so a pair outside its
+        # window adds an exact zero to the panel sum: no sum depends on the block
+        s_re *= win
+        s_im *= win
+        sp, cp = _sincos(tb, mid[b0:b1, None])
+        amps[idx] += (cp * s_re + sp * s_im).sum(axis=0) + 1j * (cp * s_im - sp * s_re).sum(axis=0)
         damp = np.minimum(1.0, 4.0 / theta) * resid[b0:b1, None]
         parts[idx, 0] += np.where(win, damp, 0.0).sum(axis=0)
 
@@ -467,7 +472,7 @@ def _pick_e_max(r_a: float, times: np.ndarray) -> tuple[float, bool]:
     if np.any(times == 0.0):
         # t = 0 is the whole mass: the table that `spectral_mass` integrates
         e_max = _MASS_E_HI
-    e_max = min(e_max, 4.0e4)
+    e_max = min(e_max, _E_MAX_CAP)
     return e_max, bool(e_max < _e_needed(r_a, t_min))
 
 
@@ -484,7 +489,7 @@ def survival_exact(density: SpectralDensity, times, *,
     t / 2 would ask for (at most e_max), the by-parts tail does.  The
     achieved-error estimate (interpolation residuals below e_cut, damped
     by phase mixing, plus the next-order truncation correction at e_cut
-    and the sub-threshold mass) is checked against abs_tol per time;
+    and the sub-threshold mass) is checked against abs_tol (> 0, or DomainError) per time;
     failure raises with the worst offender reported.  meta gives the
     estimate per time (error_estimate), the worst one, its three parts
     at that time (error_parts), e_cut per time (e_max at t = 0), the
@@ -494,6 +499,8 @@ def survival_exact(density: SpectralDensity, times, *,
     stage seconds.  A grid with t = 0 takes e_max = _MASS_E_HI, so P(0)
     is `spectral_mass` squared, its envelope of the mass beyond included.
     """
+    if not abs_tol > 0.0:   # NaN too
+        raise DomainError(f"abs_tol must be positive, got {abs_tol:g}")
     t_arr = _vector(times, "survival times", float)[0].copy()
     if np.any(t_arr < 0.0):
         raise DomainError("survival times must be >= 0")
@@ -512,8 +519,7 @@ def survival_exact(density: SpectralDensity, times, *,
     amps[pos], parts[pos], n_small = _table_amplitudes(table, t_arr[pos], windows)
     if not pos.all():
         # t = 0: the whole mass, with the envelope of the density beyond e_max
-        amps[~pos] = _table_mass(table) + _envelope_tail(
-            density.init.k_a, density.pot.r_a, table.e_max)
+        amps[~pos] = _mass(table, density.init.k_a)
         parts[~pos] = (float(np.sum(table.resid * table.half)), 0.0,
                        abs(table.sub_mass) * 0.5)
     amplitude_s = time.perf_counter() - start - table_s
@@ -532,7 +538,7 @@ def survival_exact(density: SpectralDensity, times, *,
                "table, which no e_max or abs_tol mends" if not math.isfinite(worst)
                else f"); e_max is capped at {e_max:g}: raise the smallest time or abs_tol, "
                "or pass survival_exact a larger e_max" if capped
-               else "); increase e_max or abs_tol"))
+               else "); raise abs_tol, or pass survival_exact a larger e_max"))
 
     prob = np.abs(amps) ** 2
     n_panels = int(table.mid.size)
@@ -555,7 +561,7 @@ def spectral_mass(density: SpectralDensity) -> float:
     ToleranceError where that is not finite.
     """
     table = _build_table(density.omega, density.pot.r_a, _MASS_E_HI)
-    mass = _table_mass(table) + _envelope_tail(density.init.k_a, density.pot.r_a, table.e_max)
+    mass = _mass(table, density.init.k_a)
     if not math.isfinite(mass):
         raise ToleranceError(f"mass stage: spectral mass {mass} after {table.n_evals} "
                              "density evaluations is not finite")

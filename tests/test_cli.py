@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import tailsurv.cli
 from tailsurv.analysis import fit_power_law
 from tailsurv.cli import load_config, main
 from tailsurv.emit import read_table
@@ -162,6 +163,42 @@ def test_survive_names_the_e_max_cap_it_cannot_pass(workdir, capsys):
     assert "error-class: ToleranceError" in err
     assert "e_max is capped at 32400: raise the smallest time or abs_tol" in err
     assert "increase e_max" not in err
+
+
+def test_survive_names_the_e_max_argument_it_cannot_pass(workdir, capsys):
+    # below the cap the advice names survival_exact's e_max too: survive has
+    # no e_max setting
+    assert main(["survive", "--abs_tol", "1e-12"]) == 3
+    err = capsys.readouterr().err
+    assert "error-class: ToleranceError" in err
+    assert err.rstrip().endswith("raise abs_tol, or pass survival_exact a larger e_max")
+    assert "increase e_max" not in err
+
+
+@pytest.mark.parametrize("value", ("0", "-1", "nan"))
+def test_survive_refuses_a_tolerance_that_is_not_positive(workdir, monkeypatch, capsys, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the density was built")
+
+    monkeypatch.setattr(tailsurv.cli, "_build_density", refuse)
+    assert main(["survive", "--abs_tol", value]) == 2
+    err = capsys.readouterr().err
+    assert "error-class: ConfigError" in err and f"need abs_tol > 0, got {float(value):g}" in err
+    assert not (workdir / "survival.csv").exists()
+
+
+@pytest.mark.parametrize("out, names", (
+    ("taken", "taken: cannot write table"),                    # a directory
+    ("plain/density.csv", "plain/density.csv: cannot write table"),  # below a file
+    ("density.csv", "density.meta.json: cannot write JSON")))  # its meta path is a directory
+def test_density_write_failures_exit_two_naming_the_path(workdir, capsys, out, names):
+    (workdir / "taken").mkdir()
+    (workdir / "plain").write_text("a regular file\n")
+    (workdir / "density.meta.json").mkdir()
+    assert main(["density", "--e_points", "10", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error-class: ConfigError" in err and names in err
+    assert "Traceback" not in err
 
 
 def test_survive_rejects_unknown_method(workdir, capsys):

@@ -15,7 +15,7 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tailsurv import InitialState, SpectralDensity, WBPotential, spectral_mass, survival_exact
-from tailsurv.errors import ConfigError
+from tailsurv.errors import ConfigError, DomainError
 from tailsurv.oracle import oracle_match_coefficients, oracle_survival_bruteforce
 from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _PHASE_SWITCH, _PanelTable,
                                _build_table, _table_amplitudes)
@@ -42,6 +42,31 @@ def valid_potentials(draw) -> WBPotential:
 def test_zero_energy_boundary_matches_the_array_kernel(pot):
     # validation's scalar closed form against regular_boundary_sq(pot, 0.0)
     assert max(zero_energy_boundary_gap(pot)) <= 1.0e-14
+
+
+@settings(max_examples=50)
+@given(pot=valid_potentials(), n_a=st.sampled_from((1, 2)))
+@example(pot=WBPotential(v0=0.0, vb=1.0, r_a=1.0, r_d=2.0, beta=0.3), n_a=1)
+@example(pot=WBPotential(v0=0.0, vb=1.0, r_a=1.0, r_d=2.0, beta=0.3), n_a=2)
+@example(pot=WBPotential(v0=0.5, vb=1.8, r_a=3.0, r_d=3.4, beta=0.3), n_a=1)
+# a shallow well: g0 through the shifted phase d = (k - k_a) r_a ~ -pi was off
+# by eps pi / (k r_a), 2.6e-6 relative here
+@example(pot=WBPotential(v0=1.0e-20, vb=0.0, r_a=1.0, r_d=2.0, beta=0.0), n_a=1)
+def test_threshold_well_factor_matches_mpmath(pot, n_a):
+    # density_scale = 2 k_a^2 / (pi r_a) g0^2 / jost_scale^2 with the zero-energy
+    # well factor g0 = sin(k r_a) / k / (k_a^2 - v0), k = sqrt(v0), r_a at v0 = 0
+    init = InitialState.from_potential(pot, n_a=n_a)
+    try:
+        th = SpectralDensity(pot, init).threshold
+    except DomainError:   # degenerate threshold, refused for any n_a
+        assume(False)
+    got = th.density_scale * th.jost_scale ** 2 / (2.0 * init.k_a ** 2 / (math.pi * pot.r_a))
+    with mpmath.workdps(40):
+        v0, r_a = mpmath.mpf(pot.v0), mpmath.mpf(pot.r_a)
+        k = mpmath.sqrt(v0)
+        sinc = mpmath.sin(k * r_a) / k if v0 > 0 else r_a
+        want = (sinc / ((n_a * mpmath.pi / r_a) ** 2 - v0)) ** 2
+        assert abs(got / want - 1) <= 1.0e-13
 
 
 @settings(max_examples=10)

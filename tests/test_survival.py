@@ -65,6 +65,18 @@ def test_survival_rejects_negative_times(density_for):
         survival_exact(density_for(0.3), np.array([-1.0, 2.0]))
 
 
+@pytest.mark.parametrize("abs_tol", (0.0, -1.0, math.nan))
+def test_survival_refuses_a_tolerance_that_is_not_positive(density_for, abs_tol):
+    # before, these reached the estimate check and raised a ToleranceError
+    with pytest.raises(DomainError, match="abs_tol must be positive"):
+        survival_exact(density_for(0.3), np.array([500.0]), abs_tol=abs_tol)
+
+
+def test_survival_takes_an_infinite_tolerance(density_for):
+    s = survival_exact(density_for(0.3), np.array([500.0]), abs_tol=math.inf)
+    assert s.meta["max_error_estimate"] <= 1.0e-8
+
+
 def test_survival_unreachable_tolerance_raises(density_for):
     with pytest.raises(ToleranceError):
         survival_exact(density_for(0.3), np.array([500.0]), abs_tol=1.0e-16)
@@ -82,7 +94,7 @@ def test_tolerance_error_names_stage_time_and_largest_part(times, abs_tol, e_max
     assert f"largest part {largest} (" in msg
     assert all(f"{part} " in msg for part in ("interpolation", "truncation", "sub_threshold"))
     # the caller passed e_max, or the one picked is below its cap
-    assert msg.endswith("); increase e_max or abs_tol")
+    assert msg.endswith("); raise abs_tol, or pass survival_exact a larger e_max")
 
 
 def test_survival_reports_accuracy_metadata(density_for):
@@ -306,8 +318,8 @@ def test_batched_moments_stay_finite_in_wide_blocks(density_for):
 
 @pytest.mark.parametrize("block", [1, 7, 13])
 def test_exact_blocks_match_one_call(density_for, monkeypatch, block):
-    # each route's rows are summed panel after panel, and a pair outside
-    # its route or window adds an exact zero, so blocks of two or more
+    # each block's panel sums are summed panel after panel, and a pair
+    # outside its window adds an exact zero, so blocks of two or more
     # times give the bits of one call
     t = np.concatenate(([0.0], np.geomspace(0.1, 2000.0, 45)))
     for beta in (-0.45, 0.3, 1.0):
