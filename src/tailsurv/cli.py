@@ -220,6 +220,7 @@ def cmd_survive(cfg: dict, args: argparse.Namespace) -> int:
 
     header = ["t"]
     columns = []
+    rotated = {}   # each rotated-axis method's rule record, under its name
     exact = survival_exact(density, times, abs_tol=abs_tol)
     columns.append(exact.probability)
     header.append("P_exact")
@@ -233,6 +234,8 @@ def cmd_survive(cfg: dict, args: argparse.Namespace) -> int:
                       f"grid starts at t = {times[0]:g}", file=sys.stderr)
             form = "continued" if m == "laplace" else "threshold"
             ser = survival_laplace_axis(density, times, form=form)
+            rotated[m] = {key: ser.meta[key] for key in (
+                "nodes", "fallback_times", "max_rel_error_estimate", "error_parts")}
             columns.append(ser.probability)
             header.append(f"P_{m.replace('-', '_')}")
         elif m == "one-term":
@@ -248,7 +251,8 @@ def cmd_survive(cfg: dict, args: argparse.Namespace) -> int:
     path = _out_path(cfg, "survival.csv")
     start = time.perf_counter()
     write_table(path, header, [times] + columns)
-    write_json(path.with_suffix(".meta.json"), dict(exact.meta, write_s=time.perf_counter() - start))
+    write_json(path.with_suffix(".meta.json"),
+               {**exact.meta, **rotated, "write_s": time.perf_counter() - start})
     print(f"survival: {times.size} times, methods {','.join(methods)} -> {path} "
           f"(exact error estimate {exact.meta['max_error_estimate']:.2e})")
     return 0

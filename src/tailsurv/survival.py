@@ -31,14 +31,17 @@ imaginary energy axis,
 
 which is non-oscillatory; with x = u / t one fixed composite
 Gauss-Legendre rule in u serves every time, on the continued density
-(or its threshold refinement).  Expanding that integral at the
-threshold yields the inverse-power asymptotic models, with everything
-beyond A_v (the resonance-pole part) decaying exponentially and read
-off the exact amplitude instead.
+(or its threshold refinement).  Its lowest panels, as many as the
+threshold power law u^nu (nu = beta + 1/2) leaves negligible, are
+replaced by that law's integral in closed form.  Expanding that
+integral at the threshold yields the inverse-power asymptotic models,
+with everything beyond A_v (the resonance-pole part) decaying
+exponentially and read off the exact amplitude instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -530,15 +533,24 @@ def survival_exact(density: SpectralDensity, times, *,
     names = ("interpolation", "truncation", "sub_threshold")
     error_parts = dict(zip(names, parts[i_bad].tolist()))
     if not worst <= abs_tol:  # a NaN estimate is refused too, and named as the largest part
+        largest = int(np.argmax(parts[i_bad]))
+        if not math.isfinite(worst):
+            advice = ("the estimate is not finite: the density underflowed on the panel "
+                      "table, which no e_max or abs_tol mends")
+        elif largest == 1 and e_cut[i_bad] < table.e_max:
+            advice = (f"the truncation is at this time's e_cut = {e_cut[i_bad]:g}, below "
+                      f"e_max = {table.e_max:g}: the cut follows t through "
+                      "max(64, (6 r_a / t)^2), which no e_max reaches; raise abs_tol")
+        elif capped:
+            advice = (f"e_max is capped at {e_max:g}: raise the smallest time or abs_tol, "
+                      "or pass survival_exact a larger e_max")
+        else:
+            advice = "raise abs_tol, or pass survival_exact a larger e_max"
         raise ToleranceError(
             f"amplitude stage: error estimate {worst:.3e} at t = {t_arr[i_bad]:g} exceeds "
-            f"abs_tol = {abs_tol:.3e}; largest part {names[int(np.argmax(parts[i_bad]))]} ("
+            f"abs_tol = {abs_tol:.3e}; largest part {names[largest]} ("
             + ", ".join(f"{key} {val:.3e}" for key, val in error_parts.items())
-            + ("); the estimate is not finite: the density underflowed on the panel "
-               "table, which no e_max or abs_tol mends" if not math.isfinite(worst)
-               else f"); e_max is capped at {e_max:g}: raise the smallest time or abs_tol, "
-               "or pass survival_exact a larger e_max" if capped
-               else "); raise abs_tol, or pass survival_exact a larger e_max"))
+            + f"); {advice}")
 
     prob = np.abs(amps) ** 2
     n_panels = int(table.mid.size)
@@ -572,20 +584,72 @@ def spectral_mass(density: SpectralDensity) -> float:
 # rotated-contour representation                                    #
 # ----------------------------------------------------------------- #
 
-# Rotated-axis rule on [0, u_max]: width-4 panels above u = 4, and
-# below it panels halving toward u = 0 down to 4 * 2^-48 ~ 1.4e-14, so
-# the u^nu threshold factor is smooth on each (the skipped sliver weighs
-# ~1.4e-14 relative).  Weight column 0 is the 16-point Gauss sum, column
-# 1 its companion, the degree-13 interpolant on the same nodes (the sum
-# less its T_14 term; T_15 integrates to zero); both include e^{-u}.
+# Rotated-axis rule on [0, u_max]: width-4 panels above u = 4, and below it
+# _LAPLACE_HALVINGS panels halving toward u = 0 down to 4 * 2^-48 ~ 1.4e-14,
+# so the u^nu threshold factor is smooth on each.  Weight column 0 is the
+# 16-point Gauss sum, column 1 its companion, the degree-13 interpolant on
+# the same nodes (the sum less its T_14 term; T_15 integrates to zero); both
+# include e^{-u}.  A call sums only the nodes above the halving panels that
+# the threshold law makes negligible, and that law over them in closed form
+# (`_laplace_end`); where it drops none (nu < 0.07) the sliver below
+# 1.4e-14 is left out, ~1.4e-14^(nu + 1) relative.
 _LAPLACE_U_MAX = 40.0
+_LAPLACE_HALVINGS = 48
 _LAPLACE_BLOCK = 200_000  # density evaluations per call
-_edges = np.concatenate((4.0 * 2.0 ** -np.arange(48.0, 0.0, -1.0),
+# Relative size below which the threshold law's next term on a dropped
+# panel, and the closed-form end's drift, count as negligible.
+_LAPLACE_END_TOL = 1.0e-15
+_edges = np.concatenate((4.0 * 2.0 ** -np.arange(float(_LAPLACE_HALVINGS), 0.0, -1.0),
                          np.arange(4.0, _LAPLACE_U_MAX + 1.0, 4.0)))
 _half = 0.5 * (_edges[1:] - _edges[:-1])
 _LAPLACE_U = (0.5 * (_edges[1:] + _edges[:-1])[:, None] + _half[:, None] * _GL_X).ravel()
 _LAPLACE_W = np.exp(-_LAPLACE_U)[:, None] * np.kron(_half[:, None], np.stack(
     (_GL_W, _GL_W - 2.0 / (1.0 - 14.0 ** 2) * _CHEB_FROM_VALS[14]), axis=1))
+# Nodes of a range whose density `_axis_sums` returns too: the lowest and
+# highest of its first panel, and its last
+_PROBES = np.array([0, 15, -1])
+
+
+@functools.lru_cache(maxsize=64)
+def _laplace_end(nu: float) -> tuple[int, float, float, float]:
+    """The rule's threshold end at nu: (lo, end, ratio, beyond).
+
+    The halving panels dropped are the lowest ones whose upper edge u_e has
+    u_e^(2 nu + 1) <= _LAPLACE_END_TOL: there the threshold law's next
+    term, relative size ~u^nu on a part of size ~u^(nu + 1), is negligible.
+    lo is the first kept node, u_1; end is the lower incomplete gamma
+    series over [0, u_s], u_s the lowest kept edge, three terms of
+    sum_j (-1)^j u_s^(nu+1+j) / (j! (nu+1+j)) (DLMF 8.7.1), over u_1^nu,
+    so that end times the density at u_1 is the closed-form end (0 where
+    nothing is dropped); ratio is (u_1 / u_16)^nu, u_16 the first kept
+    panel's top node; beyond is Gamma(nu + 1, u_max) <= u_max^nu e^{-u_max}
+    / (1 - nu / u_max) over u_N^nu, u_N the last node.
+    """
+    tops = _edges[1:_LAPLACE_HALVINGS + 1]
+    n_drop = int(np.count_nonzero(tops ** (2.0 * nu + 1.0) <= _LAPLACE_END_TOL))
+    lo = 16 * n_drop
+    u_s, u_1, u_16 = float(_edges[n_drop]), float(_LAPLACE_U[lo]), float(_LAPLACE_U[lo + 15])
+    end = sum((-1.0) ** j * u_s ** (nu + 1.0 + j) / (math.factorial(j) * (nu + 1.0 + j))
+              for j in range(3)) / u_1 ** nu if n_drop else 0.0
+    x = _LAPLACE_U_MAX
+    beyond = x ** nu * math.exp(-x) / (1.0 - nu / x) if nu < x else math.inf
+    return lo, end, (u_1 / u_16) ** nu, beyond / float(_LAPLACE_U[-1]) ** nu
+
+
+def _axis_sums(fn: Callable, t: np.ndarray, lo: int, hi: int):
+    """Both weight columns' sums over the rule's nodes [lo, hi) at each
+    time, in density calls of at most _LAPLACE_BLOCK nodes, and the
+    density at the _PROBES nodes of that range."""
+    u, w = _LAPLACE_U[lo:hi], _LAPLACE_W[lo:hi]
+    sums = np.empty((t.size, 2), dtype=complex)
+    probes = np.empty((t.size, 3), dtype=complex)
+    step = _LAPLACE_BLOCK // u.size
+    for a in range(0, t.size, step):
+        e = -1j * u[None, :] / t[a:a + step, None]
+        vals = fn(e.ravel()).reshape(e.shape)
+        sums[a:a + step] = vals @ w
+        probes[a:a + step] = vals[:, _PROBES]
+    return sums, probes
 
 
 def survival_laplace_axis(density: SpectralDensity, times, *,
@@ -597,16 +661,28 @@ def survival_laplace_axis(density: SpectralDensity, times, *,
         A_v(t) = (-i / t) int_0^{u_max} e^{-u} omega(-i u / t) du,
 
     u_max = 40.  The integrand is smooth apart from its u^nu threshold
-    factor, so one fixed composite Gauss-Legendre rule serves every
-    time, through vectorized density calls of at most _LAPLACE_BLOCK
-    nodes; accuracy is t-independent.  meta reports the nodes per time
-    and, as error estimate, the largest relative difference from the
-    rule's degree-13 companion.  form "continued" uses the full
-    continued density; form "threshold" uses its three-term threshold
-    refinement, valid once u_max / t is small against the potential
-    scales.  This is the contour part only: it omits the resonance-pole
-    contribution, which is significant roughly below t ~ 200 for the
-    reference parameters.
+    factor, nu = beta + 1/2, so one fixed composite Gauss-Legendre rule
+    serves every time, through vectorized density calls of at most
+    _LAPLACE_BLOCK nodes; accuracy is t-independent.  Below the lowest
+    edge u_s that the threshold law leaves worth summing (`_laplace_end`),
+    the integrand is taken as g_1 u^nu e^{-u}, with g_1 = omega / u^nu at
+    the lowest kept node u_1, and integrated in closed form.  Where that
+    end times the drift of omega / u^nu across the first kept panel,
+    |g(u_16) / g(u_1) - 1|, exceeds _LAPLACE_END_TOL of the sum, the
+    time takes the dropped panels instead, in one more density call for
+    all such times.
+
+    meta gives the nodes per time on the common path, the number of
+    times that took the dropped panels (fallback_times) and, as error
+    estimate, the largest over times of the relative sum of three parts
+    (error_parts, at that time): the difference from the rule's
+    degree-13 companion, the end's drift, and a bound on the integral
+    beyond u_max from the last node's value and the e^{-u} u^nu decay.
+    form "continued" uses the full continued density; form "threshold"
+    uses its three-term threshold refinement, valid once u_max / t is
+    small against the potential scales.  This is the contour part only:
+    it omits the resonance-pole contribution, which is significant
+    roughly below t ~ 200 for the reference parameters.
     """
     if form not in ("continued", "threshold"):
         raise DomainError(f"unknown laplace-axis form {form!r}")
@@ -615,16 +691,30 @@ def survival_laplace_axis(density: SpectralDensity, times, *,
     if np.any(t_arr <= 0.0):
         raise DomainError("laplace-axis evaluation needs t > 0")
 
-    sums = np.empty((t_arr.size, 2), dtype=complex)
-    step = _LAPLACE_BLOCK // _LAPLACE_U.size
-    for a in range(0, t_arr.size, step):
-        e = -1j * _LAPLACE_U[None, :] / t_arr[a:a + step, None]
-        sums[a:a + step] = fn(e.ravel()).reshape(e.shape) @ _LAPLACE_W
+    lo, end, ratio, beyond = _laplace_end(density.pot.beta + 0.5)
+    sums, probes = _axis_sums(fn, t_arr, lo, _LAPLACE_U.size)
+    scale = np.abs(sums[:, 0])
+    n_back = 0
+    # |g_1 gamma| |g(u_16) / g(u_1) - 1|, g = omega / u^nu
+    drift = end * np.abs(probes[:, 1] * ratio - probes[:, 0])
+    if lo:
+        keep = drift <= _LAPLACE_END_TOL * scale   # a NaN drift falls back
+        n_back = keep.size - int(np.count_nonzero(keep))
+        if n_back:
+            sums[keep] += end * probes[keep, :1]
+            sums[~keep] += _axis_sums(fn, t_arr[~keep], 0, lo)[0]
+            drift[~keep] = 0.0
+        else:
+            sums += end * probes[:, :1]
+    parts = (np.abs(sums[:, 0] - sums[:, 1]), drift, beyond * np.abs(probes[:, 2]))
+    ests = (parts[0] + parts[1] + parts[2]) / scale
+    i_bad = int(np.argmax(ests))
     amps = -1j * sums[:, 0] / t_arr
-    rel_err = np.abs(sums[:, 0] - sums[:, 1]) / np.abs(sums[:, 0])
     prob = np.abs(amps) ** 2
-    meta = {"u_max": _LAPLACE_U_MAX, "form": form, "nodes": int(_LAPLACE_U.size),
-            "max_rel_error_estimate": float(np.max(rel_err))}
+    meta = {"u_max": _LAPLACE_U_MAX, "form": form, "nodes": int(_LAPLACE_U.size - lo),
+            "fallback_times": n_back, "max_rel_error_estimate": float(ests[i_bad]),
+            "error_parts": {name: float(part[i_bad] / scale[i_bad]) for name, part in
+                            zip(("companion", "threshold_end", "beyond_u_max"), parts)}}
     return SurvivalSeries(times=t_arr, probability=prob, amplitudes=amps,
                           method=f"laplace-{form}", meta=meta)
 

@@ -14,7 +14,7 @@ from tailsurv.analysis import fit_power_law
 from tailsurv.cli import load_config, main
 from tailsurv.emit import read_table
 from tailsurv.errors import ConfigError
-from tailsurv.survival import SurvivalSeries
+from tailsurv.survival import SurvivalSeries, survival_laplace_axis
 
 
 @pytest.fixture()
@@ -141,6 +141,23 @@ def test_survive_writes_exact_meta(workdir, capsys):
             + meta["beyond_cut_pairs"]) == data["t"].size * meta["panels"]
 
 
+def test_survive_writes_each_rotated_axis_record(workdir, capsys):
+    # the rule's nodes per time, its fallback times and its estimate by part,
+    # as survival_laplace_axis states them, under each method's name
+    assert main(["survive", "--t_min", "400", "--t_max", "800", "--t_per_decade", "10",
+                 "--methods", "laplace,laplace-threshold"]) == 0
+    _, data = read_table(workdir / "survival.csv")
+    meta = json.loads((workdir / "survival.meta.json").read_text())
+    density = tailsurv.cli._build_density(dict(tailsurv.cli.DEFAULTS))
+    for name, form in (("laplace", "continued"), ("laplace-threshold", "threshold")):
+        want = survival_laplace_axis(density, data["t"], form=form).meta
+        assert meta[name] == {key: want[key] for key in (
+            "nodes", "fallback_times", "max_rel_error_estimate", "error_parts")}
+        assert meta[name]["nodes"] == 496   # beta 0.3: 26 of 48 halving panels closed
+        assert set(meta[name]["error_parts"]) == {"companion", "threshold_end", "beyond_u_max"}
+    assert "e_max" in meta   # the exact route's record is still there
+
+
 def test_survive_warns_below_pole_crossover(workdir, capsys):
     assert main(["survive", "--t_min", "5", "--t_max", "20",
                  "--t_per_decade", "10", "--methods", "laplace"]) == 0
@@ -167,12 +184,26 @@ def test_survive_names_the_e_max_cap_it_cannot_pass(workdir, capsys):
 
 def test_survive_names_the_e_max_argument_it_cannot_pass(workdir, capsys):
     # below the cap the advice names survival_exact's e_max too: survive has
-    # no e_max setting
-    assert main(["survive", "--abs_tol", "1e-12"]) == 3
+    # no e_max setting.  From t = 1 the table ends at e_max = (3 r_a)^2 = 81,
+    # which is where t = 1 cuts
+    assert main(["survive", "--t_min", "1", "--t_max", "100", "--abs_tol", "1e-12"]) == 3
     err = capsys.readouterr().err
     assert "error-class: ToleranceError" in err
+    assert "at t = 1 exceeds" in err and "largest part truncation" in err
     assert err.rstrip().endswith("raise abs_tol, or pass survival_exact a larger e_max")
     assert "increase e_max" not in err
+
+
+def test_survive_says_no_e_max_reaches_a_cut_that_follows_t(workdir, capsys):
+    # on the default grid (e_max 8100) t = 2.17207 cuts at e_cut = 69.7, from
+    # (6 r_a / t)^2: a larger e_max leaves that truncation as it is
+    assert main(["survive", "--abs_tol", "1e-12"]) == 3
+    err = capsys.readouterr().err
+    assert "at t = 2.17207 exceeds" in err and "largest part truncation" in err
+    assert err.rstrip().endswith(
+        "the truncation is at this time's e_cut = 69.7371, below e_max = 8100: the cut "
+        "follows t through max(64, (6 r_a / t)^2), which no e_max reaches; raise abs_tol")
+    assert "larger e_max" not in err
 
 
 @pytest.mark.parametrize("value", ("0", "-1", "nan"))

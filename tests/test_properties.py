@@ -14,11 +14,12 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from tailsurv import InitialState, SpectralDensity, WBPotential, spectral_mass, survival_exact
+from tailsurv import (InitialState, SpectralDensity, WBPotential, spectral_mass, survival_exact,
+                      survival_laplace_axis)
 from tailsurv.errors import ConfigError, DomainError
 from tailsurv.oracle import oracle_match_coefficients, oracle_survival_bruteforce
-from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _PHASE_SWITCH, _PanelTable,
-                               _build_table, _table_amplitudes)
+from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _LAPLACE_U, _LAPLACE_W,
+                               _PHASE_SWITCH, _PanelTable, _build_table, _table_amplitudes)
 
 from conftest import reference_amplitude, reference_table, zero_energy_boundary_gap
 
@@ -253,3 +254,31 @@ def test_one_time_alone_agrees_with_the_grid_within_both_estimates(pot, picks):
         alone = survival_exact(density, [float(CLI_GRID[i])], abs_tol=1.0)
         assert abs(alone.amplitudes[0] - batched.amplitudes[i]) <= (
             alone.meta["max_error_estimate"] + batched.meta["error_estimate"][i])
+
+
+@settings(max_examples=30)
+@given(pot=valid_potentials())
+# the largest gap of a 300-well scan, at t = 0.3
+@example(pot=WBPotential(v0=0.5, vb=1.8, r_a=3.0, r_d=3.4, beta=-0.43))
+# the continued density overflows on the axis at t = 0.3
+@example(pot=WBPotential(v0=0.0, vb=0.0, r_a=1.0, r_d=3.0, beta=0.0))
+def test_laplace_axis_matches_the_full_rule(pot):
+    # the rotated-axis rule closes its lowest halving panels by the threshold
+    # power law, or a time sums them where omega / u^nu drifts: within
+    # rounding of the sum over all 912 nodes, for both forms
+    density = SpectralDensity(pot, InitialState.from_potential(pot))
+    t = np.array([0.3, 1.0, 10.0, 200.0, 2000.0, 1.0e6])
+    e = (-1j * _LAPLACE_U[None, :] / t[:, None]).ravel()
+    for form, fn in (("continued", density.omega), ("threshold", density.threshold_pade_omega)):
+        try:
+            full = -1j * (fn(e).reshape(t.size, -1) @ _LAPLACE_W)[:, 0] / t
+        except DomainError:   # a degenerate threshold refinement, refused by both
+            with pytest.raises(DomainError):
+                survival_laplace_axis(density, t, form=form)
+            continue
+        got = survival_laplace_axis(density, t, form=form).amplitudes
+        # the continued density overflows at |E| = u / t ~ 80 on some wells
+        # (v0 = vb = 0, r_a 1, r_d 3 at t = 0.3): no rule is finite there
+        finite = np.isfinite(full)
+        assert np.array_equal(np.isfinite(got), finite)
+        assert np.max(np.abs(got[finite] / full[finite] - 1.0), initial=0.0) <= 1.0e-14

@@ -97,6 +97,19 @@ def test_tolerance_error_names_stage_time_and_largest_part(times, abs_tol, e_max
     assert msg.endswith("); raise abs_tol, or pass survival_exact a larger e_max")
 
 
+@pytest.mark.parametrize("e_max", (4.0e4, 1.6e5))
+def test_tolerance_error_says_no_e_max_reaches_a_cut_that_follows_t(e_max, density_for):
+    # t = 2 cuts at the first edge at or above (6 r_a / t)^2 = 81, far below
+    # e_max, so a larger e_max leaves its truncation part as it is
+    with pytest.raises(ToleranceError) as exc:
+        survival_exact(density_for(0.3), np.array([2.0, 500.0]), abs_tol=1.0e-12, e_max=e_max)
+    msg = str(exc.value)
+    assert "at t = 2 exceeds" in msg and "largest part truncation (" in msg
+    assert msg.endswith(f", below e_max = {e_max:g}: the cut follows t through "
+                        "max(64, (6 r_a / t)^2), which no e_max reaches; raise abs_tol")
+    assert "larger e_max" not in msg
+
+
 def test_survival_reports_accuracy_metadata(density_for):
     s = survival_exact(density_for(0.3), np.array([50.0, 100.0]))
     assert s.method == "exact"
@@ -509,8 +522,49 @@ def test_laplace_rule_matches_adaptive_quadrature(density_for, form):
         lap = survival_laplace_axis(den, t, form=form)
         ref = np.array([_quad_laplace_amplitude(fn, float(x)) for x in t])
         assert np.max(np.abs(lap.amplitudes / ref - 1.0)) <= 1.0e-12
-        assert lap.meta["nodes"] == tailsurv.survival._LAPLACE_U.size
+        # the 912-node rule less the halving panels closed in closed form
+        assert lap.meta["nodes"] == {-0.4: 848, -0.1: 624, 0.3: 496, 0.7: 416}[beta]
         assert 0.0 < lap.meta["max_rel_error_estimate"] < 1.0e-12
+
+
+def _full_rule_amplitudes(fn, t: np.ndarray) -> np.ndarray:
+    """A_v(t) from every node of the 912-node rule, in one density call."""
+    e = -1j * tailsurv.survival._LAPLACE_U[None, :] / t[:, None]
+    return -1j * (fn(e.ravel()).reshape(e.shape) @ tailsurv.survival._LAPLACE_W)[:, 0] / t
+
+
+@pytest.mark.parametrize("beta,nodes", ((-0.45, 912), (-0.3, 752), (0.0, 576), (0.3, 496),
+                                        (0.7, 416), (1.0, 384), (1.4, 352)))
+def test_laplace_rule_closes_the_panels_the_threshold_law_makes_negligible(beta, nodes):
+    den = make_density(beta)
+    t = np.array([0.3, 1.0, 10.0, 200.0, 2000.0, 1.0e6])
+    lap = survival_laplace_axis(den, t)
+    full = _full_rule_amplitudes(den.omega, t)
+    assert lap.meta["nodes"] == nodes
+    assert np.max(np.abs(lap.amplitudes / full - 1.0)) <= 1.0e-14
+    if nodes == 912:    # nothing dropped: the full rule's sums, bit for bit
+        assert np.array_equal(lap.amplitudes, full) and lap.meta["fallback_times"] == 0
+    else:
+        # t = 0.3 takes the dropped panels (omega / u^nu drifts across the
+        # first kept panel); t >= 2000 keeps the closed-form end
+        assert lap.meta["fallback_times"] >= 1
+        assert survival_laplace_axis(den, t[4:]).meta["fallback_times"] == 0
+
+
+@pytest.mark.parametrize("beta", (2.0, 3.0, 4.0))
+def test_laplace_estimate_covers_the_cut_at_u_max(beta):
+    # the rule stops at u_max = 40; the same rule carried on to 80 by ten more
+    # width-4 panels differs from it by the integral beyond 40
+    den = make_density(beta)
+    mids = np.arange(42.0, 80.0, 4.0)
+    u = (mids[:, None] + 2.0 * tailsurv.survival._GL_X).ravel()
+    w = np.exp(-u) * np.tile(2.0 * tailsurv.survival._GL_W, mids.size)
+    for t in (100.0, 1000.0):
+        lap = survival_laplace_axis(den, [t])
+        extended = lap.amplitudes[0] - 1j * (den.omega(-1j * u / t) @ w) / t
+        gap = abs(lap.amplitudes[0] / extended - 1.0)
+        assert gap <= lap.meta["max_rel_error_estimate"]
+        assert gap <= lap.meta["error_parts"]["beyond_u_max"] <= 1.2 * gap
 
 
 def test_laplace_blocks_match_one_call(density_for, monkeypatch):
