@@ -34,7 +34,7 @@ from time import perf_counter
 import numpy as np
 
 from . import survival
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, ToleranceError
 from .model import _sincos, regular_boundary_sq
 from .specfun import BesselOrder, riccati_pair_with_derivatives
 
@@ -417,6 +417,10 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
     trapezoid = _trapezoid_sums(density, times, counts)
     amp = sum(_refined_sum(trapezoid, lo, hi, n, keep, t, counts)
               for keep, lo, hi, n in pieces)
+    if not amp.any():   # the density is 0 on the whole grid
+        raise ToleranceError(
+            f"brute-force oracle: at t = {t:g} every sum is 0, as from a density that "
+            "underflowed to 0 on the whole grid; P = 0 would read a trapped state as decayed")
     if t == 0.0:
         amp += survival._envelope_tail(density.init.k_a, density.pot.r_a, e_out)
     return np.abs(amp) ** 2
@@ -447,7 +451,9 @@ def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     ends past E = 2500 and adds the envelope estimate of the rest.
     Rather than return an aliased or truncated sum it raises
     ResourceLimitError, naming the piece and the disagreement, or the
-    tail, where the grid would need more than _MAX_BRUTE_POINTS points.
+    tail, where the grid would need more than _MAX_BRUTE_POINTS points;
+    where every sum is 0, the density having underflowed on the whole
+    grid (an opaque barrier's trapped state), it raises ToleranceError.
 
     `t` is a scalar (returns a float) or an array (returns an array of
     its shape).  All positive times share the density evaluations on the

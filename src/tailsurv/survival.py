@@ -22,7 +22,8 @@ panels wholly below E = 1/t enter as one Taylor series in -it over the
 table's cumulative energy moments.  The density above the window's top
 e_cut, the table end that t / 2 would need (at most e_max), is summed
 by integration by parts using the derivatives of the interpolant of
-the panel below e_cut.
+the panel below e_cut.  A table refuses, after its first density call,
+a density not positive at its lowest node (0 after underflow, or NaN).
 
 The long-time representation rotates the contour onto the negative
 imaginary energy axis,
@@ -36,7 +37,8 @@ threshold power law u^nu (nu = beta + 1/2) leaves negligible, are
 replaced by that law's integral in closed form.  Expanding that
 integral at the threshold yields the inverse-power asymptotic models,
 with everything beyond A_v (the resonance-pole part) decaying
-exponentially and read off the exact amplitude instead.
+exponentially and read off the exact amplitude instead.  A time whose
+sum on the axis is not finite is refused.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ _MOMENT_TERMS = 20  # Taylor terms for the panels below E t = 1 (even)
 # E^m / m! is built up one factor E / m at a time
 _MOMENT_STEPS = 1.0 / np.arange(1.0, _MOMENT_TERMS)[:, None, None]
 
-# Upper end of the table that `spectral_mass` integrates.
+# Top of the `spectral_mass` table, of a grid holding t = 0, and of the e_max
+# `survival_exact` picks itself (a caller may pass more): P(0) is that mass
+# squared bit for bit only while the cap is no lower than the mass table.
 _MASS_E_HI = 4.0e4
-# Largest e_max that `survival_exact` picks itself; a caller may pass more.
-_E_MAX_CAP = 4.0e4
 
 # Times per block of the batched amplitude.  The largest temporaries are
 # two (8, Gauss rows, block) float arrays for the Gauss sums, ~0.7 MB
@@ -242,7 +244,8 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     level without a call of their own.  That saves one call per two
     levels past the first at the price of the halves of accepted panels,
     evaluated and dropped (n_evals counts them); nearly every table
-    bisects at least twice, at the resonance peak.
+    bisects at least twice, at the resonance peak.  Level 0 refuses a
+    density not positive at the lowest node, which no e_max or abs_tol mends.
     """
     mid, half = _initial_panels(r_a, e_max)
     kept, n_evals, vals = [], 0, None
@@ -264,6 +267,11 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
             else:
                 vals = _eval_panels(omega, mid, half)
             n_evals += n_call
+            if depth == 0 and not vals[0, 0] > 0.0:   # 0 after underflow, or NaN
+                raise ToleranceError(
+                    f"table stage: the density at the lowest node, E = "
+                    f"{mid[0] + half[0] * _GL_X[0]:.6g}, is {vals[0, 0]:g}: it underflowed "
+                    "or is NaN, which no e_max or abs_tol mends")
         mono, resid = _interp(vals)
         done = ((resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1))
                 | (half <= _MIN_WIDTH) | (depth == _MAX_DEPTH))
@@ -279,7 +287,9 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
 
 def _table_from_levels(kept: list, r_a: float, e_max: float, n_evals: int) -> _PanelTable:
     """The table from the accepted panels of each bisection level, a list
-    of (mid, half, vals, mono, resid) tuples from level 0 on."""
+    of (mid, half, vals, mono, resid) tuples from level 0 on; the mass
+    below it is the power law fitted to the first two panels (`_build_table`
+    refused a density not positive there), from the first's value at s = -1."""
     order = np.argsort(np.concatenate([level[0] for level in kept]))
     mid, half, vals, mono, resid = (np.concatenate(c)[order] for c in zip(*kept))
     depth = np.repeat(np.arange(len(kept)), [level[0].size for level in kept])[order]
@@ -288,12 +298,8 @@ def _table_from_levels(kept: list, r_a: float, e_max: float, n_evals: int) -> _P
     # d^n omega / dE^n = (d^n p / ds^n at s=1) / half^n
     derivs = (mono @ _DERIV_HI[:_DERIV_TERMS].T) / half[:, None] ** np.arange(_DERIV_TERMS)
 
-    # mass below the lowest edge from the local power law, with the
-    # density there from the first panel's interpolant at s = -1; NaN
-    # where the density underflowed to 0 there
     w0, w1 = float(vals[0].mean()), float(vals[1].mean())
-    local_p = (math.log(w1 / w0) / math.log(mid[1] / mid[0]) if w0 > 0.0 and w1 > 0.0
-               else math.nan)
+    local_p = math.log(w1 / w0) / math.log(mid[1] / mid[0])
     cut = mid[0] - half[0]
     sub_mass = float(mono[0] @ (-1.0) ** np.arange(16)) * cut / (local_p + 1.0)
 
@@ -471,11 +477,8 @@ def _pick_e_max(r_a: float, times: np.ndarray) -> tuple[float, bool]:
     that their smallest positive time asks for."""
     pos = times[times > 0.0]
     t_min = float(np.min(pos)) if pos.size else 1.0
-    e_max = float(_e_needed(r_a, max(t_min, 0.05)))
-    if np.any(times == 0.0):
-        # t = 0 is the whole mass: the table that `spectral_mass` integrates
-        e_max = _MASS_E_HI
-    e_max = min(e_max, _E_MAX_CAP)
+    e_max = (_MASS_E_HI if np.any(times == 0.0)
+             else min(float(_e_needed(r_a, max(t_min, 0.05))), _MASS_E_HI))
     return e_max, bool(e_max < _e_needed(r_a, t_min))
 
 
@@ -534,10 +537,7 @@ def survival_exact(density: SpectralDensity, times, *,
     error_parts = dict(zip(names, parts[i_bad].tolist()))
     if not worst <= abs_tol:  # a NaN estimate is refused too, and named as the largest part
         largest = int(np.argmax(parts[i_bad]))
-        if not math.isfinite(worst):
-            advice = ("the estimate is not finite: the density underflowed on the panel "
-                      "table, which no e_max or abs_tol mends")
-        elif largest == 1 and e_cut[i_bad] < table.e_max:
+        if largest == 1 and e_cut[i_bad] < table.e_max:
             advice = (f"the truncation is at this time's e_cut = {e_cut[i_bad]:g}, below "
                       f"e_max = {table.e_max:g}: the cut follows t through "
                       "max(64, (6 r_a / t)^2), which no e_max reaches; raise abs_tol")
@@ -570,7 +570,7 @@ def spectral_mass(density: SpectralDensity) -> float:
     """Integral of the density over the continuum (1 for a valid state).
 
     The tabulated integral over [0, _MASS_E_HI] plus the envelope tail;
-    ToleranceError where that is not finite.
+    ToleranceError where `_build_table` refuses, or where that is not finite.
     """
     table = _build_table(density.omega, density.pot.r_a, _MASS_E_HI)
     mass = _mass(table, density.init.k_a)
@@ -672,6 +672,8 @@ def survival_laplace_axis(density: SpectralDensity, times, *,
     time takes the dropped panels instead, in one more density call for
     all such times.
 
+    A time whose amplitude or estimate is not finite (omega overflows on
+    the axis at small t on some wells) raises ToleranceError naming it.
     meta gives the nodes per time on the common path, the number of
     times that took the dropped panels (fallback_times) and, as error
     estimate, the largest over times of the relative sum of three parts
@@ -708,7 +710,11 @@ def survival_laplace_axis(density: SpectralDensity, times, *,
             sums += end * probes[:, :1]
     parts = (np.abs(sums[:, 0] - sums[:, 1]), drift, beyond * np.abs(probes[:, 2]))
     ests = (parts[0] + parts[1] + parts[2]) / scale
-    i_bad = int(np.argmax(ests))
+    i_bad = int(np.argmax(ests))   # the first NaN, if any
+    if not math.isfinite(ests[i_bad]):   # as it is wherever the sum is not
+        raise ToleranceError(
+            f"rotated-axis stage: the error estimate at t = {t_arr[i_bad]:g} is "
+            f"{ests[i_bad]}: the {form} density is not finite on the axis there, or sums to 0")
     amps = -1j * sums[:, 0] / t_arr
     prob = np.abs(amps) ** 2
     meta = {"u_max": _LAPLACE_U_MAX, "form": form, "nodes": int(_LAPLACE_U.size - lo),

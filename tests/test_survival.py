@@ -404,23 +404,33 @@ def test_spectral_mass_accounts_for_everything(density_for):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("r_d", [3.5, 3.7])
-def test_underflowing_density_is_refused_by_stage(r_d):
+def test_underflowing_density_is_refused_by_stage(r_d, monkeypatch):
     # sqrt(vb) (r_d - r_a) = 500 and 700, inside the opacity cap: omega
-    # underflows below the barrier top, and P = [0, 0] came back with a NaN
-    # error estimate after 944 evaluations, and a NaN mass.  The refusal
-    # names the underflow, not advice that cannot help, and the power fit
-    # below the table warns nothing (omega's own overflow warnings remain)
+    # underflows to 0 below the barrier top, and P = [0, 0] came back with a NaN
+    # error estimate after 944 evaluations, and a NaN mass.  Each route refuses
+    # at its source: the panel table after its first density call, the rotated
+    # axis where its sum is not finite, the brute force where every sum is 0
+    # (it read the trapped state as decayed, P = 0).  No refusal gives advice
+    # that cannot help, and survival.py warns nothing (omega's own overflow
+    # warnings remain)
     den = make_density(0.3, v0=0.5, vb=1.0e6, r_a=3.0, r_d=r_d)
+    calls, omega = [], den.omega
+    monkeypatch.setattr(den, "omega", lambda e: calls.append(e.size) or omega(e))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ToleranceError, match=(
-                r"^amplitude stage: error estimate nan at t = 1 .* largest part sub_threshold "
-                r"\(.*sub_threshold nan\); the estimate is not finite: the density "
-                r"underflowed")) as refused:
-            survival_exact(den, [1.0, 100.0])
-        with pytest.raises(ToleranceError, match=r"^mass stage: spectral mass nan after \d+ "):
-            spectral_mass(den)
-    assert "increase e_max" not in str(refused.value)
+        for route in (lambda: survival_exact(den, [1.0, 100.0]), lambda: spectral_mass(den)):
+            calls.clear()
+            with pytest.raises(ToleranceError, match=(
+                    r"^table stage: the density at the lowest node, E = 5\.71447e-14, is 0: "
+                    r"it underflowed or is NaN, which no e_max or abs_tol mends$")) as refused:
+                route()
+            assert len(calls) == 1
+            assert "increase e_max" not in str(refused.value)
+        with pytest.raises(ToleranceError,
+                           match=r"^rotated-axis stage: the error estimate at t = 1 is nan: "):
+            survival_laplace_axis(den, [1.0, 100.0])
+        with pytest.raises(ToleranceError, match=r"^brute-force oracle: at t = 1 every sum is 0"):
+            oracle_survival_bruteforce(den, 1.0)
     assert not [w for w in caught if w.filename == tailsurv.survival.__file__]
 
 
@@ -574,6 +584,20 @@ def test_laplace_blocks_match_one_call(density_for, monkeypatch):
     monkeypatch.setattr(tailsurv.survival, "_LAPLACE_BLOCK", 3000)  # 3 times a call
     # equal to rounding: the series length follows the largest |k r_d| per call
     assert np.max(np.abs(survival_laplace_axis(den, t).amplitudes / whole - 1.0)) < 1.0e-14
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_laplace_refuses_where_the_density_is_not_finite_on_the_axis():
+    # on a barrier-free well the continued density is +-inf on the axis at
+    # t = 0.3, at u = 24.5 to 40 (|E| >~ 80): NaN amplitudes and a NaN estimate
+    # came back unrefused.  Later times stay finite
+    den = make_density(0.0, v0=0.0, vb=0.0, r_a=1.0, r_d=3.0)
+    with pytest.raises(ToleranceError, match=r"^rotated-axis stage: the error estimate at "
+                                             r"t = 0\.3 is nan: the continued density"):
+        survival_laplace_axis(den, [0.3, 1.0])
+    lap = survival_laplace_axis(den, [0.5, 1.0, 2.0, 5.0])
+    assert np.all(np.isfinite(lap.amplitudes))
+    assert math.isfinite(lap.meta["max_rel_error_estimate"])
 
 
 def test_laplace_route_loads_no_scipy():
