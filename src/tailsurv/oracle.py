@@ -237,6 +237,12 @@ _BRUTE_NESTED_TOL = 5.0e-9
 # first zero past 64 and 9.8e-14 past the next, 157.4; t = 0.5 ends at 5843.
 _BRUTE_E_START = 64.0
 _BRUTE_TAIL_TOL = 1.0e-12
+# The grid's mass (its sums of omega alone) plus the envelope past e_out is
+# the state's 1 within 2.3e-6 on 69 random valid wells and 2.3e-10 on the
+# reference ones; behind an opaque barrier (vb 1e6, r_a 3, r_d 3.05 to 3.7) it
+# is the envelope's alone, at most 1.3e-4: the trapped state's resonance is
+# far narrower than the grid's steps, or the density is 0 on the grid.
+_BRUTE_MASS_TOL = 1.0e-3
 
 
 def _taper(e, vals, keep: str) -> None:
@@ -269,7 +275,9 @@ def _trapezoid_sums(density, times: np.ndarray, counts: dict):
     "above" sums (1 - psi) omega on a uniform grid in E.  It returns T(h)
     and, from the even-indexed points (the 2h grid's, for even n), T(2h);
     with `midpoints`, the n panels' midpoint rule M(h) and 0, so that
-    T(h/2) = (T(h) + M(h))/2 evaluates only the new points.
+    T(h/2) = (T(h) + M(h))/2 evaluates only the new points.  Each row
+    carries one more column, the same sums of omega alone (t = 0): the
+    piece's mass on the grid.
     The grid is streamed in chunks of `_BRUTE_CHUNK / max(2, len(times))`
     points, one density call each (counted, with its seconds, in counts),
     and matrix-vector products of each chunk's values with its rows of
@@ -278,7 +286,7 @@ def _trapezoid_sums(density, times: np.ndarray, counts: dict):
     chunk = _BRUTE_CHUNK // max(2, times.size)
 
     def trapezoid(lo: float, hi: float, n: int, keep: str, midpoints: bool = False):
-        h, total, density_s = (hi - lo) / n, np.zeros((2, times.size), dtype=complex), 0.0
+        h, total, density_s = (hi - lo) / n, np.zeros((2, times.size + 1), dtype=complex), 0.0
         for a in range(0, n, chunk):
             b = min(a + chunk, n)
             # np.linspace(lo, hi, n + 1)'s points, or their midpoints; the
@@ -302,10 +310,12 @@ def _trapezoid_sums(density, times: np.ndarray, counts: dict):
             if closes:
                 vals[-1] *= 0.5
             sin, cos = _sincos(x, times[:, None])
-            total[0] += cos @ vals - 1j * (sin @ vals)
+            total[0, :-1] += cos @ vals - 1j * (sin @ vals)
+            total[0, -1] += vals.sum()
             if not midpoints:
                 ev = slice(a & 1, None, 2)  # the grid's even indices, its sum at step 2h
-                total[1] += cos[:, ev] @ vals[ev] - 1j * (sin[:, ev] @ vals[ev])
+                total[1, :-1] += cos[:, ev] @ vals[ev] - 1j * (sin[:, ev] @ vals[ev])
+                total[1, -1] += vals[ev].sum()
         counts["density_calls"] = counts.get("density_calls", 0) + math.ceil(n / chunk)
         counts["density_s"] = counts.get("density_s", 0.0) + density_s
         return total * [[h], [2.0 * h]]
@@ -315,19 +325,21 @@ def _trapezoid_sums(density, times: np.ndarray, counts: dict):
 
 def _refined_sum(trapezoid, lo: float, hi: float, n: int, keep: str, t: float,
                  counts: dict) -> np.ndarray:
-    """A piece's sum T(h/2), with T(h) from the same `trapezoid` pass.
+    """A piece's sum T(h/2), with T(h) from the same `trapezoid` pass (the
+    mass column last).
 
-    h = (hi - lo)/n at first.  While the two differ by more than
-    _BRUTE_NESTED_TOL it evaluates the finer grid's midpoints only, so both
-    steps halve and the finer sum becomes the coarser one; once the grid
-    would pass _MAX_BRUTE_POINTS it raises ResourceLimitError naming the
-    piece, both steps and the disagreement.  Its evaluations and largest
-    accepted disagreement go to counts["<piece>_evals"] and ["<piece>_gap"].
+    h = (hi - lo)/n at first.  While the amplitudes at the two steps
+    differ by more than _BRUTE_NESTED_TOL it evaluates the finer grid's
+    midpoints only, so both steps halve and the finer sum becomes the
+    coarser one; once the grid would pass _MAX_BRUTE_POINTS it raises
+    ResourceLimitError naming the piece, both steps and the disagreement.
+    Its evaluations and largest accepted disagreement go to
+    counts["<piece>_evals"] and ["<piece>_gap"].
     """
     piece = "threshold" if keep == "below" else "bulk"
     fine, coarse = trapezoid(lo, hi, 2 * n, keep)
     evals, n = 2 * n + 1, 2 * n
-    while not (gap := float(np.max(np.abs(fine - coarse)))) <= _BRUTE_NESTED_TOL:
+    while not (gap := float(np.max(np.abs(fine[:-1] - coarse[:-1])))) <= _BRUTE_NESTED_TOL:
         if 2 * n + 1 > _MAX_BRUTE_POINTS:
             h = (hi - lo) / n
             raise ResourceLimitError(
@@ -415,14 +427,16 @@ def _bruteforce_on_one_grid(density, times: np.ndarray, counts: dict):
                   ("below", _BRUTE_S_START, 0.0, min(_BRUTE_S_STEP, per_t / _BRUTE_S_JACOBIAN)),
                   ("above", _BRUTE_JUNCTION[0], e_out, bulk_step))]
     trapezoid = _trapezoid_sums(density, times, counts)
-    amp = sum(_refined_sum(trapezoid, lo, hi, n, keep, t, counts)
-              for keep, lo, hi, n in pieces)
-    if not amp.any():   # the density is 0 on the whole grid
+    sums = sum(_refined_sum(trapezoid, lo, hi, n, keep, t, counts) for keep, lo, hi, n in pieces)
+    amp, tail = sums[:-1], survival._envelope_tail(density.init.k_a, density.pot.r_a, e_out)
+    if not abs((mass := sums[-1].real + tail) - 1.0) <= _BRUTE_MASS_TOL:
         raise ToleranceError(
-            f"brute-force oracle: at t = {t:g} every sum is 0, as from a density that "
-            "underflowed to 0 on the whole grid; P = 0 would read a trapped state as decayed")
+            f"brute-force oracle: at t = {t:g} the grid's mass, with the envelope past "
+            f"e_out = {e_out:.6g}, is {mass:.3g}, not the state's 1 within _BRUTE_MASS_TOL = "
+            f"{_BRUTE_MASS_TOL:g}: the grid misses the density (a resonance narrower than its "
+            "steps, or an underflow to 0), and P would read a trapped state as decayed")
     if t == 0.0:
-        amp += survival._envelope_tail(density.init.k_a, density.pot.r_a, e_out)
+        amp += tail
     return np.abs(amp) ** 2
 
 
@@ -452,8 +466,9 @@ def oracle_survival_bruteforce(density, t, *, counts: dict | None = None):
     Rather than return an aliased or truncated sum it raises
     ResourceLimitError, naming the piece and the disagreement, or the
     tail, where the grid would need more than _MAX_BRUTE_POINTS points;
-    where every sum is 0, the density having underflowed on the whole
-    grid (an opaque barrier's trapped state), it raises ToleranceError.
+    where the grid's mass plus the envelope past e_out is not 1 within
+    _BRUTE_MASS_TOL, as behind an opaque barrier whose trapped state the
+    grid misses, it raises ToleranceError.
 
     `t` is a scalar (returns a float) or an array (returns an array of
     its shape).  All positive times share the density evaluations on the

@@ -22,8 +22,8 @@ panels wholly below E = 1/t enter as one Taylor series in -it over the
 table's cumulative energy moments.  The density above the window's top
 e_cut, the table end that t / 2 would need (at most e_max), is summed
 by integration by parts using the derivatives of the interpolant of
-the panel below e_cut.  A table refuses, after its first density call,
-a density not positive at its lowest node (0 after underflow, or NaN).
+the panel below e_cut.  A density averaging 0 (underflowed) or NaN on
+the two lowest panels is refused after the first density call.
 
 The long-time representation rotates the contour onto the negative
 imaginary energy axis,
@@ -245,7 +245,7 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     levels past the first at the price of the halves of accepted panels,
     evaluated and dropped (n_evals counts them); nearly every table
     bisects at least twice, at the resonance peak.  Level 0 refuses a
-    density not positive at the lowest node, which no e_max or abs_tol mends.
+    density averaging 0 or NaN on the two lowest panels.
     """
     mid, half = _initial_panels(r_a, e_max)
     kept, n_evals, vals = [], 0, None
@@ -267,11 +267,12 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
             else:
                 vals = _eval_panels(omega, mid, half)
             n_evals += n_call
-            if depth == 0 and not vals[0, 0] > 0.0:   # 0 after underflow, or NaN
+            # the power fit below the table takes the two lowest panels' means
+            if depth == 0 and not (w := vals[:2].mean(axis=1)).min() > 0.0:
                 raise ToleranceError(
-                    f"table stage: the density at the lowest node, E = "
-                    f"{mid[0] + half[0] * _GL_X[0]:.6g}, is {vals[0, 0]:g}: it underflowed "
-                    "or is NaN, which no e_max or abs_tol mends")
+                    f"table stage: the density averages {w[0]:g} and {w[1]:g} on the two "
+                    f"lowest panels, E = {mid[0] - half[0]:.6g} to {mid[1] + half[1]:.6g}: "
+                    "it underflowed or is NaN, which no e_max or abs_tol mends")
         mono, resid = _interp(vals)
         done = ((resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1))
                 | (half <= _MIN_WIDTH) | (depth == _MAX_DEPTH))
@@ -287,9 +288,7 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
 
 def _table_from_levels(kept: list, r_a: float, e_max: float, n_evals: int) -> _PanelTable:
     """The table from the accepted panels of each bisection level, a list
-    of (mid, half, vals, mono, resid) tuples from level 0 on; the mass
-    below it is the power law fitted to the first two panels (`_build_table`
-    refused a density not positive there), from the first's value at s = -1."""
+    of (mid, half, vals, mono, resid) tuples from level 0 on."""
     order = np.argsort(np.concatenate([level[0] for level in kept]))
     mid, half, vals, mono, resid = (np.concatenate(c)[order] for c in zip(*kept))
     depth = np.repeat(np.arange(len(kept)), [level[0].size for level in kept])[order]
@@ -298,6 +297,7 @@ def _table_from_levels(kept: list, r_a: float, e_max: float, n_evals: int) -> _P
     # d^n omega / dE^n = (d^n p / ds^n at s=1) / half^n
     derivs = (mono @ _DERIV_HI[:_DERIV_TERMS].T) / half[:, None] ** np.arange(_DERIV_TERMS)
 
+    # mass below the lowest edge: the power law through the first two panels' means
     w0, w1 = float(vals[0].mean()), float(vals[1].mean())
     local_p = math.log(w1 / w0) / math.log(mid[1] / mid[0])
     cut = mid[0] - half[0]

@@ -10,7 +10,7 @@ import pytest
 import tailsurv.oracle
 import tailsurv.survival
 from tailsurv import specfun
-from tailsurv.errors import DomainError, ResourceLimitError
+from tailsurv.errors import DomainError, ResourceLimitError, ToleranceError
 from tailsurv.model import regular_boundary_sq
 from tailsurv.oracle import (OracleCheck, ode_oracle_boundary_many,
                              oracle_match_coefficients,
@@ -196,6 +196,21 @@ def test_brute_force_grid_cap_names_stage_size_and_cap(density_for, monkeypatch)
             r"e_out = 48360\.6 at t = 0\.03 is 1\.89e-12 > _BRUTE_TAIL_TOL = 1e-12$")):
         oracle_survival_bruteforce(den, [0.03, 1000.0])
     assert sums == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_brute_force_refuses_a_trapped_state_its_grid_misses():
+    # behind an opaque barrier (sqrt(vb) (r_d - r_a) = 200) the state is
+    # trapped, P ~ 1, in a resonance far narrower than any grid step: the
+    # sums agreed at once and P came back 0 from a density tiny but not 0 on
+    # the whole grid.  The grid's mass with the envelope is the envelope's
+    # alone (the zero-density wells are in test_survival's underflow test)
+    den = make_density(0.3, v0=0.5, vb=1.0e6, r_a=3.0, r_d=3.2)
+    for t, mass in ((0.0, r"6\.14e-07"), (1.0, r"0\.000132")):
+        with pytest.raises(ToleranceError, match=(
+                rf"^brute-force oracle: at t = {t:g} the grid's mass, with the envelope past "
+                rf"e_out = [\d.]+, is {mass}, not the state's 1 within _BRUTE_MASS_TOL = 0\.001: ")):
+            oracle_survival_bruteforce(den, t)
 
 
 def _bulk_resonance_density():
@@ -422,7 +437,8 @@ def test_tapered_nested_sums_match_whole_grid_sums(monkeypatch, keep):
     for times in ([30.0], [1.0, 7.0, 30.0]):
         counts = {}
         got = _one_sum(den, times, lo, hi, n, keep, counts=counts)
-        terms = vals * np.exp(-1j * np.outer(times, e))
+        # the last column sums omega alone: the piece's mass on each grid
+        terms = np.vstack((vals * np.exp(-1j * np.outer(times, e)), vals))
         for sums, ref in zip(got, (np.trapezoid(terms, x, axis=1),
                                    np.trapezoid(terms[:, ::2], x[::2], axis=1))):
             assert np.max(np.abs(sums - ref)) <= 1.0e-14 * np.max(np.abs(ref))

@@ -278,10 +278,11 @@ def test_laplace_axis_matches_the_full_rule(pot):
             continue
         # the continued density overflows at |E| = u / t ~ 80 on some wells
         # (v0 = vb = 0, r_a 1, r_d 3 at t = 0.3): no rule is finite there, and
-        # the route refuses
-        if not np.all(np.isfinite(full)):
+        # the route refuses; every other time is compared
+        fin = np.isfinite(full)
+        if not fin.all():
             with pytest.raises(ToleranceError, match=r"^rotated-axis stage: "):
                 survival_laplace_axis(density, t, form=form)
-            continue
-        got = survival_laplace_axis(density, t, form=form).amplitudes
-        assert np.max(np.abs(got / full - 1.0)) <= 1.0e-14
+        if fin.any():
+            got = survival_laplace_axis(density, t[fin], form=form).amplitudes
+            assert np.max(np.abs(got / full[fin] - 1.0)) <= 1.0e-14

@@ -409,8 +409,8 @@ def test_underflowing_density_is_refused_by_stage(r_d, monkeypatch):
     # underflows to 0 below the barrier top, and P = [0, 0] came back with a NaN
     # error estimate after 944 evaluations, and a NaN mass.  Each route refuses
     # at its source: the panel table after its first density call, the rotated
-    # axis where its sum is not finite, the brute force where every sum is 0
-    # (it read the trapped state as decayed, P = 0).  No refusal gives advice
+    # axis where its sum is not finite, the brute force where its grid's mass
+    # is not 1 (it read the trapped state as decayed, P = 0).  No refusal gives advice
     # that cannot help, and survival.py warns nothing (omega's own overflow
     # warnings remain)
     den = make_density(0.3, v0=0.5, vb=1.0e6, r_a=3.0, r_d=r_d)
@@ -421,15 +421,18 @@ def test_underflowing_density_is_refused_by_stage(r_d, monkeypatch):
         for route in (lambda: survival_exact(den, [1.0, 100.0]), lambda: spectral_mass(den)):
             calls.clear()
             with pytest.raises(ToleranceError, match=(
-                    r"^table stage: the density at the lowest node, E = 5\.71447e-14, is 0: "
-                    r"it underflowed or is NaN, which no e_max or abs_tol mends$")) as refused:
+                    r"^table stage: the density averages 0 and 0 on the two lowest panels, "
+                    r"E = 5\.68434e-14 to 2\.27374e-13: it underflowed or is NaN, which no "
+                    r"e_max or abs_tol mends$")) as refused:
                 route()
             assert len(calls) == 1
             assert "increase e_max" not in str(refused.value)
         with pytest.raises(ToleranceError,
                            match=r"^rotated-axis stage: the error estimate at t = 1 is nan: "):
             survival_laplace_axis(den, [1.0, 100.0])
-        with pytest.raises(ToleranceError, match=r"^brute-force oracle: at t = 1 every sum is 0"):
+        with pytest.raises(ToleranceError, match=(
+                r"^brute-force oracle: at t = 1 the grid's mass, with the envelope past "
+                r"e_out = 69\.6839, is 0\.000132, not the state's 1 ")):
             oracle_survival_bruteforce(den, 1.0)
     assert not [w for w in caught if w.filename == tailsurv.survival.__file__]
 
