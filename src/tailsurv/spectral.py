@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ToleranceError
 from .model import (InitialState, WBPotential, _assemble_boundary, _sincos, _vector,
                     _well_boundary, regular_boundary_sq)
 # riccati_combos and riccati_pair_with_derivatives stay importable here only
@@ -196,9 +196,10 @@ class SpectralDensity:
         `WBPotential._zero_energy_boundary` gives u and u' at r_d, for the
         Jost scale and the refinement, and the well factor sin(k r_a) / k
         at k = sqrt(v0) (r_a at v0 = 0), for the density scale.  Raises a
-        domain error when the leading coefficient degenerates
-        (the decaying state then couples to the tail at higher order than
-        this expansion covers).
+        domain error when the leading coefficient degenerates (the decaying
+        state then couples to the tail at higher order than this expansion
+        covers), and a ToleranceError behind a barrier so opaque that the
+        Jost scale squared overflows.
         """
         pot, init = self.pot, self.init
         beta = pot.beta
@@ -218,7 +219,11 @@ class SpectralDensity:
         # the well factor sin(k_I0 r_a) / (k_I0 (k_a^2 - v0)) at k_I0 = sqrt(v0);
         # k_a^2 = v0 would put a node at r_a, which validation refuses
         g0 = sinc_a / (k_a * k_a - pot.v0)
-        density_scale = (2.0 * k_a ** 2 / (math.pi * pot.r_a)) * g0 * g0 / jost_scale ** 2
+        try:
+            density_scale = (2.0 * k_a ** 2 / (math.pi * pot.r_a)) * g0 * g0 / jost_scale ** 2
+        except OverflowError:   # an opaque barrier: the threshold law's scale underflows
+            raise ToleranceError(f"threshold stage: the Jost scale {jost_scale:.6g} squared "
+                                 "overflows, so the threshold law underflows") from None
 
         ratios = None
         if abs(nu - round(nu)) >= _NU_INTEGER_CUT:

@@ -66,12 +66,12 @@ _PANEL_RTOL = 5.0e-10
 _MAX_DEPTH = 48
 _MIN_WIDTH = 1.0e-8
 
-# Cap on density evaluations per panel table.  The largest tables in
-# use take 7936-8128 (e_max = 4e4: `spectral_mass` and grids that hold
-# t = 0, at the sweep's tail strengths; the sweep's own e_max = 64 tables
-# take 1776-1968); without a cap, a density whose evaluation error
-# exceeds _PANEL_RTOL would bisect toward _MAX_DEPTH for minutes and
-# gigabytes.
+# Cap on density evaluations per panel table.  On the reference geometry
+# tables take 1776-1968 at e_max = 64 (the sweep's), 7936-8128 at 4e4
+# (`spectral_mass`, grids that hold t = 0) and ~24 000 at the 5.2e5 that
+# survival_exact deepens to from t = 0.001; without a cap, a density whose
+# evaluation error exceeds _PANEL_RTOL would bisect toward _MAX_DEPTH for
+# minutes and gigabytes.
 _MAX_TABLE_EVALS = 200_000
 
 # Outer edge of the geometric threshold panels, where the panels
@@ -86,8 +86,8 @@ _MOMENT_TERMS = 20  # Taylor terms for the panels below E t = 1 (even)
 _MOMENT_STEPS = 1.0 / np.arange(1.0, _MOMENT_TERMS)[:, None, None]
 
 # Top of the `spectral_mass` table, of a grid holding t = 0, and of the e_max
-# `survival_exact` picks itself (a caller may pass more): P(0) is that mass
-# squared bit for bit only while the cap is no lower than the mass table.
+# `survival_exact` starts from (it deepens past it only where the truncation
+# at the table's top breaks abs_tol): P(0) is that mass squared bit for bit.
 _MASS_E_HI = 4.0e4
 
 # Times per block of the batched amplitude.  The largest temporaries are
@@ -215,9 +215,7 @@ def _interp(vals: np.ndarray):
 
 
 def _initial_panels(r_a: float, e_max: float):
-    """Middles and half-widths of the initial panels of `_build_table`."""
-    if e_max <= 4.0:
-        raise DomainError(f"e_max = {e_max:g} too small; need > 4")
+    """Middles and half-widths of `_build_table`'s initial panels, e_max > _GEOM_EDGE."""
     n_geo = math.ceil(math.log2(_GEOM_EDGE / _GEOM_FLOOR))
     k_lo, k_hi = math.sqrt(_GEOM_EDGE), math.sqrt(e_max)
     ks = np.linspace(k_lo, k_hi, math.ceil((k_hi - k_lo) * 2.0 * r_a / math.pi) + 1)
@@ -441,11 +439,8 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
 
     # above the windows, by parts: e^{-iEt} sum_n d_n / (it)^{n+1} at e_cut
     d = table.derivs[hi - 1]
-    x = -1j / t   # 1 / (it), Horner in x
-    tail = d[:, -1] * x
-    for n in range(_DERIV_TERMS - 2, -1, -1):
-        tail = (tail + d[:, n]) * x
-    amps += tail * np.exp(-1j * e_cut * t)
+    x = -1j / t   # 1 / (it)
+    amps += _horner(d.T, x) * x * np.exp(-1j * e_cut * t)
     # below e_max the last derivative may nearly vanish at e_cut as the
     # density oscillates, so its value mid-panel, a quarter period of the
     # well factor away, bounds it too: on the narrow-resonance well at
@@ -472,80 +467,77 @@ def _envelope_tail(k_a: float, r_a: float, e_max: float) -> float:
                    + math.sin(2.0 * r_a * k) / (2.0 * r_a * k ** 4))
 
 
-def _pick_e_max(r_a: float, times: np.ndarray) -> tuple[float, bool]:
-    """e_max for `times`, and whether a cap holds it below the (3 r_a / t)^2
-    that their smallest positive time asks for."""
+def _pick_e_max(r_a: float, times: np.ndarray) -> float:
+    """The e_max `survival_exact` starts from: `_e_needed` at the smallest
+    time (from 0.05 on), at most _MASS_E_HI, which a grid holding t = 0 takes."""
     pos = times[times > 0.0]
     t_min = float(np.min(pos)) if pos.size else 1.0
-    e_max = (_MASS_E_HI if np.any(times == 0.0)
-             else min(float(_e_needed(r_a, max(t_min, 0.05))), _MASS_E_HI))
-    return e_max, bool(e_max < _e_needed(r_a, t_min))
+    return (_MASS_E_HI if np.any(times == 0.0)
+            else min(float(_e_needed(r_a, max(t_min, 0.05))), _MASS_E_HI))
 
 
-def survival_exact(density: SpectralDensity, times, *,
-                   abs_tol: float = 1.0e-8, e_max: float | None = None
+def survival_exact(density: SpectralDensity, times, *, abs_tol: float = 1.0e-8
                    ) -> SurvivalSeries:
     """Exact survival probability by direct oscillatory quadrature.
 
-    The density is tabulated once on adaptive panels covering
-    [~1e-13, e_max], and all requested times are evaluated together
-    from the table, in blocks of _TIME_BLOCK times.  Each time t > 0
-    sums its own energy window panel by panel: below E = 1/t one moment
-    series stands for the panels, and above e_cut, the table end that
-    t / 2 would ask for (at most e_max), the by-parts tail does.  The
-    achieved-error estimate (interpolation residuals below e_cut, damped
-    by phase mixing, plus the next-order truncation correction at e_cut
-    and the sub-threshold mass) is checked against abs_tol (> 0, or DomainError) per time;
-    failure raises with the worst offender reported.  meta gives the
-    estimate per time (error_estimate), the worst one, its three parts
-    at that time (error_parts), e_cut per time (e_max at t = 0), the
-    (time > 0, panel) pairs summed by Gauss rule, in closed form, by the
-    moment series and by the tail (small_phase_pairs, large_phase_pairs,
-    low_energy_pairs, beyond_cut_pairs) and the table and amplitude
-    stage seconds.  A grid with t = 0 takes e_max = _MASS_E_HI, so P(0)
-    is `spectral_mass` squared, its envelope of the mass beyond included.
+    The density is tabulated on adaptive panels covering [~1e-13, e_max], and
+    all requested times are evaluated together from the table, in blocks of
+    _TIME_BLOCK times.  Each time t > 0 sums its own energy window panel by
+    panel: below E = 1/t one moment series stands for the panels, and above
+    e_cut, the table end that t / 2 would ask for (at most e_max), the by-parts
+    tail does.  The achieved-error estimate (interpolation residuals below
+    e_cut, damped by phase mixing, plus the next-order truncation correction at
+    e_cut and the sub-threshold mass) is checked against abs_tol (> 0, or
+    DomainError) per time.  e_max starts at `_pick_e_max`'s; while the worst
+    time's finite estimate fails with its truncation at e_cut = e_max as the
+    largest part, the table is built again to 4 e_max, each build within
+    _MAX_TABLE_EVALS (or ResourceLimitError).  Failure raises with the worst
+    offender reported.  meta gives the final e_max, the builds (table_builds),
+    the estimate per time (error_estimate), the worst one, its three parts at
+    that time (error_parts), e_cut per time (e_max at t = 0), the (time > 0,
+    panel) pairs summed by Gauss rule, in closed form, by the moment series and
+    by the tail (small_phase_pairs, large_phase_pairs, low_energy_pairs,
+    beyond_cut_pairs), and the density evaluations and the table and amplitude
+    stage seconds of all builds.
     """
     if not abs_tol > 0.0:   # NaN too
         raise DomainError(f"abs_tol must be positive, got {abs_tol:g}")
     t_arr = _vector(times, "survival times", float)[0].copy()
     if np.any(t_arr < 0.0):
         raise DomainError("survival times must be >= 0")
-    capped = False
-    if e_max is None:
-        e_max, capped = _pick_e_max(density.pot.r_a, t_arr)
-    start = time.perf_counter()
-    table = _build_table(density.omega, density.pot.r_a, e_max)
-    table_s = time.perf_counter() - start
-
-    amps = np.empty(t_arr.shape, dtype=complex)
-    parts = np.empty(t_arr.shape + (3,))
-    pos = t_arr > 0.0
-    e_cut = np.full(t_arr.shape, table.e_max)
-    lo, hi, e_cut[pos] = windows = _windows(table, t_arr[pos])
-    amps[pos], parts[pos], n_small = _table_amplitudes(table, t_arr[pos], windows)
-    if not pos.all():
-        # t = 0: the whole mass, with the envelope of the density beyond e_max
-        amps[~pos] = _mass(table, density.init.k_a)
-        parts[~pos] = (float(np.sum(table.resid * table.half)), 0.0,
-                       abs(table.sub_mass) * 0.5)
-    amplitude_s = time.perf_counter() - start - table_s
-
-    ests = parts.sum(axis=1)
-    i_bad = int(np.argmax(ests))
-    worst = float(ests[i_bad])
+    e_max, pos = _pick_e_max(density.pot.r_a, t_arr), t_arr > 0.0
+    builds, n_evals, table_s, amplitude_s = 0, 0, 0.0, 0.0
+    while True:
+        start = time.perf_counter()
+        table = _build_table(density.omega, density.pot.r_a, e_max)
+        split = time.perf_counter()
+        builds, n_evals, table_s = builds + 1, n_evals + table.n_evals, table_s + split - start
+        amps, parts = np.empty(t_arr.shape, dtype=complex), np.empty(t_arr.shape + (3,))
+        e_cut = np.full(t_arr.shape, table.e_max)
+        lo, hi, e_cut[pos] = windows = _windows(table, t_arr[pos])
+        amps[pos], parts[pos], n_small = _table_amplitudes(table, t_arr[pos], windows)
+        if not pos.all():
+            # t = 0: the whole mass, with the envelope of the density beyond e_max
+            amps[~pos] = _mass(table, density.init.k_a)
+            parts[~pos] = (float(np.sum(table.resid * table.half)), 0.0,
+                           abs(table.sub_mass) * 0.5)
+        amplitude_s += time.perf_counter() - split
+        i_bad = int(np.argmax(ests := parts.sum(axis=1)))
+        worst, largest = float(ests[i_bad]), int(np.argmax(parts[i_bad]))
+        # a deeper table mends a finite estimate whose largest part is the
+        # truncation at the table's top; a NaN one is refused as it stands
+        if (worst <= abs_tol or not math.isfinite(worst) or largest != 1
+                or e_cut[i_bad] < table.e_max):
+            break
+        e_max *= 4.0
     names = ("interpolation", "truncation", "sub_threshold")
     error_parts = dict(zip(names, parts[i_bad].tolist()))
     if not worst <= abs_tol:  # a NaN estimate is refused too, and named as the largest part
-        largest = int(np.argmax(parts[i_bad]))
+        advice = "raise abs_tol"
         if largest == 1 and e_cut[i_bad] < table.e_max:
             advice = (f"the truncation is at this time's e_cut = {e_cut[i_bad]:g}, below "
                       f"e_max = {table.e_max:g}: the cut follows t through "
                       "max(64, (6 r_a / t)^2), which no e_max reaches; raise abs_tol")
-        elif capped:
-            advice = (f"e_max is capped at {e_max:g}: raise the smallest time or abs_tol, "
-                      "or pass survival_exact a larger e_max")
-        else:
-            advice = "raise abs_tol, or pass survival_exact a larger e_max"
         raise ToleranceError(
             f"amplitude stage: error estimate {worst:.3e} at t = {t_arr[i_bad]:g} exceeds "
             f"abs_tol = {abs_tol:.3e}; largest part {names[largest]} ("
@@ -555,8 +547,8 @@ def survival_exact(density: SpectralDensity, times, *,
     prob = np.abs(amps) ** 2
     n_panels = int(table.mid.size)
     n_low, n_beyond = int(lo.sum()), int((n_panels - hi).sum())
-    meta = {"e_max": table.e_max, "panels": n_panels,
-            "density_evals": table.n_evals,
+    meta = {"e_max": table.e_max, "table_builds": builds, "panels": n_panels,
+            "density_evals": n_evals,
             "error_estimate": ests, "max_error_estimate": worst,
             "error_parts": error_parts, "e_cut": e_cut, "small_phase_pairs": n_small,
             "large_phase_pairs": int(pos.sum()) * n_panels - n_small - n_low - n_beyond,
@@ -646,8 +638,10 @@ def _axis_sums(fn: Callable, t: np.ndarray, lo: int, hi: int):
     step = _LAPLACE_BLOCK // u.size
     for a in range(0, t.size, step):
         e = -1j * u[None, :] / t[a:a + step, None]
-        vals = fn(e.ravel()).reshape(e.shape)
-        sums[a:a + step] = vals @ w
+        # a density that is not finite on the axis is refused by name below
+        with np.errstate(all="ignore"):
+            vals = fn(e.ravel()).reshape(e.shape)
+            sums[a:a + step] = vals @ w
         probes[a:a + step] = vals[:, _PROBES]
     return sums, probes
 

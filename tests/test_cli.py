@@ -171,27 +171,28 @@ def test_survive_from_t_1_1_exits_zero(workdir, capsys):
     assert "exact error estimate" in capsys.readouterr().out
 
 
-def test_survive_names_the_e_max_cap_it_cannot_pass(workdir, capsys):
-    # t = 0.001 asks for e_max = (3 r_a / t)^2 = 8.1e7, but the exact
-    # route caps the e_max it picks (at 32400 for r_a = 3), and survive
-    # has no e_max setting to raise it
-    assert main(["survive", "--t_min", "0.001", "--t_max", "1"]) == 3
-    err = capsys.readouterr().err
-    assert "error-class: ToleranceError" in err
-    assert "e_max is capped at 32400: raise the smallest time or abs_tol" in err
-    assert "increase e_max" not in err
+def test_survive_deepens_past_the_e_max_cap_from_t_0_001(workdir, capsys):
+    # t = 0.001 asks for e_max = (3 r_a / t)^2 = 8.1e7; the exact route starts
+    # at its cap, 32400 for r_a = 3, and builds the table 4x deeper while the
+    # truncation at its top is the largest part of an estimate past abs_tol
+    assert main(["survive", "--t_min", "0.001", "--t_max", "1"]) == 0
+    meta = json.loads((workdir / "survival.meta.json").read_text())
+    assert (meta["e_max"], meta["table_builds"]) == (518400.0, 3)
+    assert meta["max_error_estimate"] <= 1.0e-8
 
 
-def test_survive_names_the_e_max_argument_it_cannot_pass(workdir, capsys):
-    # below the cap the advice names survival_exact's e_max too: survive has
-    # no e_max setting.  From t = 1 the table ends at e_max = (3 r_a)^2 = 81,
-    # which is where t = 1 cuts
+def test_survive_deepens_once_then_names_the_cut_that_follows_t(workdir, capsys):
+    # from t = 1 the table ends at e_max = (3 r_a)^2 = 81, where t = 1 cuts;
+    # its truncation is deepened past, to e_max 324, where t = 2.19 cuts
+    # below e_max and no deeper table helps
     assert main(["survive", "--t_min", "1", "--t_max", "100", "--abs_tol", "1e-12"]) == 3
     err = capsys.readouterr().err
     assert "error-class: ToleranceError" in err
-    assert "at t = 1 exceeds" in err and "largest part truncation" in err
-    assert err.rstrip().endswith("raise abs_tol, or pass survival_exact a larger e_max")
-    assert "increase e_max" not in err
+    assert "at t = 2.19206 exceeds" in err and "largest part truncation" in err
+    assert err.rstrip().endswith(
+        "the truncation is at this time's e_cut = 67.5781, below e_max = 324: the cut "
+        "follows t through max(64, (6 r_a / t)^2), which no e_max reaches; raise abs_tol")
+    assert "larger e_max" not in err
 
 
 def test_survive_says_no_e_max_reaches_a_cut_that_follows_t(workdir, capsys):

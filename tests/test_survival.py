@@ -82,27 +82,44 @@ def test_survival_unreachable_tolerance_raises(density_for):
         survival_exact(density_for(0.3), np.array([500.0]), abs_tol=1.0e-16)
 
 
+def _start_table_at(monkeypatch, e_max):
+    """Make survival_exact start from e_max (None: its own pick), and return
+    the list of the e_max of each table it builds."""
+    if e_max is not None:
+        monkeypatch.setattr(tailsurv.survival, "_pick_e_max", lambda r_a, times: e_max)
+    builds, build = [], tailsurv.survival._build_table
+    monkeypatch.setattr(tailsurv.survival, "_build_table",
+                        lambda omega, r_a, top: builds.append(top) or build(omega, r_a, top))
+    return builds
+
+
 @pytest.mark.parametrize("times,abs_tol,e_max,t_bad,largest", (
     ((500.0,), 1.0e-16, None, "500", "interpolation"),        # tiny budget
-    ((500.0, 0.5), 1.0e-12, 20.0, "0.5", "truncation")))      # low e_max at t = 0.5
+    # from e_max = 20 the truncation at t = 0.5 is largest up to e_max = 320; at
+    # 1280 the interpolation is (4.6e-12, truncation 4.9e-13), which no table mends
+    ((500.0, 0.5), 1.0e-12, 20.0, "0.5", "interpolation")))
 def test_tolerance_error_names_stage_time_and_largest_part(times, abs_tol, e_max, t_bad,
-                                                           largest, density_for):
+                                                           largest, density_for, monkeypatch):
+    builds = _start_table_at(monkeypatch, e_max)
     with pytest.raises(ToleranceError) as exc:
-        survival_exact(density_for(0.3), np.array(times), abs_tol=abs_tol, e_max=e_max)
+        survival_exact(density_for(0.3), np.array(times), abs_tol=abs_tol)
     msg = str(exc.value)
     assert msg.startswith("amplitude stage: ") and f"at t = {t_bad} " in msg
     assert f"largest part {largest} (" in msg
     assert all(f"{part} " in msg for part in ("interpolation", "truncation", "sub_threshold"))
-    # the caller passed e_max, or the one picked is below its cap
-    assert msg.endswith("); raise abs_tol, or pass survival_exact a larger e_max")
+    assert msg.endswith("); raise abs_tol") and "e_max" not in msg
+    assert builds == ([64.0] if e_max is None else [20.0, 80.0, 320.0, 1280.0])
 
 
 @pytest.mark.parametrize("e_max", (4.0e4, 1.6e5))
-def test_tolerance_error_says_no_e_max_reaches_a_cut_that_follows_t(e_max, density_for):
+def test_tolerance_error_says_no_e_max_reaches_a_cut_that_follows_t(e_max, density_for,
+                                                                    monkeypatch):
     # t = 2 cuts at the first edge at or above (6 r_a / t)^2 = 81, far below
-    # e_max, so a larger e_max leaves its truncation part as it is
+    # e_max, so a deeper table leaves its truncation part as it is, and none is built
+    builds = _start_table_at(monkeypatch, e_max)
     with pytest.raises(ToleranceError) as exc:
-        survival_exact(density_for(0.3), np.array([2.0, 500.0]), abs_tol=1.0e-12, e_max=e_max)
+        survival_exact(density_for(0.3), np.array([2.0, 500.0]), abs_tol=1.0e-12)
+    assert builds == [e_max]
     msg = str(exc.value)
     assert "at t = 2 exceeds" in msg and "largest part truncation (" in msg
     assert msg.endswith(f", below e_max = {e_max:g}: the cut follows t through "
@@ -114,11 +131,8 @@ def test_survival_reports_accuracy_metadata(density_for):
     s = survival_exact(density_for(0.3), np.array([50.0, 100.0]))
     assert s.method == "exact"
     assert s.meta["max_error_estimate"] <= 1.0e-8
-    assert s.meta["e_max"] > 4.0
-    s_small = survival_exact(density_for(0.3), np.array([100.0]), e_max=100.0)
-    assert s_small.meta["e_max"] == 100.0
-    with pytest.raises(DomainError):
-        survival_exact(density_for(0.3), np.array([100.0]), e_max=2.0)
+    # the first table, at (3 r_a / t)^2 from t = 50 but at least 64, passes
+    assert (s.meta["e_max"], s.meta["table_builds"]) == (64.0, 1)
 
 
 def test_panel_table_budget_names_stage_and_count(density_for, monkeypatch):
@@ -224,11 +238,15 @@ def test_exact_holds_tolerance_on_a_grid_from_t_1_1(density_for):
 
 
 @pytest.mark.parametrize("e_max", (64.0000001, 8061.5644))
-def test_exact_holds_tolerance_when_e_max_just_passes_a_grid_edge(density_for, e_max):
+def test_exact_holds_tolerance_when_e_max_just_passes_a_grid_edge(density_for, e_max,
+                                                                  monkeypatch):
     # a sliver last panel ending at e_max would blow up the end
-    # derivatives that sum the truncated tail (estimates 5e22 and 0.05)
-    s = survival_exact(density_for(0.3), np.array([2.0, 50.0]), e_max=e_max)
+    # derivatives that sum the truncated tail (estimates 5e22 and 0.05);
+    # the table that starts there passes, with no deeper one
+    _start_table_at(monkeypatch, e_max)
+    s = survival_exact(density_for(0.3), np.array([2.0, 50.0]))
     assert s.meta["max_error_estimate"] <= 1.0e-8
+    assert (s.meta["e_max"], s.meta["table_builds"]) == (e_max, 1)
 
 
 @pytest.mark.parametrize("well,t", [
@@ -252,8 +270,24 @@ def test_exact_holds_tolerance_when_e_max_just_passes_a_grid_edge(density_for, e
 def test_exact_states_a_bound_on_its_truncation_at_a_small_time(well, t):
     density = make_density(**well)
     s = survival_exact(density, [t])
-    deep = survival_exact(density, [t], e_max=4.0e4)
-    assert abs(s.amplitudes[0] - deep.amplitudes[0]) <= s.meta["max_error_estimate"]
+    deep = reference_amplitude(reference_table(density.omega, density.pot.r_a, 4.0e4), t)[0]
+    assert abs(s.amplitudes[0] - deep) <= s.meta["max_error_estimate"]
+
+
+@pytest.mark.parametrize("times,builds", (([1.0], 2), ([1.0, 10.0, 60.0, 200.0, 1000.0], 2),
+                                          ([0.5], 1)))
+def test_exact_deepens_its_table_where_the_truncation_at_its_top_breaks_abs_tol(times, builds):
+    # t = 1 starts at e_max = (3 r_a)^2 = 81, whose truncation part 2.8e-8
+    # was refused while [0.5] (e_max 324) answered; a second table, at 324,
+    # states 5.6e-11 at t = 1
+    density = make_density(0.3, vb=16.0, r_d=4.0)
+    s = survival_exact(density, times)
+    assert (s.meta["e_max"], s.meta["table_builds"]) == (324.0, builds)
+    assert s.meta["max_error_estimate"] <= 1.0e-8
+    if times == [1.0]:
+        assert s.meta["max_error_estimate"] <= 6.0e-11
+        deep = reference_amplitude(reference_table(density.omega, density.pot.r_a, 4.0e4), 1.0)
+        assert abs(s.amplitudes[0] - deep[0]) <= s.meta["max_error_estimate"] + deep[1]
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -304,7 +338,9 @@ def test_batched_amplitudes_match_per_time_reference(density_for, monkeypatch, b
     ref_est = np.array([e for _, e in ref])
     ref_amp[t == 0.0] += _envelope_tail(den.init.k_a, den.pot.r_a, table.e_max)
 
-    s = survival_exact(den, t, e_max=2500.0, abs_tol=1.0)
+    _start_table_at(monkeypatch, 2500.0)
+    s = survival_exact(den, t, abs_tol=1.0)
+    monkeypatch.undo()
     assert s.meta["panels"] == table.mid.size
     assert np.max(np.abs(s.amplitudes - ref_amp)) <= 1.0e-14
     assert s.meta["max_error_estimate"] == pytest.approx(np.max(ref_est), rel=1.0e-12)
@@ -410,7 +446,9 @@ def test_underflowing_density_is_refused_by_stage(r_d, monkeypatch):
     # error estimate after 944 evaluations, and a NaN mass.  Each route refuses
     # at its source: the panel table after its first density call, the rotated
     # axis where its sum is not finite, the brute force where its grid's mass
-    # is not 1 (it read the trapped state as decayed, P = 0).  No refusal gives advice
+    # is not 1 (it read the trapped state as decayed, P = 0), the threshold
+    # law where its Jost scale squared overflows (a bare OverflowError, also out
+    # of the rotated axis's threshold form and the asymptotic models).  No refusal gives advice
     # that cannot help, and survival.py warns nothing (omega's own overflow
     # warnings remain)
     den = make_density(0.3, v0=0.5, vb=1.0e6, r_a=3.0, r_d=r_d)
@@ -434,6 +472,12 @@ def test_underflowing_density_is_refused_by_stage(r_d, monkeypatch):
                 r"^brute-force oracle: at t = 1 the grid's mass, with the envelope past "
                 r"e_out = 69\.6839, is 0\.000132, not the state's 1 ")):
             oracle_survival_bruteforce(den, 1.0)
+        for route in (lambda: den.threshold, lambda: asymptote_one_term(den.threshold),
+                      lambda: survival_laplace_axis(den, [1.0e6], form="threshold")):
+            with pytest.raises(ToleranceError, match=(
+                    r"^threshold stage: the Jost scale \S+ squared overflows")) as refused:
+                route()
+            assert "e_max" not in str(refused.value)
     assert not [w for w in caught if w.filename == tailsurv.survival.__file__]
 
 
@@ -589,11 +633,12 @@ def test_laplace_blocks_match_one_call(density_for, monkeypatch):
     assert np.max(np.abs(survival_laplace_axis(den, t).amplitudes / whole - 1.0)) < 1.0e-14
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_laplace_refuses_where_the_density_is_not_finite_on_the_axis():
     # on a barrier-free well the continued density is +-inf on the axis at
     # t = 0.3, at u = 24.5 to 40 (|E| >~ 80): NaN amplitudes and a NaN estimate
-    # came back unrefused.  Later times stay finite
+    # came back unrefused.  Later times stay finite.  The refusal is the one
+    # report of the fault: neither the density nor the sums warn
     den = make_density(0.0, v0=0.0, vb=0.0, r_a=1.0, r_d=3.0)
     with pytest.raises(ToleranceError, match=r"^rotated-axis stage: the error estimate at "
                                              r"t = 0\.3 is nan: the continued density"):
