@@ -17,13 +17,14 @@ E ~ 1e-13, for the threshold power law, and uniform ones in k = sqrt(E)
 above; one refinement loop then bisects, level by level, every panel
 whose interpolant misses its target (the resonance peak chiefly),
 evaluating two levels per density call.  Each time sums only the
-panels of its own energy window this way.  The
-panels wholly below E = 1/t enter as one Taylor series in -it over the
-table's cumulative energy moments.  The density above the window's top
-e_cut, the table end that t / 2 would need (at most e_max), is summed
-by integration by parts using the derivatives of the interpolant of
-the panel below e_cut.  A density averaging 0 (underflowed) or NaN on
-the two lowest panels is refused after the first density call.
+panels of its own energy window this way.  The panels wholly below
+E = 1/t enter as one Taylor series in -it over the table's cumulative
+energy moments.  The density above the window's top e_cut, the table
+end that t / 2 would need (4x per deeper table, at most e_max), is
+summed by integration by parts using the derivatives of the
+interpolant of the panel below e_cut.  A density averaging 0
+(underflowed) or NaN on the two lowest panels is refused after the
+first density call.
 
 The long-time representation rotates the contour onto the negative
 imaginary energy axis,
@@ -44,6 +45,7 @@ sum on the axis is not finite is refused.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -61,16 +63,15 @@ from .spectral import SpectralDensity, ThresholdCoeffs
 # it the closed form's terms cancel (a switch at 4-8 moved A by 2e-13).
 _PHASE_SWITCH = 10.0
 
-# Relative interpolation residual target per panel, and bisection limits.
+# Relative interpolation residual target per panel, and the narrowest bisected.
 _PANEL_RTOL = 5.0e-10
-_MAX_DEPTH = 48
 _MIN_WIDTH = 1.0e-8
 
 # Cap on density evaluations per panel table.  On the reference geometry
 # tables take 1776-1968 at e_max = 64 (the sweep's), 7936-8128 at 4e4
 # (`spectral_mass`, grids that hold t = 0) and ~24 000 at the 5.2e5 that
 # survival_exact deepens to from t = 0.001; without a cap, a density whose
-# evaluation error exceeds _PANEL_RTOL would bisect toward _MAX_DEPTH for
+# evaluation error exceeds _PANEL_RTOL would bisect toward _MIN_WIDTH for
 # minutes and gigabytes.
 _MAX_TABLE_EVALS = 200_000
 
@@ -87,7 +88,7 @@ _MOMENT_STEPS = 1.0 / np.arange(1.0, _MOMENT_TERMS)[:, None, None]
 
 # Top of the `spectral_mass` table, of a grid holding t = 0, and of the e_max
 # `survival_exact` starts from (it deepens past it only where the truncation
-# at the table's top breaks abs_tol): P(0) is that mass squared bit for bit.
+# breaks abs_tol): P(0) is that mass squared bit for bit.
 _MASS_E_HI = 4.0e4
 
 # Times per block of the batched amplitude.  The largest temporaries are
@@ -232,13 +233,14 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     at most pi / (2 r_a) wide: half a period of the well factor
     sin^2(k_I r_a).  Each bisection level keeps the panels whose
     interpolation residual is within _PANEL_RTOL of their largest value
-    (or that reached _MIN_WIDTH or _MAX_DEPTH) and bisects the rest; the
-    density's evaluation error (up to 1.2e-10 relative, from the series
-    at |k r_d| just below 12.5 for orders with nu - n near -1/2) stays
-    below that 5e-10 target.  Level 0 evaluates the initial panels in
-    one density call; each later call evaluates the pending panels
-    together with both halves of each (16 + 32 nodes per panel, below
-    _MAX_DEPTH), so the halves of a rejected panel are judged at the next
+    (or that reached _MIN_WIDTH) and bisects the rest, until every panel
+    is kept or the next level would pass _MAX_TABLE_EVALS
+    (ResourceLimitError); the density's evaluation error (up to 1.2e-10
+    relative, from the series at |k r_d| just below 12.5 for orders with
+    nu - n near -1/2) stays below that 5e-10 target.  Level 0 evaluates
+    the initial panels in one density call; each later call evaluates the
+    pending panels together with both halves of each (16 + 32 nodes per
+    panel), so the halves of a rejected panel are judged at the next
     level without a call of their own.  That saves one call per two
     levels past the first at the price of the halves of accepted panels,
     evaluated and dropped (n_evals counts them); nearly every table
@@ -247,10 +249,10 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
     """
     mid, half = _initial_panels(r_a, e_max)
     kept, n_evals, vals = [], 0, None
-    for depth in range(_MAX_DEPTH + 1):
+    for depth in itertools.count():
         kids = None
         if vals is None:
-            ahead = 0 < depth < _MAX_DEPTH
+            ahead = depth > 0
             n_call = (3 if ahead else 1) * mid.size * _GL_X.size
             if n_evals + n_call > _MAX_TABLE_EVALS:
                 raise ResourceLimitError(
@@ -272,8 +274,7 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
                     f"lowest panels, E = {mid[0] - half[0]:.6g} to {mid[1] + half[1]:.6g}: "
                     "it underflowed or is NaN, which no e_max or abs_tol mends")
         mono, resid = _interp(vals)
-        done = ((resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1))
-                | (half <= _MIN_WIDTH) | (depth == _MAX_DEPTH))
+        done = (resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1)) | (half <= _MIN_WIDTH)
         kept.append((mid[done], half[done], vals[done], mono[done], resid[done]))
         if done.all():
             break
@@ -320,20 +321,22 @@ def _e_needed(r_a: float, t):
     return np.maximum(64.0, (3.0 * r_a / t) ** 2)
 
 
-def _windows(table: _PanelTable, t: np.ndarray):
+def _windows(table: _PanelTable, t: np.ndarray, reach: float = 1.0):
     """Each time's window [lo, hi) of panels, in energy order, and its top
     edge e_cut.
 
     The panels below lo lie wholly at E <= 1/t.  Those from hi up lie
-    above e_cut, the lowest edge at or above _e_needed(r_a, t / 2) (at
-    most e_max) that tops an unbisected panel or the table.  Those panels
-    are uniform in k, ~k pi / r_a wide in E, never a bisection sliver, so
-    the derivatives at a cut below e_max are not divided by a sliver's
-    half-width to high powers.
+    above e_cut, the lowest edge at or above reach * _e_needed(r_a, t / 2)
+    (at most e_max) that tops an unbisected panel or the table; reach is
+    how many times deeper than its first table `survival_exact` has
+    built.  Those panels are uniform in k, ~k pi / r_a wide in E, never a
+    bisection sliver, so the derivatives at a cut below e_max are not
+    divided by a sliver's half-width to high powers.
     """
     edge = table.mid + table.half
     tops = np.append(np.flatnonzero(table.depth[:-1] == 0), edge.size - 1)
-    k = np.searchsorted(edge[tops], np.minimum(_e_needed(table.r_a, 0.5 * t), table.e_max))
+    k = np.searchsorted(edge[tops],
+                        np.minimum(reach * _e_needed(table.r_a, 0.5 * t), table.e_max))
     hi = tops[np.minimum(k, tops.size - 1)] + 1
     lo = np.minimum(np.searchsorted(edge, 1.0 / t, side="right"), hi)
     return lo, hi, np.where(hi == edge.size, table.e_max, edge[hi - 1])
@@ -489,23 +492,24 @@ def survival_exact(density: SpectralDensity, times, *, abs_tol: float = 1.0e-8
     e_cut, damped by phase mixing, plus the next-order truncation correction at
     e_cut and the sub-threshold mass) is checked against abs_tol (> 0, or
     DomainError) per time.  e_max starts at `_pick_e_max`'s; while the worst
-    time's finite estimate fails with its truncation at e_cut = e_max as the
-    largest part, the table is built again to 4 e_max, each build within
-    _MAX_TABLE_EVALS (or ResourceLimitError).  Failure raises with the worst
-    offender reported.  meta gives the final e_max, the builds (table_builds),
-    the estimate per time (error_estimate), the worst one, its three parts at
-    that time (error_parts), e_cut per time (e_max at t = 0), the (time > 0,
-    panel) pairs summed by Gauss rule, in closed form, by the moment series and
-    by the tail (small_phase_pairs, large_phase_pairs, low_energy_pairs,
-    beyond_cut_pairs), and the density evaluations and the table and amplitude
-    stage seconds of all builds.
+    time's finite estimate fails with its truncation as the largest part, the
+    table is built again to 4 e_max and every time's cut target moves 4x with
+    it, each build within _MAX_TABLE_EVALS (or ResourceLimitError).  Failure
+    raises with the worst offender reported.  meta gives the final e_max, the
+    builds (table_builds), the estimate per time (error_estimate), the worst
+    one, its three parts at that time (error_parts), e_cut per time (e_max at
+    t = 0), the (time > 0, panel) pairs summed by Gauss rule, in closed form,
+    by the moment series and by the tail (small_phase_pairs,
+    large_phase_pairs, low_energy_pairs, beyond_cut_pairs), and the density
+    evaluations and the table and amplitude stage seconds of all builds.
     """
     if not abs_tol > 0.0:   # NaN too
         raise DomainError(f"abs_tol must be positive, got {abs_tol:g}")
     t_arr = _vector(times, "survival times", float)[0].copy()
     if np.any(t_arr < 0.0):
         raise DomainError("survival times must be >= 0")
-    e_max, pos = _pick_e_max(density.pot.r_a, t_arr), t_arr > 0.0
+    e_max = e_start = _pick_e_max(density.pot.r_a, t_arr)
+    pos = t_arr > 0.0
     builds, n_evals, table_s, amplitude_s = 0, 0, 0.0, 0.0
     while True:
         start = time.perf_counter()
@@ -514,7 +518,7 @@ def survival_exact(density: SpectralDensity, times, *, abs_tol: float = 1.0e-8
         builds, n_evals, table_s = builds + 1, n_evals + table.n_evals, table_s + split - start
         amps, parts = np.empty(t_arr.shape, dtype=complex), np.empty(t_arr.shape + (3,))
         e_cut = np.full(t_arr.shape, table.e_max)
-        lo, hi, e_cut[pos] = windows = _windows(table, t_arr[pos])
+        lo, hi, e_cut[pos] = windows = _windows(table, t_arr[pos], e_max / e_start)
         amps[pos], parts[pos], n_small = _table_amplitudes(table, t_arr[pos], windows)
         if not pos.all():
             # t = 0: the whole mass, with the envelope of the density beyond e_max
@@ -524,25 +528,19 @@ def survival_exact(density: SpectralDensity, times, *, abs_tol: float = 1.0e-8
         amplitude_s += time.perf_counter() - split
         i_bad = int(np.argmax(ests := parts.sum(axis=1)))
         worst, largest = float(ests[i_bad]), int(np.argmax(parts[i_bad]))
-        # a deeper table mends a finite estimate whose largest part is the
-        # truncation at the table's top; a NaN one is refused as it stands
-        if (worst <= abs_tol or not math.isfinite(worst) or largest != 1
-                or e_cut[i_bad] < table.e_max):
+        # a deeper table, with every cut as much deeper, mends a finite
+        # estimate whose largest part is the truncation; a NaN one is refused
+        if worst <= abs_tol or not math.isfinite(worst) or largest != 1:
             break
         e_max *= 4.0
     names = ("interpolation", "truncation", "sub_threshold")
     error_parts = dict(zip(names, parts[i_bad].tolist()))
     if not worst <= abs_tol:  # a NaN estimate is refused too, and named as the largest part
-        advice = "raise abs_tol"
-        if largest == 1 and e_cut[i_bad] < table.e_max:
-            advice = (f"the truncation is at this time's e_cut = {e_cut[i_bad]:g}, below "
-                      f"e_max = {table.e_max:g}: the cut follows t through "
-                      "max(64, (6 r_a / t)^2), which no e_max reaches; raise abs_tol")
         raise ToleranceError(
             f"amplitude stage: error estimate {worst:.3e} at t = {t_arr[i_bad]:g} exceeds "
             f"abs_tol = {abs_tol:.3e}; largest part {names[largest]} ("
             + ", ".join(f"{key} {val:.3e}" for key, val in error_parts.items())
-            + f"); {advice}")
+            + "); raise abs_tol")
 
     prob = np.abs(amps) ** 2
     n_panels = int(table.mid.size)

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import tailsurv.survival
 from tailsurv import (InitialState, SpectralDensity, WBPotential, beta_sweep,
                       fit_power_law, survival_exact)
 from tailsurv.model import regular_boundary_sq
-from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _MAX_DEPTH, _MIN_WIDTH,
+from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _MIN_WIDTH,
                                _PANEL_RTOL, _PHASE_SWITCH, _eval_panels, _initial_panels,
                                _interp, _table_from_levels)
 
@@ -113,6 +114,14 @@ def reference_amplitude(table, t: float, e_top: float | None = None):
     return complex(acc), est
 
 
+def record_table_builds(monkeypatch) -> list:
+    """The e_max of each table `survival_exact` builds, in order."""
+    builds, build = [], tailsurv.survival._build_table
+    monkeypatch.setattr(tailsurv.survival, "_build_table",
+                        lambda omega, r_a, top: builds.append(top) or build(omega, r_a, top))
+    return builds
+
+
 def reference_table(omega, r_a: float, e_max: float):
     """A panel table built with one density call per bisection level.
 
@@ -122,12 +131,11 @@ def reference_table(omega, r_a: float, e_max: float):
     """
     mid, half = _initial_panels(r_a, e_max)
     kept, n_evals = [], 0
-    for depth in range(_MAX_DEPTH + 1):
+    while True:
         vals = _eval_panels(omega, mid, half)
         n_evals += vals.size
         mono, resid = _interp(vals)
-        done = ((resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1))
-                | (half <= _MIN_WIDTH) | (depth == _MAX_DEPTH))
+        done = (resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1)) | (half <= _MIN_WIDTH)
         kept.append((mid[done], half[done], vals[done], mono[done], resid[done]))
         if done.all():
             break

@@ -16,6 +16,8 @@ from tailsurv.emit import read_table
 from tailsurv.errors import ConfigError
 from tailsurv.survival import SurvivalSeries, survival_laplace_axis
 
+from conftest import record_table_builds
+
 
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
@@ -181,30 +183,44 @@ def test_survive_deepens_past_the_e_max_cap_from_t_0_001(workdir, capsys):
     assert meta["max_error_estimate"] <= 1.0e-8
 
 
-def test_survive_deepens_once_then_names_the_cut_that_follows_t(workdir, capsys):
+def test_survive_deepens_table_and_cuts_until_the_interpolation_is_largest(workdir, capsys,
+                                                                           monkeypatch):
     # from t = 1 the table ends at e_max = (3 r_a)^2 = 81, where t = 1 cuts;
-    # its truncation is deepened past, to e_max 324, where t = 2.19 cuts
-    # below e_max and no deeper table helps
+    # its truncation is largest, so the table and every cut go 4x deeper,
+    # twice, until the interpolation at t = 1 (6.57e-12) is, which no table mends
+    builds = record_table_builds(monkeypatch)
     assert main(["survive", "--t_min", "1", "--t_max", "100", "--abs_tol", "1e-12"]) == 3
+    assert builds == [81.0, 324.0, 1296.0]
     err = capsys.readouterr().err
     assert "error-class: ToleranceError" in err
-    assert "at t = 2.19206 exceeds" in err and "largest part truncation" in err
-    assert err.rstrip().endswith(
-        "the truncation is at this time's e_cut = 67.5781, below e_max = 324: the cut "
-        "follows t through max(64, (6 r_a / t)^2), which no e_max reaches; raise abs_tol")
-    assert "larger e_max" not in err
+    assert "at t = 1 exceeds" in err and "largest part interpolation" in err
+    assert err.rstrip().endswith("); raise abs_tol") and "e_max" not in err
 
 
-def test_survive_says_no_e_max_reaches_a_cut_that_follows_t(workdir, capsys):
-    # on the default grid (e_max 8100) t = 2.17207 cuts at e_cut = 69.7, from
-    # (6 r_a / t)^2: a larger e_max leaves that truncation as it is
+def test_survive_moves_a_cut_below_e_max_with_a_deeper_table(workdir, capsys, monkeypatch):
+    # on the default grid's first table (e_max 8100) t = 2.17207 cuts at
+    # e_cut = 69.7, from (6 r_a / t)^2, with the truncation largest; one 4x
+    # deeper table moves that cut 4x too, and leaves the interpolation at
+    # t = 2.22274 largest
+    builds = record_table_builds(monkeypatch)
     assert main(["survive", "--abs_tol", "1e-12"]) == 3
+    assert builds == [8100.0, 32400.0]
     err = capsys.readouterr().err
-    assert "at t = 2.17207 exceeds" in err and "largest part truncation" in err
-    assert err.rstrip().endswith(
-        "the truncation is at this time's e_cut = 69.7371, below e_max = 8100: the cut "
-        "follows t through max(64, (6 r_a / t)^2), which no e_max reaches; raise abs_tol")
-    assert "larger e_max" not in err
+    assert "at t = 2.22274 exceeds" in err and "largest part interpolation" in err
+    assert err.rstrip().endswith("); raise abs_tol") and "e_max" not in err
+
+
+@pytest.mark.parametrize("well", (("--v0", "0", "--vb", "0", "--r_a", "1", "--r_d", "3"),
+                                  ("--v0", "1e-20", "--vb", "0", "--r_a", "1", "--r_d", "2")),
+                         ids=("barrier-free", "shallow"))
+def test_survive_answers_where_a_cut_below_e_max_breaks_abs_tol(workdir, well):
+    # from t = 0.1 the table ends at e_max = (30 r_a)^2 = 900; t = 0.726 cuts
+    # below it with a truncation part of 7.9e-8, and one 4x deeper table,
+    # with every cut 4x deeper, states 1.83e-10
+    assert main(["survive", *well, "--beta", "0"]) == 0
+    meta = json.loads((workdir / "survival.meta.json").read_text())
+    assert (meta["e_max"], meta["table_builds"], meta["density_evals"]) == (3600.0, 2, 2640)
+    assert meta["max_error_estimate"] <= 2.0e-10
 
 
 @pytest.mark.parametrize("value", ("0", "-1", "nan"))
