@@ -58,9 +58,10 @@ from .model import _horner, _sincos, _tan_half, _vector
 from .spectral import SpectralDensity, ThresholdCoeffs
 
 # Phase turn t * half_width above which a panel switches from the
-# direct Gauss sum to the closed form.  Gauss-Legendre with 16 nodes
-# integrates e^{-i theta s} to ~1e-15 relative for theta <= 10; below
-# it the closed form's terms cancel (a switch at 4-8 moved A by 2e-13).
+# direct Gauss sum to the closed form.  On the reference well, per panel over
+# its largest node value, the closed form is within 1.5e-15 of the exact integral
+# from theta = 10.5 up, the Gauss sum within 5e-16 up to 6, 1.4e-14 at 8 and
+# 3.4e-12 at 10; a switch at 4-8 moves A by <= 1.35e-13.
 _PHASE_SWITCH = 10.0
 
 # Relative interpolation residual target per panel, and the narrowest bisected.
@@ -102,24 +103,21 @@ _MASS_E_HI = 4.0e4
 _TIME_BLOCK = 64
 
 
-def _gauss_basis():
-    x, w = np.polynomial.legendre.leggauss(16)
-    vander = np.vander(x, 16, increasing=True)
-    mono_from_vals = np.linalg.inv(vander)
-    cheb_vander = np.polynomial.chebyshev.chebvander(x, 15)
-    cheb_from_vals = np.linalg.inv(cheb_vander)
-    return x, w, mono_from_vals, cheb_from_vals
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# Chebyshev coefficients in s of the interpolant through the 16 node values
+_CHEB_FROM_VALS = np.linalg.inv(np.polynomial.chebyshev.chebvander(_GL_X, 15))
 
-
-_GL_X, _GL_W, _MONO_FROM_VALS, _CHEB_FROM_VALS = _gauss_basis()
-
-# Derivatives of the monomials at s = 1 and s = -1: row n holds
-# d^n/ds^n s^j = j!/(j-n)! (+-1)^(j-n) for j >= n.
-_DERIV_HI = np.array([[math.perm(j, n) for j in range(16)] for n in range(16)], float)
+# Derivatives of T_j at s = 1 and -1: row n holds T_j^(n)(1) = prod_{k<n} (j^2 - k^2)
+# / (2k + 1), an integer rounded once, and T_j^(n)(-1) = (-1)^(j-n) T_j^(n)(1).
+_DERIV_HI = np.array([[math.prod(j * j - k * k for k in range(n)) // math.prod(range(1, 2 * n, 2))
+                       for j in range(16)] for n in range(16)], float)
 _DERIV_LO = _DERIV_HI * (-1.0) ** np.subtract.outer(np.arange(16), np.arange(16))
+# T_j^(n)(0), n = _DERIV_TERMS - 1: the by-parts tail's last derivative mid-panel
+_DERIV_MID = np.polynomial.chebyshev.chebval(
+    0.0, np.polynomial.chebyshev.chebder(np.eye(16), _DERIV_TERMS - 1))
 # Powers n + 1 of 1/t in the closed form, even n then odd n: (2, 1, 8, 1).
 _POWERS = np.arange(1.0, 17.0).reshape(8, 2).T.reshape(2, 1, 8, 1)
-# q^(n)(-1) + q^(n)(1) and q^(n)(-1) - q^(n)(1) from the monomial
+# q^(n)(-1) + q^(n)(1) and q^(n)(-1) - q^(n)(1) from the Chebyshev
 # coefficients of q, signed (-1)^(n//2): (sum/difference, j, n)
 _END_COMBOS = (np.stack((_DERIV_LO + _DERIV_HI, _DERIV_LO - _DERIV_HI)).transpose(0, 2, 1)
                * (-1.0) ** (np.arange(16) // 2))
@@ -185,10 +183,9 @@ class _PanelTable:
     mid: np.ndarray          # (P,)
     half: np.ndarray         # (P,)
     vals: np.ndarray         # (P, 16) density at Gauss nodes
-    mono: np.ndarray         # (P, 16) monomial coefficients, scaled coord
+    coef: np.ndarray         # (P, 16) Chebyshev coefficients of the interpolant in s
     resid: np.ndarray        # (P,) absolute interpolation-residual scale
     depth: np.ndarray        # (P,) bisection level; 0 for an initial panel
-    derivs: np.ndarray       # (P, D) density derivatives at each upper edge
     r_a: float
     e_max: float
     sub_mass: float          # estimated integral below the lowest edge
@@ -208,11 +205,9 @@ def _bisect(mid: np.ndarray, half: np.ndarray):
 
 
 def _interp(vals: np.ndarray):
-    """Monomial coefficients and residual scale for panel node values."""
-    mono = vals @ _MONO_FROM_VALS.T
-    cheb = vals @ _CHEB_FROM_VALS.T
-    resid = np.abs(cheb[:, -2]) + np.abs(cheb[:, -1])
-    return mono, resid
+    """Chebyshev coefficients and residual scale for panel node values."""
+    coef = vals @ _CHEB_FROM_VALS.T
+    return coef, np.abs(coef[:, -2]) + np.abs(coef[:, -1])
 
 
 def _initial_panels(r_a: float, e_max: float):
@@ -273,9 +268,9 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
                     f"table stage: the density averages {w[0]:g} and {w[1]:g} on the two "
                     f"lowest panels, E = {mid[0] - half[0]:.6g} to {mid[1] + half[1]:.6g}: "
                     "it underflowed or is NaN, which no e_max or abs_tol mends")
-        mono, resid = _interp(vals)
+        coef, resid = _interp(vals)
         done = (resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1)) | (half <= _MIN_WIDTH)
-        kept.append((mid[done], half[done], vals[done], mono[done], resid[done]))
+        kept.append((mid[done], half[done], vals[done], coef[done], resid[done]))
         if done.all():
             break
         if kids is None:
@@ -287,23 +282,19 @@ def _build_table(omega: Callable, r_a: float, e_max: float) -> _PanelTable:
 
 def _table_from_levels(kept: list, r_a: float, e_max: float, n_evals: int) -> _PanelTable:
     """The table from the accepted panels of each bisection level, a list
-    of (mid, half, vals, mono, resid) tuples from level 0 on."""
+    of (mid, half, vals, coef, resid) tuples from level 0 on."""
     order = np.argsort(np.concatenate([level[0] for level in kept]))
-    mid, half, vals, mono, resid = (np.concatenate(c)[order] for c in zip(*kept))
+    mid, half, vals, coef, resid = (np.concatenate(c)[order] for c in zip(*kept))
     depth = np.repeat(np.arange(len(kept)), [level[0].size for level in kept])[order]
-
-    # derivatives at every upper edge from that panel's interpolant:
-    # d^n omega / dE^n = (d^n p / ds^n at s=1) / half^n
-    derivs = (mono @ _DERIV_HI[:_DERIV_TERMS].T) / half[:, None] ** np.arange(_DERIV_TERMS)
 
     # mass below the lowest edge: the power law through the first two panels' means
     w0, w1 = float(vals[0].mean()), float(vals[1].mean())
     local_p = math.log(w1 / w0) / math.log(mid[1] / mid[0])
     cut = mid[0] - half[0]
-    sub_mass = float(mono[0] @ (-1.0) ** np.arange(16)) * cut / (local_p + 1.0)
+    sub_mass = float(coef[0] @ (-1.0) ** np.arange(16)) * cut / (local_p + 1.0)
 
-    return _PanelTable(mid=mid, half=half, vals=vals, mono=mono, resid=resid,
-                       depth=depth, derivs=derivs, r_a=float(r_a), e_max=float(e_max),
+    return _PanelTable(mid=mid, half=half, vals=vals, coef=coef, resid=resid,
+                       depth=depth, r_a=float(r_a), e_max=float(e_max),
                        sub_mass=sub_mass, n_evals=n_evals)
 
 
@@ -340,6 +331,12 @@ def _windows(table: _PanelTable, t: np.ndarray, reach: float = 1.0):
     hi = tops[np.minimum(k, tops.size - 1)] + 1
     lo = np.minimum(np.searchsorted(edge, 1.0 / t, side="right"), hi)
     return lo, hi, np.where(hi == edge.size, table.e_max, edge[hi - 1])
+
+
+def _panel_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the panels (axis 0) of a block, in panel order: numpy sums
+    (panel, time) row by row, but a lone (panel, 1) column pairwise."""
+    return x.sum(axis=0) if x.shape[1] > 1 else np.cumsum(x, axis=0)[-1:].sum(axis=0)
 
 
 def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
@@ -399,7 +396,7 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
     vsum_tot = vsum.sum(axis=1)   # sum v cos = sum v c - sum v
     # the end combinations over half^n, as (parity of n, sum/difference,
     # panel, n // 2)
-    ends = table.mono[p0:p1] @ _END_COMBOS
+    ends = table.coef[p0:p1] @ _END_COMBOS
     ends /= half[p0:p1, None] ** np.arange(16.0)
     ends = np.ascontiguousarray(ends.reshape(2, -1, 8, 2).transpose(3, 0, 1, 2))
     t_order, n_small = np.argsort(t), 0
@@ -436,22 +433,23 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
         s_re *= win
         s_im *= win
         sp, cp = _sincos(tb, mid[b0:b1, None])
-        amps[idx] += (cp * s_re + sp * s_im).sum(axis=0) + 1j * (cp * s_im - sp * s_re).sum(axis=0)
+        amps[idx] += _panel_sum(cp * s_re + sp * s_im) + 1j * _panel_sum(cp * s_im - sp * s_re)
         damp = np.minimum(1.0, 4.0 / theta) * resid[b0:b1, None]
         parts[idx, 0] += np.where(win, damp, 0.0).sum(axis=0)
 
-    # above the windows, by parts: e^{-iEt} sum_n d_n / (it)^{n+1} at e_cut
-    d = table.derivs[hi - 1]
+    # above the windows, by parts at e_cut: e^{-iEt} sum_n d_n / (it)^{n+1}, d_n = q^(n)(1) / half^n
+    coef, h_cut = table.coef[hi - 1], table.half[hi - 1, None]
+    d = (coef @ _DERIV_HI[:_DERIV_TERMS].T) / h_cut ** np.arange(_DERIV_TERMS)
     x = -1j / t   # 1 / (it)
     amps += _horner(d.T, x) * x * np.exp(-1j * e_cut * t)
     # below e_max the last derivative may nearly vanish at e_cut as the
     # density oscillates, so its value mid-panel, a quarter period of the
-    # well factor away, bounds it too: on the narrow-resonance well at
-    # t = 1.59 (e_cut = 118) the tail is off by 2.2e-11, the edge value
-    # gives 2.2e-12 and the mid-panel one 4.7e-11
+    # well factor away, bounds it too: on the narrow-resonance well at t =
+    # 1.59 on the CLI grid (e_cut 118) the tail is off by 2.18e-11, the edge
+    # value gives 2.22e-12 and the mid-panel one 4.68e-11
     n = _DERIV_TERMS - 1
     last = np.abs(d[:, n])
-    mid_last = math.factorial(n) * np.abs(table.mono[hi - 1, n]) / table.half[hi - 1] ** n
+    mid_last = np.abs(coef @ _DERIV_MID) / h_cut[:, 0] ** n
     parts[:, 1] = np.where(hi < mid.size, np.maximum(last, mid_last), last) / t ** _DERIV_TERMS
     parts[:, 2] = table.sub_mass
     return amps, parts, n_small

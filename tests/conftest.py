@@ -12,14 +12,15 @@ import time
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.special import spherical_jn
 
 import tailsurv.survival
 from tailsurv import (InitialState, SpectralDensity, WBPotential, beta_sweep,
                       fit_power_law, survival_exact)
 from tailsurv.model import regular_boundary_sq
-from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _MIN_WIDTH,
-                               _PANEL_RTOL, _PHASE_SWITCH, _eval_panels, _initial_panels,
-                               _interp, _table_from_levels)
+from tailsurv.survival import (_DERIV_HI, _DERIV_TERMS, _GL_W, _GL_X, _MIN_WIDTH,
+                               _PANEL_RTOL, _PHASE_SWITCH, _envelope_tail, _eval_panels,
+                               _initial_panels, _interp, _table_from_levels)
 
 SESSION_T0 = time.time()
 
@@ -49,20 +50,39 @@ def make_density(beta: float, **overrides) -> SpectralDensity:
     return SpectralDensity(pot, InitialState.from_potential(pot))
 
 
-def reference_amplitude(table, t: float, e_top: float | None = None):
+def legendre_coefficients(vals):
+    """Legendre coefficients of the degree-15 interpolant through node values
+    at the 16 Gauss nodes, by Gauss projection: c_j = (j + 1/2) sum_k w_k
+    P_j(x_k) v_k, exact as the interpolant times P_j has degree <= 30."""
+    return ((vals * _GL_W) @ np.polynomial.legendre.legvander(_GL_X, 15)) * (np.arange(16) + 0.5)
+
+
+def legendre_panel_sums(leg, theta):
+    """int_{-1}^{1} q(s) e^{-i theta s} ds for Legendre coefficients leg
+    (..., 16) and phase turns theta broadcast against leg's leading axes,
+    from int P_j(s) e^{-i theta s} ds = 2 (-i)^j j_j(theta)."""
+    j = np.arange(16)
+    jn = spherical_jn(j, np.asarray(theta, float)[..., None])
+    return np.sum(leg * (2.0 * (-1j) ** j * jn), axis=-1)
+
+
+def reference_amplitude(table, t: float, e_top: float | None = None,
+                        k_a: float | None = None):
     """A(t) and its error estimate from a panel table, for one time,
     panel by panel.
 
     A plain reference for the batched `_table_amplitudes`: every panel
     up to the time's window top e_cut, the moment block below E t = 1
-    included, takes its complex Gauss sum below the phase switch and its
-    complex moments from the upward integration-by-parts recursion above
-    it, and the tail by parts starts at e_cut.  e_cut is the lowest edge
-    at or above e_top (by default max(64, (6 r_a / t)^2), at most e_max)
-    that tops an unbisected panel or the table.
+    included, takes its complex Gauss sum below the phase switch and the
+    exact integral of its interpolant's Legendre series above it, and the
+    tail by parts starts at e_cut.  e_cut is the lowest edge at or above
+    e_top (by default max(64, (6 r_a / t)^2), at most e_max) that tops an
+    unbisected panel or the table.  t = 0 gives the mass with the envelope
+    beyond e_max (`_envelope_tail`), which needs the state's k_a.
     """
     if t == 0.0:
-        total = float(np.sum((table.vals @ _GL_W) * table.half)) + table.sub_mass
+        total = (float(np.sum((table.vals @ _GL_W) * table.half)) + table.sub_mass
+                 + _envelope_tail(k_a, table.r_a, table.e_max))
         est = float(np.sum(table.resid * table.half)) + abs(table.sub_mass) * 0.5
         return complex(total, 0.0), est
     if e_top is None:
@@ -83,32 +103,28 @@ def reference_amplitude(table, t: float, e_top: float | None = None):
         sums = ((table.vals[small] * osc) @ _GL_W)
         acc += np.sum(table.half[small] * phase[small] * sums)
     if np.any(large):
-        th = theta[large]
-        mom = np.empty((16,) + th.shape, dtype=complex)
-        em = np.exp(-1j * th)
-        ep = np.conj(em)
-        inv = 1.0 / th
-        mom[0] = 2.0 * np.sin(th) * inv
-        sign = 1.0
-        for j in range(1, 16):
-            sign = -sign
-            mom[j] = (em - sign * ep) * (1j * inv) - 1j * j * inv * mom[j - 1]
-        sums = np.einsum("pj,jp->p", table.mono[large], mom)
+        leg = legendre_coefficients(table.vals[large])
+        sums = legendre_panel_sums(leg, theta[large])
         acc += np.sum(table.half[large] * phase[large] * sums)
 
+    # d^n omega / dE^n at e_cut from the Chebyshev coefficients of the panel below
+    derivs = (table.coef[top] @ _DERIV_HI[:_DERIV_TERMS].T) / table.half[top] ** np.arange(
+        _DERIV_TERMS)
     it = 1j * t
     tail = 0.0 + 0.0j
     for n in range(_DERIV_TERMS):
-        tail += table.derivs[top, n] / it ** (n + 1)
+        tail += derivs[n] / it ** (n + 1)
     tail *= np.exp(-1j * e_cut * t)
     acc += tail
 
     damp = np.minimum(1.0, 4.0 / theta)
     est = float(np.sum((table.resid * table.half * damp)[keep]))
-    last = abs(table.derivs[top, -1])
+    last = abs(derivs[-1])
     if top < edge.size - 1:   # below e_max, also the last derivative mid-panel
         n = _DERIV_TERMS - 1
-        last = max(last, math.factorial(n) * abs(table.mono[top, n]) / table.half[top] ** n)
+        cheb = np.polynomial.chebyshev
+        last = max(last, abs(cheb.chebval(0.0, cheb.chebder(table.coef[top], n)))
+                   / table.half[top] ** n)
     est += last / t ** _DERIV_TERMS
     est += table.sub_mass
     return complex(acc), est
@@ -134,9 +150,9 @@ def reference_table(omega, r_a: float, e_max: float):
     while True:
         vals = _eval_panels(omega, mid, half)
         n_evals += vals.size
-        mono, resid = _interp(vals)
+        coef, resid = _interp(vals)
         done = (resid <= _PANEL_RTOL * np.max(np.abs(vals), axis=1)) | (half <= _MIN_WIDTH)
-        kept.append((mid[done], half[done], vals[done], mono[done], resid[done]))
+        kept.append((mid[done], half[done], vals[done], coef[done], resid[done]))
         if done.all():
             break
         half = 0.5 * half[~done]

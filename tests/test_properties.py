@@ -18,8 +18,8 @@ from tailsurv import (InitialState, SpectralDensity, WBPotential, spectral_mass,
                       survival_laplace_axis)
 from tailsurv.errors import ConfigError, DomainError, ToleranceError
 from tailsurv.oracle import oracle_match_coefficients, oracle_survival_bruteforce
-from tailsurv.survival import (_DERIV_TERMS, _GL_W, _GL_X, _LAPLACE_U, _LAPLACE_W,
-                               _PHASE_SWITCH, _PanelTable, _build_table, _table_amplitudes)
+from tailsurv.survival import (_GL_W, _GL_X, _LAPLACE_U, _LAPLACE_W, _PHASE_SWITCH,
+                               _PanelTable, _build_table, _table_amplitudes)
 
 from conftest import reference_amplitude, reference_table, zero_energy_boundary_gap
 
@@ -132,9 +132,8 @@ def test_half_angle_gauss_sums_match_mpmath(vals, theta, log2_half):
     half = 2.0 ** log2_half
     vals = np.array(vals)
     table = _PanelTable(mid=np.zeros(1), half=np.array([half]), vals=vals[None, :],
-                        mono=np.zeros((1, 16)), resid=np.zeros(1), depth=np.zeros(1, int),
-                        derivs=np.zeros((1, _DERIV_TERMS)), r_a=1.0, e_max=1.0,
-                        sub_mass=0.0, n_evals=0)
+                        coef=np.zeros((1, 16)), resid=np.zeros(1), depth=np.zeros(1, int),
+                        r_a=1.0, e_max=1.0, sub_mass=0.0, n_evals=0)
     theta = np.array(theta)
     amps, _, n_small = _table_amplitudes(table, theta / half)
     # up to theta = 1 the whole panel has |E t| <= 1: the moment series sums it
@@ -153,13 +152,18 @@ def test_half_angle_gauss_sums_match_mpmath(vals, theta, log2_half):
 @given(coef=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
        log_theta=st.floats(1.0, 4.0, exclude_min=True), log2_half=st.integers(-10, 6))
 def test_closed_form_panel_matches_mpmath_quadrature(coef, log_theta, log2_half):
-    # one panel [-half, half] holding a degree-15 polynomial, at times
-    # with t half = theta in (10, 1e4] (exact, as half is a power of 2);
-    # just above the switch the high-order terms weigh most
+    # one panel [-half, half] holding a degree-15 polynomial, drawn in
+    # monomials and tabulated in Chebyshev form, at times with t half =
+    # theta in (10, 1e4] (exact, as half is a power of 2); just above the
+    # switch the high-order terms weigh most.  A zero panel above it, the
+    # table's one unbisected top, makes the tail by parts zero.
     half = 2.0 ** log2_half
-    table = _PanelTable(mid=np.zeros(1), half=np.array([half]), vals=np.zeros((1, 16)),
-                        mono=np.array([coef]), resid=np.zeros(1), depth=np.zeros(1, int),
-                        derivs=np.zeros((1, _DERIV_TERMS)), r_a=1.0, e_max=1.0,
+    cheb = np.zeros((2, 16))
+    lead = np.polynomial.chebyshev.poly2cheb(coef)   # trailing zeros trimmed
+    cheb[0, :lead.size] = lead
+    table = _PanelTable(mid=np.array([0.0, 2.0 * half]), half=np.full(2, half),
+                        vals=np.zeros((2, 16)), coef=cheb, resid=np.zeros(2),
+                        depth=np.array([1, 0]), r_a=1.0, e_max=3.0 * half,
                         sub_mass=0.0, n_evals=0)
     theta = np.array([10.25, 10.0 ** log_theta])
     amps, _, n_small = _table_amplitudes(table, theta / half)

@@ -17,11 +17,12 @@ from tailsurv.oracle import oracle_survival_bruteforce
 from tailsurv.survival import (SurvivalSeries, asymptote_one_term,
                                asymptote_series, spectral_mass,
                                survival_exact, survival_laplace_axis)
-from tailsurv.survival import (_MIN_WIDTH, _PANEL_RTOL, _PHASE_SWITCH, _build_table,
-                               _envelope_tail, _table_amplitudes)
+from tailsurv.survival import (_MIN_WIDTH, _PANEL_RTOL, _PHASE_SWITCH, _PanelTable,
+                               _build_table, _table_amplitudes)
 
-from conftest import (REFERENCE_BETAS, WINDOW, make_density, record_table_builds,
-                      reference_amplitude, reference_table)
+from conftest import (REFERENCE_BETAS, WINDOW, legendre_coefficients, legendre_panel_sums,
+                      make_density, record_table_builds, reference_amplitude,
+                      reference_table)
 
 
 # ------------------------------------------------------------------ #
@@ -208,10 +209,36 @@ def test_table_equals_one_call_per_level_on_the_reference_geometry(beta, e_max, 
     den = density_for(beta)
     table = _build_table(den.omega, den.pot.r_a, e_max)
     ref = reference_table(den.omega, den.pot.r_a, e_max)
-    for name in ("mid", "half", "vals", "mono", "resid", "depth", "derivs",
+    for name in ("mid", "half", "vals", "coef", "resid", "depth",
                  "r_a", "e_max", "sub_mass"):
         assert np.array_equal(getattr(table, name), getattr(ref, name)), name
     assert table.n_evals > ref.n_evals
+
+
+@pytest.mark.parametrize("beta", (-0.45, 0.3, 1.4))
+def test_panel_interpolants_match_their_legendre_projection(beta, density_for):
+    # every panel's coefficients against the Legendre projection of its node
+    # values, a well-conditioned route to the same interpolant: its ends, and
+    # its closed-form sums one panel at a time, each with a zero panel above
+    # it as the table's top.  Monomial coefficients from the inverse
+    # Vandermonde matrix (condition 3.3e5) missed by up to 5.9e-12 and
+    # 6.8e-13 of the panel's largest node value, these by 1.3e-14 and 1.4e-15.
+    den = density_for(beta)
+    table = _build_table(den.omega, den.pot.r_a, 8100.0)
+    scale = np.max(np.abs(table.vals), axis=1)
+    leg = legendre_coefficients(table.vals)
+    for end in (np.ones(16), (-1.0) ** np.arange(16)):   # T_j and P_j at s = 1 and -1
+        assert np.max(np.abs(table.coef @ end - leg @ end) / scale) <= 1.0e-13
+    theta = np.array([10.5, 15.0, 40.0, 300.0])
+    for coef, h, v, lc in zip(table.coef, table.half, scale, leg):
+        one = _PanelTable(mid=np.array([0.0, 2.0 * h]), half=np.full(2, h),
+                          vals=np.zeros((2, 16)), coef=np.vstack((coef, np.zeros(16))),
+                          resid=np.zeros(2), depth=np.array([1, 0]), r_a=1.0,
+                          e_max=3.0 * h, sub_mass=0.0, n_evals=0)
+        t = theta / h
+        amps, _, n_small = _table_amplitudes(one, t)
+        assert n_small == 0
+        assert np.max(np.abs(amps / h - legendre_panel_sums(lc, t * h))) <= 1.0e-14 * v
 
 
 @pytest.mark.parametrize("e_max", (64.0, 64.0000001, 2500.0, 8061.5644))
@@ -302,9 +329,17 @@ def test_exact_deepens_every_cut_with_its_table(well):
     # t = 1 cuts at the first unbisected top at or above 64, far below the
     # e_max = 4e4 that t = 0 takes, with a truncation part of 1.1e-8; the 4x
     # deeper table moves that cut 4x and states 1.7e-10
-    s = survival_exact(make_density(0.0, **well), [0.0, 1.0, 60.0])
+    density = make_density(0.0, **well)
+    s = survival_exact(density, [0.0, 1.0, 60.0])
     assert (s.meta["e_max"], s.meta["table_builds"]) == (1.6e5, 2)
     assert s.meta["max_error_estimate"] <= 2.0e-10
+    # the per-panel reference on a table as deep, cut where exact cut; at
+    # t = 0 it is the mass with the envelope beyond e_max, without which it
+    # sat 97.6x both stated errors away
+    ref = reference_table(density.omega, density.pot.r_a, 1.6e5)
+    for t, amp, e_cut in zip(s.times, s.amplitudes, s.meta["e_cut"]):
+        want = reference_amplitude(ref, t, e_top=e_cut, k_a=density.init.k_a)[0]
+        assert abs(amp - want) <= 1.0e-14
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -350,10 +385,9 @@ def test_batched_amplitudes_match_per_time_reference(density_for, monkeypatch, b
     den = density_for(beta)
     table = _build_table(den.omega, den.pot.r_a, 2500.0)
     t = _switch_straddling_times(table)
-    ref = [reference_amplitude(table, float(x)) for x in t]
+    ref = [reference_amplitude(table, float(x), k_a=den.init.k_a) for x in t]
     ref_amp = np.array([a for a, _ in ref])
     ref_est = np.array([e for _, e in ref])
-    ref_amp[t == 0.0] += _envelope_tail(den.init.k_a, den.pot.r_a, table.e_max)
 
     _start_table_at(monkeypatch, 2500.0)
     s = survival_exact(den, t, abs_tol=1.0)
@@ -398,8 +432,9 @@ def test_exact_blocks_match_one_call(density_for, monkeypatch, block):
             assert np.array_equal(split.amplitudes, whole.amplitudes)
             assert np.array_equal(split.meta["error_estimate"], whole.meta["error_estimate"])
             continue
-        # a one-time block's (panel, 1) column is one contiguous run, which
-        # numpy reduces pairwise, not in panel order (measured <= 1.7e-16)
+        # a one-time block is summed in panel order too, but its closed form
+        # is a matrix-vector product, rounded unlike a block's matrix product
+        # (measured <= 3.9e-18)
         assert np.max(np.abs(split.amplitudes - whole.amplitudes)) <= 2.0e-16
         assert split.meta["max_error_estimate"] == pytest.approx(
             whole.meta["max_error_estimate"], rel=1.0e-14)
