@@ -7,24 +7,24 @@ The exact amplitude is the oscillatory integral
 evaluated by a panel table built once per time grid: the density is
 interpolated on each panel by a degree-15 polynomial at fixed
 Gauss-Legendre nodes, and each panel contributes either its Gauss sum,
-from one half-angle tangent per node pair (when the phase turn
-t * half_width is small), or the exact integral of its polynomial times
-the exponential, by parts in closed form (16 terms); all times are
-evaluated together, in blocks, in real arithmetic, each block with one
-table of panel sums, one phase factor per (panel, time) pair and one sum
-over panels.  The panels start as geometrically shrinking ones down to
-E ~ 1e-13, for the threshold power law, and uniform ones in k = sqrt(E)
-above; one refinement loop then bisects, level by level, every panel
-whose interpolant misses its target (the resonance peak chiefly),
-evaluating two levels per density call.  Each time sums only the
-panels of its own energy window this way.  The panels wholly below
+from one half-angle tangent per node pair (phase turn t * half_width at
+most 4), or the exact integral of its polynomial times the exponential,
+by parts in closed form (16 terms), both exact to rounding at 4; all
+times are evaluated together, in blocks, in real arithmetic, each block
+with one table of panel sums, one phase factor per (panel, time) pair
+and one sum over panels.  The panels start as geometrically shrinking
+ones down to E ~ 1e-13, for the threshold power law, and uniform ones in
+k = sqrt(E) above; one refinement loop then bisects, level by level,
+every panel whose interpolant misses its target (the resonance peak
+chiefly), evaluating two levels per density call.  Each time sums only
+the panels of its own energy window this way.  The panels wholly below
 E = 1/t enter as one Taylor series in -it over the table's cumulative
 energy moments.  The density above the window's top e_cut, the table
 end that t / 2 would need (4x per deeper table, at most e_max), is
-summed by integration by parts using the derivatives of the
-interpolant of the panel below e_cut.  A density averaging 0
-(underflowed) or NaN on the two lowest panels is refused after the
-first density call.
+summed by parts from the derivatives of the interpolant of the panel
+below e_cut, with its truncation stated from the last one at e_cut or
+mid-panel, whichever is larger.  A density averaging 0 (underflowed) or
+NaN on the two lowest panels is refused after the first density call.
 
 The long-time representation rotates the contour onto the negative
 imaginary energy axis,
@@ -58,11 +58,12 @@ from .model import _horner, _sincos, _tan_half, _vector
 from .spectral import SpectralDensity, ThresholdCoeffs
 
 # Phase turn t * half_width above which a panel switches from the
-# direct Gauss sum to the closed form.  On the reference well, per panel over
-# its largest node value, the closed form is within 1.5e-15 of the exact integral
-# from theta = 10.5 up, the Gauss sum within 5e-16 up to 6, 1.4e-14 at 8 and
-# 3.4e-12 at 10; a switch at 4-8 moves A by <= 1.35e-13.
-_PHASE_SWITCH = 10.0
+# direct Gauss sum to the closed form, where both are exact to rounding.  On
+# the reference well's 8100-deep tables, per panel over its largest node
+# value, the Gauss sum is within 7.7e-16 of the exact integral up to theta = 6
+# (1.4e-14 at 8, 3.4e-12 at 10), the closed form within 1.2e-15 from 4 up
+# (1.4e-15 at 3, 1.0e-14 at 2).
+_PHASE_SWITCH = 4.0
 
 # Relative interpolation residual target per panel, and the narrowest bisected.
 _PANEL_RTOL = 5.0e-10
@@ -364,8 +365,8 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
     e^{-i e_cut t} sum_n d_n / (it)^(n+1), from the derivatives d_n of
     the panel below e_cut.  The interpolation part sums, in panel order
     too, the residuals of the panels below e_cut (damped by phase mixing
-    in the window), and the truncation part is |d_5| / t^6, below e_max
-    the larger of d_5 at e_cut and at its panel's middle.  Also returns
+    in the window), and the truncation part is |d_5| / t^6, the larger of
+    d_5 at e_cut and at its panel's middle, e_max included.  Also returns
     the number of (time, panel) pairs summed by the Gauss rule.
     """
     lo, hi, e_cut = _windows(table, t) if windows is None else windows
@@ -442,15 +443,13 @@ def _table_amplitudes(table: _PanelTable, t: np.ndarray, windows=None):
     d = (coef @ _DERIV_HI[:_DERIV_TERMS].T) / h_cut ** np.arange(_DERIV_TERMS)
     x = -1j / t   # 1 / (it)
     amps += _horner(d.T, x) * x * np.exp(-1j * e_cut * t)
-    # below e_max the last derivative may nearly vanish at e_cut as the
-    # density oscillates, so its value mid-panel, a quarter period of the
-    # well factor away, bounds it too: on the narrow-resonance well at t =
-    # 1.59 on the CLI grid (e_cut 118) the tail is off by 2.18e-11, the edge
-    # value gives 2.22e-12 and the mid-panel one 4.68e-11
-    n = _DERIV_TERMS - 1
-    last = np.abs(d[:, n])
-    mid_last = np.abs(coef @ _DERIV_MID) / h_cut[:, 0] ** n
-    parts[:, 1] = np.where(hi < mid.size, np.maximum(last, mid_last), last) / t ** _DERIV_TERMS
+    # the last derivative may nearly vanish at e_cut as the density
+    # oscillates, so its value mid-panel, a quarter period of the well factor
+    # away, bounds it too: on the small well's first CLI-grid table (e_cut =
+    # e_max = 324) the tail at t = 0.1 is off by 1.48e-6, the edge value gives
+    # 2.11e-9 and the mid-panel one 1.15e-6, which deepens the table
+    mid_last = np.abs(coef @ _DERIV_MID) / h_cut[:, 0] ** (_DERIV_TERMS - 1)
+    parts[:, 1] = np.maximum(np.abs(d[:, -1]), mid_last) / t ** _DERIV_TERMS
     parts[:, 2] = table.sub_mass
     return amps, parts, n_small
 
@@ -487,8 +486,9 @@ def survival_exact(density: SpectralDensity, times, *, abs_tol: float = 1.0e-8
     panel: below E = 1/t one moment series stands for the panels, and above
     e_cut, the table end that t / 2 would ask for (at most e_max), the by-parts
     tail does.  The achieved-error estimate (interpolation residuals below
-    e_cut, damped by phase mixing, plus the next-order truncation correction at
-    e_cut and the sub-threshold mass) is checked against abs_tol (> 0, or
+    e_cut, damped by phase mixing, plus the next-order truncation correction,
+    the larger of its values at e_cut and mid-panel below it, e_max included,
+    and the sub-threshold mass) is checked against abs_tol (> 0, or
     DomainError) per time.  e_max starts at `_pick_e_max`'s; while the worst
     time's finite estimate fails with its truncation as the largest part, the
     table is built again to 4 e_max and every time's cut target moves 4x with

@@ -19,8 +19,8 @@ from tailsurv import (InitialState, SpectralDensity, WBPotential, beta_sweep,
                       fit_power_law, survival_exact)
 from tailsurv.model import regular_boundary_sq
 from tailsurv.survival import (_DERIV_HI, _DERIV_TERMS, _GL_W, _GL_X, _MIN_WIDTH,
-                               _PANEL_RTOL, _PHASE_SWITCH, _envelope_tail, _eval_panels,
-                               _initial_panels, _interp, _table_from_levels)
+                               _PANEL_RTOL, _envelope_tail, _eval_panels, _initial_panels,
+                               _interp, _table_from_levels)
 
 SESSION_T0 = time.time()
 
@@ -73,12 +73,14 @@ def reference_amplitude(table, t: float, e_top: float | None = None,
 
     A plain reference for the batched `_table_amplitudes`: every panel
     up to the time's window top e_cut, the moment block below E t = 1
-    included, takes its complex Gauss sum below the phase switch and the
-    exact integral of its interpolant's Legendre series above it, and the
-    tail by parts starts at e_cut.  e_cut is the lowest edge at or above
-    e_top (by default max(64, (6 r_a / t)^2), at most e_max) that tops an
-    unbisected panel or the table.  t = 0 gives the mass with the envelope
-    beyond e_max (`_envelope_tail`), which needs the state's k_a.
+    included, takes the exact integral of its interpolant's Legendre
+    series, whatever its phase turn, and the tail by parts starts at
+    e_cut.  e_cut is the lowest edge at or above e_top (by default
+    max(64, (6 r_a / t)^2), at most e_max) that tops an unbisected panel
+    or the table.  The truncation part takes the larger of the last
+    derivative at e_cut and mid-panel, e_max included.  t = 0 gives the
+    mass with the envelope beyond e_max (`_envelope_tail`), which needs
+    the state's k_a.
     """
     if t == 0.0:
         total = (float(np.sum((table.vals @ _GL_W) * table.half)) + table.sub_mass
@@ -94,18 +96,8 @@ def reference_amplitude(table, t: float, e_top: float | None = None,
     keep = np.arange(edge.size) <= top
 
     theta = t * table.half
-    phase = np.exp(-1j * t * table.mid)
-    small = (theta <= _PHASE_SWITCH) & keep
-    large = (theta > _PHASE_SWITCH) & keep
-    acc = 0.0 + 0.0j
-    if np.any(small):
-        osc = np.exp(-1j * (theta[small, None] * _GL_X[None, :]))
-        sums = ((table.vals[small] * osc) @ _GL_W)
-        acc += np.sum(table.half[small] * phase[small] * sums)
-    if np.any(large):
-        leg = legendre_coefficients(table.vals[large])
-        sums = legendre_panel_sums(leg, theta[large])
-        acc += np.sum(table.half[large] * phase[large] * sums)
+    sums = legendre_panel_sums(legendre_coefficients(table.vals[keep]), theta[keep])
+    acc = complex(np.sum(table.half[keep] * np.exp(-1j * t * table.mid[keep]) * sums))
 
     # d^n omega / dE^n at e_cut from the Chebyshev coefficients of the panel below
     derivs = (table.coef[top] @ _DERIV_HI[:_DERIV_TERMS].T) / table.half[top] ** np.arange(
@@ -119,13 +111,10 @@ def reference_amplitude(table, t: float, e_top: float | None = None,
 
     damp = np.minimum(1.0, 4.0 / theta)
     est = float(np.sum((table.resid * table.half * damp)[keep]))
-    last = abs(derivs[-1])
-    if top < edge.size - 1:   # below e_max, also the last derivative mid-panel
-        n = _DERIV_TERMS - 1
-        cheb = np.polynomial.chebyshev
-        last = max(last, abs(cheb.chebval(0.0, cheb.chebder(table.coef[top], n)))
-                   / table.half[top] ** n)
-    est += last / t ** _DERIV_TERMS
+    n = _DERIV_TERMS - 1
+    cheb = np.polynomial.chebyshev
+    est += max(abs(derivs[-1]), abs(cheb.chebval(0.0, cheb.chebder(table.coef[top], n)))
+               / table.half[top] ** n) / t ** _DERIV_TERMS
     est += table.sub_mass
     return complex(acc), est
 

@@ -16,7 +16,7 @@ from tailsurv.emit import read_table
 from tailsurv.errors import ConfigError
 from tailsurv.survival import SurvivalSeries, survival_laplace_axis
 
-from conftest import record_table_builds
+from conftest import make_density, record_table_builds, reference_amplitude, reference_table
 
 
 @pytest.fixture()
@@ -221,6 +221,24 @@ def test_survive_answers_where_a_cut_below_e_max_breaks_abs_tol(workdir, well):
     meta = json.loads((workdir / "survival.meta.json").read_text())
     assert (meta["e_max"], meta["table_builds"], meta["density_evals"]) == (3600.0, 2, 2640)
     assert meta["max_error_estimate"] <= 2.0e-10
+
+
+def test_survive_states_a_bound_at_t_0_1_on_the_small_well(workdir):
+    # from t = 0.1 the table ends at e_max = (30 r_a)^2 = 324, whose truncation
+    # part at t = 0.1, the larger of d_5 at e_max and mid-panel, breaks abs_tol;
+    # one 4x deeper table states 4.14e-10.  d_5 at e_max alone is 2.19e-9 on
+    # the first table, whose P(0.1) is 3.2e-7 off
+    well = dict(v0=0.2, vb=3.0, r_a=0.6, r_d=1.5, beta=0.2)
+    assert main(["survive", *(f"--{k}={v}" for k, v in well.items()),
+                 "--methods", "one-term"]) == 0
+    _, data = read_table(workdir / "survival.csv")
+    meta = json.loads((workdir / "survival.meta.json").read_text())
+    assert (meta["e_max"], meta["table_builds"]) == (pytest.approx(1296.0), 2)
+    assert data["t"][0] == 0.1
+    density = make_density(**well)
+    deep = reference_amplitude(reference_table(density.omega, density.pot.r_a, 4.0e4), 0.1,
+                               e_top=4.0e4)[0]
+    assert abs(data["P_exact"][0] - abs(deep) ** 2) <= meta["error_estimate"][0]
 
 
 @pytest.mark.parametrize("value", ("0", "-1", "nan"))

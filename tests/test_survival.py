@@ -229,7 +229,7 @@ def test_panel_interpolants_match_their_legendre_projection(beta, density_for):
     leg = legendre_coefficients(table.vals)
     for end in (np.ones(16), (-1.0) ** np.arange(16)):   # T_j and P_j at s = 1 and -1
         assert np.max(np.abs(table.coef @ end - leg @ end) / scale) <= 1.0e-13
-    theta = np.array([10.5, 15.0, 40.0, 300.0])
+    theta = np.array([4.5, 10.5, 15.0, 40.0, 300.0])
     for coef, h, v, lc in zip(table.coef, table.half, scale, leg):
         one = _PanelTable(mid=np.array([0.0, 2.0 * h]), half=np.full(2, h),
                           vals=np.zeros((2, 16)), coef=np.vstack((coef, np.zeros(16))),
@@ -253,12 +253,21 @@ def test_table_panels_meet_target_and_tile_up_to_e_max(e_max):
     assert table.e_max == e_max and hi[-1] == pytest.approx(e_max, rel=1.0e-15)
 
 
-def test_exact_holds_tolerance_on_a_grid_from_t_1_1(density_for):
-    # t_min = 1.1 puts e_max at 66.9, off any round grid edge; the last
-    # panel must still end there, neither reversed nor a sliver
-    s = survival_exact(density_for(0.3), np.geomspace(1.1, 100.0, 60))
-    assert s.meta["e_max"] == pytest.approx((9.0 / 1.1) ** 2)
+def test_exact_holds_tolerance_on_a_grid_from_t_1_1(density_for, monkeypatch):
+    # t_min = 1.1 puts the first e_max at 66.9, off any round grid edge; the
+    # last panel must still end there, neither reversed nor a sliver.  Its
+    # truncation part there, the larger of d_5 at e_max and mid-panel, is
+    # 1.6e-8 and deepens the table once; the edge value alone is 3.5e-9 at
+    # t = 1.1, where that table's A is 5.5e-9 off
+    builds = _start_table_at(monkeypatch, None)
+    density = density_for(0.3)
+    s = survival_exact(density, np.geomspace(1.1, 100.0, 60))
+    assert builds == [pytest.approx((9.0 / 1.1) ** 2), pytest.approx(4.0 * (9.0 / 1.1) ** 2)]
     assert s.meta["max_error_estimate"] <= 1.0e-8
+    ref = reference_table(density.omega, density.pot.r_a, 4.0e4)
+    for t, amp, est in zip(s.times[:5], s.amplitudes, s.meta["error_estimate"]):
+        deep, deep_est = reference_amplitude(ref, t, e_top=4.0e4)
+        assert abs(amp - deep) <= est + deep_est
 
 
 @pytest.mark.parametrize("e_max", (64.0000001, 8061.5644))
@@ -274,27 +283,22 @@ def test_exact_holds_tolerance_when_e_max_just_passes_a_grid_edge(density_for, e
 
 
 @pytest.mark.parametrize("well,t", [
-    pytest.param(dict(beta=0.2, v0=0.2, vb=3.0, r_a=0.6, r_d=1.5), 0.1, marks=pytest.mark.xfail(
-        strict=True, reason=(
-            "the truncation part at e_max understates the error at small t: "
-            "v0 0.2, vb 3.0, r_a 0.6, r_d 1.5, beta 0.2 at t = 0.1 takes e_max = 324 "
-            "and states 2.19e-9 (truncation 2.11e-9), but A is 1.48e-6 from its value "
-            "at e_max = 4e4 (P off by 3.2e-7); e_max 5000, 4e4 and 1.5e5 agree to "
-            "1e-13, and 1296 is 1.151e-10 off, just over its own 1.149e-10 estimate")),
-        id="small-well-t0.1"),
+    pytest.param(dict(beta=0.2, v0=0.2, vb=3.0, r_a=0.6, r_d=1.5), 0.1, id="small-well-t0.1"),
     pytest.param(dict(beta=0.7629, v0=0.753, vb=2.418, r_a=2.868, r_d=4.33), 1.0,
                  marks=pytest.mark.xfail(strict=True, reason=(
-                     "the truncation part at e_max understates the error on the "
-                     "narrow-resonance well alone: at t = 1 it takes e_max = 74.03 and "
-                     "states 4.68e-9 (truncation 4.66e-9), but A is 1.61e-8 from its "
+                     "the truncation part at e_max, the larger of d_5 there and "
+                     "mid-panel, understates the error on the narrow-resonance well "
+                     "alone: at t = 1 it takes e_max = 74.03 and states 4.68e-9 "
+                     "(truncation 4.66e-9), but A is 1.61e-8 from its "
                      "value at e_max = 4e4 (P off by 1.81e-8, past 1e-8); e_max 400, "
                      "1600, 6400 and 4e4 agree within 4e-12, and the brute force "
                      "agrees with them within 1.1e-9")),
                  id="narrow-resonance-t1"),
     pytest.param(dict(beta=0.3, v0=0.5, vb=16.0, r_a=3.0, r_d=4.0), 0.5,
                  marks=pytest.mark.xfail(strict=True, reason=(
-                     "the truncation part at e_max understates the error on the "
-                     "vb 16 well: at t = 0.5 its one table, e_max = 324, states "
+                     "the truncation part at e_max, the larger of d_5 there and "
+                     "mid-panel, understates the error on the vb 16 well: at t = 0.5 "
+                     "its one table, e_max = 324, states "
                      "4.68e-10 (truncation 4.18e-10), but A is 1.92e-9 from a table "
                      "to 4e4 that states 2.11e-11; it passes abs_tol, so no deeper "
                      "table is built")),
@@ -460,7 +464,7 @@ def test_exact_meta_counts_pairs_per_route(density_for):
     meta = survival_exact(den, t).meta
     routes = ("small_phase_pairs", "large_phase_pairs", "low_energy_pairs", "beyond_cut_pairs")
     # with t = 0 on the grid the table is spectral_mass's, up to E = 4e4
-    assert (meta["panels"],) + tuple(meta[key] for key in routes) == (440, 2137, 708, 1861, 15094)
+    assert (meta["panels"],) + tuple(meta[key] for key in routes) == (440, 1061, 1784, 1861, 15094)
     assert sum(meta[key] for key in routes) == 45 * 440
     assert meta["e_cut"].shape == t.shape and meta["e_cut"][0] == meta["e_max"]
     table = _build_table(den.omega, den.pot.r_a, meta["e_max"])
@@ -474,7 +478,7 @@ def test_exact_meta_counts_pairs_per_route(density_for):
     # the CLI grid, 860 times in 14 blocks, whose table ends at e_max = 8100
     meta = survival_exact(den, np.geomspace(0.1, 2000.0, 860)).meta
     assert (meta["panels"],) + tuple(meta[key] for key in routes) == (
-        229, 33_577, 13_456, 35_547, 114_360)
+        229, 19_204, 27_829, 35_547, 114_360)
 
 
 def test_exact_meta_has_an_error_estimate_per_time(density_for):
